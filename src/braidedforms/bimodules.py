@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braiding import swap_matrix
+from .checks import Checks
 from .errors import ShapeError
 from .hopf import HopfAlgebraData
 from .matrix import (
@@ -57,17 +58,6 @@ class HopfBimodule:
             "nu_r": self.nu_r.to_obj(),
         }
 
-    @staticmethod
-    def from_obj(h: HopfAlgebraData, obj) -> "HopfBimodule":
-        return HopfBimodule(
-            h,
-            int(obj["dim"]),
-            Matrix.from_obj(obj["mu_l"]),
-            Matrix.from_obj(obj["mu_r"]),
-            Matrix.from_obj(obj["nu_l"]),
-            Matrix.from_obj(obj["nu_r"]),
-        )
-
     def __repr__(self):
         return f"HopfBimodule({self.name or self.dim})"
 
@@ -90,21 +80,11 @@ class CrossedModule:
     def to_obj(self):
         return {"dim": self.dim, "mu_r": self.mu_r.to_obj(), "nu_r": self.nu_r.to_obj()}
 
-    @staticmethod
-    def from_obj(h: HopfAlgebraData, obj) -> "CrossedModule":
-        return CrossedModule(
-            h, int(obj["dim"]), Matrix.from_obj(obj["mu_r"]), Matrix.from_obj(obj["nu_r"])
-        )
-
     def __repr__(self):
         return f"CrossedModule({self.name or self.dim})"
 
 
-def _verdicts(checks: dict) -> dict:
-    return {k: {"pass": bool(v), "first_failure": None if v else k} for k, v in checks.items()}
-
-
-def check_hopf_bimodule(x: HopfBimodule) -> dict:
+def check_hopf_bimodule(x: HopfBimodule) -> Checks:
     h = x.h
     a, d = h.dim, x.dim
     ea, ed = Matrix.identity(a), Matrix.identity(d)
@@ -120,7 +100,7 @@ def check_hopf_bimodule(x: HopfBimodule) -> dict:
     rhs_rl = kron(ml, m).compose(kron(cm, nr).permute_rows(mid_swap_indices(a, a, d, a)))
     lhs_rr = nr.compose(mr)
     rhs_rr = kron(mr, m).compose(kron(nr, cm).permute_rows(mid_swap_indices(d, a, a, a)))
-    checks = {
+    return Checks({
         "left_module": ml.compose(kron(m, ed)) == ml.compose(kron(ea, ml))
         and ml.compose(kron(u, ed)) == ed,
         "right_module": mr.compose(kron(ed, m)) == mr.compose(kron(mr, ea))
@@ -135,11 +115,10 @@ def check_hopf_bimodule(x: HopfBimodule) -> dict:
         "nu_l_right_module_map": lhs_lr == rhs_lr,
         "nu_r_left_module_map": lhs_rl == rhs_rl,
         "nu_r_right_module_map": lhs_rr == rhs_rr,
-    }
-    return _verdicts(checks)
+    })
 
 
-def check_crossed_module(x: CrossedModule) -> dict:
+def check_crossed_module(x: CrossedModule) -> Checks:
     h = x.h
     a, d = h.dim, x.dim
     ea, ed = Matrix.identity(a), Matrix.identity(d)
@@ -153,18 +132,13 @@ def check_crossed_module(x: CrossedModule) -> dict:
         .permute_rows(mid_swap_indices(1, a, d, a))
     )
     rhs = kron(mr, m).compose(kron(nr, cm).permute_rows(mid_swap_indices(d, a, a, a)))
-    checks = {
+    return Checks({
         "right_module": mr.compose(kron(ed, m)) == mr.compose(kron(mr, ea))
         and mr.compose(kron(ed, u)) == ed,
         "right_comodule": kron(ed, cm).compose(nr) == kron(nr, ea).compose(nr)
         and kron(ed, cu).compose(nr) == ed,
         "crossed_compatibility": lhs == rhs,
-    }
-    return _verdicts(checks)
-
-
-def all_pass(report: dict) -> bool:
-    return all(v["pass"] for v in report.values())
+    })
 
 
 # --- standard examples ----------------------------------------------------
@@ -436,7 +410,7 @@ def associator(x: HopfBimodule, y: HopfBimodule, z: HopfBimodule,
 
 
 def hexagon_identities(x: HopfBimodule, y: HopfBimodule, z: HopfBimodule,
-                       cache: TensorCache | None = None) -> dict:
+                       cache: TensorCache | None = None) -> Checks:
     """Both hexagon identities for the Hopf bimodule braiding on (X, Y, Z)."""
     if cache is None:
         cache = TensorCache()
@@ -472,10 +446,7 @@ def hexagon_identities(x: HopfBimodule, y: HopfBimodule, z: HopfBimodule,
         .compose(id_tensor_b_yz)
         .compose(a_xyz)
     )
-    return {
-        "hexagon_left": {"pass": lhs1 == rhs1, "first_failure": None if lhs1 == rhs1 else "hexagon_left"},
-        "hexagon_right": {"pass": lhs2 == rhs2, "first_failure": None if lhs2 == rhs2 else "hexagon_right"},
-    }
+    return Checks({"hexagon_left": lhs1 == rhs1, "hexagon_right": lhs2 == rhs2})
 
 
 def relative_antipode_commutes(x: HopfBimodule) -> bool:

@@ -2,8 +2,8 @@
 
 A BraidedSpace is a d-dimensional space X with an invertible Yang-Baxter
 operator psi on X@X and an invertible scalar lam (the unit automorphism).
-rep_matrix sends a permutation to the product of elementary braidings over a
-reduced word; the braid equation makes this well defined.  Braided
+BraidedSpace.rep sends a permutation to the product of elementary braidings
+over a reduced word; the braid equation makes this well defined.  Braided
 multinomials are the sums sum_sigma lam^l(sigma) * rep(sigma) over the lower
 or upper shuffle set.
 """
@@ -59,8 +59,10 @@ class BraidedSpace:
         self._rep_cache = {}
 
     def guard(self, j: int):
-        if self.dim**j > RESOURCE_BOUND:
-            raise TooLarge(f"dim^{j} = {self.dim**j} exceeds the bound {RESOURCE_BOUND}")
+        # for dim >= 2, any j past the bound's bit length fails; this skips
+        # forming dim^j for huge j
+        if self.dim > 1 and (j >= RESOURCE_BOUND.bit_length() or self.dim**j > RESOURCE_BOUND):
+            raise TooLarge(f"dim^j = {self.dim}^{j} exceeds the bound {RESOURCE_BOUND}")
 
     def elementary(self, j: int, a: int) -> Matrix:
         """psi acting in slots (a, a+1) of X^(tensor j)."""
@@ -114,10 +116,6 @@ def braided_line(mu, lam=None) -> BraidedSpace:
     lam = Scalar._coerce(-1 if lam is None else lam)
     q = Scalar._coerce(mu) * lam.inv()
     return BraidedSpace(1, Matrix(1, 1, [q]), lam, check=False)
-
-
-def rep_matrix(p: Permutation, x: BraidedSpace) -> Matrix:
-    return x.rep(p)
 
 
 def multinomial(pi: Partition, x: BraidedSpace, side: str) -> Matrix:

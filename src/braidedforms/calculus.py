@@ -24,6 +24,7 @@ from .bimodules import (
     square_bimodule,
 )
 from .bosonization import WedgeOverH, wedge_over_H
+from .checks import Checks
 from .cyclotomic import MINUS_ONE, ONE
 from .errors import NotASubmodule
 from .graded import GradedBialgebra, GradedSpace, check_graded_structure
@@ -41,22 +42,20 @@ class FirstOrderCalculus:
         return {"X": self.x.to_obj(), "d": self.d.to_obj()}
 
 
-def check_first_order(calc: FirstOrderCalculus) -> dict:
+def check_first_order(calc: FirstOrderCalculus) -> Checks:
     """Leibniz, generation, bicovariance, plus the bimodule axioms of X."""
     h, x, d = calc.h, calc.x, calc.d
     a = h.dim
     ea = Matrix.identity(a)
-    report = dict(check_hopf_bimodule(x))
-    leibniz = d.compose(h.mult) == x.mu_r.compose(kron(d, ea)) + x.mu_l.compose(kron(ea, d))
-    report["leibniz"] = {"pass": leibniz, "first_failure": None if leibniz else "leibniz"}
+    checks = check_hopf_bimodule(x)
     span = x.mu_l.compose(kron(ea, d))
-    gen = span.column_echelon_basis()[0].cols == x.dim
-    report["generation"] = {"pass": gen, "first_failure": None if gen else "generation"}
-    lcov = x.nu_l.compose(d) == kron(ea, d).compose(h.comult)
-    rcov = x.nu_r.compose(d) == kron(d, ea).compose(h.comult)
-    report["left_covariance"] = {"pass": lcov, "first_failure": None if lcov else "left_covariance"}
-    report["right_covariance"] = {"pass": rcov, "first_failure": None if rcov else "right_covariance"}
-    return report
+    checks.record_all({
+        "leibniz": d.compose(h.mult) == x.mu_r.compose(kron(d, ea)) + x.mu_l.compose(kron(ea, d)),
+        "generation": span.column_echelon_basis()[0].cols == x.dim,
+        "left_covariance": x.nu_l.compose(d) == kron(ea, d).compose(h.comult),
+        "right_covariance": x.nu_r.compose(d) == kron(d, ea).compose(h.comult),
+    })
+    return checks
 
 
 def universal_fodc(h: HopfAlgebraData) -> FirstOrderCalculus:
@@ -405,43 +404,11 @@ def generation_conditions(alg: GradedBialgebra, diff: list[Matrix]) -> dict:
             "generated": all(cond["left"])}
 
 
-def verify_calculus(obj, level: str) -> dict:
-    """Per-axiom verdicts. Levels: fodc (FirstOrderCalculus),
-    diff_algebra / diff_hopf / bicovariant (graded objects with
-    differential)."""
-    if level == "fodc":
+def verify_calculus(obj) -> Checks:
+    """Per-axiom verdicts: the first-order axioms of a FirstOrderCalculus, or
+    the differential Hopf axioms of an ExteriorCalculus or a graded bialgebra
+    with differential."""
+    if isinstance(obj, FirstOrderCalculus):
         return check_first_order(obj)
     alg = obj.algebra if isinstance(obj, ExteriorCalculus) else obj
-    if level == "diff_algebra":
-        report = check_graded_structure(alg, "algebra")
-        d = alg.differential
-        for n in range(alg.N - 1):
-            ok = d[n + 1].compose(d[n]).is_zero
-            entry = report.setdefault("d_squared", {"pass": True, "first_failure": None})
-            if not ok and entry["pass"]:
-                entry.update({"pass": False, "first_failure": (n,)})
-        report.setdefault("d_squared", {"pass": True, "first_failure": None})
-        for k in range(alg.N):
-            for l in range(alg.N - k):
-                lhs = d[k + l].compose(alg.m(k, l))
-                sign = ONE if k % 2 == 0 else MINUS_ONE
-                rhs = alg.m(k + 1, l).compose(kron(d[k], alg.eye(l))) + \
-                    alg.m(k, l + 1).compose(kron(alg.eye(k), d[l])).scale(sign)
-                entry = report.setdefault("leibniz", {"pass": True, "first_failure": None})
-                if lhs != rhs and entry["pass"]:
-                    entry.update({"pass": False, "first_failure": (k, l)})
-        report.setdefault("leibniz", {"pass": True, "first_failure": None})
-        gen = generation_conditions(alg, d)
-        report["generation"] = {"pass": gen["generated"] and gen["all_agree"],
-                                "first_failure": None if gen["generated"] and gen["all_agree"] else gen}
-        return report
-    if level == "diff_hopf":
-        return check_graded_structure(alg, "diff_hopf")
-    if level == "bicovariant":
-        # graded bicovariance is subsumed by the Hopf structure; at the
-        # first-order level it is the bicomodule property of d
-        if isinstance(obj, FirstOrderCalculus):
-            rep = check_first_order(obj)
-            return {k: rep[k] for k in ("left_covariance", "right_covariance")}
-        return check_graded_structure(alg, "bialgebra")
-    raise ValueError(f"unknown level {level!r}")
+    return check_graded_structure(alg, "diff_hopf")

@@ -8,7 +8,8 @@ Commands
 
 Exit codes
   0  success: every requested axiom/verification passed
-  1  an axiom or verification failed (including unstable submodule generators)
+  1  an axiom or verification failed (including unstable submodule generators
+     and structure maps that do not factor, e.g. on a non-Hopf algebra)
   2  input file missing, malformed, or schema violation
   3  the requested construction exceeds the desk-scale resource bound
 
@@ -33,7 +34,8 @@ from .calculus import (
     read_off_submodule,
     verify_calculus,
 )
-from .errors import NotASubmodule, ParseError, TooLarge
+from .checks import Checks
+from .errors import FactorizationError, NotASubmodule, ParseError, TooLarge
 from .hopf import check_hopf
 from .matrix import Matrix
 from .tensor_hopf import build_wedge, wedge_vs_quadratic
@@ -44,14 +46,6 @@ EXIT_PARSE = 2
 EXIT_TOO_LARGE = 3
 
 
-def _report_checks(checks: dict) -> dict:
-    return {
-        name: {"pass": bool(v["pass"]),
-               "first_failure": None if v["pass"] else repr(v["first_failure"])}
-        for name, v in sorted(checks.items())
-    }
-
-
 def _emit(report: dict, out: str | None) -> None:
     report = {"schema_version": io.SCHEMA_VERSION, **report}
     if out:
@@ -60,9 +54,11 @@ def _emit(report: dict, out: str | None) -> None:
         sys.stdout.write(io.dumps(report))
 
 
-def _print_checks(checks: dict) -> None:
-    for name, v in sorted(checks.items()):
-        mark = "ok" if v["pass"] else f"FAIL ({v['first_failure']})"
+def _print_checks(checks: Checks, failed_only: bool = False) -> None:
+    for name, witness in sorted(checks.first.items()):
+        if witness is None and failed_only:
+            continue
+        mark = "ok" if witness is None else f"FAIL ({witness})"
         print(f"  {name:<24} {mark}")
 
 
@@ -73,23 +69,23 @@ def cmd_check(args) -> int:
         checks = check_hopf(io.hopf_from_obj(obj))
     elif args.kind == "braiding":
         space = io.braiding_from_obj(obj)
-        ok, witness = check_yang_baxter(space.psi)
-        checks = {"yang_baxter": {"pass": ok, "first_failure": None if ok else witness}}
-        lam_ok = not space.lam.is_zero
-        checks["lambda_invertible"] = {"pass": lam_ok, "first_failure": None if lam_ok else "lambda = 0"}
+        _, witness = check_yang_baxter(space.psi)  # None when the equation holds
+        checks = Checks()
+        checks.record("yang_baxter", witness)
+        checks.record("lambda_invertible", "lambda = 0" if space.lam.is_zero else None)
     elif args.kind == "bimodule":
         checks = check_hopf_bimodule(io.bimodule_from_obj(obj, base))
     elif args.kind == "crossed":
         checks = check_crossed_module(io.crossed_from_obj(obj, base))
     elif args.kind == "calculus":
-        checks = verify_calculus(io.calculus_from_obj(obj, base), "fodc")
+        checks = verify_calculus(io.calculus_from_obj(obj, base))
     else:  # pragma: no cover - argparse restricts choices
         raise ParseError(f"unknown kind {args.kind}")
-    report = {"command": "check", "kind": args.kind, "checks": _report_checks(checks)}
+    report = {"command": "check", "kind": args.kind, "checks": checks.to_obj()}
     print(f"check {args.kind}: {args.file}")
     _print_checks(checks)
     _emit(report, args.out)
-    return EXIT_OK if all(v["pass"] for v in checks.values()) else EXIT_FAIL
+    return EXIT_OK if checks.ok else EXIT_FAIL
 
 
 def cmd_wedge_dims(args) -> int:
@@ -116,38 +112,37 @@ def cmd_wedge_dims(args) -> int:
     return EXIT_OK
 
 
-def _route_report(calc, N: int, route: str) -> tuple[dict, bool]:
+def _route_report(calc, N: int, route: str) -> tuple[dict, Checks]:
     if route == "biproduct":
         alg = exterior_calculus(calc, N).algebra
     else:
         alg = exterior_calculus_via_comma(calc, N)
-    checks = verify_calculus(alg, "diff_hopf")
-    ok = all(v["pass"] for v in checks.values())
+    checks = verify_calculus(alg)
     return {
         "dims": list(alg.dims),
-        "checks": _report_checks(checks),
+        "checks": checks.to_obj(),
         "d_blocks": [d.to_obj() for d in alg.differential[:N]],
-    }, ok
+    }, checks
 
 
 def cmd_build_calculus(args) -> int:
     obj = io.load_json(args.file)
     calc = io.calculus_from_obj(obj, io.Path(args.file).parent)
-    fodc_checks = verify_calculus(calc, "fodc")
-    ok = all(v["pass"] for v in fodc_checks.values())
+    fodc_checks = verify_calculus(calc)
+    ok = fodc_checks.ok
     report = {"command": "build-calculus", "max_degree": args.max_degree,
-              "route": args.route, "fodc_checks": _report_checks(fodc_checks)}
+              "route": args.route, "fodc_checks": fodc_checks.to_obj()}
     routes = ["maximal", "biproduct"] if args.route == "both" else [args.route]
     for route in routes:
-        sub, route_ok = _route_report(calc, args.max_degree, route)
-        ok = ok and route_ok
+        sub, checks = _route_report(calc, args.max_degree, route)
+        ok = ok and checks.ok
         if args.route == "both":
             report.setdefault("routes", {})[route] = sub
         else:
             report.update(sub)
         print(f"route {route}: dims " + ",".join(map(str, sub["dims"]))
-              + ("  all checks pass" if route_ok else "  CHECKS FAILED"))
-        _print_checks({k: v for k, v in sub["checks"].items() if not v["pass"]})
+              + ("  all checks pass" if checks.ok else "  CHECKS FAILED"))
+        _print_checks(checks, failed_only=True)
     if args.route == "both":
         agree = report["routes"]["maximal"]["dims"] == report["routes"]["biproduct"]["dims"]
         report["routes_agree"] = agree
@@ -244,6 +239,9 @@ def main(argv=None) -> int:
     except NotASubmodule as exc:
         print(f"error: {exc}; hint: extend the generator list until it is "
               "closed under the action and coaction", file=sys.stderr)
+        return EXIT_FAIL
+    except FactorizationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DivisionByZero
 
@@ -62,6 +62,26 @@ def cyclotomic_polynomial(n: int) -> list[Fraction]:
             poly = _poly_divide(poly, cyclotomic_polynomial(d))
     _CYCLO_CACHE[n] = poly
     return poly
+
+
+def _mobius(n: int) -> int:
+    result = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
+
+
+def _normalized_trace(n: int, i: int) -> Fraction:
+    """Tr(zeta_n^i)/phi(n): the Ramanujan sum c_n(i) over phi(n), which is
+    mu(m)/phi(m) with m = n/gcd(n, i)."""
+    m = n // gcd(n, i)
+    return Fraction(_mobius(m), euler_phi(m))
 
 
 _TABLE_CACHE: dict[int, tuple[int, dict[int, tuple[Fraction, ...]]]] = {}
@@ -183,9 +203,12 @@ class Scalar:
         return ca == cb
 
     def __hash__(self):
+        # equal values may sit at different conductors, so hash the
+        # normalized trace Tr/[K:Q], which does not depend on the conductor;
+        # on rationals it is the value itself, so hash(Scalar(q)) == hash(q)
         if self.n == 1:
             return hash(self.c[0])
-        return hash((self.n, self.c))
+        return hash(sum(c * _normalized_trace(self.n, i) for i, c in enumerate(self.c) if c))
 
     # --- arithmetic -------------------------------------------------------
 
@@ -293,11 +316,6 @@ class Scalar:
             "conductor": self.n,
             "coeffs": [[ci.numerator, ci.denominator] for ci in self.c],
         }
-
-    @staticmethod
-    def from_obj(obj) -> "Scalar":
-        coeffs = [Fraction(int(p), int(q)) for p, q in obj["coeffs"]]
-        return Scalar(int(obj["conductor"]), coeffs)
 
     def __repr__(self):
         if self.n == 1:

@@ -10,6 +10,7 @@ what the bialgebra axiom and the bi-ideal conditions are checked against.
 
 from __future__ import annotations
 
+from .checks import Checks
 from .cyclotomic import MINUS_ONE, ONE, Scalar
 from .errors import (
     FactorizationError,
@@ -184,21 +185,14 @@ class GradedBialgebra:
         return obj
 
 
-def check_graded_structure(b: GradedBialgebra, level: str) -> dict:
+def check_graded_structure(b: GradedBialgebra, level: str) -> Checks:
     """Blockwise axiom checks; levels are cumulative:
     algebra < coalgebra < bialgebra < hopf < diff_hopf."""
     levels = ["algebra", "coalgebra", "bialgebra", "hopf", "diff_hopf"]
     if level not in levels:
         raise ValueError(f"unknown level {level!r}")
     depth = levels.index(level)
-    report = {}
-
-    def record(name, failure):
-        entry = report.setdefault(name, {"pass": True, "first_failure": None})
-        if failure is not None and entry["pass"]:
-            entry["pass"] = False
-            entry["first_failure"] = failure
-
+    checks = Checks()
     N = b.N
     eye = b.eye
 
@@ -208,12 +202,12 @@ def check_graded_structure(b: GradedBialgebra, level: str) -> dict:
             for m in range(N + 1 - k - l):
                 lhs = b.m(k + l, m).compose(kron(b.m(k, l), eye(m)))
                 rhs = b.m(k, l + m).compose(kron(eye(k), b.m(l, m)))
-                record("associativity", None if lhs == rhs else (k, l, m))
+                checks.record("associativity", None if lhs == rhs else (k, l, m))
     for n in range(N + 1):
         ok = b.m(0, n).compose(kron(b.unit, eye(n))) == eye(n) and b.m(n, 0).compose(
             kron(eye(n), b.unit)
         ) == eye(n)
-        record("unit", None if ok else (n,))
+        checks.record("unit", None if ok else (n,))
 
     if depth >= 1:
         for k in range(N + 1):
@@ -221,12 +215,12 @@ def check_graded_structure(b: GradedBialgebra, level: str) -> dict:
                 for m in range(N + 1 - k - l):
                     lhs = kron(b.cm(k, l), eye(m)).compose(b.cm(k + l, m))
                     rhs = kron(eye(k), b.cm(l, m)).compose(b.cm(k, l + m))
-                    record("coassociativity", None if lhs == rhs else (k, l, m))
+                    checks.record("coassociativity", None if lhs == rhs else (k, l, m))
         for n in range(N + 1):
             ok = kron(b.counit, eye(n)).compose(b.cm(0, n)) == eye(n) and kron(
                 eye(n), b.counit
             ).compose(b.cm(n, 0)) == eye(n)
-            record("counit", None if ok else (n,))
+            checks.record("counit", None if ok else (n,))
 
     if depth >= 2:
         for n in range(N + 1):
@@ -242,17 +236,17 @@ def check_graded_structure(b: GradedBialgebra, level: str) -> dict:
                             kron(kron(eye(a), b.braid(bb, c)), eye(d))
                         ).compose(kron(b.cm(a, bb), b.cm(c, d)))
                         rhs = rhs + term
-                    record("bialgebra", None if lhs == rhs else (k, l, p, q))
+                    checks.record("bialgebra", None if lhs == rhs else (k, l, p, q))
         ok = (
             b.counit.compose(b.m(0, 0)) == kron(b.counit, b.counit)
             and b.cm(0, 0).compose(b.unit) == kron(b.unit, b.unit)
             and b.counit.compose(b.unit) == Matrix.identity(1)
         )
-        record("unit_counit_compat", None if ok else (0,))
+        checks.record("unit_counit_compat", None if ok else (0,))
 
     if depth >= 3:
         if b.antipode is None:
-            record("antipode", ("missing",))
+            checks.record("antipode", ("missing",))
         else:
             eta_eps = b.unit.compose(b.counit)
             for n in range(N + 1):
@@ -263,15 +257,15 @@ def check_graded_structure(b: GradedBialgebra, level: str) -> dict:
                     left = left + b.m(k, l).compose(kron(b.antipode[k], eye(l))).compose(b.cm(k, l))
                     right = right + b.m(k, l).compose(kron(eye(k), b.antipode[l])).compose(b.cm(k, l))
                 expect = eta_eps if n == 0 else Matrix.zero(b.dims[n], b.dims[n])
-                record("antipode", None if left == expect and right == expect else (n,))
+                checks.record("antipode", None if left == expect and right == expect else (n,))
 
     if depth >= 4:
         if b.differential is None:
-            record("differential", ("missing",))
+            checks.record("differential", ("missing",))
         else:
             d = b.differential
             for n in range(N - 1):
-                record("d_squared", None if d[n + 1].compose(d[n]).is_zero else (n,))
+                checks.record("d_squared", None if d[n + 1].compose(d[n]).is_zero else (n,))
             for k in range(N):
                 for l in range(N - k):
                     lhs = d[k + l].compose(b.m(k, l))
@@ -279,7 +273,7 @@ def check_graded_structure(b: GradedBialgebra, level: str) -> dict:
                     other = b.m(k, l + 1).compose(kron(eye(k), d[l]))
                     sign = ONE if k % 2 == 0 else MINUS_ONE
                     rhs = rhs + other.scale(sign)
-                    record("leibniz", None if lhs == rhs else (k, l))
+                    checks.record("leibniz", None if lhs == rhs else (k, l))
             for n in range(N):
                 for k in range(n + 2):
                     l = n + 1 - k
@@ -290,17 +284,13 @@ def check_graded_structure(b: GradedBialgebra, level: str) -> dict:
                     if l >= 1:
                         sign = ONE if k % 2 == 0 else MINUS_ONE
                         rhs = rhs + kron(eye(k), d[l - 1]).compose(b.cm(k, l - 1)).scale(sign)
-                    record("comult_diff", None if lhs == rhs else (k, l))
+                    checks.record("comult_diff", None if lhs == rhs else (k, l))
             if b.antipode is not None:
                 for n in range(N):
                     ok = b.antipode[n + 1].compose(d[n]) == d[n].compose(b.antipode[n])
-                    record("antipode_diff", None if ok else (n,))
+                    checks.record("antipode_diff", None if ok else (n,))
 
-    return report
-
-
-def all_pass(report: dict) -> bool:
-    return all(entry["pass"] for entry in report.values())
+    return checks
 
 
 def antipode_recursive(b: GradedBialgebra, s0: Matrix | None = None) -> list[Matrix]:
@@ -327,35 +317,6 @@ def antipode_recursive(b: GradedBialgebra, s0: Matrix | None = None) -> list[Mat
             total = total + term
         s.append(-total)
     return s
-
-
-def module_generated_image(action: Matrix, f: Matrix, side: str, dim_alg: int | None = None) -> Matrix:
-    """Echelon basis of the submodule generated by Im(f).
-
-    left: Im(mu_l o (id_A @ f)) for mu_l: A@X -> X;
-    right: Im(mu_r o (f @ id_A)) for mu_r: X@A -> X;
-    two_sided: left closure of the right closure (needs both actions:
-    pass action=(mu_l, mu_r)).
-    """
-    if side == "two_sided":
-        mu_l, mu_r = action
-        return module_generated_image(mu_l, module_generated_image(mu_r, f, "right"), "left")
-    mu = action
-    dim_x = mu.rows
-    if side == "left":
-        if mu.cols % dim_x:
-            raise ShapeError("left action shape")
-        dim_a = mu.cols // dim_x
-        gen = mu.compose(kron(Matrix.identity(dim_a), f))
-    elif side == "right":
-        if mu.cols % dim_x:
-            raise ShapeError("right action shape")
-        dim_a = mu.cols // dim_x
-        gen = mu.compose(kron(f, Matrix.identity(dim_a)))
-    else:
-        raise ValueError(f"side must be left/right/two_sided, got {side!r}")
-    basis, _ = gen.column_echelon_basis()
-    return basis
 
 
 def ideal_quotient(b: GradedBialgebra, f: Matrix, degree: int) -> GradedBialgebra:

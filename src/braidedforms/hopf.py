@@ -10,6 +10,7 @@ re-verified on both sides by check_hopf.
 from __future__ import annotations
 
 from .braiding import swap_matrix
+from .checks import Checks
 from .cyclotomic import ONE, ZERO, Scalar
 from .errors import InvalidBaseHopf, ShapeError
 from .matrix import Matrix, kron, solve_mono
@@ -44,18 +45,6 @@ class HopfAlgebraData:
             "antipode": self.antipode.to_obj(),
             "antipode_inv": self.antipode_inv.to_obj(),
         }
-
-    @staticmethod
-    def from_obj(obj) -> "HopfAlgebraData":
-        return HopfAlgebraData(
-            int(obj["dim"]),
-            Matrix.from_obj(obj["mult"]),
-            Matrix.from_obj(obj["unit"]),
-            Matrix.from_obj(obj["comult"]),
-            Matrix.from_obj(obj["counit"]),
-            Matrix.from_obj(obj["antipode"]),
-            Matrix.from_obj(obj["antipode_inv"]),
-        )
 
     def __repr__(self):
         return f"HopfAlgebraData({self.name or self.dim})"
@@ -97,18 +86,17 @@ def solve_antipode(dim, mult, unit, comult, counit) -> Matrix:
 def make_hopf(dim, mult, unit, comult, counit, name="") -> HopfAlgebraData:
     s = solve_antipode(dim, mult, unit, comult, counit)
     h = HopfAlgebraData(dim, mult, unit, comult, counit, s, s.inverse(), name)
-    report = check_hopf(h)
-    bad = [k for k, v in report.items() if not v["pass"]]
+    bad = check_hopf(h).failed
     if bad:
         raise InvalidBaseHopf(f"{name or 'algebra'} fails axioms: {bad}")
     return h
 
 
-def check_hopf(h: HopfAlgebraData) -> dict:
+def check_hopf(h: HopfAlgebraData) -> Checks:
     eye = h.eye()
     m, u, cm, cu, s = h.mult, h.unit, h.comult, h.counit, h.antipode
     tau = swap_matrix(h.dim, h.dim)
-    checks = {
+    return Checks({
         "associativity": m.compose(kron(m, eye)) == m.compose(kron(eye, m)),
         "unit": m.compose(kron(u, eye)) == eye and m.compose(kron(eye, u)) == eye,
         "coassociativity": kron(cm, eye).compose(cm) == kron(eye, cm).compose(cm),
@@ -121,8 +109,7 @@ def check_hopf(h: HopfAlgebraData) -> dict:
         "antipode_left": m.compose(kron(s, eye)).compose(cm) == u.compose(cu),
         "antipode_right": m.compose(kron(eye, s)).compose(cm) == u.compose(cu),
         "antipode_invertible": s.compose(h.antipode_inv) == eye,
-    }
-    return {k: {"pass": bool(v), "first_failure": None if v else k} for k, v in checks.items()}
+    })
 
 
 # --- corpus ---------------------------------------------------------------

@@ -41,16 +41,20 @@ def bundled_path(name: str) -> Path:
 
 def scalar_from_obj(obj) -> Scalar:
     """Scalar from the full serialization, an integer, "p/q", or [p, q]."""
-    if isinstance(obj, bool):
-        raise ParseError(f"not a scalar: {obj!r}")
-    if isinstance(obj, int):
-        return Scalar.rational(obj)
-    if isinstance(obj, str):
-        return Scalar.rational(Fraction(obj))
-    if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return Scalar.rational(Fraction(int(obj[0]), int(obj[1])))
-    if isinstance(obj, dict):
-        return Scalar.from_obj(obj)
+    try:
+        if isinstance(obj, dict):
+            n = int(obj["conductor"])
+            if n < 1:
+                raise ParseError(f"conductor must be >= 1, got {n}")
+            return Scalar(n, [Fraction(int(p), int(q)) for p, q in obj["coeffs"]])
+        if isinstance(obj, int) and not isinstance(obj, bool):
+            return Scalar.rational(obj)
+        if isinstance(obj, str):
+            return Scalar.rational(Fraction(obj))
+        if isinstance(obj, (list, tuple)) and len(obj) == 2:
+            return Scalar.rational(Fraction(int(obj[0]), int(obj[1])))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"not a scalar: {obj!r} ({exc})") from exc
     raise ParseError(f"not a scalar: {obj!r}")
 
 

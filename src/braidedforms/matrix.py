@@ -251,10 +251,6 @@ class Matrix:
     def to_obj(self):
         return {"rows": self.rows, "cols": self.cols, "entries": [e.to_obj() for e in self.entries]}
 
-    @staticmethod
-    def from_obj(obj) -> "Matrix":
-        return Matrix(int(obj["rows"]), int(obj["cols"]), [Scalar.from_obj(e) for e in obj["entries"]])
-
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
 

@@ -187,11 +187,3 @@ def shuffle_set(pi: Partition, side: str) -> list[Permutation]:
     else:
         raise ValueError(f"side must be lower or upper, got {side!r}")
     return sorted(result, key=lambda p: p.images)
-
-
-def length(p: Permutation) -> int:
-    return p.length()
-
-
-def reduced_expression(p: Permutation):
-    return p.reduced_expression()

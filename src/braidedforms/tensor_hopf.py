@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .braiding import BraidedSpace, block_swap_rep, braided_factorial, multinomial
+from .checks import Checks
 from .cyclotomic import MINUS_ONE, Scalar
 from .graded import GradedBialgebra, GradedMap, GradedSpace, check_graded_structure, ideal_quotient
 from .matrix import Matrix, kron, solve_epi, solve_mono
@@ -81,32 +82,24 @@ def antisymmetrizer(x: BraidedSpace, N: int) -> GradedMap:
     return GradedMap(space, space, [braided_factorial(n, xm) for n in range(N + 1)])
 
 
-def check_antisym_hopf_morphism(x: BraidedSpace, N: int) -> dict:
+def check_antisym_hopf_morphism(x: BraidedSpace, N: int) -> Checks:
     """Blockwise check that A: T(X) -> T°(X) is a Hopf algebra morphism
     (at lam = -1)."""
     xm = BraidedSpace(x.dim, x.psi, MINUS_ONE, check=False)
     t = build_tensor_hopf(xm, "shuffle_coproduct", N).algebra
     t0 = build_tensor_hopf(xm, "shuffle_product", N).algebra
     a = antisymmetrizer(x, N).blocks
-    report = {}
-    ok_m = ok_c = ok_s = True
-    fail_m = fail_c = fail_s = None
+    checks = Checks()
     for k in range(N + 1):
         for l in range(N + 1 - k):
-            if t0.m(k, l).compose(kron(a[k], a[l])) != a[k + l].compose(t.m(k, l)):
-                if ok_m:
-                    ok_m, fail_m = False, (k, l)
-            if kron(a[k], a[l]).compose(t.cm(k, l)) != t0.cm(k, l).compose(a[k + l]):
-                if ok_c:
-                    ok_c, fail_c = False, (k, l)
+            ok = t0.m(k, l).compose(kron(a[k], a[l])) == a[k + l].compose(t.m(k, l))
+            checks.record("multiplicative", None if ok else (k, l))
+            ok = kron(a[k], a[l]).compose(t.cm(k, l)) == t0.cm(k, l).compose(a[k + l])
+            checks.record("comultiplicative", None if ok else (k, l))
     for n in range(N + 1):
-        if t0.antipode[n].compose(a[n]) != a[n].compose(t.antipode[n]):
-            if ok_s:
-                ok_s, fail_s = False, (n,)
-    report["multiplicative"] = {"pass": ok_m, "first_failure": fail_m}
-    report["comultiplicative"] = {"pass": ok_c, "first_failure": fail_c}
-    report["antipode"] = {"pass": ok_s, "first_failure": fail_s}
-    return report
+        ok = t0.antipode[n].compose(a[n]) == a[n].compose(t.antipode[n])
+        checks.record("antipode", None if ok else (n,))
+    return checks
 
 
 @dataclass

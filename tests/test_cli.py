@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidedforms import io
 from braidedforms.cli import main
@@ -51,8 +55,8 @@ class TestCheck:
                     "--out", str(out)])
         assert code == 1
         report = json.load(open(out))
-        assert report["checks"]["yang_baxter"]["pass"] is False
-        assert report["checks"]["yang_baxter"]["first_failure"] is not None
+        assert report["checks"]["yang_baxter"] == {"first_failure": "3", "pass": False}
+        assert report["checks"]["lambda_invertible"] == {"first_failure": None, "pass": True}
 
     def test_malformed_exit_2(self, tmp_path, capsys):
         path = tmp_path / "garbage.json"
@@ -71,6 +75,19 @@ class TestCheck:
         # the zero antipode breaks the antipode axioms but parses fine
         obj["antipode"]["entries"] = [0 for _ in obj["antipode"]["entries"]]
         assert run(["check", "--kind", "hopf", bundle(tmp_path, "c.json", obj)]) == 1
+
+    def test_hopf_failure_report_bytes(self, tmp_path):
+        obj = json.load(open(io.bundled_path("kz2")))
+        obj["mult"]["entries"][0] = 2
+        out = tmp_path / "report.json"
+        assert run(["check", "--kind", "hopf", bundle(tmp_path, "m.json", obj),
+                    "--out", str(out)]) == 1
+        checks = json.load(open(out))["checks"]
+        failed = {"antipode_left", "antipode_right", "associativity", "bialgebra",
+                  "unit", "unit_counit"}
+        assert {name for name, v in checks.items() if not v["pass"]} == failed
+        for name, v in checks.items():
+            assert v["first_failure"] == (repr(name) if name in failed else None)
 
 
 class TestWedgeDims:
@@ -100,6 +117,15 @@ class TestBuildCalculus:
         assert report["routes"]["maximal"]["dims"] == [2, 2, 0, 0]
         assert report["routes_agree"] is True
         assert report["schema_version"] == 1
+
+    def test_unrun_check_has_no_entry(self, tmp_path):
+        # below degree 2 nothing tests d^2 = 0, so the report has no d_squared
+        out = tmp_path / "report.json"
+        assert run(["build-calculus", str(io.bundled_path("kz2_universal_calculus")),
+                    "--max-degree", "1", "--out", str(out)]) == 0
+        assert sorted(json.load(open(out))["checks"]) == [
+            "antipode", "antipode_diff", "associativity", "bialgebra", "coassociativity",
+            "comult_diff", "counit", "leibniz", "unit", "unit_counit_compat"]
 
     def test_unstable_generators_exit_1(self, tmp_path, capsys):
         obj = {"hopf": "bundled:kz3",
@@ -151,3 +177,108 @@ class TestDeterminism:
                         "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestExitCodes:
+    """Bad input, failed factorizations and oversized requests end in an exit
+    code, never in a traceback."""
+
+    def test_bad_scalars_exit_2(self, tmp_path):
+        obj = json.load(open(io.bundled_path("swap2")))
+        for bad in ({"conductor": 0, "coeffs": [[1, 1]]},
+                    {"conductor": -3, "coeffs": [[1, 1]]},
+                    {"conductor": 1, "coeffs": [[1, 0]]}, "1/0", [1, 0]):
+            obj["lambda"] = bad
+            path = bundle(tmp_path, "l.json", obj)
+            assert run(["check", "--kind", "braiding", path]) == 2, bad
+        cand = {"hopf": "bundled:kz2", "candidates": [[["1/0"]]]}
+        assert run(["classify", bundle(tmp_path, "c.json", cand)]) == 2
+
+    def test_non_yang_baxter_wedge_exit_1(self, tmp_path, capsys):
+        obj = json.load(open(io.bundled_path("swap2")))
+        obj["psi"]["entries"][1] = {"conductor": 1, "coeffs": [[1, 1]]}
+        assert run(["wedge-dims", bundle(tmp_path, "b.json", obj)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("key", ["mult", "comult"])
+    def test_non_hopf_algebra_exit_1(self, tmp_path, capsys, key):
+        obj = json.load(open(io.bundled_path("kz2")))
+        obj[key]["entries"][0] = 2
+        path = bundle(tmp_path, "h.json", obj)
+        assert run(["classify", path]) == 1
+        calc = {"hopf": "h.json", "submodule": {"ambient": "ker_counit", "generators": []}}
+        assert run(["build-calculus", bundle(tmp_path, "c.json", calc),
+                    "--max-degree", "1"]) == 1
+        assert capsys.readouterr().err.count("error: ") == 2
+
+    def test_huge_degree_exit_3(self):
+        assert run(["wedge-dims", str(io.bundled_path("swap2")),
+                    "--max-degree", "100000"]) == 3
+
+
+def _paths(obj, path=()):
+    """(dict key paths, scalar-entry paths) of a bundled structure file."""
+    keys, scalars = [], []
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            keys.append(path + (k,))
+            if k == "entries":
+                scalars += [path + (k, i) for i in range(len(v))]
+            elif k == "lambda":
+                scalars.append(path + (k,))
+            else:
+                sub_keys, sub_scalars = _paths(v, path + (k,))
+                keys += sub_keys
+                scalars += sub_scalars
+    return keys, scalars
+
+
+# the check kind of each fuzzed corpus file
+FUZZ_FILES = {kind: json.load(open(io.bundled_path(name)))
+              for kind, name in (("hopf", "kz2"), ("braiding", "swap2"))}
+FUZZ_PATHS = {kind: _paths(obj) for kind, obj in FUZZ_FILES.items()}
+
+pairs = st.lists(st.tuples(st.integers(-3, 3), st.integers(-1, 3)), max_size=4)
+scalars = st.one_of(
+    st.integers(-3, 3),
+    st.builds("{}/{}".format, st.integers(-3, 3), st.integers(-1, 3)),
+    pairs.map(lambda ps: [list(p) for p in ps]),
+    st.builds(lambda n, ps: {"conductor": n, "coeffs": [list(p) for p in ps]},
+              st.integers(-1, 8), pairs),
+    st.sampled_from([None, "x", True, 0.5, {}]),
+)
+
+
+@st.composite
+def mutated_files(draw):
+    kind = draw(st.sampled_from(sorted(FUZZ_FILES)))
+    obj = json.loads(json.dumps(FUZZ_FILES[kind]))
+    keys, scalar_paths = FUZZ_PATHS[kind]
+    replace = draw(st.booleans())
+    *head, last = draw(st.sampled_from(scalar_paths if replace else keys))
+    parent = obj
+    for k in head:
+        parent = parent[k]
+    if replace:
+        parent[last] = draw(scalars)
+    else:
+        del parent[last]
+    return kind, obj
+
+
+class TestFuzz:
+    @settings(max_examples=50, deadline=None)
+    @given(mutated_files())
+    def test_mutated_corpus_ends_in_exit_code(self, mutated):
+        kind, obj = mutated
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.json"
+            path.write_text(json.dumps(obj))
+            calc = Path(tmp) / "calc.json"
+            calc.write_text(json.dumps(
+                {"hopf": "m.json", "submodule": {"ambient": "ker_counit", "generators": []}}))
+            for argv in (["check", "--kind", kind, str(path)],
+                         ["wedge-dims", str(path), "--max-degree", "3"],
+                         ["classify", str(path)],
+                         ["build-calculus", str(calc), "--max-degree", "1"]):
+                assert run(argv) in (0, 1, 2, 3), argv

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidedforms import io
 from braidedforms.cyclotomic import MINUS_ONE, ONE, ZERO, Scalar, cyclotomic_polynomial
 from braidedforms.errors import DivisionByZero
 
@@ -51,6 +52,9 @@ class TestBasics:
         w = Scalar.zeta(2) * Scalar.zeta(3)
         assert w**6 == ONE and w**3 != ONE and w**2 != ONE
         assert Scalar.zeta(6) ** 5 == w or Scalar.zeta(6) == w
+        # equal values stored at different conductors hash alike
+        a, b = Scalar.zeta(3), Scalar.zeta(6) ** 2
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
 
     def test_division_by_zero(self):
         with pytest.raises(DivisionByZero):
@@ -73,6 +77,7 @@ class TestProperties:
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
+        assert hash(a * (b + c)) == hash(a * b + a * c)
         assert a + ZERO == a and a * ONE == a
         assert a - a == ZERO
 
@@ -85,7 +90,7 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     @given(small_scalars())
     def test_serialization_roundtrip(self, a):
-        assert Scalar.from_obj(a.to_obj()) == a
+        assert io.scalar_from_obj(a.to_obj()) == a
 
     @settings(max_examples=30, deadline=None)
     @given(small_scalars(), small_scalars())

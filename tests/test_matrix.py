@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidedforms import io
 from braidedforms.cyclotomic import MINUS_ONE, ONE, ZERO, Scalar
 from braidedforms.errors import FactorizationError, ShapeError
 from braidedforms.matrix import (
@@ -100,7 +101,7 @@ class TestBasics:
 
     def test_serialization_roundtrip(self):
         m = mat([[1, 2], [3, 4]]).scale(Scalar.zeta(5))
-        assert Matrix.from_obj(m.to_obj()) == m
+        assert io.matrix_from_obj(m.to_obj()) == m
 
 
 class TestSolvers:
