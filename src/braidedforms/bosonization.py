@@ -74,7 +74,7 @@ class WedgeOverH:
     coinv: CrossedModule
     p: Matrix
     i: Matrix
-    wedge: WedgeAlgebra | None
+    wedge: WedgeAlgebra
     acts: list = field(default_factory=list)    # W_n (x) H -> W_n
     coacts: list = field(default_factory=list)  # W_n -> W_n (x) H
 
@@ -84,27 +84,8 @@ def wedge_over_H(h: HopfAlgebraData, x: HopfBimodule, N: int) -> WedgeOverH:
     mc, p, i = coinvariants(x)
     a = h.dim
     m = mc.dim
-    if m == 0:
-        dims = [a] + [0] * N
-        mult = {}
-        comult = {}
-        for k in range(N + 1):
-            for l in range(N + 1 - k):
-                if k == 0 and l == 0:
-                    mult[(0, 0)] = h.mult
-                    comult[(0, 0)] = h.comult
-                else:
-                    mult[(k, l)] = Matrix.zero(dims[k + l], dims[k] * dims[l])
-                    comult[(k, l)] = Matrix.zero(dims[k] * dims[l], dims[k + l])
-        antipode = [h.antipode] + [Matrix.zero(0, 0)] * N
-        alg = GradedBialgebra(
-            GradedSpace(dims), mult, h.unit, comult, h.counit,
-            signed_swap_blocks(dims, dims), antipode=antipode, lam=MINUS_ONE,
-        )
-        return WedgeOverH(h, x, N, alg, mc, p, i, None, [], [])
-
     psi = yd_braiding(mc, mc)
-    space = BraidedSpace(m, psi, MINUS_ONE)
+    space = BraidedSpace(m, psi, MINUS_ONE, check=False)  # build_wedge checks psi
     w = build_wedge(space, N)
     walg = w.algebra
 

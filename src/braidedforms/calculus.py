@@ -27,7 +27,7 @@ from .bosonization import WedgeOverH, wedge_over_H
 from .checks import Checks
 from .cyclotomic import MINUS_ONE, ONE
 from .errors import NotASubmodule
-from .graded import GradedBialgebra, GradedSpace, check_graded_structure
+from .graded import GradedBialgebra, check_graded_structure, sub_bialgebra
 from .hopf import HopfAlgebraData
 from .matrix import Matrix, hstack, kron, solve_epi, solve_mono
 
@@ -237,55 +237,19 @@ def bracket_differential(alg: GradedBialgebra, xhat: Matrix) -> list[Matrix]:
 # --- maximal calculus ------------------------------------------------------
 
 
-def maximal_calculus(alg: GradedBialgebra, diff: list[Matrix] | None = None,
-                     keep_hopf: bool = True) -> GradedBialgebra:
+def maximal_calculus(alg: GradedBialgebra, diff: list[Matrix] | None = None) -> GradedBialgebra:
     """The maximal differential calculus inside a differential graded
-    algebra: i_0 = id, i_1 = Im(m_(0,1) o (id (x) d_0)),
+    algebra: the sub-bialgebra with i_0 = id, i_1 = Im(m_(0,1) o (id (x) d_0)),
     i_(n+1) = Im(m_(n,1) o (i_n (x) i_1))."""
     if diff is None:
         diff = alg.differential
-    N = alg.N
     incl = [Matrix.identity(alg.dims[0])]
     first = alg.m(0, 1).compose(kron(alg.eye(0), diff[0]))
     incl.append(first.column_echelon_basis()[0])
-    for n in range(2, N + 1):
+    for n in range(2, alg.N + 1):
         gen = alg.m(n - 1, 1).compose(kron(incl[n - 1], incl[1]))
         incl.append(gen.column_echelon_basis()[0])
-    dims = [b.cols for b in incl]
-    mult = {}
-    comult = {}
-    for (k, l) in alg.mult:
-        mult[(k, l)] = solve_mono(incl[k + l], alg.m(k, l).compose(kron(incl[k], incl[l])))
-    unit = solve_mono(incl[0], alg.unit)
-    d_sub = []
-    for n in range(N):
-        d_sub.append(solve_mono(incl[n + 1], diff[n].compose(incl[n])))
-    d_sub.append(Matrix.zero(0, dims[N]))
-    antipode = None
-    counit = alg.counit.compose(incl[0])
-    if keep_hopf:
-        for (k, l) in alg.comult:
-            comult[(k, l)] = solve_mono(
-                kron(incl[k], incl[l]), alg.cm(k, l).compose(incl[k + l])
-            )
-        if alg.antipode is not None:
-            antipode = [
-                solve_mono(incl[n], alg.antipode[n].compose(incl[n])) for n in range(N + 1)
-            ]
-    else:
-        for (k, l) in alg.mult:
-            comult[(k, l)] = Matrix.zero(dims[k] * dims[l], dims[k + l])
-        counit = Matrix.zero(1, dims[0])
-
-    def braid_q(k, l):
-        return solve_mono(
-            kron(incl[l], incl[k]), alg.braid(k, l).compose(kron(incl[k], incl[l]))
-        )
-
-    sub = GradedBialgebra(
-        GradedSpace(dims), mult, unit, comult, counit, braid_q,
-        antipode=antipode, differential=d_sub, lam=alg.lam,
-    )
+    sub = sub_bialgebra(alg, incl, diff)
     sub.inclusions = incl
     return sub
 
@@ -345,15 +309,8 @@ def exterior_calculus(calc: FirstOrderCalculus, N: int) -> ExteriorCalculus:
     """(X^wedge_H, d^wedge) by the biproduct route."""
     wh = wedge_over_H(calc.h, calc.x, N)
     alg = wh.algebra
-    if wh.coinv.dim == 0:
-        diff = [Matrix.zero(alg.dims[n + 1] if n < N else 0, alg.dims[n])
-                for n in range(N + 1)]
-        can = Matrix.zero(calc.x.dim, 0)
-    else:
-        diff = biproduct_differential(wh, calc.d)
-        can = _free_iso(calc.x, wh.i)
-    alg.differential = diff
-    return ExteriorCalculus(calc.h, calc, N, alg, wh, can)
+    alg.differential = biproduct_differential(wh, calc.d)
+    return ExteriorCalculus(calc.h, calc, N, alg, wh, _free_iso(calc.x, wh.i))
 
 
 def exterior_calculus_via_comma(calc: FirstOrderCalculus, N: int) -> GradedBialgebra:

@@ -13,7 +13,7 @@ import cmath
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DivisionByZero
+from .errors import DivisionByZero, TooLarge
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -45,17 +45,26 @@ def _poly_divide(num, den):
             quot[i - deg_d] = c
             for j, dc in enumerate(den):
                 num[i - deg_d + j] -= c * dc
-    assert all(c == 0 for c in num[:deg_d]), "non-exact polynomial division"
+    if any(num[:deg_d]):
+        raise ArithmeticError("non-exact polynomial division")
     return quot
 
 
 _CYCLO_CACHE: dict[int, list[Fraction]] = {}
 
+# Largest conductor (including the lcm of mixed conductors) that arithmetic
+# accepts; building Phi_n and the reduction table costs O(n * phi(n)).
+MAX_CONDUCTOR = 1024
+
 
 def cyclotomic_polynomial(n: int) -> list[Fraction]:
-    """Coefficient list (low to high, monic) of the n-th cyclotomic polynomial."""
+    """Coefficient list (low to high, monic) of the n-th cyclotomic polynomial.
+
+    Raises TooLarge above MAX_CONDUCTOR."""
     if n in _CYCLO_CACHE:
         return _CYCLO_CACHE[n]
+    if n > MAX_CONDUCTOR:
+        raise TooLarge(f"conductor {n} exceeds the bound {MAX_CONDUCTOR}")
     poly = [-_ONE] + [_ZERO] * (n - 1) + [_ONE]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
@@ -91,8 +100,8 @@ def _tables(n: int):
     """(phi(n), reduction rows): row[e] = coords of zeta^e for phi(n) <= e < n."""
     if n in _TABLE_CACHE:
         return _TABLE_CACHE[n]
-    phi = euler_phi(n)
     poly = cyclotomic_polynomial(n)
+    phi = len(poly) - 1
     rows: dict[int, tuple[Fraction, ...]] = {}
     # zeta^phi = -(c_0 + c_1 z + ... + c_{phi-1} z^{phi-1})
     cur = [-poly[i] for i in range(phi)]
@@ -184,10 +193,6 @@ class Scalar:
     @property
     def is_rational(self) -> bool:
         return self.n == 1
-
-    def as_fraction(self) -> Fraction:
-        assert self.n == 1
-        return self.c[0]
 
     def __bool__(self) -> bool:
         return not self.is_zero

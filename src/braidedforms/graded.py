@@ -1,11 +1,11 @@
-"""Degree-truncated graded spaces, maps, bialgebras, and complexes.
+"""Degree-truncated graded bialgebras, their axiom checks, and the transport
+of structure to graded sub- and quotient bialgebras.
 
 All graded objects are truncated at an explicit max degree N; every axiom is
-checked blockwise for total degree <= N.  Tensor products of graded spaces
-order the degree-n summands X_k @ Y_{n-k} by ascending k.  A GradedBialgebra
-carries its own family of braiding blocks b(k,l): B_k @ B_l -> B_l @ B_k (the
-graded braiding of the ambient category at the structure's lambda), which is
-what the bialgebra axiom and the bi-ideal conditions are checked against.
+checked blockwise for total degree <= N.  A GradedBialgebra carries its own
+family of braiding blocks b(k,l): B_k @ B_l -> B_l @ B_k (the graded braiding
+of the ambient category at the structure's lambda), which is what the
+bialgebra axiom and the bi-ideal conditions are checked against.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .errors import (
     NotABiIdeal,
     ShapeError,
 )
-from .matrix import Matrix, direct_sum, hstack, kron, solve_epi
+from .matrix import Matrix, hstack, kron, kron_all, solve_epi, solve_mono
 from .braiding import swap_matrix
 
 
@@ -37,87 +37,6 @@ class GradedSpace:
 
     def __repr__(self):
         return f"GradedSpace{self.dims}"
-
-
-class GradedMap:
-    __slots__ = ("source", "target", "blocks")
-
-    def __init__(self, source: GradedSpace, target: GradedSpace, blocks):
-        blocks = list(blocks)
-        if len(blocks) != source.N + 1 or source.N != target.N:
-            raise ShapeError("graded map truncation mismatch")
-        for n, b in enumerate(blocks):
-            if b.rows != target.dims[n] or b.cols != source.dims[n]:
-                raise ShapeError(f"block {n} has shape {b.rows}x{b.cols}")
-        self.source = source
-        self.target = target
-        self.blocks = blocks
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedMap)
-            and self.source == other.source
-            and self.target == other.target
-            and all(a == b for a, b in zip(self.blocks, other.blocks))
-        )
-
-
-def graded_tensor(x: GradedSpace, y: GradedSpace) -> GradedSpace:
-    if x.N != y.N:
-        raise ShapeError("truncation mismatch")
-    dims = [sum(x.dims[k] * y.dims[n - k] for k in range(n + 1)) for n in range(x.N + 1)]
-    return GradedSpace(dims)
-
-
-def tensor_layout(x: GradedSpace, y: GradedSpace, n: int):
-    """[(k, l, offset, size)] for the degree-n summands of X @ Y."""
-    out = []
-    offset = 0
-    for k in range(n + 1):
-        size = x.dims[k] * y.dims[n - k]
-        out.append((k, n - k, offset, size))
-        offset += size
-    return out
-
-
-def graded_tensor_map(f: GradedMap, g: GradedMap) -> GradedMap:
-    source = graded_tensor(f.source, g.source)
-    target = graded_tensor(f.target, g.target)
-    blocks = []
-    for n in range(source.N + 1):
-        blocks.append(direct_sum([kron(f.blocks[k], g.blocks[n - k]) for k in range(n + 1)]))
-    return GradedMap(source, target, blocks)
-
-
-def graded_braiding(x: GradedSpace, y: GradedSpace, psi_blocks, lam, with_differential=False) -> GradedMap:
-    """The braiding family (psi_hat)_n = direct sum of lam^(kl) psi(k,l).
-
-    psi_blocks(k, l) must be a matrix X_k @ Y_l -> Y_l @ X_k.
-    """
-    lam = Scalar._coerce(lam)
-    if with_differential and lam != MINUS_ONE:
-        raise IncompatibleBraiding("differentials force lambda = -1")
-    source = graded_tensor(x, y)
-    target = graded_tensor(y, x)
-    blocks = []
-    for n in range(x.N + 1):
-        mat = Matrix.zero(target.dims[n], source.dims[n])
-        tgt_layout = {(l, k): (off, size) for (l, k, off, size) in tensor_layout(y, x, n)}
-        for k, l, s_off, s_size in tensor_layout(x, y, n):
-            piece = psi_blocks(k, l)
-            weight = lam ** (k * l)
-            if weight != 1:
-                piece = piece.scale(weight)
-            t_off, t_size = tgt_layout[(l, k)]
-            if piece.rows != t_size or piece.cols != s_size:
-                raise ShapeError(f"braiding block ({k},{l}) has wrong shape")
-            for i in range(t_size):
-                for j in range(s_size):
-                    e = piece.entries[i * s_size + j]
-                    if not e.is_zero:
-                        mat.entries[(t_off + i) * source.dims[n] + (s_off + j)] = e
-        blocks.append(mat)
-    return GradedMap(source, target, blocks)
 
 
 def signed_swap_blocks(dims_x, dims_y, lam=MINUS_ONE):
@@ -145,6 +64,7 @@ class GradedBialgebra:
         self.comult = dict(comult)
         self.counit = counit
         self._braid = braid_blocks  # callable (k, l) -> Matrix
+        self._braid_memo = {}
         self.antipode = list(antipode) if antipode is not None else None
         self.differential = list(differential) if differential is not None else None
         self.lam = Scalar._coerce(lam)
@@ -164,7 +84,9 @@ class GradedBialgebra:
         return self.comult[(k, l)]
 
     def braid(self, k, l):
-        return self._braid(k, l)
+        if (k, l) not in self._braid_memo:
+            self._braid_memo[(k, l)] = self._braid(k, l)
+        return self._braid_memo[(k, l)]
 
     def eye(self, n):
         return Matrix.identity(self.dims[n])
@@ -319,6 +241,55 @@ def antipode_recursive(b: GradedBialgebra, s0: Matrix | None = None) -> list[Mat
     return s
 
 
+def _along(maps, degrees) -> Matrix:
+    """The tensor product of maps[n] over the given degrees (the identity of
+    the ground field for no degrees)."""
+    return kron_all(*(maps[n] for n in degrees)) if degrees else Matrix.identity(1)
+
+
+def _transport(b: GradedBialgebra, dims, block, differential=None) -> GradedBialgebra:
+    """The graded bialgebra on `dims` whose structure blocks are
+    block(f, src, tgt) for each block f of b from the degrees src to the
+    degrees tgt.  The antipode is kept only when every block transports."""
+    N = b.N
+    mult = {(k, l): block(m, (k, l), (k + l,)) for (k, l), m in b.mult.items()}
+    comult = {(k, l): block(c, (k + l,), (k, l)) for (k, l), c in b.comult.items()}
+    antipode = None
+    if b.antipode is not None:
+        try:
+            antipode = [block(s, (n,), (n,)) for n, s in enumerate(b.antipode)]
+        except FactorizationError:
+            pass
+    d = b.differential if differential is None else differential
+    if d is not None:
+        d = [block(d[n], (n,), (n + 1,)) for n in range(N)] + [Matrix.zero(0, dims[N])]
+    return GradedBialgebra(
+        GradedSpace(dims), mult, block(b.unit, (), (0,)), comult, block(b.counit, (0,), ()),
+        lambda k, l: block(b.braid(k, l), (k, l), (l, k)),
+        antipode=antipode, differential=d, lam=b.lam,
+    )
+
+
+def sub_bialgebra(b: GradedBialgebra, incl, differential=None) -> GradedBialgebra:
+    """The graded sub-bialgebra with degree-n inclusion incl[n] (a mono): each
+    block f becomes the unique g with incl o g = f o incl.  `differential`
+    replaces b's own.  FactorizationError when a block leaves the image."""
+    def block(f, src, tgt):
+        return solve_mono(_along(incl, tgt), f.compose(_along(incl, src)))
+
+    return _transport(b, [i.cols for i in incl], block, differential)
+
+
+def quotient_bialgebra(b: GradedBialgebra, proj) -> GradedBialgebra:
+    """The graded quotient bialgebra with degree-n projection proj[n] (an
+    epi): each block f becomes the unique g with g o proj = proj o f.
+    FactorizationError when a block does not descend."""
+    def block(f, src, tgt):
+        return solve_epi(_along(proj, tgt).compose(f), _along(proj, src))
+
+    return _transport(b, [p.rows for p in proj], block)
+
+
 def ideal_quotient(b: GradedBialgebra, f: Matrix, degree: int) -> GradedBialgebra:
     """Factor bialgebra by the two-sided graded (bi-)ideal generated by f.
 
@@ -356,33 +327,4 @@ def ideal_quotient(b: GradedBialgebra, f: Matrix, degree: int) -> GradedBialgebr
                 raise NotABiIdeal(f"coideal condition fails at degrees ({k},{l})")
     if bases[0].cols and not b.counit.compose(bases[0]).is_zero:
         raise NotABiIdeal("counit does not vanish on the degree-0 ideal")
-
-    dims_q = [p.rows for p in projs]
-    mult_q = {}
-    comult_q = {}
-    for (k, l), m in b.mult.items():
-        mult_q[(k, l)] = solve_epi(projs[k + l].compose(m), kron(projs[k], projs[l]))
-    for (k, l), c in b.comult.items():
-        comult_q[(k, l)] = solve_epi(kron(projs[k], projs[l]).compose(c), projs[k + l])
-    unit_q = projs[0].compose(b.unit)
-    counit_q = solve_epi(b.counit, projs[0])
-
-    antipode_q = None
-    if b.antipode is not None:
-        if all(projs[n].compose(b.antipode[n]).compose(bases[n]).is_zero for n in range(N + 1)):
-            antipode_q = [solve_epi(projs[n].compose(b.antipode[n]), projs[n]) for n in range(N + 1)]
-
-    braid_cache = {}
-
-    def braid_q(k, l):
-        key = (k, l)
-        if key not in braid_cache:
-            braid_cache[key] = solve_epi(
-                kron(projs[l], projs[k]).compose(b.braid(k, l)), kron(projs[k], projs[l])
-            )
-        return braid_cache[key]
-
-    return GradedBialgebra(
-        GradedSpace(dims_q), mult_q, unit_q, comult_q, counit_q, braid_q,
-        antipode=antipode_q, lam=b.lam,
-    )
+    return quotient_bialgebra(b, projs)

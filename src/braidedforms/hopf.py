@@ -12,7 +12,7 @@ from __future__ import annotations
 from .braiding import swap_matrix
 from .checks import Checks
 from .cyclotomic import ONE, ZERO, Scalar
-from .errors import InvalidBaseHopf, ShapeError
+from .errors import FactorizationError, InvalidBaseHopf, ShapeError
 from .matrix import Matrix, kron, solve_mono
 from .permutations import all_permutations
 
@@ -74,7 +74,7 @@ def solve_antipode(dim, mult, unit, comult, counit) -> Matrix:
                         system.entries[(r * n + c) * (n * n) + (i * n + a)] = coeff
     try:
         s_flat = solve_mono(system, rhs)
-    except Exception as exc:
+    except FactorizationError as exc:
         raise InvalidBaseHopf("no antipode exists for the given bialgebra") from exc
     s = Matrix.zero(n, n)
     for i in range(n):

@@ -25,7 +25,7 @@ from pathlib import Path
 from .braiding import BraidedSpace
 from .bimodules import CrossedModule, HopfBimodule
 from .cyclotomic import Scalar
-from .errors import BraidedFormsError, ParseError
+from .errors import BraidedFormsError, ParseError, TooLarge
 from .hopf import HopfAlgebraData
 from .matrix import Matrix
 
@@ -109,7 +109,7 @@ def _resolve_ref(ref, base_dir):
 def _wrap(fn, obj, what):
     try:
         return fn(obj)
-    except ParseError:
+    except (ParseError, TooLarge):
         raise
     except (KeyError, TypeError, ValueError, AttributeError, BraidedFormsError) as exc:
         raise ParseError(f"bad {what} data: {exc!r}") from exc

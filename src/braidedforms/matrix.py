@@ -113,7 +113,9 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         c = _coerce_scalar(c)
-        return Matrix._raw(self.rows, self.cols, [c * a for a in self.entries])
+        # zeros stay the shared ZERO, so a kept (memoized) sparse block holds
+        # no Scalar object per zero entry
+        return Matrix._raw(self.rows, self.cols, [a if a.is_zero else c * a for a in self.entries])
 
     def compose(self, other: "Matrix") -> "Matrix":
         """self o other: apply other first."""
@@ -313,21 +315,6 @@ def vstack(mats) -> Matrix:
     return Matrix(sum(m.rows for m in mats), cols, entries)
 
 
-def direct_sum(mats) -> Matrix:
-    mats = list(mats)
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = Matrix.zero(rows, cols)
-    r0 = c0 = 0
-    for m in mats:
-        for i in range(m.rows):
-            for j in range(m.cols):
-                out.entries[(r0 + i) * cols + (c0 + j)] = m.entries[i * m.cols + j]
-        r0 += m.rows
-        c0 += m.cols
-    return out
-
-
 def solve_mono(a: Matrix, b: Matrix) -> Matrix:
     """The unique x with a o x = b, for a of full column rank.
 
@@ -339,10 +326,12 @@ def solve_mono(a: Matrix, b: Matrix) -> Matrix:
     red, pivots = aug.rref()
     if len(pivots) != a.cols or any(p >= a.cols for p in pivots):
         raise FactorizationError("image not contained in the mono's image, or mono not injective")
-    x = Matrix.zero(a.cols, b.cols)
+    x = Matrix.zero(a.cols, b.cols)  # zeros stay the shared ZERO, as in scale
     for r in range(a.cols):
         for j in range(b.cols):
-            x.entries[r * b.cols + j] = red[r, a.cols + j]
+            v = red[r, a.cols + j]
+            if not v.is_zero:
+                x.entries[r * b.cols + j] = v
     # consistency: remaining rows of the reduced augmented system must vanish
     for r in range(a.cols, red.rows):
         for j in range(b.cols):

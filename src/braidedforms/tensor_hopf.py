@@ -3,19 +3,20 @@
 T(X) has concatenation product and shuffle coproduct [n+m over (n,m)];
 T°(X) has shuffle product [(n,m) over n+m] and deconcatenation coproduct;
 both share the closed-form antipode S_n = (-1)^n lam^C(n,2) rep(reversal).
-The antisymmetrizer is the braided factorial at lam = -1; its degreewise
-epi-mono factorization T -> T^wedge -> T° induces the wedge Hopf structure.
+The antisymmetrizer is the braided factorial at lam = -1; the wedge is its
+image, a graded sub-Hopf algebra of T°(X).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .braiding import BraidedSpace, block_swap_rep, braided_factorial, multinomial
+from .braiding import BraidedSpace, block_swap_rep, braided_factorial, check_yang_baxter, multinomial
 from .checks import Checks
 from .cyclotomic import MINUS_ONE, Scalar
-from .graded import GradedBialgebra, GradedMap, GradedSpace, check_graded_structure, ideal_quotient
-from .matrix import Matrix, kron, solve_epi, solve_mono
+from .errors import FactorizationError
+from .graded import GradedBialgebra, GradedSpace, ideal_quotient, sub_bialgebra
+from .matrix import Matrix, kron
 from .permutations import Partition, Permutation
 
 
@@ -75,11 +76,10 @@ def build_tensor_hopf(x: BraidedSpace, variant: str, N: int) -> TensorHopf:
     return TensorHopf(x, variant, N, alg)
 
 
-def antisymmetrizer(x: BraidedSpace, N: int) -> GradedMap:
-    """Graded endomorphism with degree-n block [n|X]! at lam = -1."""
+def antisymmetrizer(x: BraidedSpace, N: int) -> list[Matrix]:
+    """The degree-n blocks [n|X]! at lam = -1, for n = 0..N."""
     xm = BraidedSpace(x.dim, x.psi, MINUS_ONE, check=False)
-    space = GradedSpace([x.dim**n for n in range(N + 1)])
-    return GradedMap(space, space, [braided_factorial(n, xm) for n in range(N + 1)])
+    return [braided_factorial(n, xm) for n in range(N + 1)]
 
 
 def check_antisym_hopf_morphism(x: BraidedSpace, N: int) -> Checks:
@@ -88,7 +88,7 @@ def check_antisym_hopf_morphism(x: BraidedSpace, N: int) -> Checks:
     xm = BraidedSpace(x.dim, x.psi, MINUS_ONE, check=False)
     t = build_tensor_hopf(xm, "shuffle_coproduct", N).algebra
     t0 = build_tensor_hopf(xm, "shuffle_product", N).algebra
-    a = antisymmetrizer(x, N).blocks
+    a = antisymmetrizer(x, N)
     checks = Checks()
     for k in range(N + 1):
         for l in range(N + 1 - k):
@@ -113,44 +113,25 @@ class WedgeAlgebra:
 
 
 def build_wedge(x: BraidedSpace, N: int) -> WedgeAlgebra:
-    """The antisymmetric tensor algebra T^wedge(X): images of the
-    antisymmetrizer with the unique structure making coim/im bialgebra
-    morphisms from T and into T°."""
+    """The antisymmetric tensor algebra T^wedge(X): the images im[n] of the
+    antisymmetrizer, a graded sub-Hopf algebra of T°(X).  The antisymmetrizer
+    is a Hopf morphism only when psi satisfies the braid equation, so any
+    other psi raises FactorizationError."""
     xm = BraidedSpace(x.dim, x.psi, MINUS_ONE, check=False)
     xm.guard(N)
-    t = build_tensor_hopf(xm, "shuffle_coproduct", N).algebra
+    holds, witness = check_yang_baxter(x.psi)
+    if not holds:
+        raise FactorizationError(
+            f"psi fails the braid equation at basis index {witness}, so the wedge is not defined")
     t0 = build_tensor_hopf(xm, "shuffle_product", N).algebra
     im = []
     coim = []
     for n in range(N + 1):
-        a_n = braided_factorial(n, xm)
-        _, image, coimage, _ = a_n.kernel_image()
+        _, image, coimage, _ = braided_factorial(n, xm).kernel_image()
         im.append(image)
         coim.append(coimage)
-    dims = tuple(b.cols for b in im)
-    mult = {}
-    comult = {}
-    for k in range(N + 1):
-        for l in range(N + 1 - k):
-            mult[(k, l)] = solve_mono(im[k + l], t0.m(k, l).compose(kron(im[k], im[l])))
-            comult[(k, l)] = solve_epi(kron(coim[k], coim[l]).compose(t.cm(k, l)), coim[k + l])
-    antipode = [solve_mono(im[n], t0.antipode[n].compose(im[n])) for n in range(N + 1)]
-
-    braid_cache = {}
-
-    def braid_q(k, l):
-        if (k, l) not in braid_cache:
-            braid_cache[(k, l)] = solve_mono(
-                kron(im[l], im[k]), t._braid(k, l).compose(kron(im[k], im[l]))
-            )
-        return braid_cache[(k, l)]
-
-    alg = GradedBialgebra(
-        GradedSpace(dims), mult, coim[0].compose(Matrix.identity(1)),
-        comult, Matrix.identity(1).compose(im[0]), braid_q,
-        antipode=antipode, lam=MINUS_ONE,
-    )
-    return WedgeAlgebra(xm, N, alg, im, coim, dims)
+    alg = sub_bialgebra(t0, im)
+    return WedgeAlgebra(xm, N, alg, im, coim, alg.dims)
 
 
 def wedge_vs_quadratic(x: BraidedSpace, N: int) -> dict:

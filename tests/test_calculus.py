@@ -164,6 +164,10 @@ class TestExterior:
         again = maximal_calculus(alg)
         assert tuple(again.dims) == tuple(alg.dims)
 
+    def test_braid_blocks_are_memoized(self, kz3):
+        alg = exterior_calculus_via_comma(universal_fodc(kz3), 2)
+        assert alg.braid(1, 1) is alg.braid(1, 1)
+
     def test_zero_calculus_exterior(self, kz2):
         mc, _ = kernel_counit_crossed(kz2)
         calc = fodc_from_submodule(kz2, Matrix.identity(mc.dim))

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -200,6 +201,16 @@ class TestExitCodes:
         assert run(["wedge-dims", bundle(tmp_path, "b.json", obj)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("degree", ["1", "2"])
+    def test_non_yang_baxter_wedge_low_degree_exit_1(self, tmp_path, capsys, degree):
+        # below degree 3 no structure block fails to factor: the braid
+        # equation itself is checked
+        obj = json.load(open(io.bundled_path("swap2")))
+        obj["psi"]["entries"][1] = {"conductor": 1, "coeffs": [[1, 1]]}
+        assert run(["wedge-dims", bundle(tmp_path, "b.json", obj),
+                    "--max-degree", degree]) == 1
+        assert "braid equation at basis index 3" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["mult", "comult"])
     def test_non_hopf_algebra_exit_1(self, tmp_path, capsys, key):
         obj = json.load(open(io.bundled_path("kz2")))
@@ -210,6 +221,13 @@ class TestExitCodes:
         assert run(["build-calculus", bundle(tmp_path, "c.json", calc),
                     "--max-degree", "1"]) == 1
         assert capsys.readouterr().err.count("error: ") == 2
+
+    def test_huge_conductor_exit_3(self, tmp_path):
+        obj = json.load(open(io.bundled_path("kz2")))
+        obj["mult"]["entries"][0] = {"conductor": 20000, "coeffs": [[1, 1], [1, 1]]}
+        start = time.perf_counter()
+        assert run(["check", "--kind", "hopf", bundle(tmp_path, "h.json", obj)]) == 3
+        assert time.perf_counter() - start < 5
 
     def test_huge_degree_exit_3(self):
         assert run(["wedge-dims", str(io.bundled_path("swap2")),

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidedforms import io
-from braidedforms.cyclotomic import MINUS_ONE, ONE, ZERO, Scalar, cyclotomic_polynomial
-from braidedforms.errors import DivisionByZero
+from braidedforms.cyclotomic import MAX_CONDUCTOR, MINUS_ONE, ONE, ZERO, Scalar, cyclotomic_polynomial
+from braidedforms.errors import DivisionByZero, TooLarge
 
 rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 8))
 
@@ -61,6 +61,13 @@ class TestBasics:
             ZERO.inv()
         with pytest.raises((DivisionByZero, ZeroDivisionError)):
             ONE / ZERO
+
+    def test_conductor_bound(self):
+        with pytest.raises(TooLarge):
+            Scalar.zeta(MAX_CONDUCTOR + 1)
+        # the lcm of two admissible conductors is bounded too
+        with pytest.raises(TooLarge):
+            Scalar.zeta(256) * Scalar.zeta(5)
 
     def test_cyclotomic_polynomial_degrees(self):
         # degree of the n-th cyclotomic polynomial is phi(n)

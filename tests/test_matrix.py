@@ -7,7 +7,6 @@ from braidedforms.cyclotomic import MINUS_ONE, ONE, ZERO, Scalar
 from braidedforms.errors import FactorizationError, ShapeError
 from braidedforms.matrix import (
     Matrix,
-    direct_sum,
     hstack,
     kron,
     kron_all,
@@ -80,9 +79,6 @@ class TestBasics:
         assert h.rows == 2 and h.cols == 3 and h[1, 2] == Scalar.rational(6)
         v = vstack([a, mat([[7, 8]])])
         assert v.rows == 3 and v[2, 1] == Scalar.rational(8)
-        d = direct_sum([a, mat([[9]])])
-        assert d.rows == 3 and d.cols == 3 and d[2, 2] == Scalar.rational(9)
-        assert d[0, 2].is_zero and d[2, 0].is_zero
 
     def test_mid_swap_is_tensor_swap(self):
         # id_2 (x) swap_{2,3} (x) id_1 as a row permutation

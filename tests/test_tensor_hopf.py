@@ -60,7 +60,7 @@ class TestAntisymmetrizer:
         xm = BraidedSpace(x.dim, x.psi, MINUS_ONE, check=False)
         a = antisymmetrizer(x, 3)
         for n in range(4):
-            assert a.blocks[n] == braided_factorial(n, xm)
+            assert a[n] == braided_factorial(n, xm)
 
 
 class TestWedge:
@@ -86,7 +86,7 @@ class TestWedge:
         for n in range(4):
             assert w.coim[n].compose(w.im[n]).rank() == w.dims[n]
             assert w.im[n].compose(w.coim[n]).column_echelon_basis()[0].cols == \
-                a.blocks[n].rank()
+                a[n].rank()
 
     def test_wedge_multiplication_compatible_with_projection(self):
         # coim is an algebra morphism T -> wedge; this determines the wedge
