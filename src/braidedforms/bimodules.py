@@ -251,26 +251,6 @@ class TensorOverH:
     i: Matrix
 
 
-def _diag_left_action(x: HopfBimodule, y: HopfBimodule) -> Matrix:
-    h = x.h
-    a = h.dim
-    return kron(x.mu_l, y.mu_l).compose(
-        kron(h.comult, kron(Matrix.identity(x.dim), Matrix.identity(y.dim))).permute_rows(
-            mid_swap_indices(a, a, x.dim, y.dim)
-        )
-    )
-
-
-def _diag_right_action(x: HopfBimodule, y: HopfBimodule) -> Matrix:
-    h = x.h
-    a = h.dim
-    return kron(x.mu_r, y.mu_r).compose(
-        kron(kron(Matrix.identity(x.dim), Matrix.identity(y.dim)), h.comult).permute_rows(
-            mid_swap_indices(x.dim, y.dim, a, a)
-        )
-    )
-
-
 def tensor_over_H(x: HopfBimodule, y: HopfBimodule) -> TensorOverH:
     """X (x)_H Y realized on X (x) coinv(Y), with universal lambda and rho."""
     h = x.h
@@ -338,24 +318,15 @@ def hopf_bimodule_braiding(x: HopfBimodule, y: HopfBimodule, txy=None, tyx=None,
     return solve_mono(tyx.rho, theta(x, y).compose(section))
 
 
-def sw_perm(da: int, db: int):
-    """Index permutation of the tensor swap A (x) B -> B (x) A."""
-    out = [0] * (da * db)
-    for i in range(da):
-        for j in range(db):
-            out[i * db + j] = j * da + i
-    return out
-
-
 def _inv_braid_composite(x: HopfBimodule, y: HopfBimodule, txy, tyx) -> Matrix:
     """lam_{Y,X} o (mu_r^Y o swap (x) id) o (S^{-1} (x) swap) o
     (swap o nu_r^X (x) id) o rho_{X,Y}: X (x)_H Y -> Y (x)_H X."""
     h = x.h
     a = h.dim
     ex, ey = Matrix.identity(x.dim), Matrix.identity(y.dim)
-    step1 = kron(x.nu_r.permute_rows(sw_perm(x.dim, a)), ey)
+    step1 = kron(x.nu_r.permute_rows(mid_swap_indices(1, x.dim, a, 1)), ey)
     step2 = kron(h.antipode_inv, swap_matrix(x.dim, y.dim))
-    step3 = kron(y.mu_r.permute_cols(sw_perm(a, y.dim)), ex)
+    step3 = kron(y.mu_r.permute_cols(mid_swap_indices(1, a, y.dim, 1)), ex)
     return tyx.lam.compose(step3).compose(step2).compose(step1).compose(txy.rho)
 
 

@@ -15,7 +15,7 @@ with the crossed action/coaction of H on T^wedge(M) taken degreewise
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bimodules import CrossedModule, HopfBimodule, coinvariants, yd_braiding
 from .braiding import BraidedSpace
@@ -75,8 +75,6 @@ class WedgeOverH:
     p: Matrix
     i: Matrix
     wedge: WedgeAlgebra
-    acts: list = field(default_factory=list)    # W_n (x) H -> W_n
-    coacts: list = field(default_factory=list)  # W_n -> W_n (x) H
 
 
 def wedge_over_H(h: HopfAlgebraData, x: HopfBimodule, N: int) -> WedgeOverH:
@@ -89,8 +87,8 @@ def wedge_over_H(h: HopfAlgebraData, x: HopfBimodule, N: int) -> WedgeOverH:
     w = build_wedge(space, N)
     walg = w.algebra
 
-    acts = []
-    coacts = []
+    acts = []    # W_n (x) H -> W_n
+    coacts = []  # W_n -> W_n (x) H
     for n in range(N + 1):
         big_act = crossed_power_action(mc, n)
         big_coact = crossed_power_coaction(mc, n)
@@ -127,4 +125,4 @@ def wedge_over_H(h: HopfAlgebraData, x: HopfBimodule, N: int) -> WedgeOverH:
     )
     s0 = kron(h.antipode, Matrix.identity(walg.dims[0]))
     alg.antipode = antipode_recursive(alg, s0)
-    return WedgeOverH(h, x, N, alg, mc, p, i, w, acts, coacts)
+    return WedgeOverH(h, x, N, alg, mc, p, i, w)

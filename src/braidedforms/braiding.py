@@ -10,7 +10,7 @@ or upper shuffle set.
 
 from __future__ import annotations
 
-from .cyclotomic import ONE, ZERO, Scalar
+from .cyclotomic import ONE, Scalar
 from .errors import ShapeError, TooLarge
 from .matrix import Matrix, kron, kron_all
 from .permutations import Partition, Permutation, shuffle_set
@@ -30,10 +30,8 @@ def check_yang_baxter(psi: Matrix):
     right = kron(eye, psi)
     lhs = left.compose(right).compose(left)
     rhs = right.compose(left).compose(right)
-    diff = lhs - rhs
-    for idx, entry in enumerate(diff.entries):
-        if not entry.is_zero:
-            return False, idx % diff.cols
+    for (_, col), _ in (lhs - rhs).nonzeros():
+        return False, col
     return True, None
 
 
@@ -93,7 +91,7 @@ def swap_matrix(dim_x: int, dim_y: int) -> Matrix:
     m = Matrix.zero(dim_x * dim_y, dim_x * dim_y)
     for i in range(dim_x):
         for j in range(dim_y):
-            m.entries[(j * dim_x + i) * dim_x * dim_y + (i * dim_y + j)] = ONE
+            m[j * dim_x + i, i * dim_y + j] = ONE
     return m
 
 
@@ -107,7 +105,7 @@ def diagonal_space(q_table, lam=None) -> BraidedSpace:
     m = Matrix.zero(d * d, d * d)
     for i in range(d):
         for j in range(d):
-            m.entries[(j * d + i) * d * d + (i * d + j)] = Scalar._coerce(q_table[i][j])
+            m[j * d + i, i * d + j] = q_table[i][j]
     return BraidedSpace(d, m, lam, check=False)
 
 
@@ -123,16 +121,14 @@ def multinomial(pi: Partition, x: BraidedSpace, side: str) -> Matrix:
     j = pi.total
     x.guard(j)
     size = x.dim**j
-    acc = [ZERO] * (size * size)
+    acc = Matrix.zero(size, size)
     for sigma in shuffle_set(pi, side):
-        term = x.rep(sigma)
         weight = x.lam ** sigma.length()
         scale = weight != 1
         # representation matrices are sparse; only touch their nonzero entries
-        for idx, e in enumerate(term.entries):
-            if not e.is_zero:
-                acc[idx] = acc[idx] + (weight * e if scale else e)
-    return Matrix(size, size, acc)
+        for rc, e in x.rep(sigma).nonzeros():
+            acc[rc] = acc[rc] + (weight * e if scale else e)
+    return acc
 
 
 def braided_factorial(j: int, x: BraidedSpace) -> Matrix:

@@ -13,12 +13,11 @@ forms, and the maximal calculus of the comma extension's wedge).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bimodules import (
     CrossedModule,
     HopfBimodule,
-    check_crossed_module,
     check_hopf_bimodule,
     coadjoint_crossed,
     square_bimodule,
@@ -29,7 +28,7 @@ from .cyclotomic import MINUS_ONE, ONE
 from .errors import NotASubmodule
 from .graded import GradedBialgebra, check_graded_structure, sub_bialgebra
 from .hopf import HopfAlgebraData
-from .matrix import Matrix, hstack, kron, solve_epi, solve_mono
+from .matrix import Matrix, hstack, kron, solve_epi, solve_mono, vstack
 
 
 @dataclass
@@ -124,12 +123,9 @@ def crossed_submodule_closure(m: CrossedModule, gens: Matrix) -> Matrix:
             pieces.append(m.mu_r.compose(kron(basis, Matrix.identity(a))))
             co = m.nu_r.compose(basis)  # (M (x) H) x gens
             comp = Matrix.zero(m.dim, basis.cols * a)
-            for c in range(basis.cols):
-                for r in range(m.dim):
-                    for j in range(a):
-                        v = co[r * a + j, c]
-                        if not v.is_zero:
-                            comp.entries[r * (basis.cols * a) + (c * a + j)] = v
+            for (rj, c), v in co.nonzeros():
+                r, j = divmod(rj, a)
+                comp[r, c * a + j] = v
             pieces.append(comp)
         new_basis = hstack(pieces).column_echelon_basis()[0]
         if new_basis.cols == basis.cols:
@@ -151,12 +147,8 @@ def fodc_from_submodule(h: HopfAlgebraData, r_gens: Matrix) -> FirstOrderCalculu
         )
     a = h.dim
     ea = Matrix.identity(a)
-    n_basis = alpha.compose(kron(ea, r_basis)) if r_basis.cols else Matrix.zero(univ.x.dim, 0)
-    n_basis = n_basis.column_echelon_basis()[0]
-    if n_basis.cols:
-        q = n_basis.transpose().kernel_basis().transpose()
-    else:
-        q = Matrix.identity(univ.x.dim)
+    n_basis = alpha.compose(kron(ea, r_basis)).column_echelon_basis()[0]
+    q = n_basis.transpose().kernel_basis().transpose()  # the cokernel
     dim_q = q.rows
     mu_l = solve_epi(q.compose(univ.x.mu_l), kron(ea, q))
     mu_r = solve_epi(q.compose(univ.x.mu_r), kron(q, ea))
@@ -164,7 +156,6 @@ def fodc_from_submodule(h: HopfAlgebraData, r_gens: Matrix) -> FirstOrderCalculu
     nu_r = solve_epi(kron(q, ea).compose(univ.x.nu_r), q)
     x = HopfBimodule(h, dim_q, mu_l, mu_r, nu_l, nu_r, "classified")
     calc = FirstOrderCalculus(h, x, q.compose(univ.d))
-    calc.quotient = q
     calc.smash_map = q.compose(alpha)  # psi: H (x) Ker eps -> X
     return calc
 
@@ -186,8 +177,6 @@ class CommaExtension:
     calc: FirstOrderCalculus
     bimodule: HopfBimodule
     xhat: Matrix  # column vector in H (+) X
-    incl_h: Matrix
-    incl_x: Matrix
 
 
 def comma_extension(calc: FirstOrderCalculus) -> CommaExtension:
@@ -199,12 +188,8 @@ def comma_extension(calc: FirstOrderCalculus) -> CommaExtension:
     a = h.dim
     dx = x.dim
     n = a + dx
-    ih = Matrix.zero(n, a)
-    for j in range(a):
-        ih.entries[j * a + j] = ONE
-    ix = Matrix.zero(n, dx)
-    for j in range(dx):
-        ix.entries[(a + j) * dx + j] = ONE
+    ih = vstack([Matrix.identity(a), Matrix.zero(dx, a)])
+    ix = vstack([Matrix.zero(a, dx), Matrix.identity(dx)])
     ph = ih.transpose()
     px = ix.transpose()
     ea = Matrix.identity(a)
@@ -218,7 +203,7 @@ def comma_extension(calc: FirstOrderCalculus) -> CommaExtension:
     nu_r = kron(ih, ea).compose(h.comult).compose(ph) + kron(ix, ea).compose(x.nu_r).compose(px)
     bim = HopfBimodule(h, n, mu_l, mu_r, nu_l, nu_r, "comma")
     xhat = ih.compose(h.unit)
-    return CommaExtension(h, calc, bim, xhat, ih, ix)
+    return CommaExtension(h, calc, bim, xhat)
 
 
 def bracket_differential(alg: GradedBialgebra, xhat: Matrix) -> list[Matrix]:
@@ -249,9 +234,7 @@ def maximal_calculus(alg: GradedBialgebra, diff: list[Matrix] | None = None) -> 
     for n in range(2, alg.N + 1):
         gen = alg.m(n - 1, 1).compose(kron(incl[n - 1], incl[1]))
         incl.append(gen.column_echelon_basis()[0])
-    sub = sub_bialgebra(alg, incl, diff)
-    sub.inclusions = incl
-    return sub
+    return sub_bialgebra(alg, incl, diff)
 
 
 # --- exterior calculus -----------------------------------------------------

@@ -158,31 +158,28 @@ def cmd_classify(args) -> int:
     h = io.load_hopf_ref(obj.get("hopf", obj if "mult" in obj else None), base)
     mc, _ = kernel_counit_crossed(h)
     if "candidates" in obj:
-        candidate_vecs = obj["candidates"]
+        if not isinstance(obj["candidates"], list):
+            raise ParseError('"candidates" must be a list of generator lists')
+        candidates = [io.generators_from_obj(vecs, mc.dim) for vecs in obj["candidates"]]
     else:
         # default sweep: no generators, each coordinate vector, all of them
         eye = Matrix.identity(mc.dim)
-        unit_vec = [[eye[r, c].to_obj() for r in range(mc.dim)] for c in range(mc.dim)]
-        candidate_vecs = [[]] + [[v] for v in unit_vec] + [unit_vec]
+        candidates = [Matrix.zero(mc.dim, 0)] + [eye.col(c) for c in range(mc.dim)] + [eye]
     entries = []
     ok = True
-    for vecs in candidate_vecs:
-        cols = [io.vector_to_matrix(v, mc.dim) for v in vecs]
-        gens = Matrix(mc.dim, len(cols),
-                      [c.entries[r] for r in range(mc.dim) for c in cols]) \
-            if cols else Matrix.zero(mc.dim, 0)
+    for gens in candidates:
         closed = crossed_submodule_closure(mc, gens.column_echelon_basis()[0])
         calc = fodc_from_submodule(h, closed)
         recovered = read_off_submodule(h, calc)
         roundtrip = recovered == closed
         ok = ok and roundtrip
         entries.append({
-            "generators": len(vecs),
+            "generators": gens.cols,
             "closure_dim": closed.cols,
             "calculus_dim": calc.x.dim,
             "roundtrip": roundtrip,
         })
-        print(f"  {len(vecs)} generator(s) -> submodule dim {closed.cols}, "
+        print(f"  {gens.cols} generator(s) -> submodule dim {closed.cols}, "
               f"calculus dim {calc.x.dim}, roundtrip {'ok' if roundtrip else 'FAIL'}")
     report = {"command": "classify", "ker_counit_dim": mc.dim, "entries": entries}
     _emit(report, args.out)

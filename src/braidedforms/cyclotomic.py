@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import DivisionByZero, TooLarge
 
@@ -19,19 +19,25 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def euler_phi(n: int) -> int:
-    result = n
-    m = n
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending."""
+    primes = []
     p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
         p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def euler_phi(n: int) -> int:
+    for p in _prime_factors(n):
+        n -= n // p
+    return n
 
 
 def _poly_divide(num, den):
@@ -53,37 +59,45 @@ def _poly_divide(num, den):
 _CYCLO_CACHE: dict[int, list[Fraction]] = {}
 
 # Largest conductor (including the lcm of mixed conductors) that arithmetic
-# accepts; building Phi_n and the reduction table costs O(n * phi(n)).
+# accepts; building the reduction table costs O(n * phi(n)).
 MAX_CONDUCTOR = 1024
 
 
 def cyclotomic_polynomial(n: int) -> list[Fraction]:
     """Coefficient list (low to high, monic) of the n-th cyclotomic polynomial.
 
-    Raises TooLarge above MAX_CONDUCTOR."""
+    Built from Phi_1 = x - 1, Phi_(mp)(x) = Phi_m(x^p) / Phi_m(x) for a prime
+    p not dividing m, and Phi_n(x) = Phi_rad(n)(x^(n/rad(n))).  Raises
+    TooLarge above MAX_CONDUCTOR."""
     if n in _CYCLO_CACHE:
         return _CYCLO_CACHE[n]
     if n > MAX_CONDUCTOR:
         raise TooLarge(f"conductor {n} exceeds the bound {MAX_CONDUCTOR}")
-    poly = [-_ONE] + [_ZERO] * (n - 1) + [_ONE]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_divide(poly, cyclotomic_polynomial(d))
+    primes = _prime_factors(n)
+    rad = prod(primes)
+    if n == 1:
+        poly = [-_ONE, _ONE]
+    elif rad < n:
+        poly = _substitute_power(cyclotomic_polynomial(rad), n // rad)
+    else:
+        m = n // primes[-1]
+        base = cyclotomic_polynomial(m)
+        poly = _poly_divide(_substitute_power(base, primes[-1]), base)
     _CYCLO_CACHE[n] = poly
     return poly
 
 
+def _substitute_power(poly, k: int) -> list[Fraction]:
+    """The coefficients of poly(x^k)."""
+    out = [_ZERO] * ((len(poly) - 1) * k + 1)
+    out[::k] = poly
+    return out
+
+
 def _mobius(n: int) -> int:
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    return -result if n > 1 else result
+    primes = _prime_factors(n)
+    squarefree = all(n % (p * p) for p in primes)
+    return (-1) ** len(primes) if squarefree else 0
 
 
 def _normalized_trace(n: int, i: int) -> Fraction:
@@ -189,10 +203,6 @@ class Scalar:
         return m, self._coeffs_at(m), other._coeffs_at(m)
 
     # --- predicates -------------------------------------------------------
-
-    @property
-    def is_rational(self) -> bool:
-        return self.n == 1
 
     def __bool__(self) -> bool:
         return not self.is_zero

@@ -314,8 +314,7 @@ def ideal_quotient(b: GradedBialgebra, f: Matrix, degree: int) -> GradedBialgebr
             gen = hstack(pieces)
         basis, _ = gen.column_echelon_basis()
         bases.append(basis)
-        _, _, _, cok = basis.kernel_image() if basis.cols else (None, None, None, Matrix.identity(b.dims[n]))
-        projs.append(cok)
+        projs.append(basis.transpose().kernel_basis().transpose())  # the cokernel
 
     # coideal and counit conditions
     for n in range(N + 1):

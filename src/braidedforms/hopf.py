@@ -13,7 +13,7 @@ from .braiding import swap_matrix
 from .checks import Checks
 from .cyclotomic import ONE, ZERO, Scalar
 from .errors import FactorizationError, InvalidBaseHopf, ShapeError
-from .matrix import Matrix, kron, solve_mono
+from .matrix import Matrix, hstack, kron, solve_mono
 from .permutations import all_permutations
 
 
@@ -55,11 +55,10 @@ def solve_antipode(dim, mult, unit, comult, counit) -> Matrix:
     n = dim
     # unknown s[i*n + a] = S_{i,a}; equation rows indexed by (r, c)
     system = Matrix.zero(n * n, n * n)
-    rhs = Matrix.zero(n * n, 1)
     target = unit.compose(counit)
+    rhs = Matrix.column([target[r, c] for r in range(n) for c in range(n)])
     for c in range(n):
         for r in range(n):
-            rhs.entries[(r * n + c)] = target[r, c]
             for a in range(n):
                 for i in range(n):
                     coeff = ZERO
@@ -71,16 +70,12 @@ def solve_antipode(dim, mult, unit, comult, counit) -> Matrix:
                         if not mval.is_zero:
                             coeff = coeff + delta * mval
                     if not coeff.is_zero:
-                        system.entries[(r * n + c) * (n * n) + (i * n + a)] = coeff
+                        system[r * n + c, i * n + a] = coeff
     try:
         s_flat = solve_mono(system, rhs)
     except FactorizationError as exc:
         raise InvalidBaseHopf("no antipode exists for the given bialgebra") from exc
-    s = Matrix.zero(n, n)
-    for i in range(n):
-        for a in range(n):
-            s.entries[i * n + a] = s_flat.entries[i * n + a]
-    return s
+    return Matrix.from_rows([[s_flat[i * n + a, 0] for a in range(n)] for i in range(n)])
 
 
 def make_hopf(dim, mult, unit, comult, counit, name="") -> HopfAlgebraData:
@@ -122,13 +117,13 @@ def group_algebra(elements, multiply, name="") -> HopfAlgebraData:
     mult = Matrix.zero(n, n * n)
     for i, g in enumerate(elements):
         for j, k in enumerate(elements):
-            mult.entries[index[multiply(g, k)] * n * n + (i * n + j)] = ONE
+            mult[index[multiply(g, k)], i * n + j] = ONE
     unit = Matrix.zero(n, 1)
     identity = next(g for g in elements if all(multiply(g, k) == k for k in elements))
-    unit.entries[index[identity]] = ONE
+    unit[index[identity], 0] = ONE
     comult = Matrix.zero(n * n, n)
     for i in range(n):
-        comult.entries[(i * n + i) * n + i] = ONE
+        comult[i * n + i, i] = ONE
     counit = Matrix(1, n, [ONE] * n)
     return make_hopf(n, mult, unit, comult, counit, name)
 
@@ -163,19 +158,19 @@ def taft_algebra(n: int) -> HopfAlgebraData:
                 for d in range(n):
                     if b + d < n:
                         coeff = zeta ** (b * c)
-                        mult.entries[idx((a + c) % n, b + d) * dim * dim + (idx(a, b) * dim + idx(c, d))] = coeff
+                        mult[idx((a + c) % n, b + d), idx(a, b) * dim + idx(c, d)] = coeff
     unit = Matrix.zero(dim, 1)
-    unit.entries[idx(0, 0)] = ONE
+    unit[idx(0, 0), 0] = ONE
     # comultiplication computed in the tensor-square algebra from the generators
     tau = swap_matrix(dim, dim)
     mult2 = kron(mult, mult).compose(kron(kron(Matrix.identity(dim), tau), Matrix.identity(dim)))
     unit2 = kron(unit, unit)
     dg = Matrix.zero(dim * dim, 1)
-    dg.entries[idx(1, 0) * dim + idx(1, 0)] = ONE
+    dg[idx(1, 0) * dim + idx(1, 0), 0] = ONE
     dx = Matrix.zero(dim * dim, 1)
-    dx.entries[idx(0, 1) * dim + idx(0, 0)] = ONE
-    dx.entries[idx(1, 0) * dim + idx(0, 1)] = ONE
-    comult = Matrix.zero(dim * dim, dim)
+    dx[idx(0, 1) * dim + idx(0, 0), 0] = ONE
+    dx[idx(1, 0) * dim + idx(0, 1), 0] = ONE
+    columns = []  # Delta(g^a x^b), in idx(a, b) order
     for a in range(n):
         for b in range(n):
             val = unit2
@@ -183,11 +178,11 @@ def taft_algebra(n: int) -> HopfAlgebraData:
                 val = mult2.compose(kron(val, dg))
             for _ in range(b):
                 val = mult2.compose(kron(val, dx))
-            for r in range(dim * dim):
-                comult.entries[r * dim + idx(a, b)] = val.entries[r]
+            columns.append(val)
+    comult = hstack(columns)
     counit = Matrix.zero(1, dim)
     for a in range(n):
-        counit.entries[idx(a, 0)] = ONE
+        counit[0, idx(a, 0)] = ONE
     return make_hopf(dim, mult, unit, comult, counit, f"taft{n}")
 
 

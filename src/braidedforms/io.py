@@ -27,7 +27,7 @@ from .bimodules import CrossedModule, HopfBimodule
 from .cyclotomic import Scalar
 from .errors import BraidedFormsError, ParseError, TooLarge
 from .hopf import HopfAlgebraData
-from .matrix import Matrix
+from .matrix import Matrix, hstack
 
 SCHEMA_VERSION = 1
 
@@ -66,10 +66,16 @@ def matrix_from_obj(obj) -> Matrix:
     return Matrix(rows, cols, [scalar_from_obj(e) for e in entries])
 
 
-def vector_to_matrix(vec, dim: int) -> Matrix:
-    if len(vec) != dim:
-        raise ParseError(f"vector of length {len(vec)} in a {dim}-dimensional space")
-    return Matrix(dim, 1, [scalar_from_obj(e) for e in vec])
+def generators_from_obj(vecs, dim: int) -> Matrix:
+    """The dim x k matrix whose columns are the k vectors of a list (dim x 0
+    for an empty list)."""
+    if not isinstance(vecs, list):
+        raise ParseError(f"generators must be a list of vectors, got {vecs!r}")
+    for vec in vecs:
+        if not isinstance(vec, list) or len(vec) != dim:
+            raise ParseError(f"generator {vec!r} is not a vector of length {dim}")
+    cols = [Matrix.column([scalar_from_obj(e) for e in vec]) for vec in vecs]
+    return hstack(cols) if cols else Matrix.zero(dim, 0)
 
 
 def load_json(path) -> dict:
@@ -199,13 +205,7 @@ def calculus_from_obj(obj, base_dir=None):
         if not isinstance(sub, dict) or sub.get("ambient") != "ker_counit":
             raise ParseError('submodule spec needs {"ambient": "ker_counit", "generators": [...]}')
         mc, _ = kernel_counit_crossed(h)
-        vecs = sub.get("generators", [])
-        if vecs:
-            cols = [_wrap(lambda v: vector_to_matrix(v, mc.dim), v, "generator") for v in vecs]
-            gens = Matrix(mc.dim, len(cols), [c.entries[r] for r in range(mc.dim) for c in cols])
-        else:
-            gens = Matrix.zero(mc.dim, 0)
-        return fodc_from_submodule(h, gens)
+        return fodc_from_submodule(h, generators_from_obj(sub.get("generators", []), mc.dim))
     if "X" in obj and "d" in obj:
         xobj = dict(obj["X"])
         xobj.setdefault("hopf", obj["hopf"])

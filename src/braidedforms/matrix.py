@@ -5,6 +5,13 @@ spaces).  Composition is matrix product with the right factor applied first;
 kron realizes the tensor product with the lexicographic basis order
 (i, j) -> i*dim(Y) + j.  All eliminations pick pivots leftmost-first so every
 derived basis is reproducible bit for bit.
+
+This is the only module that knows the storage layout (a flat row-major
+list).  Everywhere else entries are read with m[r, c], written with
+m[r, c] = v, and scanned with m.nonzeros(), which yields ((r, c), value) for
+the nonzero entries in row-major order; whole blocks are assembled with
+hstack/vstack.  The row-major list of the Matrix constructor and of to_obj
+is the documented constructor and JSON schema, not an access path.
 """
 
 from __future__ import annotations
@@ -76,6 +83,17 @@ class Matrix:
     def __getitem__(self, key):
         i, j = key
         return self.entries[i * self.cols + j]
+
+    def __setitem__(self, key, value):
+        i, j = key
+        self.entries[i * self.cols + j] = _coerce_scalar(value)
+
+    def nonzeros(self):
+        """((r, c), value) for every nonzero entry, in row-major order."""
+        cols = self.cols
+        for k, e in enumerate(self.entries):
+            if not e.is_zero:
+                yield divmod(k, cols), e
 
     def col(self, j: int) -> "Matrix":
         return Matrix(self.rows, 1, [self.entries[i * self.cols + j] for i in range(self.rows)])
@@ -206,20 +224,13 @@ class Matrix:
                 basis.entries[i * rank + k] = red[k, i]
         return basis, pivots
 
-    def kernel_image(self):
-        """(kernel_basis, image_basis, coimage_proj, cokernel_proj).
-
-        self = image_basis o coimage_proj exactly; cokernel_proj o image_basis = 0.
-        """
-        kernel = self.kernel_basis()
+    def rank_factorization(self):
+        """(image, coimage) with self == image o coimage: image is the column
+        echelon basis, coimage the rows of self at its pivot rows."""
         image, pivot_rows = self.column_echelon_basis()
-        rank = image.cols
-        coimage = Matrix.zero(rank, self.cols)
-        for k, pr in enumerate(pivot_rows):
-            for j in range(self.cols):
-                coimage.entries[k * self.cols + j] = self.entries[pr * self.cols + j]
-        cokernel = self.transpose().kernel_basis().transpose()
-        return kernel, image, coimage, cokernel
+        c = self.cols
+        rows = [e for pr in pivot_rows for e in self.entries[pr * c : (pr + 1) * c]]
+        return image, Matrix._raw(len(pivot_rows), c, rows)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:

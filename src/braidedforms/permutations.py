@@ -73,9 +73,6 @@ class Permutation:
                     count += 1
         return count
 
-    def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.images))
-
     def reduced_expression(self) -> tuple[int, ...]:
         """Canonical reduced word (bubble sort): right-multiply away the
         leftmost descent.  Product t_{a_1} ... t_{a_l} (leftmost applied last)

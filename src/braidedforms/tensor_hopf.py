@@ -127,7 +127,7 @@ def build_wedge(x: BraidedSpace, N: int) -> WedgeAlgebra:
     im = []
     coim = []
     for n in range(N + 1):
-        _, image, coimage, _ = braided_factorial(n, xm).kernel_image()
+        image, coimage = braided_factorial(n, xm).rank_factorization()
         im.append(image)
         coim.append(coimage)
     alg = sub_bialgebra(t0, im)

@@ -174,11 +174,11 @@ class TestProjectionTransfer:
     def _sweedler_to_kz2(self, sweedler, kz2):
         # eps_bar: g^a x^b -> g^a [b=0], eta_bar: group-like inclusion
         eta = Matrix.zero(4, 2)
-        eta.entries[0 * 2 + 0] = ONE   # 1 -> 1
-        eta.entries[2 * 2 + 1] = ONE   # g -> g  (basis g^a x^b at index 2a+b)
+        eta[0, 0] = ONE   # 1 -> 1
+        eta[2, 1] = ONE   # g -> g  (basis g^a x^b at index 2a+b)
         eps = Matrix.zero(2, 4)
-        eps.entries[0 * 4 + 0] = ONE
-        eps.entries[1 * 4 + 2] = ONE
+        eps[0, 0] = ONE
+        eps[1, 2] = ONE
         return BialgebraProjection(kz2, sweedler, eta, eps)
 
     def test_roundtrip(self, sweedler, kz2):

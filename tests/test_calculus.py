@@ -96,7 +96,7 @@ class TestClassification:
         gens = Matrix.zero(2, 1)
         from braidedforms.cyclotomic import ONE
 
-        gens.entries[0] = ONE
+        gens[0, 0] = ONE
         with pytest.raises(NotASubmodule):
             fodc_from_submodule(kz3, gens)
 

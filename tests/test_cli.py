@@ -195,6 +195,17 @@ class TestExitCodes:
         cand = {"hopf": "bundled:kz2", "candidates": [[["1/0"]]]}
         assert run(["classify", bundle(tmp_path, "c.json", cand)]) == 2
 
+    @pytest.mark.parametrize("command, bad", [
+        ("classify", {"hopf": "bundled:kz2", "candidates": [[5]]}),
+        ("classify", {"hopf": "bundled:kz2", "candidates": [5]}),
+        ("classify", {"hopf": "bundled:kz2", "candidates": 5}),
+        ("build-calculus", {"hopf": "bundled:kz2",
+                            "submodule": {"ambient": "ker_counit", "generators": 5}}),
+    ])
+    def test_bad_generators_exit_2(self, tmp_path, capsys, command, bad):
+        assert run([command, bundle(tmp_path, "g.json", bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_non_yang_baxter_wedge_exit_1(self, tmp_path, capsys):
         obj = json.load(open(io.bundled_path("swap2")))
         obj["psi"]["entries"][1] = {"conductor": 1, "coeffs": [[1, 1]]}

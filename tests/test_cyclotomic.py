@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidedforms import io
-from braidedforms.cyclotomic import MAX_CONDUCTOR, MINUS_ONE, ONE, ZERO, Scalar, cyclotomic_polynomial
+from braidedforms.cyclotomic import (
+    _CYCLO_CACHE,
+    _TABLE_CACHE,
+    MAX_CONDUCTOR,
+    MINUS_ONE,
+    ONE,
+    ZERO,
+    Scalar,
+    _poly_divide,
+    cyclotomic_polynomial,
+)
 from braidedforms.errors import DivisionByZero, TooLarge
 
 rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 8))
@@ -73,6 +84,31 @@ class TestBasics:
         # degree of the n-th cyclotomic polynomial is phi(n)
         for n, phi in [(1, 1), (2, 1), (3, 2), (4, 2), (6, 2), (5, 4), (12, 4)]:
             assert len(cyclotomic_polynomial(n)) - 1 == phi
+
+    def test_cyclotomic_polynomial_matches_divisor_construction(self):
+        # reference: x^n - 1 divided by Phi_d for every proper divisor d
+        ref = {}
+
+        def by_division(n):
+            if n not in ref:
+                poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+                for d in range(1, n):
+                    if n % d == 0:
+                        poly = _poly_divide(poly, by_division(d))
+                ref[n] = poly
+            return ref[n]
+
+        for n in [*range(1, 301), 840, 1008]:
+            assert cyclotomic_polynomial(n) == by_division(n), n
+
+    def test_large_conductors_parse_quickly(self):
+        _CYCLO_CACHE.clear()
+        _TABLE_CACHE.clear()
+        start = time.perf_counter()
+        for n in (720, 840, 960, 1008):
+            z = io.scalar_from_obj({"conductor": n, "coeffs": [[0, 1], [1, 1]]})
+            assert z == Scalar.zeta(n)
+        assert time.perf_counter() - start < 2
 
 
 class TestProperties:

@@ -56,7 +56,7 @@ class TestCorpus:
         for a in range(5):
             col = h.antipode.col(a)
             expected = Matrix.zero(5, 1)
-            expected.entries[(-a) % 5] = ONE
+            expected[(-a) % 5, 0] = ONE
             assert col == expected
 
     def test_corpus_builder_names(self):
@@ -90,15 +90,15 @@ class TestValidation:
         # {1, e} with e^2 = e has no antipode
         n = 2
         mult = Matrix.zero(n, n * n)
-        mult.entries[0 * n * n + 0] = ONE          # 1*1 = 1
-        mult.entries[1 * n * n + 1] = ONE          # 1*e = e
-        mult.entries[1 * n * n + n] = ONE          # e*1 = e
-        mult.entries[1 * n * n + n + 1] = ONE      # e*e = e
+        mult[0, 0] = ONE              # 1*1 = 1
+        mult[1, 1] = ONE              # 1*e = e
+        mult[1, n] = ONE              # e*1 = e
+        mult[1, n + 1] = ONE          # e*e = e
         unit = Matrix.zero(n, 1)
-        unit.entries[0] = ONE
+        unit[0, 0] = ONE
         comult = Matrix.zero(n * n, n)
-        comult.entries[0] = ONE                    # Delta(1) = 1(x)1
-        comult.entries[3 * n + 1] = ONE            # Delta(e) = e(x)e
+        comult[0, 0] = ONE            # Delta(1) = 1(x)1
+        comult[3, 1] = ONE            # Delta(e) = e(x)e
         counit = Matrix(1, n, [ONE, ONE])
         with pytest.raises(InvalidBaseHopf):
             make_hopf(n, mult, unit, comult, counit, "monoid")
@@ -106,6 +106,6 @@ class TestValidation:
     def test_broken_associativity_rejected(self):
         h = cyclic_group_algebra(2)
         bad_mult = h.mult + Matrix.zero(2, 4)
-        bad_mult.entries[0 * 4 + 3] = bad_mult.entries[0 * 4 + 3] + ONE
+        bad_mult[0, 3] = bad_mult[0, 3] + ONE
         with pytest.raises(InvalidBaseHopf):
             make_hopf(2, bad_mult, h.unit, h.comult, h.counit, "broken")

@@ -58,11 +58,22 @@ class TestBasics:
 
     def test_kernel_image_dimensions(self):
         m = mat([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-        ker, image, coim, coker = m.kernel_image()
+        ker = m.kernel_basis()
+        image, coim = m.rank_factorization()
         assert ker.cols + image.cols == m.cols  # rank-nullity
         assert m.compose(ker).is_zero
-        # image columns span m's column space
+        # image columns span m's column space, and m factors through them
         assert hstack([image, m]).rank() == image.cols
+        assert image.compose(coim) == m
+
+    def test_setitem_and_nonzeros(self):
+        m = Matrix.zero(2, 3)
+        m[1, 2] = 5
+        m[0, 1] = Scalar.zeta(3)
+        m[1, 0] = ZERO
+        assert m[1, 2] == Scalar.rational(5)
+        assert list(m.nonzeros()) == [((0, 1), Scalar.zeta(3)), ((1, 2), Scalar.rational(5))]
+        assert list(Matrix.zero(3, 0).nonzeros()) == []
 
     def test_kron_mixed_product(self):
         a, b = mat([[1, 2], [0, 1]]), mat([[2, 1], [1, 1]])
@@ -156,6 +167,14 @@ class TestProperties:
         basis, _ = m.column_echelon_basis()
         assert basis.cols == m.rank()
         assert hstack([basis, m]).rank() == basis.cols
+
+    @settings(max_examples=30, deadline=None)
+    @given(matrices(2, 3), matrices(3, 4))
+    def test_rank_factorization(self, a, b):
+        m = a.compose(b)
+        image, coim = m.rank_factorization()
+        assert image.cols == coim.rows == m.rank()
+        assert image.compose(coim) == m
 
     @settings(max_examples=20, deadline=None)
     @given(matrices(2, 2), matrices(2, 2))
