@@ -255,7 +255,7 @@ def tensor_over_H(x: HopfBimodule, y: HopfBimodule) -> TensorOverH:
     """X (x)_H Y realized on X (x) coinv(Y), with universal lambda and rho."""
     h = x.h
     a = h.dim
-    ex, ey = Matrix.identity(x.dim), Matrix.identity(y.dim)
+    ex = Matrix.identity(x.dim)
     mc, p, i = coinvariants(y)
     em = Matrix.identity(mc.dim)
     lam = kron(x.mu_r, em).compose(kron(ex, kron(Matrix.identity(a), p).compose(y.nu_l)))
@@ -428,7 +428,6 @@ def relative_antipode_commutes(x: HopfBimodule) -> bool:
     """
     h = x.h
     a = h.dim
-    ea, ex = Matrix.identity(a), Matrix.identity(x.dim)
     s = h.antipode
     sp = relative_antipode(x)
     tw_ax = swap_matrix(a, x.dim)

@@ -36,9 +36,19 @@ class FirstOrderCalculus:
     h: HopfAlgebraData
     x: HopfBimodule
     d: Matrix  # H -> X
+    smash_map: Matrix | None = None  # psi: H (x) Ker eps -> X; None for explicit X, d
 
     def to_obj(self):
         return {"X": self.x.to_obj(), "d": self.d.to_obj()}
+
+
+@dataclass(kw_only=True)
+class UniversalCalculus(FirstOrderCalculus):
+    """The universal calculus Ker m, from which every bicovariant first order
+    calculus over H is a quotient; its smash_map is the isomorphism
+    alpha: H (x) Ker eps -> Ker m."""
+    inclusion: Matrix            # Ker m -> H (x) H
+    ker_counit: CrossedModule    # Ker eps, regular action, coadjoint coaction
 
 
 def check_first_order(calc: FirstOrderCalculus) -> Checks:
@@ -57,11 +67,14 @@ def check_first_order(calc: FirstOrderCalculus) -> Checks:
     return checks
 
 
-def universal_fodc(h: HopfAlgebraData) -> FirstOrderCalculus:
+def universal_fodc(h: HopfAlgebraData) -> UniversalCalculus:
     """The universal first order calculus: X = Ker m inside the square Hopf
-    bimodule H (x) H, with incl o D = eta (x) id - id (x) eta."""
+    bimodule H (x) H, with incl o D = eta (x) id - id (x) eta, together with
+    Ker eps and the smash isomorphism alpha: H (x) Ker eps -> Ker m,
+    h (x) x -> h S(x_(1)) (x) x_(2)."""
     a = h.dim
     ea = Matrix.identity(a)
+    mc, ik = kernel_counit_crossed(h)
     sq = square_bimodule(h)
     incl = h.mult.kernel_basis()
     dim_x = incl.cols
@@ -71,12 +84,12 @@ def universal_fodc(h: HopfAlgebraData) -> FirstOrderCalculus:
     nu_r = solve_mono(kron(incl, ea), sq.nu_r.compose(incl))
     x = HopfBimodule(h, dim_x, mu_l, mu_r, nu_l, nu_r, "ker_mult")
     d = solve_mono(incl, kron(h.unit, ea) - kron(ea, h.unit))
-    calc = FirstOrderCalculus(h, x, d)
-    calc.inclusion = incl
-    return calc
+    phi = kron(h.mult, ea).compose(kron(ea, kron(h.antipode, ea).compose(h.comult)))
+    alpha = solve_mono(incl, phi.compose(kron(ea, ik)))
+    return UniversalCalculus(h, x, d, alpha, inclusion=incl, ker_counit=mc)
 
 
-def derivation_morphism(univ: FirstOrderCalculus, other: FirstOrderCalculus) -> Matrix:
+def derivation_morphism(univ: UniversalCalculus, other: FirstOrderCalculus) -> Matrix:
     """The unique bimodule morphism pi: Ker m -> X' with pi o D = d',
     computed as mu_l' o (id (x) d') o incl (initiality of the universal
     calculus)."""
@@ -94,21 +107,6 @@ def kernel_counit_crossed(h: HopfAlgebraData):
     mu_r = solve_mono(ik, ad.mu_r.compose(kron(ik, Matrix.identity(a))))
     nu_r = solve_mono(kron(ik, Matrix.identity(a)), ad.nu_r.compose(ik))
     return CrossedModule(h, ik.cols, mu_r, nu_r, "ker_counit"), ik
-
-
-def universal_smash_iso(h: HopfAlgebraData, univ: FirstOrderCalculus | None = None):
-    """The isomorphism H (x) Ker(eps) -> Ker(m), h (x) x -> h S(x_(1)) (x) x_(2)
-    (the smash realization of the universal calculus). Returns
-    (alpha, kernel-counit CrossedModule, inclusion of Ker eps into H)."""
-    if univ is None:
-        univ = universal_fodc(h)
-    a = h.dim
-    mc, ik = kernel_counit_crossed(h)
-    phi = kron(h.mult, Matrix.identity(a)).compose(
-        kron(Matrix.identity(a), kron(h.antipode, Matrix.identity(a)).compose(h.comult))
-    )
-    alpha = solve_mono(univ.inclusion, phi.compose(kron(Matrix.identity(a), ik)))
-    return alpha, mc, ik
 
 
 def crossed_submodule_closure(m: CrossedModule, gens: Matrix) -> Matrix:
@@ -133,14 +131,14 @@ def crossed_submodule_closure(m: CrossedModule, gens: Matrix) -> Matrix:
         basis = new_basis
 
 
-def fodc_from_submodule(h: HopfAlgebraData, r_gens: Matrix) -> FirstOrderCalculus:
+def fodc_from_submodule(univ: UniversalCalculus, r_gens: Matrix) -> FirstOrderCalculus:
     """The first order calculus classified by the crossed submodule
     R = Im(r_gens) of Ker eps: the quotient of the universal calculus by the
     Hopf sub-bimodule alpha(H (x) R)."""
-    univ = universal_fodc(h)
-    alpha, mc, ik = universal_smash_iso(h, univ)
+    h = univ.h
+    alpha = univ.smash_map
     r_basis = r_gens.column_echelon_basis()[0]
-    closed = crossed_submodule_closure(mc, r_basis)
+    closed = crossed_submodule_closure(univ.ker_counit, r_basis)
     if closed.cols != r_basis.cols:
         raise NotASubmodule(
             f"generators span {r_basis.cols} dims but their closure spans {closed.cols}"
@@ -155,16 +153,14 @@ def fodc_from_submodule(h: HopfAlgebraData, r_gens: Matrix) -> FirstOrderCalculu
     nu_l = solve_epi(kron(ea, q).compose(univ.x.nu_l), q)
     nu_r = solve_epi(kron(q, ea).compose(univ.x.nu_r), q)
     x = HopfBimodule(h, dim_q, mu_l, mu_r, nu_l, nu_r, "classified")
-    calc = FirstOrderCalculus(h, x, q.compose(univ.d))
-    calc.smash_map = q.compose(alpha)  # psi: H (x) Ker eps -> X
-    return calc
+    return FirstOrderCalculus(h, x, q.compose(univ.d), q.compose(alpha))
 
 
-def read_off_submodule(h: HopfAlgebraData, calc: FirstOrderCalculus) -> Matrix:
+def read_off_submodule(calc: FirstOrderCalculus) -> Matrix:
     """Recover the classifying crossed submodule R of Ker eps from a
     classified calculus: R = {x in Ker eps : psi(1 (x) x) = 0}."""
-    _, ik = kernel_counit_crossed(h)
-    psi0 = calc.smash_map.compose(kron(h.unit, Matrix.identity(ik.cols)))
+    h, psi = calc.h, calc.smash_map
+    psi0 = psi.compose(kron(h.unit, Matrix.identity(psi.cols // h.dim)))
     return psi0.kernel_basis().column_echelon_basis()[0]
 
 
@@ -260,13 +256,9 @@ def biproduct_differential(wh: WedgeOverH, d: Matrix) -> list[Matrix]:
     N = alg.N
     can = _free_iso(wh.x, wh.i)
     d1 = can.inverse().compose(d)  # H -> B_1 = H (x) M
-    ds = [None] * (N + 2)  # ds[n]: H^(x)n -> B_n, d(a_1)...d(a_n)
-    ds[0] = None
-    ds[1] = d1
-    for n in range(2, N + 2):
-        if n > N:
-            break
-        ds[n] = alg.m(1, n - 1).compose(kron(d1, ds[n - 1]))
+    ds = [None, d1]  # ds[n]: H^(x)n -> B_n, d(a_1)...d(a_n)
+    for n in range(2, N + 1):
+        ds.append(alg.m(1, n - 1).compose(kron(d1, ds[n - 1])))
     gens = [Matrix.identity(a)]  # gen_0 = id on H = B_0
     for n in range(1, N + 1):
         gens.append(alg.m(0, n).compose(kron(Matrix.identity(a), ds[n])))
@@ -330,7 +322,6 @@ def generation_conditions(alg: GradedBialgebra, diff: list[Matrix]) -> dict:
         cond["right"].append(right.column_echelon_basis()[0].cols == target)
         two = alg.m(n + 1, 0).compose(kron(left, e0))
         cond["two_sided"].append(two.column_echelon_basis()[0].cols == target)
-    it = Matrix.identity(alg.dims[0])
     ok_iter = []
     word = diff[0]
     for n in range(1, N + 1):

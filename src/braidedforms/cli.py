@@ -30,8 +30,8 @@ from .calculus import (
     exterior_calculus,
     exterior_calculus_via_comma,
     fodc_from_submodule,
-    kernel_counit_crossed,
     read_off_submodule,
+    universal_fodc,
     verify_calculus,
 )
 from .checks import Checks
@@ -156,7 +156,8 @@ def cmd_classify(args) -> int:
     obj = io.load_json(args.file)
     base = io.Path(args.file).parent
     h = io.load_hopf_ref(obj.get("hopf", obj if "mult" in obj else None), base)
-    mc, _ = kernel_counit_crossed(h)
+    univ = universal_fodc(h)
+    mc = univ.ker_counit
     if "candidates" in obj:
         if not isinstance(obj["candidates"], list):
             raise ParseError('"candidates" must be a list of generator lists')
@@ -169,8 +170,8 @@ def cmd_classify(args) -> int:
     ok = True
     for gens in candidates:
         closed = crossed_submodule_closure(mc, gens.column_echelon_basis()[0])
-        calc = fodc_from_submodule(h, closed)
-        recovered = read_off_submodule(h, calc)
+        calc = fodc_from_submodule(univ, closed)
+        recovered = read_off_submodule(calc)
         roundtrip = recovered == closed
         ok = ok and roundtrip
         entries.append({

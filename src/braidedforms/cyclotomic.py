@@ -214,7 +214,7 @@ class Scalar:
             return NotImplemented
         if self.n == other.n:
             return self.c == other.c
-        m, ca, cb = self._pair(other)
+        _, ca, cb = self._pair(other)
         return ca == cb
 
     def __hash__(self):

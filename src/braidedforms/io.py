@@ -195,7 +195,7 @@ def crossed_from_obj(obj, base_dir=None) -> CrossedModule:
 
 def calculus_from_obj(obj, base_dir=None):
     """Calculus bundle -> FirstOrderCalculus (imported lazily to avoid cycles)."""
-    from .calculus import FirstOrderCalculus, fodc_from_submodule, kernel_counit_crossed
+    from .calculus import FirstOrderCalculus, fodc_from_submodule, universal_fodc
 
     if "hopf" not in obj:
         raise ParseError('calculus bundle needs a "hopf" reference')
@@ -204,9 +204,12 @@ def calculus_from_obj(obj, base_dir=None):
         sub = obj["submodule"]
         if not isinstance(sub, dict) or sub.get("ambient") != "ker_counit":
             raise ParseError('submodule spec needs {"ambient": "ker_counit", "generators": [...]}')
-        mc, _ = kernel_counit_crossed(h)
-        return fodc_from_submodule(h, generators_from_obj(sub.get("generators", []), mc.dim))
+        univ = universal_fodc(h)
+        gens = generators_from_obj(sub.get("generators", []), univ.ker_counit.dim)
+        return fodc_from_submodule(univ, gens)
     if "X" in obj and "d" in obj:
+        if not isinstance(obj["X"], dict):
+            raise ParseError(f'"X" must be a bimodule object, got {obj["X"]!r}')
         xobj = dict(obj["X"])
         xobj.setdefault("hopf", obj["hopf"])
         x = bimodule_from_obj(xobj, base_dir)

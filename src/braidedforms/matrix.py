@@ -82,10 +82,14 @@ class Matrix:
 
     def __getitem__(self, key):
         i, j = key
-        return self.entries[i * self.cols + j]
+        if 0 <= i < self.rows and 0 <= j < self.cols:
+            return self.entries[i * self.cols + j]
+        raise IndexError(f"index {key} out of range for a {self.rows}x{self.cols} matrix")
 
     def __setitem__(self, key, value):
         i, j = key
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"index {key} out of range for a {self.rows}x{self.cols} matrix")
         self.entries[i * self.cols + j] = _coerce_scalar(value)
 
     def nonzeros(self):

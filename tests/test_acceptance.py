@@ -339,13 +339,13 @@ class TestCriterion9UniversalCalculus:
     def test_initial_morphism_exists_and_unique(self, kz3, sweedler):
         for h in (kz3, sweedler):
             univ = universal_fodc(h)
-            mc, _ = kernel_counit_crossed(h)
-            targets = [fodc_from_submodule(h, Matrix.zero(mc.dim, 0)),
-                       fodc_from_submodule(h, Matrix.identity(mc.dim))]
+            mc = univ.ker_counit
+            targets = [fodc_from_submodule(univ, Matrix.zero(mc.dim, 0)),
+                       fodc_from_submodule(univ, Matrix.identity(mc.dim))]
             if h.dim == 4:  # sweedler: also a proper nontrivial quotient
                 closed = crossed_submodule_closure(mc, Matrix.identity(mc.dim).col(0))
                 if closed.cols < mc.dim:
-                    targets.append(fodc_from_submodule(h, closed))
+                    targets.append(fodc_from_submodule(univ, closed))
             for other in targets:
                 phi = derivation_morphism(univ, other)
                 assert phi.compose(univ.d) == other.d
@@ -357,30 +357,30 @@ class TestCriterion9UniversalCalculus:
 
 
 class TestCriterion10ClassificationRoundtrip:
-    def closed_submodules(self, h):
-        mc, _ = kernel_counit_crossed(h)
+    def closed_submodules(self, mc):
         seen = {}
         candidates = [Matrix.zero(mc.dim, 0), Matrix.identity(mc.dim)]
         candidates += [Matrix.identity(mc.dim).col(j) for j in range(mc.dim)]
         for gens in candidates:
             closed = crossed_submodule_closure(mc, gens)
             seen[tuple(e.to_obj()["coeffs"][0][0] for e in closed.entries)] = closed
-        return mc, list(seen.values())
+        return list(seen.values())
 
     def test_roundtrip_kz3_and_sweedler(self, kz3, sweedler):
         for h in (kz3, sweedler):
-            mc, submodules = self.closed_submodules(h)
-            for closed in submodules:
-                calc = fodc_from_submodule(h, closed)
-                recovered = read_off_submodule(h, calc)
+            univ = universal_fodc(h)
+            for closed in self.closed_submodules(univ.ker_counit):
+                calc = fodc_from_submodule(univ, closed)
+                recovered = read_off_submodule(calc)
                 assert recovered == closed.column_echelon_basis()[0]
 
     def test_extremes(self, kz3, sweedler):
         for h in (kz3, sweedler):
-            mc, _ = kernel_counit_crossed(h)
-            universal = fodc_from_submodule(h, Matrix.zero(mc.dim, 0))
+            univ = universal_fodc(h)
+            mc = univ.ker_counit
+            universal = fodc_from_submodule(univ, Matrix.zero(mc.dim, 0))
             assert universal.x.dim == h.dim * h.dim - h.dim
-            zero = fodc_from_submodule(h, Matrix.identity(mc.dim))
+            zero = fodc_from_submodule(univ, Matrix.identity(mc.dim))
             assert zero.x.dim == 0 and zero.d.is_zero
 
 

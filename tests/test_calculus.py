@@ -11,11 +11,9 @@ from braidedforms.calculus import (
     exterior_calculus_via_comma,
     fodc_from_submodule,
     generation_conditions,
-    kernel_counit_crossed,
     maximal_calculus,
     read_off_submodule,
     universal_fodc,
-    universal_smash_iso,
     verify_calculus,
 )
 from braidedforms.errors import NotASubmodule
@@ -56,11 +54,11 @@ class TestUniversal:
     def test_initiality(self, kz3, sweedler):
         for h in (kz3, sweedler):
             univ = universal_fodc(h)
-            mc, ik = kernel_counit_crossed(h)
+            mc = univ.ker_counit
             # target: the calculus classified by a proper submodule (here 0
             # and the full Ker eps give universal and zero targets)
             for gens in (Matrix.zero(mc.dim, 0), Matrix.identity(mc.dim)):
-                other = fodc_from_submodule(h, gens)
+                other = fodc_from_submodule(univ, gens)
                 phi = derivation_morphism(univ, other)
                 assert phi.compose(univ.d) == other.d
                 from braidedforms.bimodules import is_bimodule_morphism
@@ -70,7 +68,7 @@ class TestUniversal:
     def test_smash_iso(self, kz2, kz3, sweedler):
         for h in (kz2, kz3, sweedler):
             univ = universal_fodc(h)
-            alpha, mc, ik = universal_smash_iso(h, univ)
+            alpha, mc = univ.smash_map, univ.ker_counit
             assert alpha.rows == alpha.cols == univ.x.dim
             assert alpha.rank() == univ.x.dim
             from braidedforms.bimodules import smash
@@ -82,15 +80,18 @@ class TestUniversal:
 class TestClassification:
     def test_roundtrip_extremes(self, kz3, sweedler):
         for h in (kz3, sweedler):
-            mc, _ = kernel_counit_crossed(h)
-            # R = 0 -> the universal calculus
-            calc0 = fodc_from_submodule(h, Matrix.zero(mc.dim, 0))
-            assert calc0.x.dim == h.dim * h.dim - h.dim
-            assert read_off_submodule(h, calc0).cols == 0
+            univ = universal_fodc(h)
+            mc = univ.ker_counit
+            # R = 0 -> the universal calculus, which is its own R = 0 quotient
+            assert read_off_submodule(univ).cols == 0
+            calc0 = fodc_from_submodule(univ, Matrix.zero(mc.dim, 0))
+            assert calc0.x.dim == univ.x.dim == h.dim * h.dim - h.dim
+            assert calc0.d == univ.d
+            assert read_off_submodule(calc0).cols == 0
             # R = Ker eps -> the zero calculus
-            calc1 = fodc_from_submodule(h, Matrix.identity(mc.dim))
+            calc1 = fodc_from_submodule(univ, Matrix.identity(mc.dim))
             assert calc1.x.dim == 0
-            assert read_off_submodule(h, calc1).cols == mc.dim
+            assert read_off_submodule(calc1).cols == mc.dim
 
     def test_unstable_generators_rejected(self, kz3):
         gens = Matrix.zero(2, 1)
@@ -98,11 +99,12 @@ class TestClassification:
 
         gens[0, 0] = ONE
         with pytest.raises(NotASubmodule):
-            fodc_from_submodule(kz3, gens)
+            fodc_from_submodule(universal_fodc(kz3), gens)
 
     def test_quotient_calculi_are_valid(self, sweedler):
         # every closed submodule yields a valid first order calculus
-        mc, _ = kernel_counit_crossed(sweedler)
+        univ = universal_fodc(sweedler)
+        mc = univ.ker_counit
         from braidedforms.calculus import crossed_submodule_closure
 
         seen = set()
@@ -112,10 +114,10 @@ class TestClassification:
             if closed.cols in seen:
                 continue
             seen.add(closed.cols)
-            calc = fodc_from_submodule(sweedler, closed)
+            calc = fodc_from_submodule(univ, closed)
             failed = check_first_order(calc).failed
             assert failed in ([], ["generation"])  # zero quotients generate trivially
-            assert read_off_submodule(sweedler, calc) == closed
+            assert read_off_submodule(calc) == closed
 
 
 class TestExterior:
@@ -169,7 +171,7 @@ class TestExterior:
         assert alg.braid(1, 1) is alg.braid(1, 1)
 
     def test_zero_calculus_exterior(self, kz2):
-        mc, _ = kernel_counit_crossed(kz2)
-        calc = fodc_from_submodule(kz2, Matrix.identity(mc.dim))
+        univ = universal_fodc(kz2)
+        calc = fodc_from_submodule(univ, Matrix.identity(univ.ker_counit.dim))
         ext = exterior_calculus(calc, 2)
         assert ext.algebra.dims == (2, 0, 0)

@@ -1,6 +1,7 @@
 import json
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -159,6 +160,26 @@ class TestClassify:
         assert (2, 0) in dims  # full Ker eps -> zero calculus
         assert all(e["roundtrip"] for e in report["entries"])
 
+    def test_builds_universal_calculus_once(self, monkeypatch):
+        from braidedforms import calculus, cli
+
+        calls = Counter()
+
+        def counting(fn):
+            def wrapper(*args):
+                calls[fn.__name__] += 1
+                return fn(*args)
+            return wrapper
+
+        univ = counting(calculus.universal_fodc)
+        monkeypatch.setattr(calculus, "universal_fodc", univ)
+        monkeypatch.setattr(cli, "universal_fodc", univ)
+        monkeypatch.setattr(calculus, "kernel_counit_crossed",
+                            counting(calculus.kernel_counit_crossed))
+        assert run(["classify", str(io.bundled_path("kz3"))]) == 0
+        # the default sweep has 4 candidates, and every one reuses Ker eps
+        assert calls == {"universal_fodc": 1, "kernel_counit_crossed": 1}
+
 
 class TestDeterminism:
     def test_reports_bit_identical(self, tmp_path):
@@ -204,6 +225,12 @@ class TestExitCodes:
     ])
     def test_bad_generators_exit_2(self, tmp_path, capsys, command, bad):
         assert run([command, bundle(tmp_path, "g.json", bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("x", [5, [1, 2]])
+    def test_bimodule_not_an_object_exit_2(self, tmp_path, capsys, x):
+        obj = {"hopf": "bundled:kz2", "X": x, "d": {}}
+        assert run(["check", "--kind", "calculus", bundle(tmp_path, "x.json", obj)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_non_yang_baxter_wedge_exit_1(self, tmp_path, capsys):

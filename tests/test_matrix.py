@@ -75,6 +75,16 @@ class TestBasics:
         assert list(m.nonzeros()) == [((0, 1), Scalar.zeta(3)), ((1, 2), Scalar.rational(5))]
         assert list(Matrix.zero(3, 0).nonzeros()) == []
 
+    @pytest.mark.parametrize("key", [(0, 2), (2, 0), (-1, 0), (0, -1)])
+    def test_index_out_of_range(self, key):
+        # a flat row-major offset would send (0, 2) and (-1, 0) to entry (1, 0)
+        m = mat([[1, 2], [3, 4]])
+        with pytest.raises(IndexError):
+            m[key]
+        with pytest.raises(IndexError):
+            m[key] = 1
+        assert m == mat([[1, 2], [3, 4]])
+
     def test_kron_mixed_product(self):
         a, b = mat([[1, 2], [0, 1]]), mat([[2, 1], [1, 1]])
         c, d = mat([[1, 1], [1, 2]]), mat([[3, 0], [1, 1]])

@@ -28,3 +28,50 @@ def test_matrix_layout_stays_in_matrix_module():
              for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in ("entries", "_raw")]
     assert found == []
+
+
+def _names(node, ctx):
+    return [n for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ctx)]
+
+
+def _unused_imports(tree):
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            for alias in node.names:
+                bound[(alias.asname or alias.name).partition(".")[0]] = node.lineno
+    read = {n.id for n in _names(tree, ast.Load)}
+    return [(name, line) for name, line in bound.items() if name not in read]
+
+
+def _own_scope(fn):
+    """The nodes of a function body outside its nested functions and classes."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _unused_locals(tree):
+    found = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            read = {n.id for n in _names(fn, ast.Load)}  # nested closures read too
+            found += [(n.id, n.lineno) for n in _own_scope(fn)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                      and n.id not in read]
+    return found
+
+
+def test_no_unused_names():
+    # `_`-prefixed locals are deliberate placeholders
+    found = []
+    for name, tree in _trees():
+        unused = _unused_locals(tree)
+        if name != "__init__.py":  # its imports are the package's public names
+            unused += _unused_imports(tree)
+        found += [f"{name}:{line} {n}" for n, line in unused if not n.startswith("_")]
+    assert found == []
