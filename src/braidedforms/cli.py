@@ -156,23 +156,28 @@ def cmd_classify(args) -> int:
     obj = io.load_json(args.file)
     base = io.Path(args.file).parent
     h = io.load_hopf_ref(obj.get("hopf", obj if "mult" in obj else None), base)
-    univ = universal_fodc(h)
-    mc = univ.ker_counit
+    # the generators live in Ker eps, whose dimension the counit gives at
+    # once, so a bad candidate list fails before the universal build
+    ker_dim = h.dim - h.counit.rank()
     if "candidates" in obj:
         if not isinstance(obj["candidates"], list):
             raise ParseError('"candidates" must be a list of generator lists')
-        candidates = [io.generators_from_obj(vecs, mc.dim) for vecs in obj["candidates"]]
+        candidates = [io.generators_from_obj(vecs, ker_dim) for vecs in obj["candidates"]]
     else:
         # default sweep: no generators, each coordinate vector, all of them
-        eye = Matrix.identity(mc.dim)
-        candidates = [Matrix.zero(mc.dim, 0)] + [eye.col(c) for c in range(mc.dim)] + [eye]
+        eye = Matrix.identity(ker_dim)
+        candidates = [Matrix.zero(ker_dim, 0)] + [eye.col(c) for c in range(ker_dim)] + [eye]
+    univ = universal_fodc(h)
+    mc = univ.ker_counit
     entries = []
     ok = True
+    quotients = {}  # closed echelon basis -> (calculus, roundtrip): each built once
     for gens in candidates:
         closed = crossed_submodule_closure(mc, gens.column_echelon_basis()[0])
-        calc = fodc_from_submodule(univ, closed)
-        recovered = read_off_submodule(calc)
-        roundtrip = recovered == closed
+        if closed not in quotients:
+            calc = fodc_from_submodule(univ, closed)
+            quotients[closed] = calc, read_off_submodule(calc) == closed
+        calc, roundtrip = quotients[closed]
         ok = ok and roundtrip
         entries.append({
             "generators": gens.cols,

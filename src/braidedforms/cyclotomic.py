@@ -154,9 +154,12 @@ class Scalar:
     __slots__ = ("n", "c", "is_zero")
 
     def __init__(self, n: int, coeffs, _reduced: bool = False):
-        coeffs = tuple(Fraction(x) for x in coeffs)
-        if not _reduced:
-            coeffs = _reduce(n, coeffs)
+        # _reduced: coeffs are already Fractions over the power basis, trusted
+        # as they are (every internal caller passes Fractions)
+        if _reduced:
+            coeffs = tuple(coeffs)
+        else:
+            coeffs = _reduce(n, tuple(Fraction(x) for x in coeffs))
         if n > 1 and not any(coeffs[1:]):
             n, coeffs = 1, (coeffs[0] if coeffs else _ZERO,)
         self.n = n
@@ -208,6 +211,8 @@ class Scalar:
         return not self.is_zero
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if isinstance(other, (int, Fraction)):
             other = Scalar(1, (Fraction(other),), _reduced=True)
         if not isinstance(other, Scalar):
@@ -267,6 +272,11 @@ class Scalar:
         other = Scalar._coerce(other)
         if other is None:
             return NotImplemented
+        # a factor 1 is most products of kron(id, f); skip the arithmetic
+        if self.n == 1 and self.c[0] == 1:
+            return other
+        if other.n == 1 and other.c[0] == 1:
+            return self
         if self.n == 1 and other.n == 1:
             return Scalar(1, (self.c[0] * other.c[0],), _reduced=True)
         m, ca, cb = self._pair(other)

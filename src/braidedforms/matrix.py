@@ -1,4 +1,4 @@
-"""Exact dense matrices over cyclotomic scalars.
+"""Exact sparse matrices over cyclotomic scalars.
 
 Matrices carry the morphisms of the base category (finite-dimensional vector
 spaces).  Composition is matrix product with the right factor applied first;
@@ -6,12 +6,16 @@ kron realizes the tensor product with the lexicographic basis order
 (i, j) -> i*dim(Y) + j.  All eliminations pick pivots leftmost-first so every
 derived basis is reproducible bit for bit.
 
-This is the only module that knows the storage layout (a flat row-major
-list).  Everywhere else entries are read with m[r, c], written with
-m[r, c] = v, and scanned with m.nonzeros(), which yields ((r, c), value) for
-the nonzero entries in row-major order; whole blocks are assembled with
-hstack/vstack.  The row-major list of the Matrix constructor and of to_obj
-is the documented constructor and JSON schema, not an access path.
+This is the only module that knows the storage layout: sparse rows of
+nonzero entries, one {col: Scalar} map per row, so products, Kronecker
+products, comparisons and eliminations cost time in the number of nonzero
+entries.  No zero Scalar is ever stored; m[r, c] = 0 deletes the entry.
+Everywhere else entries are read with m[r, c], written with m[r, c] = v, and
+scanned with m.nonzeros(), which yields ((r, c), value) for the nonzero
+entries in row-major order; whole blocks are assembled with hstack/vstack.
+The row-major list of the Matrix constructor and of to_obj is the documented
+constructor and JSON schema, not an access path; m.entries is a read-only
+row-major list derived from the rows.
 """
 
 from __future__ import annotations
@@ -30,8 +34,17 @@ def _coerce_scalar(x) -> Scalar:
     raise TypeError(f"cannot use {type(x).__name__} as a matrix entry")
 
 
+def _sparse(rows: int, cols: int, maps: list) -> "Matrix":
+    """Internal: a matrix over row maps that hold only nonzero entries."""
+    m = object.__new__(Matrix)
+    m.rows = rows
+    m.cols = cols
+    m._nz = maps
+    return m
+
+
 class Matrix:
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "_nz")
 
     def __init__(self, rows: int, cols: int, entries):
         entries = [_coerce_scalar(x) for x in entries]
@@ -39,29 +52,20 @@ class Matrix:
             raise ShapeError(f"{rows}x{cols} matrix needs {rows*cols} entries, got {len(entries)}")
         self.rows = rows
         self.cols = cols
-        self.entries = entries
+        self._nz = [
+            {c: e for c, e in enumerate(entries[r * cols : (r + 1) * cols]) if not e.is_zero}
+            for r in range(rows)
+        ]
 
     # --- constructors -----------------------------------------------------
 
-    @classmethod
-    def _raw(cls, rows: int, cols: int, entries: list) -> "Matrix":
-        """Internal: entries already a list of Scalars of the right length."""
-        m = object.__new__(cls)
-        m.rows = rows
-        m.cols = cols
-        m.entries = entries
-        return m
-
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, [ZERO] * (rows * cols))
+        return _sparse(rows, cols, [{} for _ in range(rows)])
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        m = Matrix.zero(n, n)
-        for i in range(n):
-            m.entries[i * n + i] = ONE
-        return m
+        return _sparse(n, n, [{i: ONE} for i in range(n)])
 
     @staticmethod
     def from_rows(rows_data) -> "Matrix":
@@ -80,88 +84,106 @@ class Matrix:
 
     # --- access -----------------------------------------------------------
 
-    def __getitem__(self, key):
-        i, j = key
-        if 0 <= i < self.rows and 0 <= j < self.cols:
-            return self.entries[i * self.cols + j]
-        raise IndexError(f"index {key} out of range for a {self.rows}x{self.cols} matrix")
-
-    def __setitem__(self, key, value):
+    def _check_index(self, key):
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"index {key} out of range for a {self.rows}x{self.cols} matrix")
-        self.entries[i * self.cols + j] = _coerce_scalar(value)
+        return i, j
+
+    def __getitem__(self, key):
+        i, j = self._check_index(key)
+        return self._nz[i].get(j, ZERO)
+
+    def __setitem__(self, key, value):
+        i, j = self._check_index(key)
+        value = _coerce_scalar(value)
+        if value.is_zero:
+            self._nz[i].pop(j, None)
+        else:
+            self._nz[i][j] = value
+
+    @property
+    def entries(self) -> list:
+        """The dense row-major list of all entries (a fresh list on each read)."""
+        out = [ZERO] * (self.rows * self.cols)
+        for (r, c), e in self.nonzeros():
+            out[r * self.cols + c] = e
+        return out
 
     def nonzeros(self):
         """((r, c), value) for every nonzero entry, in row-major order."""
-        cols = self.cols
-        for k, e in enumerate(self.entries):
-            if not e.is_zero:
-                yield divmod(k, cols), e
+        for r, row in enumerate(self._nz):
+            for c in sorted(row):
+                yield (r, c), row[c]
 
     def col(self, j: int) -> "Matrix":
-        return Matrix(self.rows, 1, [self.entries[i * self.cols + j] for i in range(self.rows)])
+        return _sparse(self.rows, 1, [{0: row[j]} if j in row else {} for row in self._nz])
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and all(a == b for a, b in zip(self.entries, other.entries))
-        )
+        return self.rows == other.rows and self.cols == other.cols and self._nz == other._nz
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self.entries)))
+        return hash((self.rows, self.cols, tuple(self.nonzeros())))
 
     @property
     def is_zero(self) -> bool:
-        return all(e.is_zero for e in self.entries)
+        return not any(self._nz)
 
     # --- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeError("addition shape mismatch")
-        return Matrix._raw(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
+        out = []
+        for arow, brow in zip(self._nz, other._nz):
+            row = dict(arow)
+            for c, b in brow.items():
+                v = row[c] + b if c in row else b
+                if v.is_zero:
+                    del row[c]
+                else:
+                    row[c] = v
+            out.append(row)
+        return _sparse(self.rows, self.cols, out)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        # a - b is a + (-b) entry by entry, as for Scalar
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeError("subtraction shape mismatch")
-        return Matrix._raw(self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
+        return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix._raw(self.rows, self.cols, [-a for a in self.entries])
+        return _sparse(self.rows, self.cols, [{c: -a for c, a in row.items()} for row in self._nz])
 
     def scale(self, c) -> "Matrix":
         c = _coerce_scalar(c)
-        # zeros stay the shared ZERO, so a kept (memoized) sparse block holds
-        # no Scalar object per zero entry
-        return Matrix._raw(self.rows, self.cols, [a if a.is_zero else c * a for a in self.entries])
+        if c.is_zero:
+            return Matrix.zero(self.rows, self.cols)
+        return _sparse(self.rows, self.cols, [{j: c * a for j, a in row.items()} for row in self._nz])
 
     def compose(self, other: "Matrix") -> "Matrix":
-        """self o other: apply other first."""
+        """self o other: apply other first.
+
+        Each entry sums its products over k in ascending order, the first
+        product stored as it is, so mixed-conductor sums end at the same
+        conductor as a dense sum started from ZERO would."""
         if self.cols != other.rows:
             raise ShapeError(f"compose: {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        out = [ZERO] * (self.rows * other.cols)
-        oc = other.cols
-        # precompute the nonzero entries of each row of other: both operands
-        # are typically sparse and this avoids rescanning rows per product
-        oe = other.entries
-        rows_nz = [
-            [(j, b) for j, b in enumerate(oe[k * oc : (k + 1) * oc]) if not b.is_zero]
-            for k in range(other.rows)
-        ]
-        for i in range(self.rows):
-            arow = i * self.cols
-            crow = i * oc
-            for k in range(self.cols):
-                a = self.entries[arow + k]
-                if a.is_zero:
-                    continue
-                for j, b in rows_nz[k]:
-                    out[crow + j] = out[crow + j] + a * b
-        return Matrix._raw(self.rows, oc, out)
+        brows = other._nz
+        out = []
+        for arow in self._nz:
+            acc = {}
+            for k in sorted(arow):
+                a = arow[k]
+                for j, b in brows[k].items():
+                    if j in acc:
+                        acc[j] = acc[j] + a * b
+                    else:
+                        acc[j] = a * b
+            out.append({j: v for j, v in acc.items() if not v.is_zero})
+        return _sparse(self.rows, other.cols, out)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -169,39 +191,45 @@ class Matrix:
         return NotImplemented
 
     def transpose(self) -> "Matrix":
-        out = [ZERO] * (self.rows * self.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[j * self.rows + i] = self.entries[i * self.cols + j]
-        return Matrix(self.cols, self.rows, out)
+        out = [{} for _ in range(self.cols)]
+        for r, row in enumerate(self._nz):
+            for c, e in row.items():
+                out[c][r] = e
+        return _sparse(self.cols, self.rows, out)
 
     # --- elimination ------------------------------------------------------
 
     def rref(self):
         """(reduced row echelon form, pivot column list)."""
-        m = [list(self.entries[i * self.cols : (i + 1) * self.cols]) for i in range(self.rows)]
+        m = [dict(row) for row in self._nz]
         pivots = []
         pr = 0
         for pc in range(self.cols):
             pivot_row = None
             for r in range(pr, self.rows):
-                if not m[r][pc].is_zero:
+                if pc in m[r]:
                     pivot_row = r
                     break
             if pivot_row is None:
                 continue
             m[pr], m[pivot_row] = m[pivot_row], m[pr]
             inv = m[pr][pc].inv()
-            m[pr] = [inv * x for x in m[pr]]
+            prow = m[pr] = {c: inv * x for c, x in m[pr].items()}
             for r in range(self.rows):
-                if r != pr and not m[r][pc].is_zero:
-                    c = m[r][pc]
-                    m[r] = [x - c * y for x, y in zip(m[r], m[pr])]
+                if r != pr and pc in m[r]:
+                    row = m[r]
+                    c = row[pc]
+                    for j, y in prow.items():
+                        v = row.get(j, ZERO) - c * y
+                        if v.is_zero:
+                            del row[j]
+                        else:
+                            row[j] = v
             pivots.append(pc)
             pr += 1
             if pr == self.rows:
                 break
-        return Matrix.from_rows(m) if self.rows else self, pivots
+        return _sparse(self.rows, self.cols, m), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -211,30 +239,27 @@ class Matrix:
         red, pivots = self.rref()
         pivset = set(pivots)
         free = [c for c in range(self.cols) if c not in pivset]
-        out = Matrix.zero(self.cols, len(free))
-        for idx, fc in enumerate(free):
-            out.entries[fc * len(free) + idx] = ONE
-            for pr, pc in enumerate(pivots):
-                out.entries[pc * len(free) + idx] = -red[pr, fc]
-        return out
+        slot = {fc: idx for idx, fc in enumerate(free)}
+        out = [{} for _ in range(self.cols)]
+        for fc, idx in slot.items():
+            out[fc][idx] = ONE
+        for pr, pc in enumerate(pivots):
+            out[pc] = {slot[fc]: -v for fc, v in red._nz[pr].items() if fc in slot}
+        return _sparse(self.cols, len(free), out)
 
     def column_echelon_basis(self):
         """(basis matrix whose columns span the column space, pivot row list)."""
         red, pivots = self.transpose().rref()
         rank = len(pivots)
-        basis = Matrix.zero(self.rows, rank)
-        for k in range(rank):
-            for i in range(self.rows):
-                basis.entries[i * rank + k] = red[k, i]
+        basis = _sparse(rank, self.rows, red._nz[:rank]).transpose()
         return basis, pivots
 
     def rank_factorization(self):
         """(image, coimage) with self == image o coimage: image is the column
         echelon basis, coimage the rows of self at its pivot rows."""
         image, pivot_rows = self.column_echelon_basis()
-        c = self.cols
-        rows = [e for pr in pivot_rows for e in self.entries[pr * c : (pr + 1) * c]]
-        return image, Matrix._raw(len(pivot_rows), c, rows)
+        rows = [dict(self._nz[pr]) for pr in pivot_rows]
+        return image, _sparse(len(pivot_rows), self.cols, rows)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -245,23 +270,18 @@ class Matrix:
         """P o self for the permutation matrix P with P(e_i) = e_{p[i]}."""
         if len(p) != self.rows:
             raise ShapeError("row permutation length mismatch")
-        out = [ZERO] * (self.rows * self.cols)
-        for r in range(self.rows):
-            out[p[r] * self.cols : (p[r] + 1) * self.cols] = self.entries[
-                r * self.cols : (r + 1) * self.cols
-            ]
-        return Matrix(self.rows, self.cols, out)
+        out = [{} for _ in range(self.rows)]
+        for r, row in enumerate(self._nz):
+            out[p[r]] = dict(row)
+        return _sparse(self.rows, self.cols, out)
 
     def permute_cols(self, p) -> "Matrix":
         """self o P for the permutation matrix P with P(e_i) = e_{p[i]}."""
         if len(p) != self.cols:
             raise ShapeError("column permutation length mismatch")
-        out = [ZERO] * (self.rows * self.cols)
-        for r in range(self.rows):
-            base = r * self.cols
-            for c in range(self.cols):
-                out[base + c] = self.entries[base + p[c]]
-        return Matrix(self.rows, self.cols, out)
+        dest = {src: c for c, src in enumerate(p)}
+        return _sparse(self.rows, self.cols,
+                       [{dest[j]: e for j, e in row.items()} for row in self._nz])
 
     # --- serialization ----------------------------------------------------
 
@@ -274,22 +294,13 @@ class Matrix:
 
 def kron(f: Matrix, g: Matrix) -> Matrix:
     """Kronecker product; basis (i, j) of X tensor Y at index i*dim(Y)+j."""
-    rows = f.rows * g.rows
-    cols = f.cols * g.cols
-    out = [ZERO] * (rows * cols)
-    for i in range(f.rows):
-        for k in range(f.cols):
-            a = f.entries[i * f.cols + k]
-            if a.is_zero:
-                continue
-            for j in range(g.rows):
-                base = (i * g.rows + j) * cols + k * g.cols
-                grow = j * g.cols
-                for l in range(g.cols):
-                    b = g.entries[grow + l]
-                    if not b.is_zero:
-                        out[base + l] = a * b
-    return Matrix._raw(rows, cols, out)
+    gc = g.cols
+    out = [
+        {k * gc + l: a * b for k, a in frow.items() for l, b in grow.items()}
+        for frow in f._nz
+        for grow in g._nz
+    ]
+    return _sparse(f.rows * g.rows, f.cols * gc, out)
 
 
 def kron_all(*mats: Matrix) -> Matrix:
@@ -311,12 +322,14 @@ def hstack(mats) -> Matrix:
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise ShapeError("hstack row mismatch")
-    cols = sum(m.cols for m in mats)
-    out = []
-    for i in range(rows):
-        for m in mats:
-            out.extend(m.entries[i * m.cols : (i + 1) * m.cols])
-    return Matrix._raw(rows, cols, out)
+    out = [{} for _ in range(rows)]
+    offset = 0
+    for m in mats:
+        for row, mrow in zip(out, m._nz):
+            for c, e in mrow.items():
+                row[offset + c] = e
+        offset += m.cols
+    return _sparse(rows, offset, out)
 
 
 def vstack(mats) -> Matrix:
@@ -324,10 +337,13 @@ def vstack(mats) -> Matrix:
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise ShapeError("vstack column mismatch")
-    entries = []
-    for m in mats:
-        entries.extend(m.entries)
-    return Matrix(sum(m.rows for m in mats), cols, entries)
+    return _sparse(sum(m.rows for m in mats), cols, [dict(row) for m in mats for row in m._nz])
+
+
+def _solution_rows(red: Matrix, first: int, rows) -> list:
+    """The right-hand-side part (columns from first on) of the given rows of a
+    reduced augmented system, renumbered from column 0."""
+    return [{c - first: v for c, v in red._nz[r].items() if c >= first} for r in rows]
 
 
 def solve_mono(a: Matrix, b: Matrix) -> Matrix:
@@ -341,18 +357,10 @@ def solve_mono(a: Matrix, b: Matrix) -> Matrix:
     red, pivots = aug.rref()
     if len(pivots) != a.cols or any(p >= a.cols for p in pivots):
         raise FactorizationError("image not contained in the mono's image, or mono not injective")
-    x = Matrix.zero(a.cols, b.cols)  # zeros stay the shared ZERO, as in scale
-    for r in range(a.cols):
-        for j in range(b.cols):
-            v = red[r, a.cols + j]
-            if not v.is_zero:
-                x.entries[r * b.cols + j] = v
     # consistency: remaining rows of the reduced augmented system must vanish
-    for r in range(a.cols, red.rows):
-        for j in range(b.cols):
-            if not red[r, a.cols + j].is_zero:
-                raise FactorizationError("image not contained in the mono's image")
-    return x
+    if any(_solution_rows(red, a.cols, range(a.cols, red.rows))):
+        raise FactorizationError("image not contained in the mono's image")
+    return _sparse(a.cols, b.cols, _solution_rows(red, a.cols, range(a.cols)))
 
 
 def solve_epi(b: Matrix, e: Matrix) -> Matrix:
@@ -393,9 +401,8 @@ def particular_solution(a: Matrix, b: Matrix) -> Matrix:
     if any(p >= a.cols for p in pivots):
         raise FactorizationError("right-hand side not in the column space")
     x = Matrix.zero(a.cols, b.cols)
-    for r, pc in enumerate(pivots):
-        for j in range(b.cols):
-            x.entries[pc * b.cols + j] = red[r, a.cols + j]
+    for pc, row in zip(pivots, _solution_rows(red, a.cols, range(len(pivots)))):
+        x._nz[pc] = row
     return x
 
 

@@ -23,6 +23,14 @@ def bundle(tmp_path, name, obj):
     return str(path)
 
 
+def _counting(calls, fn):
+    """fn, counting its calls by name in calls."""
+    def wrapper(*args):
+        calls[fn.__name__] += 1
+        return fn(*args)
+    return wrapper
+
+
 @pytest.fixture
 def data(name=None):
     return io.bundled_path
@@ -166,10 +174,7 @@ class TestClassify:
         calls = Counter()
 
         def counting(fn):
-            def wrapper(*args):
-                calls[fn.__name__] += 1
-                return fn(*args)
-            return wrapper
+            return _counting(calls, fn)
 
         univ = counting(calculus.universal_fodc)
         monkeypatch.setattr(calculus, "universal_fodc", univ)
@@ -179,6 +184,30 @@ class TestClassify:
         assert run(["classify", str(io.bundled_path("kz3"))]) == 0
         # the default sweep has 4 candidates, and every one reuses Ker eps
         assert calls == {"universal_fodc": 1, "kernel_counit_crossed": 1}
+
+    def test_builds_each_quotient_once(self, monkeypatch, tmp_path):
+        from braidedforms import cli
+
+        calls = Counter()
+        for name in ("fodc_from_submodule", "read_off_submodule"):
+            monkeypatch.setattr(cli, name, _counting(calls, getattr(cli, name)))
+        out = tmp_path / "report.json"
+        assert run(["classify", str(io.bundled_path("kz5")), "--out", str(out)]) == 0
+        entries = json.load(open(out))["entries"]
+        # six candidates, but every nonempty one closes to all of Ker eps
+        assert [e["closure_dim"] for e in entries] == [0, 4, 4, 4, 4, 4]
+        assert all(e["roundtrip"] for e in entries)
+        assert calls == {"fodc_from_submodule": 2, "read_off_submodule": 2}
+
+    def test_bad_candidates_fail_before_universal_build(self, monkeypatch, tmp_path, capsys):
+        from braidedforms import cli
+
+        calls = Counter()
+        monkeypatch.setattr(cli, "universal_fodc", _counting(calls, cli.universal_fodc))
+        path = bundle(tmp_path, "c.json", {"hopf": "bundled:kz5", "candidates": [[5]]})
+        assert run(["classify", path]) == 2
+        assert "error: " in capsys.readouterr().err
+        assert calls == {}
 
 
 class TestDeterminism:

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidedforms import io
+from braidedforms.braiding import swap_matrix
 from braidedforms.cyclotomic import MINUS_ONE, ONE, ZERO, Scalar
 from braidedforms.errors import FactorizationError, ShapeError
 from braidedforms.matrix import (
@@ -116,9 +119,139 @@ class TestBasics:
         assert m.permute_rows(p).permute_rows(q) == m
         assert m.permute_cols(p).permute_cols(q) == m
 
+    def test_zeroed_entry_is_not_stored(self):
+        m = mat([[1, 0], [0, 2]])
+        m[0, 1] = Scalar.zeta(5)
+        m[0, 1] = 0
+        m[1, 1] = ZERO
+        never_set = mat([[1, 0], [0, 0]])
+        assert m == never_set and hash(m) == hash(never_set)
+        assert list(m.nonzeros()) == [((0, 0), ONE)]
+
+    def test_entries_is_a_read_only_view(self):
+        m = mat([[0, 3], [4, 0]])
+        assert m.entries == [ZERO, Scalar.rational(3), Scalar.rational(4), ZERO]
+        with pytest.raises(AttributeError):
+            m.entries = []
+
+    def test_sparse_kron_memory(self):
+        # the id (x) tau (x) id of check_hopf on a 9-dimensional algebra:
+        # 6561 nonzero entries among 43M
+        tracemalloc.start()
+        try:
+            big = kron(kron(Matrix.identity(9), swap_matrix(9, 9)), Matrix.identity(9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert big.rows == big.cols == 6561 and len(list(big.nonzeros())) == 6561
+        assert peak < 32 * 2**20
+
     def test_serialization_roundtrip(self):
         m = mat([[1, 2], [3, 4]]).scale(Scalar.zeta(5))
         assert io.matrix_from_obj(m.to_obj()) == m
+
+
+# --- a dense list-of-lists reference -----------------------------------------
+
+
+def _dense(m):
+    return [[m[r, c] for c in range(m.cols)] for r in range(m.rows)]
+
+
+def _obj(rows, cols, d):
+    return {"rows": rows, "cols": cols, "entries": [e.to_obj() for row in d for e in row]}
+
+
+def _compose(a, b, inner, cols):
+    # each entry sums over k in ascending order, starting from ZERO
+    out = []
+    for arow in a:
+        row = []
+        for j in range(cols):
+            acc = ZERO
+            for k in range(inner):
+                acc = acc + arow[k] * b[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _rref(d, cols):
+    # leftmost pivot, pivot row scaled by inv * x, rows updated by x - c * y
+    m = [list(row) for row in d]
+    pivots, pr = [], 0
+    for pc in range(cols):
+        found = next((r for r in range(pr, len(m)) if not m[r][pc].is_zero), None)
+        if found is None:
+            continue
+        m[pr], m[found] = m[found], m[pr]
+        inv = m[pr][pc].inv()
+        m[pr] = [inv * x for x in m[pr]]
+        for r in range(len(m)):
+            if r != pr and not m[r][pc].is_zero:
+                c = m[r][pc]
+                m[r] = [x - c * y for x, y in zip(m[r], m[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == len(m):
+            break
+    return m, pivots
+
+
+# mostly zeros; nonzero entries at conductors 1, 3, 5 and 15, so sums of
+# mixed conductors end at a conductor that depends on the order of the terms
+sparse_entries = st.one_of(
+    st.just(ZERO), st.just(ZERO), st.just(ZERO),
+    st.tuples(st.sampled_from([1, 3, 5, 15]), st.integers(0, 14), st.sampled_from([1, -1, 2]))
+    .map(lambda t: Scalar.zeta(t[0], t[1]) * t[2]))
+
+
+def sparse_matrices(rows, cols):
+    return st.lists(sparse_entries, min_size=rows * cols, max_size=rows * cols).map(
+        lambda e: Matrix(rows, cols, e))
+
+
+z3, z5 = Scalar.zeta(3), Scalar.zeta(5)
+
+
+class TestSparseAgainstDense:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_dense_reference(self, data):
+        r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+        a = data.draw(sparse_matrices(r, k))
+        a2 = data.draw(sparse_matrices(r, k))
+        b = data.draw(sparse_matrices(k, c))
+        g = data.draw(sparse_matrices(data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))))
+        self.check_against_dense(a, a2, b, g)
+
+    def test_summation_order_pins_conductor(self):
+        # (z3 + z5) - z5 stays at conductor 15; z3 + (z5 - z5) would be z3 at 3
+        a = Matrix(1, 3, [z3, z5, ONE])
+        b = Matrix(3, 1, [ONE, ONE, -z5])
+        assert a.compose(b)[0, 0].n == 15
+        self.check_against_dense(a, a, b, b)
+
+    @staticmethod
+    def check_against_dense(a, a2, b, g):
+        da, da2, db, dg = _dense(a), _dense(a2), _dense(b), _dense(g)
+        r, k, c = a.rows, a.cols, b.cols
+        assert a.compose(b).to_obj() == _obj(r, c, _compose(da, db, k, c))
+        kr = [[da[i][p] * dg[j][q] for p in range(k) for q in range(g.cols)]
+              for i in range(r) for j in range(g.rows)]
+        assert kron(a, g).to_obj() == _obj(r * g.rows, k * g.cols, kr)
+        assert a.transpose().to_obj() == _obj(k, r, zip(*da))
+        assert (a + a2).to_obj() == _obj(r, k, [[x + y for x, y in zip(u, v)]
+                                                 for u, v in zip(da, da2)])
+        assert (a - a2).to_obj() == _obj(r, k, [[x - y for x, y in zip(u, v)]
+                                                 for u, v in zip(da, da2)])
+        assert hstack([a, a2]).to_obj() == _obj(r, 2 * k, [u + v for u, v in zip(da, da2)])
+        assert vstack([a, a2]).to_obj() == _obj(2 * r, k, da + da2)
+        red, pivots = a.rref()
+        ref, ref_pivots = _rref(da, k)
+        assert pivots == ref_pivots and red.to_obj() == _obj(r, k, ref)
+        assert list(a.nonzeros()) == [((i, j), x) for i, row in enumerate(da)
+                                      for j, x in enumerate(row) if not x.is_zero]
 
 
 class TestSolvers:

@@ -22,11 +22,12 @@ def test_no_assert_statements():
 
 
 def test_matrix_layout_stays_in_matrix_module():
-    # only matrix.py knows that entries are a flat row-major list; other
-    # modules use m[r, c], m.nonzeros(), hstack/vstack and the constructors
+    # only matrix.py knows the storage (sparse row maps in _nz, with entries
+    # a derived dense view); other modules use m[r, c], m.nonzeros(),
+    # hstack/vstack and the constructors
     found = [f"{name}:{node.lineno}" for name, tree in _trees(skip=("matrix.py",))
              for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and node.attr in ("entries", "_raw")]
+             if isinstance(node, ast.Attribute) and node.attr in ("entries", "_raw", "_nz")]
     assert found == []
 
 
