@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braiding import swap_matrix
 from .checks import Checks
 from .errors import ShapeError
 from .hopf import HopfAlgebraData
@@ -20,11 +19,11 @@ from .matrix import (
     Matrix,
     hstack,
     kron,
-    mid_swap_indices,
     particular_solution,
     solve_epi,
     solve_factor,
     solve_mono,
+    swap_matrix,
 )
 
 
@@ -93,13 +92,13 @@ def check_hopf_bimodule(x: HopfBimodule) -> Checks:
     # compatibility composites: nu(action) via Delta on the acting leg and a
     # middle swap, e.g. nu_l(h.x) = h1 x(-1) (x) h2.x(0)
     lhs_ll = nl.compose(ml)
-    rhs_ll = kron(m, ml).compose(kron(cm, nl).permute_rows(mid_swap_indices(a, a, a, d)))
+    rhs_ll = kron(m, ml).compose(swap_matrix(a, a, a, d).compose(kron(cm, nl)))
     lhs_lr = nl.compose(mr)
-    rhs_lr = kron(m, mr).compose(kron(nl, cm).permute_rows(mid_swap_indices(a, d, a, a)))
+    rhs_lr = kron(m, mr).compose(swap_matrix(d, a, a, a).compose(kron(nl, cm)))
     lhs_rl = nr.compose(ml)
-    rhs_rl = kron(ml, m).compose(kron(cm, nr).permute_rows(mid_swap_indices(a, a, d, a)))
+    rhs_rl = kron(ml, m).compose(swap_matrix(a, d, a, a).compose(kron(cm, nr)))
     lhs_rr = nr.compose(mr)
-    rhs_rr = kron(mr, m).compose(kron(nr, cm).permute_rows(mid_swap_indices(d, a, a, a)))
+    rhs_rr = kron(mr, m).compose(swap_matrix(a, a, d, a).compose(kron(nr, cm)))
     return Checks({
         "left_module": ml.compose(kron(m, ed)) == ml.compose(kron(ea, ml))
         and ml.compose(kron(u, ed)) == ed,
@@ -126,12 +125,13 @@ def check_crossed_module(x: CrossedModule) -> Checks:
     mr, nr = x.mu_r, x.nu_r
     # crossed compatibility: both sides are maps X (x) H -> X (x) H
     lhs = kron(ed, m).compose(
-        kron(ea, nr.compose(mr))
-        .compose(kron(ed, kron(ea, ea)).permute_rows(mid_swap_indices(1, d, a, a)))
-        .compose(kron(ed, cm))
-        .permute_rows(mid_swap_indices(1, a, d, a))
+        swap_matrix(a, d, 1, a).compose(
+            kron(ea, nr.compose(mr))
+            .compose(swap_matrix(d, a, 1, a))
+            .compose(kron(ed, cm))
+        )
     )
-    rhs = kron(mr, m).compose(kron(nr, cm).permute_rows(mid_swap_indices(d, a, a, a)))
+    rhs = kron(mr, m).compose(swap_matrix(a, a, d, a).compose(kron(nr, cm)))
     return Checks({
         "right_module": mr.compose(kron(ed, m)) == mr.compose(kron(mr, ea))
         and mr.compose(kron(ed, u)) == ed,
@@ -153,8 +153,8 @@ def square_bimodule(h: HopfAlgebraData) -> HopfBimodule:
     a = h.dim
     ea = Matrix.identity(a)
     dd = kron(h.comult, h.comult)
-    nu_l = kron(h.mult, kron(ea, ea)).compose(dd.permute_rows(mid_swap_indices(a, a, a, a)))
-    nu_r = kron(kron(ea, ea), h.mult).compose(dd.permute_rows(mid_swap_indices(a, a, a, a)))
+    nu_l = kron(h.mult, kron(ea, ea)).compose(swap_matrix(a, a, a, a).compose(dd))
+    nu_r = kron(kron(ea, ea), h.mult).compose(swap_matrix(a, a, a, a).compose(dd))
     return HopfBimodule(
         h, a * a, kron(h.mult, ea), kron(ea, h.mult), nu_l, nu_r, "square"
     )
@@ -172,7 +172,7 @@ def adjoint_crossed(h: HopfAlgebraData) -> CrossedModule:
     ea = Matrix.identity(a)
     act = (
         h.mult.compose(kron(ea, h.mult))
-        .compose(kron(kron(ea, ea), ea).permute_rows(mid_swap_indices(1, a, a, a)))
+        .compose(swap_matrix(a, a, 1, a))
         .compose(kron(ea, kron(h.antipode, ea)))
         .compose(kron(ea, h.comult))
     )
@@ -186,7 +186,7 @@ def coadjoint_crossed(h: HopfAlgebraData) -> CrossedModule:
     coact = (
         kron(ea, h.mult)
         .compose(kron(ea, kron(h.antipode, ea)))
-        .compose(kron(h.comult, ea).permute_rows(mid_swap_indices(1, a, a, a)).compose(h.comult))
+        .compose(swap_matrix(a, a, 1, a).compose(kron(h.comult, ea)).compose(h.comult))
     )
     return CrossedModule(h, a, h.mult, coact, "coadjoint")
 
@@ -218,10 +218,10 @@ def smash(h: HopfAlgebraData, m: CrossedModule) -> HopfBimodule:
     mu_l = kron(h.mult, ed)
     nu_l = kron(h.comult, ed)
     mu_r = kron(h.mult, m.mu_r).compose(
-        kron(kron(ea, ed), h.comult).permute_rows(mid_swap_indices(a, d, a, a))
+        swap_matrix(d, a, a, a).compose(kron(kron(ea, ed), h.comult))
     )
     nu_r = kron(kron(ea, ed), h.mult).compose(
-        kron(h.comult, m.nu_r).permute_rows(mid_swap_indices(a, a, d, a))
+        swap_matrix(a, d, a, a).compose(kron(h.comult, m.nu_r))
     )
     return HopfBimodule(h, a * d, mu_l, mu_r, nu_l, nu_r, f"smash({m.name})")
 
@@ -267,10 +267,10 @@ def tensor_over_H(x: HopfBimodule, y: HopfBimodule) -> TensorOverH:
     mu_l = kron(x.mu_l, em)
     nu_l = kron(x.nu_l, em)
     mu_r = kron(x.mu_r, mc.mu_r).compose(
-        kron(kron(ex, em), h.comult).permute_rows(mid_swap_indices(x.dim, mc.dim, a, a))
+        swap_matrix(mc.dim, a, x.dim, a).compose(kron(kron(ex, em), h.comult))
     )
     nu_r = kron(kron(ex, em), h.mult).compose(
-        kron(x.nu_r, mc.nu_r).permute_rows(mid_swap_indices(x.dim, a, mc.dim, a))
+        swap_matrix(a, mc.dim, x.dim, a).compose(kron(x.nu_r, mc.nu_r))
     )
     z = HopfBimodule(
         h, x.dim * mc.dim, mu_l, mu_r, nu_l, nu_r, f"({x.name}(x)H{y.name})"
@@ -283,7 +283,7 @@ def rho_lambda_formula(x: HopfBimodule, y: HopfBimodule) -> Matrix:
     h = x.h
     a = h.dim
     return kron(x.mu_r, y.mu_l).compose(
-        kron(x.nu_r, y.nu_l).permute_rows(mid_swap_indices(x.dim, a, a, y.dim))
+        swap_matrix(a, a, x.dim, y.dim).compose(kron(x.nu_r, y.nu_l))
     )
 
 
@@ -291,8 +291,12 @@ def theta(x: HopfBimodule, y: HopfBimodule) -> Matrix:
     """Theta_{X,Y}: X (x) Y -> Y (x) X inducing the Hopf bimodule braiding."""
     h = x.h
     a = h.dim
-    return kron(y.mu_l, x.mu_r).compose(
-        kron(x.nu_l, y.nu_r).permute_rows(mid_swap_indices(a, x.dim, y.dim, a))
+    # the swap goes on the narrow side: its one-entry rows outnumber the
+    # nonzeros of the coaction factor
+    return (
+        kron(y.mu_l, x.mu_r)
+        .compose(swap_matrix(x.dim, y.dim, a, a))
+        .compose(kron(x.nu_l, y.nu_r))
     )
 
 
@@ -324,9 +328,9 @@ def _inv_braid_composite(x: HopfBimodule, y: HopfBimodule, txy, tyx) -> Matrix:
     h = x.h
     a = h.dim
     ex, ey = Matrix.identity(x.dim), Matrix.identity(y.dim)
-    step1 = kron(x.nu_r.permute_rows(mid_swap_indices(1, x.dim, a, 1)), ey)
+    step1 = kron(swap_matrix(x.dim, a).compose(x.nu_r), ey)
     step2 = kron(h.antipode_inv, swap_matrix(x.dim, y.dim))
-    step3 = kron(y.mu_r.permute_cols(mid_swap_indices(1, a, y.dim, 1)), ex)
+    step3 = kron(y.mu_r.compose(swap_matrix(a, y.dim)), ex)
     return tyx.lam.compose(step3).compose(step2).compose(step1).compose(txy.rho)
 
 

@@ -27,7 +27,7 @@ from .graded import (
     signed_swap_blocks,
 )
 from .hopf import HopfAlgebraData
-from .matrix import Matrix, kron, mid_swap_indices, solve_mono
+from .matrix import Matrix, kron, solve_mono, swap_matrix
 from .tensor_hopf import WedgeAlgebra, build_wedge
 
 
@@ -41,8 +41,8 @@ def crossed_power_action(mc: CrossedModule, n: int) -> Matrix:
     for k in range(2, n + 1):
         prev_dim = mc.dim ** (k - 1)
         act = kron(act, mc.mu_r).compose(
-            kron(Matrix.identity(prev_dim * mc.dim), h.comult).permute_rows(
-                mid_swap_indices(prev_dim, mc.dim, a, a)
+            swap_matrix(mc.dim, a, prev_dim, a).compose(
+                kron(Matrix.identity(prev_dim * mc.dim), h.comult)
             )
         )
     return act
@@ -58,9 +58,7 @@ def crossed_power_coaction(mc: CrossedModule, n: int) -> Matrix:
     for k in range(2, n + 1):
         prev_dim = mc.dim ** (k - 1)
         coact = kron(Matrix.identity(prev_dim * mc.dim), h.mult).compose(
-            kron(coact, mc.nu_r).permute_rows(
-                mid_swap_indices(prev_dim, a, mc.dim, a)
-            )
+            swap_matrix(a, mc.dim, prev_dim, a).compose(kron(coact, mc.nu_r))
         )
     return coact
 
@@ -103,16 +101,18 @@ def wedge_over_H(h: HopfAlgebraData, x: HopfBimodule, N: int) -> WedgeOverH:
         for l in range(N + 1 - k):
             wl = walg.dims[l]
             # (h, v, g, w) -> (h, v, g1, g2, w) -> (h, g1, v, g2, w)
-            spread = kron(
-                Matrix.identity(a * wk), kron(h.comult, Matrix.identity(wl))
-            ).permute_rows(mid_swap_indices(a, wk, a, a * wl))
+            spread = swap_matrix(wk, a, a, a * wl).compose(
+                kron(Matrix.identity(a * wk), kron(h.comult, Matrix.identity(wl)))
+            )
             acted = kron(Matrix.identity(a * a), kron(acts[k], Matrix.identity(wl)))
             mult[(k, l)] = kron(h.mult, walg.m(k, l)).compose(acted).compose(spread)
             # (h, u) -> (h1, h2, u1, u2) -> (h1, h2, u1_0, u1_1, u2)
             #        -> (h1, u1_0, h2, u1_1, u2) -> (h1, u1_0, h2 u1_1, u2)
-            split = kron(Matrix.identity(a * a), kron(coacts[k], Matrix.identity(wl))).compose(
-                kron(h.comult, walg.cm(k, l))
-            ).permute_rows(mid_swap_indices(a, a, wk, a * wl))
+            split = swap_matrix(a, wk, a, a * wl).compose(
+                kron(Matrix.identity(a * a), kron(coacts[k], Matrix.identity(wl))).compose(
+                    kron(h.comult, walg.cm(k, l))
+                )
+            )
             comult[(k, l)] = kron(
                 Matrix.identity(a * wk), kron(h.mult, Matrix.identity(wl))
             ).compose(split)

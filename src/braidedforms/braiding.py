@@ -10,9 +10,9 @@ or upper shuffle set.
 
 from __future__ import annotations
 
-from .cyclotomic import ONE, Scalar
+from .cyclotomic import Scalar
 from .errors import ShapeError, TooLarge
-from .matrix import Matrix, kron, kron_all
+from .matrix import Matrix, kron, kron_all, swap_matrix
 from .permutations import Partition, Permutation, shuffle_set
 
 RESOURCE_BOUND = 4096
@@ -38,7 +38,7 @@ def check_yang_baxter(psi: Matrix):
 class BraidedSpace:
     """Finite-dimensional space with Yang-Baxter operator and parameter lam."""
 
-    __slots__ = ("dim", "psi", "lam", "_rep_cache", "psi_inv")
+    __slots__ = ("dim", "psi", "lam", "_rep_cache")
 
     def __init__(self, dim: int, psi: Matrix, lam=None, check: bool = True):
         lam = Scalar._coerce(-1 if lam is None else lam)
@@ -50,9 +50,10 @@ class BraidedSpace:
             ok, witness = check_yang_baxter(psi)
             if not ok:
                 raise ShapeError(f"psi fails the braid equation at basis index {witness}")
+        if psi.rank() != psi.rows:
+            raise ShapeError("psi must be invertible")
         self.dim = dim
         self.psi = psi
-        self.psi_inv = psi.inverse()
         self.lam = lam
         self._rep_cache = {}
 
@@ -84,15 +85,6 @@ class BraidedSpace:
                 result = result.compose(self.elementary(j, a))
             self._rep_cache[key] = result
         return self._rep_cache[key]
-
-
-def swap_matrix(dim_x: int, dim_y: int) -> Matrix:
-    """The plain tensor swap X@Y -> Y@X."""
-    m = Matrix.zero(dim_x * dim_y, dim_x * dim_y)
-    for i in range(dim_x):
-        for j in range(dim_y):
-            m[j * dim_x + i, i * dim_y + j] = ONE
-    return m
 
 
 def swap_space(dim: int, lam=None) -> BraidedSpace:

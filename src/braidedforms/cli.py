@@ -72,7 +72,6 @@ def cmd_check(args) -> int:
         _, witness = check_yang_baxter(space.psi)  # None when the equation holds
         checks = Checks()
         checks.record("yang_baxter", witness)
-        checks.record("lambda_invertible", "lambda = 0" if space.lam.is_zero else None)
     elif args.kind == "bimodule":
         checks = check_hopf_bimodule(io.bimodule_from_obj(obj, base))
     elif args.kind == "crossed":

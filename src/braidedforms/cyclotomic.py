@@ -40,22 +40,6 @@ def euler_phi(n: int) -> int:
     return n
 
 
-def _poly_divide(num, den):
-    # exact division of polynomials with Fraction coefficients, den monic
-    num = list(num)
-    deg_d = len(den) - 1
-    quot = [_ZERO] * (len(num) - deg_d)
-    for i in range(len(num) - 1, deg_d - 1, -1):
-        c = num[i]
-        if c:
-            quot[i - deg_d] = c
-            for j, dc in enumerate(den):
-                num[i - deg_d + j] -= c * dc
-    if any(num[:deg_d]):
-        raise ArithmeticError("non-exact polynomial division")
-    return quot
-
-
 _CYCLO_CACHE: dict[int, list[Fraction]] = {}
 
 # Largest conductor (including the lcm of mixed conductors) that arithmetic
@@ -280,14 +264,7 @@ class Scalar:
         if self.n == 1 and other.n == 1:
             return Scalar(1, (self.c[0] * other.c[0],), _reduced=True)
         m, ca, cb = self._pair(other)
-        prod = [_ZERO] * (2 * len(ca) - 1)
-        for i, x in enumerate(ca):
-            if not x:
-                continue
-            for j, y in enumerate(cb):
-                if y:
-                    prod[i + j] += x * y
-        return Scalar(m, prod)
+        return Scalar(m, _reduce(m, _poly_mul(ca, cb)), _reduced=True)
 
     __rmul__ = __mul__
 
@@ -304,8 +281,8 @@ class Scalar:
                 r1.pop()
             if len(r1) == 1:
                 c = r1[0]  # nonzero: Phi_n is irreducible and self is not 0
-                return Scalar(self.n, [x / c for x in s1])
-            q, _, rem = _poly_divmod(r0, r1)
+                return Scalar(self.n, _reduce(self.n, [x / c for x in s1]), _reduced=True)
+            q, rem = _poly_divmod(r0, r1)
             r0, r1 = r1, rem
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
 
@@ -350,13 +327,14 @@ class Scalar:
 
 
 def _poly_divmod(num, den):
+    """(quotient, remainder) of polynomial division in Q[x]."""
     num = list(num)
     while den and not den[-1]:
         den = den[:-1]
     deg_d = len(den) - 1
     lead = den[-1]
     if len(num) - 1 < deg_d:
-        return [_ZERO], list(den), num
+        return [_ZERO], num
     quot = [_ZERO] * (len(num) - deg_d)
     for i in range(len(num) - 1, deg_d - 1, -1):
         c = num[i] / lead
@@ -365,7 +343,15 @@ def _poly_divmod(num, den):
             for j, dc in enumerate(den):
                 num[i - deg_d + j] -= c * dc
     rem = num[:deg_d] or [_ZERO]
-    return quot, list(den), rem
+    return quot, rem
+
+
+def _poly_divide(num, den):
+    """The quotient of an exact polynomial division."""
+    quot, rem = _poly_divmod(num, den)
+    if any(rem):
+        raise ArithmeticError("non-exact polynomial division")
+    return quot
 
 
 def _poly_mul(a, b):

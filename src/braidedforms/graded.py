@@ -19,8 +19,7 @@ from .errors import (
     NotABiIdeal,
     ShapeError,
 )
-from .matrix import Matrix, hstack, kron, kron_all, solve_epi, solve_mono
-from .braiding import swap_matrix
+from .matrix import Matrix, hstack, kron, kron_all, solve_epi, solve_mono, swap_matrix
 
 
 class GradedSpace:

@@ -3,8 +3,10 @@
 Matrices carry the morphisms of the base category (finite-dimensional vector
 spaces).  Composition is matrix product with the right factor applied first;
 kron realizes the tensor product with the lexicographic basis order
-(i, j) -> i*dim(Y) + j.  All eliminations pick pivots leftmost-first so every
-derived basis is reproducible bit for bit.
+(i, j) -> i*dim(Y) + j.  swap_matrix(a, b, pre, post) is the one constructor
+of a leg swap id_pre (x) swap_{a,b} (x) id_post; a structure map that flips
+tensor legs composes with it like with any other morphism.  All eliminations
+pick pivots leftmost-first so every derived basis is reproducible bit for bit.
 
 This is the only module that knows the storage layout: sparse rows of
 nonzero entries, one {col: Scalar} map per row, so products, Kronecker
@@ -174,6 +176,13 @@ class Matrix:
         brows = other._nz
         out = []
         for arow in self._nz:
+            if len(arow) == 1:
+                (k, a), = arow.items()
+                if a is ONE:
+                    # a row of an identity, selection or swap factor: the
+                    # products ONE * b are the entries b themselves
+                    out.append(dict(brows[k]))
+                    continue
             acc = {}
             for k in sorted(arow):
                 a = arow[k]
@@ -266,23 +275,6 @@ class Matrix:
             raise ShapeError("inverse of a non-square matrix")
         return solve_mono(self, Matrix.identity(self.rows))
 
-    def permute_rows(self, p) -> "Matrix":
-        """P o self for the permutation matrix P with P(e_i) = e_{p[i]}."""
-        if len(p) != self.rows:
-            raise ShapeError("row permutation length mismatch")
-        out = [{} for _ in range(self.rows)]
-        for r, row in enumerate(self._nz):
-            out[p[r]] = dict(row)
-        return _sparse(self.rows, self.cols, out)
-
-    def permute_cols(self, p) -> "Matrix":
-        """self o P for the permutation matrix P with P(e_i) = e_{p[i]}."""
-        if len(p) != self.cols:
-            raise ShapeError("column permutation length mismatch")
-        dest = {src: c for c, src in enumerate(p)}
-        return _sparse(self.rows, self.cols,
-                       [{dest[j]: e for j, e in row.items()} for row in self._nz])
-
     # --- serialization ----------------------------------------------------
 
     def to_obj(self):
@@ -290,6 +282,17 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
+
+
+def swap_matrix(a: int, b: int, pre: int = 1, post: int = 1) -> Matrix:
+    """id_pre (x) swap_{a,b} (x) id_post: the plain tensor swap A (x) B -> B (x) A
+    between identity legs, one entry ONE per row."""
+    # the source of each target basis vector (k, j, l) of B (x) A (x) post;
+    # the pre blocks repeat it at a stride of one block
+    block = [(j * b + k) * post + l for k in range(b) for j in range(a) for l in range(post)]
+    step = len(block)
+    rows = [{i * step + src: ONE} for i in range(pre) for src in block]
+    return _sparse(pre * step, pre * step, rows)
 
 
 def kron(f: Matrix, g: Matrix) -> Matrix:
@@ -369,23 +372,6 @@ def solve_epi(b: Matrix, e: Matrix) -> Matrix:
     Raises FactorizationError when b does not vanish on Ker(e).
     """
     return solve_mono(e.transpose(), b.transpose()).transpose()
-
-
-def mid_swap_indices(pre: int, a: int, b: int, post: int):
-    """Basis index map of id_pre (x) swap_{a,b} (x) id_post.
-
-    Use with permute_rows (left composition) or permute_cols (right
-    composition) to apply the middle tensor swap without materializing it.
-    """
-    out = [0] * (pre * a * b * post)
-    for i in range(pre):
-        for j in range(a):
-            for k in range(b):
-                base_src = ((i * a + j) * b + k) * post
-                base_dst = ((i * b + k) * a + j) * post
-                for l in range(post):
-                    out[base_src + l] = base_dst + l
-    return out
 
 
 def particular_solution(a: Matrix, b: Matrix) -> Matrix:

@@ -9,12 +9,11 @@ from braidedforms.braiding import (
     check_yang_baxter,
     diagonal_space,
     multinomial,
-    swap_matrix,
     swap_space,
 )
 from braidedforms.cyclotomic import MINUS_ONE, ONE, Scalar
 from braidedforms.errors import ShapeError, TooLarge
-from braidedforms.matrix import Matrix, compose_all
+from braidedforms.matrix import Matrix, compose_all, swap_matrix
 from braidedforms.permutations import Partition, Permutation, all_permutations
 
 perms4 = st.permutations(list(range(1, 5))).map(Permutation)

@@ -66,7 +66,8 @@ class TestCheck:
         assert code == 1
         report = json.load(open(out))
         assert report["checks"]["yang_baxter"] == {"first_failure": "3", "pass": False}
-        assert report["checks"]["lambda_invertible"] == {"first_failure": None, "pass": True}
+        # lambda = 0 is rejected when the file is read, so there is no check for it
+        assert "lambda_invertible" not in report["checks"]
 
     def test_malformed_exit_2(self, tmp_path, capsys):
         path = tmp_path / "garbage.json"
@@ -244,6 +245,23 @@ class TestExitCodes:
             assert run(["check", "--kind", "braiding", path]) == 2, bad
         cand = {"hopf": "bundled:kz2", "candidates": [[["1/0"]]]}
         assert run(["classify", bundle(tmp_path, "c.json", cand)]) == 2
+
+    def test_zero_lambda_exit_2(self, tmp_path, capsys):
+        obj = json.load(open(io.bundled_path("swap2")))
+        obj["lambda"] = 0
+        assert run(["check", "--kind", "braiding", bundle(tmp_path, "l.json", obj)]) == 2
+        assert "lambda must be invertible" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["check", "--kind", "braiding"], ["wedge-dims", "--max-degree", "2"]],
+        ids=["check", "wedge-dims"])
+    def test_singular_psi_exit_2(self, tmp_path, capsys, command):
+        # the zero psi satisfies the braid equation but is not invertible
+        obj = json.load(open(io.bundled_path("swap2")))
+        obj["psi"]["entries"] = [0] * len(obj["psi"]["entries"])
+        path = bundle(tmp_path, "p.json", obj)
+        assert run([command[0], path, *command[1:]]) == 2
+        assert "psi must be invertible" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, bad", [
         ("classify", {"hopf": "bundled:kz2", "candidates": [[5]]}),

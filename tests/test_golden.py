@@ -1,0 +1,42 @@
+"""The CLI `--out` reports are byte-identical to committed reports.
+
+The four benchmark workloads are compared with `perfbench/expected/` (read,
+never written). The reports under `tests/golden/` come from commands that
+run the Hopf bimodule and crossed module leg swaps, square bimodules and
+classification.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from braidedforms import io
+from braidedforms.cli import main
+
+TESTS = Path(__file__).resolve().parent
+EXPECTED = TESTS.parent / "perfbench" / "expected"
+GOLDEN = TESTS / "golden"
+
+# (committed report, command, bundled input, further arguments)
+REPORTS = [
+    (EXPECTED / "check-taft3.json", "check", "taft3", ["--kind", "hopf"]),
+    (EXPECTED / "wedge-zeta5.json", "wedge-dims", "diagonal_zeta5", ["--max-degree", "5"]),
+    (EXPECTED / "classify-kz5.json", "classify", "kz5", []),
+    (EXPECTED / "calculus-sweedler.json", "build-calculus", "sweedler_universal_calculus",
+     ["--max-degree", "2", "--route", "both"]),
+    (GOLDEN / "build-calculus-kz3_universal_calculus.json", "build-calculus",
+     "kz3_universal_calculus", ["--max-degree", "3", "--route", "both"]),
+    (GOLDEN / "check-bimodule-kz3_square_bimodule.json", "check", "kz3_square_bimodule",
+     ["--kind", "bimodule"]),
+    (GOLDEN / "check-crossed-sweedler_coadjoint_crossed.json", "check",
+     "sweedler_coadjoint_crossed", ["--kind", "crossed"]),
+    (GOLDEN / "classify-sweedler.json", "classify", "sweedler", []),
+]
+
+
+@pytest.mark.parametrize("expected, command, name, rest", REPORTS,
+                         ids=[r[0].stem for r in REPORTS])
+def test_report_bytes(tmp_path, expected, command, name, rest):
+    out = tmp_path / "report.json"
+    assert main([command, str(io.bundled_path(name)), *rest, "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.read_bytes()

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidedforms import io
-from braidedforms.braiding import swap_matrix
 from braidedforms.cyclotomic import MINUS_ONE, ONE, ZERO, Scalar
 from braidedforms.errors import FactorizationError, ShapeError
 from braidedforms.matrix import (
@@ -13,11 +12,11 @@ from braidedforms.matrix import (
     hstack,
     kron,
     kron_all,
-    mid_swap_indices,
     particular_solution,
     solve_epi,
     solve_factor,
     solve_mono,
+    swap_matrix,
     vstack,
 )
 
@@ -104,20 +103,33 @@ class TestBasics:
         v = vstack([a, mat([[7, 8]])])
         assert v.rows == 3 and v[2, 1] == Scalar.rational(8)
 
-    def test_mid_swap_is_tensor_swap(self):
-        # id_2 (x) swap_{2,3} (x) id_1 as a row permutation
-        from braidedforms.braiding import swap_matrix
+    def test_swap_matrix_pads_identities(self):
+        # swap_matrix(a, b) sends e_i (x) f_j to f_j (x) e_i, and
+        # swap_matrix(a, b, pre, post) is id_pre (x) swap_{a,b} (x) id_post
+        assert list(swap_matrix(2, 3).nonzeros()) == sorted(
+            ((j * 2 + i, i * 3 + j), ONE) for i in range(2) for j in range(3))
+        for a, b, pre, post in [(2, 3, 2, 1), (3, 2, 1, 2), (2, 2, 3, 2), (1, 3, 2, 2)]:
+            padded = kron_all(Matrix.identity(pre), swap_matrix(a, b), Matrix.identity(post))
+            assert swap_matrix(a, b, pre, post) == padded, (a, b, pre, post)
 
-        perm = mid_swap_indices(2, 2, 3, 1)
-        target = kron(kron(Matrix.identity(2), swap_matrix(2, 3)), Matrix.identity(1))
-        assert Matrix.identity(12).permute_rows(perm) == target
+    def test_swap_matrix_inverse(self):
+        assert swap_matrix(3, 2, 2, 2).compose(swap_matrix(2, 3, 2, 2)) == Matrix.identity(24)
+        m = mat([[1, 2, 3, 4, 5, 6], [0, 7, 0, 8, 0, 9]])
+        assert m.compose(swap_matrix(2, 3)).compose(swap_matrix(3, 2)) == m
 
-    def test_permute_rows_cols_inverse(self):
-        m = mat([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-        p = [2, 0, 1]
-        q = [p.index(i) for i in range(3)]
-        assert m.permute_rows(p).permute_rows(q) == m
-        assert m.permute_cols(p).permute_cols(q) == m
+    def test_compose_with_swap_matches_general_path(self):
+        # rows that are one entry ONE take the row-copy path of compose; a
+        # rational 1 that is not the shared ONE object forces the general path
+        one = Scalar.rational(1)
+        assert one == ONE and one is not ONE
+        p = swap_matrix(2, 3)
+        general = Matrix(6, 6, [0 if e.is_zero else one for e in p.entries])
+        m = Matrix(6, 4, [Scalar.zeta(5, k) if k % 3 else k for k in range(24)])
+        mt = m.transpose()
+        for fast, slow in ((p.compose(m), general.compose(m)),
+                           (mt.compose(p), mt.compose(general))):
+            assert [(rc, e.to_obj()) for rc, e in fast.nonzeros()] == \
+                [(rc, e.to_obj()) for rc, e in slow.nonzeros()]
 
     def test_zeroed_entry_is_not_stored(self):
         m = mat([[1, 0], [0, 2]])
