@@ -5,7 +5,9 @@ operator psi on X@X and an invertible scalar lam (the unit automorphism).
 BraidedSpace.rep sends a permutation to the product of elementary braidings
 over a reduced word; the braid equation makes this well defined.  Braided
 multinomials are the sums sum_sigma lam^l(sigma) * rep(sigma) over the lower
-or upper shuffle set.
+or upper shuffle set.  The braided factorial [j]! is not summed over S_j but
+built by the braided binomial theorem (Majid, J. Math. Phys. 34, 1993) as the
+product of the j-1 factors id^(j-k) (x) [1, k-1], k = 2..j.
 """
 
 from __future__ import annotations
@@ -124,8 +126,16 @@ def multinomial(pi: Partition, x: BraidedSpace, side: str) -> Matrix:
 
 
 def braided_factorial(j: int, x: BraidedSpace) -> Matrix:
-    """[j | X; lam]! = [j over (1,...,1)]."""
-    return multinomial(Partition([1] * j) if j else Partition([0]), x, "upper")
+    """[j | X; lam]! = [j over (1,...,1)], built as Majid's product
+    (id^(j-2) (x) [1,1]) o (id^(j-3) (x) [1,2]) o ... o [1,j-1]: j-1 shuffle
+    factors of k terms each instead of the j! terms of the S_j sum."""
+    x.guard(j)
+    acc = Matrix.identity(x.dim**j)
+    for k in range(2, j + 1):
+        acc = acc.compose(
+            kron(Matrix.identity(x.dim ** (j - k)), multinomial(Partition([1, k - 1]), x, "upper"))
+        )
+    return acc
 
 
 def block_swap(k: int, l: int) -> Permutation:

@@ -4,12 +4,14 @@ T(X) has concatenation product and shuffle coproduct [n+m over (n,m)];
 T°(X) has shuffle product [(n,m) over n+m] and deconcatenation coproduct;
 both share the closed-form antipode S_n = (-1)^n lam^C(n,2) rep(reversal).
 The antisymmetrizer is the braided factorial at lam = -1; the wedge is its
-image, a graded sub-Hopf algebra of T°(X).
+image, a graded sub-Hopf algebra of T°(X).  build_wedge computes only the
+images and their ranks; the wedge's Hopf structure is built when first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .braiding import BraidedSpace, block_swap_rep, braided_factorial, check_yang_baxter, multinomial
 from .checks import Checks
@@ -106,10 +108,18 @@ def check_antisym_hopf_morphism(x: BraidedSpace, N: int) -> Checks:
 class WedgeAlgebra:
     space: BraidedSpace
     N: int
-    algebra: GradedBialgebra
-    im: list = field(default_factory=list)  # inclusion blocks into X^(tensor n)
-    coim: list = field(default_factory=list)  # projection blocks
-    dims: tuple = ()
+    im: list  # inclusion blocks into X^(tensor n)
+    coim: list  # projection blocks
+
+    @property
+    def dims(self) -> tuple:
+        return tuple(i.cols for i in self.im)
+
+    @cached_property
+    def algebra(self) -> GradedBialgebra:
+        """The Hopf structure, transported from T°(X) when first read."""
+        t0 = build_tensor_hopf(self.space, "shuffle_product", self.N).algebra
+        return sub_bialgebra(t0, self.im)
 
 
 def build_wedge(x: BraidedSpace, N: int) -> WedgeAlgebra:
@@ -123,15 +133,13 @@ def build_wedge(x: BraidedSpace, N: int) -> WedgeAlgebra:
     if not holds:
         raise FactorizationError(
             f"psi fails the braid equation at basis index {witness}, so the wedge is not defined")
-    t0 = build_tensor_hopf(xm, "shuffle_product", N).algebra
     im = []
     coim = []
     for n in range(N + 1):
         image, coimage = braided_factorial(n, xm).rank_factorization()
         im.append(image)
         coim.append(coimage)
-    alg = sub_bialgebra(t0, im)
-    return WedgeAlgebra(xm, N, alg, im, coim, alg.dims)
+    return WedgeAlgebra(xm, N, im, coim)
 
 
 def wedge_vs_quadratic(x: BraidedSpace, N: int) -> dict:

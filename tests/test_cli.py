@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidedforms import io
+from braidedforms import io, tensor_hopf
 from braidedforms.cli import main
 
 
@@ -115,6 +115,23 @@ class TestWedgeDims:
 
     def test_too_large_exit_3(self):
         assert run(["wedge-dims", str(io.bundled_path("swap3")), "--max-degree", "9"]) == 3
+
+    def test_braided_line_high_degree(self, tmp_path):
+        # the resource bound never limits a 1-dimensional space, so [9]! must
+        # not cost 9! braid representations
+        out = tmp_path / "report.json"
+        assert run(["wedge-dims", str(io.bundled_path("braided_line_zeta3")),
+                    "--max-degree", "9", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["dims"] == [1, 1, 1, 0, 0, 0, 0, 0, 0, 0]
+
+    def test_dims_do_not_build_the_wedge_algebra(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise RuntimeError("wedge-dims built T°(X)")
+
+        monkeypatch.setattr(tensor_hopf, "build_tensor_hopf", refuse)
+        assert run(["wedge-dims", str(io.bundled_path("diagonal_zeta5")),
+                    "--max-degree", "3"]) == 0
+        assert "1,2,4,8" in capsys.readouterr().out
 
 
 class TestBuildCalculus:

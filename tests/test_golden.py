@@ -2,8 +2,9 @@
 
 The four benchmark workloads are compared with `perfbench/expected/` (read,
 never written). The reports under `tests/golden/` come from commands that
-run the Hopf bimodule and crossed module leg swaps, square bimodules and
-classification.
+run the Hopf bimodule and crossed module leg swaps, square bimodules,
+classification, and the wedge dimensions with and without the quadratic
+comparison.
 """
 
 from pathlib import Path
@@ -31,6 +32,11 @@ REPORTS = [
     (GOLDEN / "check-crossed-sweedler_coadjoint_crossed.json", "check",
      "sweedler_coadjoint_crossed", ["--kind", "crossed"]),
     (GOLDEN / "classify-sweedler.json", "classify", "sweedler", []),
+    *[(GOLDEN / f"wedge-dims-{name}-compare-quadratic.json", "wedge-dims", name,
+       ["--max-degree", "5", "--compare-quadratic"])
+      for name in ("swap2", "swap3", "braided_line_zeta3", "diagonal_zeta5")],
+    (GOLDEN / "wedge-dims-braided_line_zeta3-7.json", "wedge-dims", "braided_line_zeta3",
+     ["--max-degree", "7"]),
 ]
 
 

@@ -1,11 +1,17 @@
+import pytest
+
+from braidedforms import tensor_hopf
 from braidedforms.braiding import (
+    BraidedSpace,
+    braided_factorial,
     braided_line,
     diagonal_space,
     swap_space,
 )
 from braidedforms.cyclotomic import MINUS_ONE, ONE, Scalar
+from braidedforms.errors import FactorizationError
 from braidedforms.graded import check_graded_structure
-from braidedforms.matrix import Matrix, kron
+from braidedforms.matrix import Matrix, kron, swap_matrix
 from braidedforms.tensor_hopf import (
     antisymmetrizer,
     build_tensor_hopf,
@@ -53,9 +59,6 @@ class TestAntisymmetrizer:
             assert check_antisym_hopf_morphism(x, 3).ok
 
     def test_blocks_are_braided_factorials(self):
-        from braidedforms.braiding import braided_factorial
-        from braidedforms.braiding import BraidedSpace
-
         x = swap_space(3)
         xm = BraidedSpace(x.dim, x.psi, MINUS_ONE, check=False)
         a = antisymmetrizer(x, 3)
@@ -111,3 +114,33 @@ class TestWedge:
     def test_quadratic_comparison_swap(self):
         cmp = wedge_vs_quadratic(swap_space(2), 3)
         assert cmp["equal"] and cmp["first_unequal_degree"] is None
+
+
+class TestWedgeOnDemand:
+    def test_dims_do_not_build_tensor_hopf(self, monkeypatch):
+        def refuse(*args):
+            raise RuntimeError("build_wedge built T°(X)")
+
+        monkeypatch.setattr(tensor_hopf, "build_tensor_hopf", refuse)
+        w = build_wedge(diagonal_space([[Scalar.zeta(5)]]), 4)
+        assert w.dims == (1, 1, 1, 1, 1)
+        with pytest.raises(RuntimeError):
+            w.algebra
+
+    def test_algebra_built_once(self):
+        w = build_wedge(swap_space(2), 3)
+        assert w.algebra is w.algebra
+        assert w.algebra.dims == w.dims
+
+    def test_dims_are_factorial_ranks(self):
+        for x in (swap_space(3), braided_line(Scalar.zeta(3)), diagonal_space([[Scalar.zeta(5)]])):
+            xm = BraidedSpace(x.dim, x.psi, MINUS_ONE, check=False)
+            w = build_wedge(x, 4)
+            assert w.dims == tuple(braided_factorial(n, xm).rank() for n in range(5))
+
+    def test_non_yang_baxter_raises_before_algebra(self):
+        psi = swap_matrix(2, 2)
+        psi[0, 1] = 1
+        x = BraidedSpace(2, psi, check=False)
+        with pytest.raises(FactorizationError, match="braid equation"):
+            build_wedge(x, 2)
