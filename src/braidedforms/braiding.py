@@ -6,8 +6,8 @@ BraidedSpace.rep sends a permutation to the product of elementary braidings
 over a reduced word; the braid equation makes this well defined.  Braided
 multinomials are the sums sum_sigma lam^l(sigma) * rep(sigma) over the lower
 or upper shuffle set.  The braided factorial [j]! is not summed over S_j but
-built by the braided binomial theorem (Majid, J. Math. Phys. 34, 1993) as the
-product of the j-1 factors id^(j-k) (x) [1, k-1], k = 2..j.
+built by the braided binomial theorem (Majid, J. Math. Phys. 34, 1993) from
+the previous degree as [j]! = (id (x) [j-1]!) o [1, j-1].
 """
 
 from __future__ import annotations
@@ -125,17 +125,27 @@ def multinomial(pi: Partition, x: BraidedSpace, side: str) -> Matrix:
     return acc
 
 
-def braided_factorial(j: int, x: BraidedSpace) -> Matrix:
-    """[j | X; lam]! = [j over (1,...,1)], built as Majid's product
-    (id^(j-2) (x) [1,1]) o (id^(j-3) (x) [1,2]) o ... o [1,j-1]: j-1 shuffle
-    factors of k terms each instead of the j! terms of the S_j sum."""
+def braided_factorial(j: int, x: BraidedSpace, below: Matrix | None = None) -> Matrix:
+    """[j | X; lam]! = [j over (1,...,1)], built as Majid's
+    [j]! = (id (x) [j-1]!) o [1, j-1]: one shuffle factor of j terms on top of
+    [j-1]! instead of the j! terms of the S_j sum.  `below` is [j-1]! when
+    the caller already has it; otherwise the lower degrees are built first."""
     x.guard(j)
-    acc = Matrix.identity(x.dim**j)
-    for k in range(2, j + 1):
-        acc = acc.compose(
-            kron(Matrix.identity(x.dim ** (j - k)), multinomial(Partition([1, k - 1]), x, "upper"))
-        )
-    return acc
+    if j < 2:
+        return Matrix.identity(x.dim**j)
+    if below is None:
+        below = braided_factorials(j - 1, x)[-1]
+    return kron(Matrix.identity(x.dim), below).compose(
+        multinomial(Partition([1, j - 1]), x, "upper"))
+
+
+def braided_factorials(N: int, x: BraidedSpace) -> list[Matrix]:
+    """[0]!, [1]!, ..., [N]!, each built on the one before."""
+    x.guard(N)
+    facts = [braided_factorial(0, x)]
+    for j in range(1, N + 1):
+        facts.append(braided_factorial(j, x, facts[-1]))
+    return facts
 
 
 def block_swap(k: int, l: int) -> Permutation:

@@ -5,6 +5,13 @@ of Q(zeta_n), reduced modulo the n-th cyclotomic polynomial.  Mixed-conductor
 operations promote both operands to the least common conductor via
 zeta_n -> zeta_m^(m/n).  Values whose higher coordinates vanish are stored at
 conductor 1, so plain rationals stay cheap.
+
+A coordinate is an int when it is integral and a Fraction otherwise, never a
+float: every input is canonicalised on entry, every quotient goes through the
+one exact _div, and arithmetic results are canonicalised where a Fraction
+operand can leave an integral value.  int and Fraction agree on ==, hash and
+numerator/denominator, so the representation never shows in a comparison or
+a serialized report; it only keeps integral arithmetic off Fraction.
 """
 
 from __future__ import annotations
@@ -15,8 +22,22 @@ from math import gcd, lcm, prod
 
 from .errors import DivisionByZero, TooLarge
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
+
+
+def _canon(x):
+    """The rational x as an int when integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _div(a, b):
+    """The exact quotient a / b of rationals (b nonzero), canonicalised."""
+    return _canon(Fraction(a, b))
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -40,14 +61,14 @@ def euler_phi(n: int) -> int:
     return n
 
 
-_CYCLO_CACHE: dict[int, list[Fraction]] = {}
+_CYCLO_CACHE: dict[int, list[int]] = {}
 
 # Largest conductor (including the lcm of mixed conductors) that arithmetic
 # accepts; building the reduction table costs O(n * phi(n)).
 MAX_CONDUCTOR = 1024
 
 
-def cyclotomic_polynomial(n: int) -> list[Fraction]:
+def cyclotomic_polynomial(n: int) -> list[int]:
     """Coefficient list (low to high, monic) of the n-th cyclotomic polynomial.
 
     Built from Phi_1 = x - 1, Phi_(mp)(x) = Phi_m(x^p) / Phi_m(x) for a prime
@@ -71,7 +92,7 @@ def cyclotomic_polynomial(n: int) -> list[Fraction]:
     return poly
 
 
-def _substitute_power(poly, k: int) -> list[Fraction]:
+def _substitute_power(poly, k: int) -> list:
     """The coefficients of poly(x^k)."""
     out = [_ZERO] * ((len(poly) - 1) * k + 1)
     out[::k] = poly
@@ -91,7 +112,7 @@ def _normalized_trace(n: int, i: int) -> Fraction:
     return Fraction(_mobius(m), euler_phi(m))
 
 
-_TABLE_CACHE: dict[int, tuple[int, dict[int, tuple[Fraction, ...]]]] = {}
+_TABLE_CACHE: dict[int, tuple[int, dict[int, tuple[int, ...]]]] = {}
 
 
 def _tables(n: int):
@@ -100,7 +121,7 @@ def _tables(n: int):
         return _TABLE_CACHE[n]
     poly = cyclotomic_polynomial(n)
     phi = len(poly) - 1
-    rows: dict[int, tuple[Fraction, ...]] = {}
+    rows: dict[int, tuple[int, ...]] = {}
     # zeta^phi = -(c_0 + c_1 z + ... + c_{phi-1} z^{phi-1})
     cur = [-poly[i] for i in range(phi)]
     rows[phi] = tuple(cur)
@@ -115,8 +136,9 @@ def _tables(n: int):
     return _TABLE_CACHE[n]
 
 
-def _reduce(n: int, coeffs) -> tuple[Fraction, ...]:
-    """Reduce a coefficient list in zeta_n (any length) to the power basis."""
+def _reduce(n: int, coeffs) -> tuple:
+    """Reduce a coefficient list in zeta_n (any length) to the power basis,
+    with canonical coordinates."""
     phi, rows = _tables(n)
     out = [_ZERO] * phi
     for e, c in enumerate(coeffs):
@@ -129,6 +151,9 @@ def _reduce(n: int, coeffs) -> tuple[Fraction, ...]:
             row = rows[e]
             for i in range(phi):
                 out[i] += c * row[i]
+    for i, c in enumerate(out):
+        if type(c) is not int and c.denominator == 1:
+            out[i] = c.numerator
     return tuple(out)
 
 
@@ -138,12 +163,12 @@ class Scalar:
     __slots__ = ("n", "c", "is_zero")
 
     def __init__(self, n: int, coeffs, _reduced: bool = False):
-        # _reduced: coeffs are already Fractions over the power basis, trusted
-        # as they are (every internal caller passes Fractions)
+        # _reduced: coeffs are already canonical coordinates over the power
+        # basis, trusted as they are (every internal caller passes them so)
         if _reduced:
             coeffs = tuple(coeffs)
         else:
-            coeffs = _reduce(n, tuple(Fraction(x) for x in coeffs))
+            coeffs = _reduce(n, [_canon(x) for x in coeffs])
         if n > 1 and not any(coeffs[1:]):
             n, coeffs = 1, (coeffs[0] if coeffs else _ZERO,)
         self.n = n
@@ -155,7 +180,7 @@ class Scalar:
 
     @staticmethod
     def rational(p, q=1) -> "Scalar":
-        return Scalar(1, (Fraction(p, q),), _reduced=True)
+        return Scalar(1, (_div(p, q),), _reduced=True)
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "Scalar":
@@ -198,7 +223,7 @@ class Scalar:
         if self is other:
             return True
         if isinstance(other, (int, Fraction)):
-            other = Scalar(1, (Fraction(other),), _reduced=True)
+            other = Scalar(1, (_canon(other),), _reduced=True)
         if not isinstance(other, Scalar):
             return NotImplemented
         if self.n == other.n:
@@ -221,7 +246,7 @@ class Scalar:
         if isinstance(x, Scalar):
             return x
         if isinstance(x, (int, Fraction)):
-            return Scalar(1, (Fraction(x),), _reduced=True)
+            return Scalar(1, (_canon(x),), _reduced=True)
         return None
 
     def __add__(self, other):
@@ -234,9 +259,10 @@ class Scalar:
         if other.n == 1 and not other.c[0]:
             return self
         if self.n == 1 and other.n == 1:
-            return Scalar(1, (self.c[0] + other.c[0],), _reduced=True)
+            v = self.c[0] + other.c[0]
+            return Scalar(1, (v if type(v) is int else _canon(v),), _reduced=True)
         m, ca, cb = self._pair(other)
-        return Scalar(m, tuple(x + y for x, y in zip(ca, cb)), _reduced=True)
+        return Scalar(m, tuple(_canon(x + y) for x, y in zip(ca, cb)), _reduced=True)
 
     __radd__ = __add__
 
@@ -262,7 +288,8 @@ class Scalar:
         if other.n == 1 and other.c[0] == 1:
             return self
         if self.n == 1 and other.n == 1:
-            return Scalar(1, (self.c[0] * other.c[0],), _reduced=True)
+            v = self.c[0] * other.c[0]
+            return Scalar(1, (v if type(v) is int else _canon(v),), _reduced=True)
         m, ca, cb = self._pair(other)
         return Scalar(m, _reduce(m, _poly_mul(ca, cb)), _reduced=True)
 
@@ -272,7 +299,7 @@ class Scalar:
         if self.is_zero:
             raise DivisionByZero("inversion of zero")
         if self.n == 1:
-            return Scalar(1, (1 / self.c[0],), _reduced=True)
+            return Scalar(1, (_div(1, self.c[0]),), _reduced=True)
         # extended Euclid in Q[x]: maintain r_i = s_i * self (mod Phi_n)
         r0, s0 = list(cyclotomic_polynomial(self.n)), [_ZERO]
         r1, s1 = list(self.c), [_ONE]
@@ -281,7 +308,7 @@ class Scalar:
                 r1.pop()
             if len(r1) == 1:
                 c = r1[0]  # nonzero: Phi_n is irreducible and self is not 0
-                return Scalar(self.n, _reduce(self.n, [x / c for x in s1]), _reduced=True)
+                return Scalar(self.n, _reduce(self.n, [_div(x, c) for x in s1]), _reduced=True)
             q, rem = _poly_divmod(r0, r1)
             r0, r1 = r1, rem
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
@@ -337,7 +364,7 @@ def _poly_divmod(num, den):
         return [_ZERO], num
     quot = [_ZERO] * (len(num) - deg_d)
     for i in range(len(num) - 1, deg_d - 1, -1):
-        c = num[i] / lead
+        c = _div(num[i], lead)
         if c:
             quot[i - deg_d] = c
             for j, dc in enumerate(den):

@@ -52,7 +52,7 @@ def scalar_from_obj(obj) -> Scalar:
         if isinstance(obj, str):
             return Scalar.rational(Fraction(obj))
         if isinstance(obj, (list, tuple)) and len(obj) == 2:
-            return Scalar.rational(Fraction(int(obj[0]), int(obj[1])))
+            return Scalar.rational(int(obj[0]), int(obj[1]))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a scalar: {obj!r} ({exc})") from exc
     raise ParseError(f"not a scalar: {obj!r}")

@@ -3,7 +3,10 @@
 Matrices carry the morphisms of the base category (finite-dimensional vector
 spaces).  Composition is matrix product with the right factor applied first;
 kron realizes the tensor product with the lexicographic basis order
-(i, j) -> i*dim(Y) + j.  swap_matrix(a, b, pre, post) is the one constructor
+(i, j) -> i*dim(Y) + j.  kron_apply(f, g, x) = kron(f, g) o x and its mirror
+compose_kron(x, f, g) = x o kron(f, g) apply a tensor product without
+building it, the way to evaluate a whisker such as m o (f (x) id) that is
+only compared, never kept.  swap_matrix(a, b, pre, post) is the one constructor
 of a leg swap id_pre (x) swap_{a,b} (x) id_post; a structure map that flips
 tensor legs composes with it like with any other morphism.  All eliminations
 pick pivots leftmost-first so every derived basis is reproducible bit for bit.
@@ -22,18 +25,15 @@ row-major list derived from the rows.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cyclotomic import ONE, ZERO, Scalar
 from .errors import FactorizationError, ShapeError
 
 
 def _coerce_scalar(x) -> Scalar:
-    if isinstance(x, Scalar):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Scalar(1, (Fraction(x),), _reduced=True)
-    raise TypeError(f"cannot use {type(x).__name__} as a matrix entry")
+    s = Scalar._coerce(x)
+    if s is None:
+        raise TypeError(f"cannot use {type(x).__name__} as a matrix entry")
+    return s
 
 
 def _sparse(rows: int, cols: int, maps: list) -> "Matrix":
@@ -43,6 +43,18 @@ def _sparse(rows: int, cols: int, maps: list) -> "Matrix":
     m.cols = cols
     m._nz = maps
     return m
+
+
+# A product with a factor that is the ONE object skips the multiply and keeps
+# the other factor object, which is what ONE * b returns; most such factors
+# come from the identity legs of whiskers.
+
+def _add_scaled(acc: dict, a: Scalar, row: dict):
+    """acc[j] += a * row[j] for each entry of row; a new key takes the product
+    as it is.  Zero sums stay in acc for the caller to drop."""
+    for j, b in row.items():
+        p = b if a is ONE else a if b is ONE else a * b
+        acc[j] = acc[j] + p if j in acc else p
 
 
 class Matrix:
@@ -185,12 +197,7 @@ class Matrix:
                     continue
             acc = {}
             for k in sorted(arow):
-                a = arow[k]
-                for j, b in brows[k].items():
-                    if j in acc:
-                        acc[j] = acc[j] + a * b
-                    else:
-                        acc[j] = a * b
+                _add_scaled(acc, arow[k], brows[k])
             out.append({j: v for j, v in acc.items() if not v.is_zero})
         return _sparse(self.rows, other.cols, out)
 
@@ -299,11 +306,44 @@ def kron(f: Matrix, g: Matrix) -> Matrix:
     """Kronecker product; basis (i, j) of X tensor Y at index i*dim(Y)+j."""
     gc = g.cols
     out = [
-        {k * gc + l: a * b for k, a in frow.items() for l, b in grow.items()}
+        {k * gc + l: b if a is ONE else a if b is ONE else a * b
+         for k, a in frow.items() for l, b in grow.items()}
         for frow in f._nz
         for grow in g._nz
     ]
     return _sparse(f.rows * g.rows, f.cols * gc, out)
+
+
+def kron_apply(f: Matrix, g: Matrix, x: Matrix) -> Matrix:
+    """kron(f, g).compose(x) without building kron(f, g).
+
+    Row (j, l) of x meets column j of f and column l of g, so each nonzero
+    row of x is added, scaled by f[i, j] * g[k, l], into row (i, k) of the
+    result, as in (f (x) g) vec(X) = vec(g X f^T) (Van Loan, J. Comput. Appl.
+    Math. 123, 2000).  The result equals the materialized product; its sums
+    may run in another order."""
+    if f.cols * g.cols != x.rows:
+        raise ShapeError(f"kron_apply: {f.rows * g.rows}x{f.cols * g.cols} with {x.rows}x{x.cols}")
+    fcols, gcols = f.transpose()._nz, g.transpose()._nz
+    gr, gc = g.rows, g.cols
+    acc = [{} for _ in range(f.rows * gr)]
+    for r, xrow in enumerate(x._nz):
+        if not xrow:
+            continue
+        j, l = divmod(r, gc)
+        for i, a in fcols[j].items():
+            for k, b in gcols[l].items():
+                _add_scaled(acc[i * gr + k], b if a is ONE else a if b is ONE else a * b, xrow)
+    out = [{c: v for c, v in row.items() if not v.is_zero} for row in acc]
+    return _sparse(f.rows * gr, x.cols, out)
+
+
+def compose_kron(x: Matrix, f: Matrix, g: Matrix) -> Matrix:
+    """x.compose(kron(f, g)) without building kron(f, g): the mirror of
+    kron_apply through transposes."""
+    if x.cols != f.rows * g.rows:
+        raise ShapeError(f"compose_kron: {x.rows}x{x.cols} with {f.rows * g.rows}x{f.cols * g.cols}")
+    return kron_apply(f.transpose(), g.transpose(), x.transpose()).transpose()
 
 
 def kron_all(*mats: Matrix) -> Matrix:

@@ -13,7 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .braiding import BraidedSpace, block_swap_rep, braided_factorial, check_yang_baxter, multinomial
+from .braiding import (
+    BraidedSpace,
+    block_swap_rep,
+    braided_factorial,
+    braided_factorials,
+    check_yang_baxter,
+    multinomial,
+)
 from .checks import Checks
 from .cyclotomic import MINUS_ONE, Scalar
 from .errors import FactorizationError
@@ -81,7 +88,7 @@ def build_tensor_hopf(x: BraidedSpace, variant: str, N: int) -> TensorHopf:
 def antisymmetrizer(x: BraidedSpace, N: int) -> list[Matrix]:
     """The degree-n blocks [n|X]! at lam = -1, for n = 0..N."""
     xm = BraidedSpace(x.dim, x.psi, MINUS_ONE, check=False)
-    return [braided_factorial(n, xm) for n in range(N + 1)]
+    return braided_factorials(N, xm)
 
 
 def check_antisym_hopf_morphism(x: BraidedSpace, N: int) -> Checks:
@@ -135,8 +142,8 @@ def build_wedge(x: BraidedSpace, N: int) -> WedgeAlgebra:
             f"psi fails the braid equation at basis index {witness}, so the wedge is not defined")
     im = []
     coim = []
-    for n in range(N + 1):
-        image, coimage = braided_factorial(n, xm).rank_factorization()
+    for fact in braided_factorials(N, xm):
+        image, coimage = fact.rank_factorization()
         im.append(image)
         coim.append(coimage)
     return WedgeAlgebra(xm, N, im, coim)

@@ -140,3 +140,59 @@ class TestProperties:
     def test_approx_consistent(self, a, b):
         # the numeric shadow respects multiplication
         assert abs((a * b).approx() - a.approx() * b.approx()) < 1e-9
+
+
+def _canonical(s):
+    # int when integral, a Fraction only otherwise, never a float
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in s.c)
+
+
+conductor_scalars = st.builds(
+    lambda q, n, k: Scalar.rational(q) + Scalar.zeta(n, k) * q,
+    rationals, st.sampled_from([1, 3, 4, 5, 12]), st.integers(0, 11),
+)
+steps = st.one_of(
+    st.tuples(st.sampled_from(["+", "-", "*", "/"]), conductor_scalars),
+    st.tuples(st.just("inv"), st.none()),
+    st.tuples(st.just("**"), st.integers(-3, 3)),
+)
+
+
+class TestExactness:
+    @settings(max_examples=80, deadline=None)
+    @given(conductor_scalars, st.lists(steps, min_size=1, max_size=8))
+    def test_chains_stay_exact(self, a, chain):
+        assert _canonical(a)
+        for op, arg in chain:
+            if op == "+":
+                a = a + arg
+            elif op == "-":
+                a = a - arg
+            elif op == "*":
+                a = a * arg
+            elif op == "/" and not arg.is_zero:
+                a = a / arg
+            elif op == "inv" and not a.is_zero:
+                a = a.inv()
+            elif op == "**" and not (a.is_zero and arg < 0):
+                a = a**arg
+            assert _canonical(a), (op, arg, a.c)
+
+    def test_integral_fraction_is_stored_as_int(self):
+        a, b = Scalar.rational(Fraction(2)), Scalar.rational(2)
+        assert type(a.c[0]) is int
+        assert a == b and hash(a) == hash(b) and a.to_obj() == b.to_obj()
+
+    def test_inverse_is_exact(self):
+        third = Scalar.rational(3).inv()
+        assert third.c == (Fraction(1, 3),) and third == Scalar.rational(1, 3)
+        assert third * 3 == ONE and type((third * 3).c[0]) is int
+
+    def test_entry_points_canonicalise(self):
+        half = Fraction(1, 2)
+        for s in (Scalar(1, [Fraction(4, 2)]), Scalar(3, [half, half * 2]),
+                  io.scalar_from_obj([6, 3]), io.scalar_from_obj("4/2"),
+                  io.scalar_from_obj({"conductor": 4, "coeffs": [[2, 1], [3, 6]]}),
+                  Scalar._coerce(Fraction(6, 3)), ONE * Fraction(2, 1)):
+            assert _canonical(s), s.c
+        assert Scalar(1, [Fraction(4, 2)]) == 2 and ZERO == Fraction(0)

@@ -1,6 +1,9 @@
 import pytest
 
+from braidedforms import io
 from braidedforms.braiding import braided_line, swap_space
+from braidedforms.calculus import exterior_calculus, universal_fodc
+from braidedforms.checks import Checks
 from braidedforms.cyclotomic import MINUS_ONE, ONE, Scalar
 from braidedforms.errors import IncompatibleBraiding, NotABiIdeal
 from braidedforms.graded import (
@@ -68,3 +71,132 @@ class TestGradedBialgebra:
         t = build_tensor_hopf(braided_line(ONE, ONE), "shuffle_coproduct", 3).algebra
         with pytest.raises(NotABiIdeal):
             ideal_quotient(t, Matrix.identity(1), 2)
+
+
+# --- the axiom checks against a reference that builds every Kronecker product
+
+
+def reference_check(b, level):
+    """check_graded_structure evaluated with every whisker materialized by
+    kron and every product associated as written."""
+    levels = ["algebra", "coalgebra", "bialgebra", "hopf", "diff_hopf"]
+    depth = levels.index(level)
+    checks = Checks()
+    N, eye = b.N, b.eye
+    for k in range(N + 1):
+        for l in range(N + 1 - k):
+            for m in range(N + 1 - k - l):
+                lhs = b.m(k + l, m).compose(kron(b.m(k, l), eye(m)))
+                rhs = b.m(k, l + m).compose(kron(eye(k), b.m(l, m)))
+                checks.record("associativity", None if lhs == rhs else (k, l, m))
+    for n in range(N + 1):
+        ok = (b.m(0, n).compose(kron(b.unit, eye(n))) == eye(n)
+              and b.m(n, 0).compose(kron(eye(n), b.unit)) == eye(n))
+        checks.record("unit", None if ok else (n,))
+    if depth >= 1:
+        for k in range(N + 1):
+            for l in range(N + 1 - k):
+                for m in range(N + 1 - k - l):
+                    lhs = kron(b.cm(k, l), eye(m)).compose(b.cm(k + l, m))
+                    rhs = kron(eye(k), b.cm(l, m)).compose(b.cm(k, l + m))
+                    checks.record("coassociativity", None if lhs == rhs else (k, l, m))
+        for n in range(N + 1):
+            ok = (kron(b.counit, eye(n)).compose(b.cm(0, n)) == eye(n)
+                  and kron(eye(n), b.counit).compose(b.cm(n, 0)) == eye(n))
+            checks.record("counit", None if ok else (n,))
+    if depth >= 2:
+        for n in range(N + 1):
+            for k in range(n + 1):
+                l = n - k
+                for p in range(n + 1):
+                    q = n - p
+                    lhs = b.cm(k, l).compose(b.m(p, q))
+                    rhs = Matrix.zero(lhs.rows, lhs.cols)
+                    for a in range(max(0, k - q), min(p, k) + 1):
+                        bb, c, d = p - a, k - a, q - (k - a)
+                        rhs = rhs + kron(b.m(a, c), b.m(bb, d)).compose(
+                            kron(kron(eye(a), b.braid(bb, c)), eye(d))
+                        ).compose(kron(b.cm(a, bb), b.cm(c, d)))
+                    checks.record("bialgebra", None if lhs == rhs else (k, l, p, q))
+        ok = (b.counit.compose(b.m(0, 0)) == kron(b.counit, b.counit)
+              and b.cm(0, 0).compose(b.unit) == kron(b.unit, b.unit)
+              and b.counit.compose(b.unit) == Matrix.identity(1))
+        checks.record("unit_counit_compat", None if ok else (0,))
+    if depth >= 3:
+        eta_eps = b.unit.compose(b.counit)
+        for n in range(N + 1):
+            left = right = Matrix.zero(b.dims[n], b.dims[n])
+            for k in range(n + 1):
+                l = n - k
+                left = left + b.m(k, l).compose(kron(b.antipode[k], eye(l))).compose(b.cm(k, l))
+                right = right + b.m(k, l).compose(kron(eye(k), b.antipode[l])).compose(b.cm(k, l))
+            expect = eta_eps if n == 0 else Matrix.zero(b.dims[n], b.dims[n])
+            checks.record("antipode", None if left == expect and right == expect else (n,))
+    if depth >= 4:
+        d = b.differential
+        for n in range(N - 1):
+            checks.record("d_squared", None if d[n + 1].compose(d[n]).is_zero else (n,))
+        for k in range(N):
+            for l in range(N - k):
+                lhs = d[k + l].compose(b.m(k, l))
+                sign = ONE if k % 2 == 0 else MINUS_ONE
+                rhs = (b.m(k + 1, l).compose(kron(d[k], eye(l)))
+                       + b.m(k, l + 1).compose(kron(eye(k), d[l])).scale(sign))
+                checks.record("leibniz", None if lhs == rhs else (k, l))
+        for n in range(N):
+            for k in range(n + 2):
+                l = n + 1 - k
+                lhs = b.cm(k, l).compose(d[n])
+                rhs = Matrix.zero(lhs.rows, lhs.cols)
+                if k >= 1:
+                    rhs = rhs + kron(d[k - 1], eye(l)).compose(b.cm(k - 1, l))
+                if l >= 1:
+                    sign = ONE if k % 2 == 0 else MINUS_ONE
+                    rhs = rhs + kron(eye(k), d[l - 1]).compose(b.cm(k, l - 1)).scale(sign)
+                checks.record("comult_diff", None if lhs == rhs else (k, l))
+        for n in range(N):
+            ok = b.antipode[n + 1].compose(d[n]) == d[n].compose(b.antipode[n])
+            checks.record("antipode_diff", None if ok else (n,))
+    return checks
+
+
+def _bump(m):
+    """m with ONE added to its last entry."""
+    out = m + Matrix.zero(m.rows, m.cols)
+    out[m.rows - 1, m.cols - 1] = out[m.rows - 1, m.cols - 1] + ONE
+    return out
+
+
+def _corrupt(b, part):
+    """A copy of b with one degree-1 block of `part` changed."""
+    mult, comult = dict(b.mult), dict(b.comult)
+    antipode, differential = list(b.antipode), list(b.differential)
+    braid = b.braid
+    if part == "mult":
+        mult[(1, 1)] = _bump(mult[(1, 1)])
+    elif part == "comult":
+        comult[(1, 1)] = _bump(comult[(1, 1)])
+    elif part == "braid":
+        def braid(k, l, inner=b.braid):
+            return _bump(inner(k, l)) if (k, l) == (1, 1) else inner(k, l)
+    elif part == "antipode":
+        antipode[1] = _bump(antipode[1])
+    elif part == "differential":
+        differential[0] = _bump(differential[0])
+    return GradedBialgebra(b.space, mult, b.unit, comult, b.counit, braid,
+                           antipode=antipode, differential=differential, lam=b.lam)
+
+
+@pytest.fixture(scope="module", params=["kz3", "sweedler"])
+def exterior(request):
+    h = io.hopf_from_obj(io.load_json(io.bundled_path(request.param)))
+    return exterior_calculus(universal_fodc(h), 2).algebra
+
+
+class TestChecksAgainstReference:
+    @pytest.mark.parametrize("part", [None, "mult", "comult", "braid", "antipode", "differential"])
+    def test_same_verdicts_and_witnesses(self, exterior, part):
+        b = exterior if part is None else _corrupt(exterior, part)
+        report = check_graded_structure(b, "diff_hopf")
+        assert report.to_obj() == reference_check(b, "diff_hopf").to_obj()
+        assert report.ok == (part is None)

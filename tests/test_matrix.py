@@ -9,9 +9,11 @@ from braidedforms.cyclotomic import MINUS_ONE, ONE, ZERO, Scalar
 from braidedforms.errors import FactorizationError, ShapeError
 from braidedforms.matrix import (
     Matrix,
+    compose_kron,
     hstack,
     kron,
     kron_all,
+    kron_apply,
     particular_solution,
     solve_epi,
     solve_factor,
@@ -264,6 +266,56 @@ class TestSparseAgainstDense:
         assert pivots == ref_pivots and red.to_obj() == _obj(r, k, ref)
         assert list(a.nonzeros()) == [((i, j), x) for i, row in enumerate(da)
                                       for j, x in enumerate(row) if not x.is_zero]
+
+
+def _no_stored_zero(m):
+    return all(not v.is_zero for _, v in m.nonzeros())
+
+
+class TestKronApply:
+    """kron_apply and compose_kron against the materialized Kronecker product."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_materialized_product(self, data):
+        fr, fc, gr, gc, p = (data.draw(st.integers(0, 3)) for _ in range(5))
+        f = data.draw(sparse_matrices(fr, fc))
+        g = data.draw(sparse_matrices(gr, gc))
+        x = data.draw(sparse_matrices(fc * gc, p))
+        y = data.draw(sparse_matrices(p, fr * gr))
+        out = kron_apply(f, g, x)
+        assert out == kron(f, g).compose(x) and _no_stored_zero(out)
+        out = compose_kron(y, f, g)
+        assert out == y.compose(kron(f, g)) and _no_stored_zero(out)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_cancelling_sums_store_no_zero(self, data):
+        # f' = [f f] against x' = [x; -x] (and the mirror) sums to zero
+        # entry by entry, through mixed-conductor partial sums
+        fr, fc, gr, gc, p = (data.draw(st.integers(1, 3)) for _ in range(5))
+        f = data.draw(sparse_matrices(fr, fc))
+        g = data.draw(sparse_matrices(gr, gc))
+        x = data.draw(sparse_matrices(fc * gc, p))
+        out = kron_apply(hstack([f, f]), g, vstack([x, -x]))
+        assert out.is_zero and list(out.nonzeros()) == []
+        y = data.draw(sparse_matrices(p, fr * gr))
+        out = compose_kron(hstack([y, -y]), vstack([f, f]), g)
+        assert out.is_zero and list(out.nonzeros()) == []
+
+    def test_partial_cancellation(self):
+        f = Matrix(1, 2, [ONE, ONE])
+        x = Matrix(2, 2, [z3 + z5, z5, -z5, -z5])
+        out = kron_apply(f, Matrix.identity(1), x)
+        assert out == Matrix(1, 2, [z3, ZERO]) and list(out.nonzeros()) == [((0, 0), z3)]
+        assert not out.is_zero and out == kron(f, Matrix.identity(1)).compose(x)
+
+    def test_shape_mismatch(self):
+        f, g = Matrix.identity(2), Matrix.identity(3)
+        with pytest.raises(ShapeError):
+            kron_apply(f, g, Matrix.identity(5))
+        with pytest.raises(ShapeError):
+            compose_kron(Matrix.identity(5), f, g)
 
 
 class TestSolvers:

@@ -1,6 +1,6 @@
 import pytest
 
-from braidedforms import tensor_hopf
+from braidedforms import braiding, tensor_hopf
 from braidedforms.braiding import (
     BraidedSpace,
     braided_factorial,
@@ -137,6 +137,20 @@ class TestWedgeOnDemand:
             xm = BraidedSpace(x.dim, x.psi, MINUS_ONE, check=False)
             w = build_wedge(x, 4)
             assert w.dims == tuple(braided_factorial(n, xm).rank() for n in range(5))
+
+    def test_each_degree_builds_on_the_one_before(self, monkeypatch):
+        # one shuffle factor [1, n-1] per degree n = 2..N, none rebuilt
+        built = []
+        inner = braiding.multinomial
+
+        def counting(pi, x, side):
+            built.append(tuple(pi.parts))
+            return inner(pi, x, side)
+
+        monkeypatch.setattr(braiding, "multinomial", counting)
+        w = build_wedge(braided_line(Scalar.zeta(3)), 8)
+        assert w.dims == (1, 1, 1, 0, 0, 0, 0, 0, 0)
+        assert built == [(1, n - 1) for n in range(2, 9)]
 
     def test_non_yang_baxter_raises_before_algebra(self):
         psi = swap_matrix(2, 2)
