@@ -77,14 +77,19 @@ class BraidedSpace:
         return self._rep_cache[key]
 
     def rep(self, p: Permutation) -> Matrix:
-        """The braid-group representation sigma_C on X^(tensor j)."""
+        """The braid-group representation sigma_C on X^(tensor j).  On a
+        1-dimensional space every elementary braiding is the scalar psi, so
+        the product over a reduced word is psi to the length of p."""
         j = p.size
         self.guard(j)
         key = ("rep", p.images)
         if key not in self._rep_cache:
-            result = Matrix.identity(self.dim**j)
-            for a in p.reduced_expression():
-                result = result.compose(self.elementary(j, a))
+            if self.dim == 1:
+                result = Matrix(1, 1, [self.psi[0, 0] ** p.length()])
+            else:
+                result = Matrix.identity(self.dim**j)
+                for a in p.reduced_expression():
+                    result = result.compose(self.elementary(j, a))
             self._rep_cache[key] = result
         return self._rep_cache[key]
 

@@ -21,6 +21,7 @@ from .errors import (
 )
 from .matrix import (
     Matrix,
+    braided_product,
     compose_kron,
     hstack,
     kron,
@@ -121,8 +122,9 @@ def check_graded_structure(b: GradedBialgebra, level: str) -> Checks:
     algebra < coalgebra < bialgebra < hopf < diff_hopf.
 
     Whiskered blocks such as m o (f (x) id) are applied with kron_apply and
-    compose_kron instead of being built; the report holds only verdicts and
-    degree witnesses, so the order of evaluation cannot show in it."""
+    compose_kron, and each term of the bialgebra law with braided_product,
+    instead of being built; the report holds only verdicts and degree
+    witnesses, so the order of evaluation cannot show in it."""
     levels = ["algebra", "coalgebra", "bialgebra", "hopf", "diff_hopf"]
     if level not in levels:
         raise ValueError(f"unknown level {level!r}")
@@ -165,10 +167,9 @@ def check_graded_structure(b: GradedBialgebra, level: str) -> Checks:
                     rhs = Matrix.zero(lhs.rows, lhs.cols)
                     for a in range(max(0, k - q), min(p, k) + 1):
                         bb, c, d = p - a, k - a, q - (k - a)
-                        braided = kron_apply(kron(eye(a), b.braid(bb, c)), eye(d),
-                                             kron(b.cm(a, bb), b.cm(c, d)))
-                        term = kron_apply(b.m(a, c), b.m(bb, d), braided)
-                        rhs = rhs + term
+                        rhs = rhs + braided_product(
+                            b.m(a, c), b.m(bb, d), b.braid(bb, c), b.cm(a, bb), b.cm(c, d),
+                            (b.dims[a], b.dims[bb], b.dims[c], b.dims[d]))
                     checks.record("bialgebra", None if lhs == rhs else (k, l, p, q))
         ok = (
             b.counit.compose(b.m(0, 0)) == kron(b.counit, b.counit)

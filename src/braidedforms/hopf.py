@@ -12,7 +12,16 @@ from __future__ import annotations
 from .checks import Checks
 from .cyclotomic import ONE, ZERO, Scalar
 from .errors import FactorizationError, InvalidBaseHopf, ShapeError
-from .matrix import Matrix, hstack, kron, solve_mono, swap_matrix
+from .matrix import (
+    Matrix,
+    braided_product,
+    compose_kron,
+    hstack,
+    kron,
+    kron_apply,
+    solve_mono,
+    swap_matrix,
+)
 from .permutations import all_permutations
 
 
@@ -87,21 +96,25 @@ def make_hopf(dim, mult, unit, comult, counit, name="") -> HopfAlgebraData:
 
 
 def check_hopf(h: HopfAlgebraData) -> Checks:
+    """The Hopf axioms as matrix identities; whiskers such as m o (m (x) id)
+    are applied with compose_kron/kron_apply and the braided bialgebra law's
+    right-hand side with braided_product, never built."""
     eye = h.eye()
     m, u, cm, cu, s = h.mult, h.unit, h.comult, h.counit, h.antipode
     d = h.dim
+    eta_eps = u.compose(cu)
     return Checks({
-        "associativity": m.compose(kron(m, eye)) == m.compose(kron(eye, m)),
-        "unit": m.compose(kron(u, eye)) == eye and m.compose(kron(eye, u)) == eye,
-        "coassociativity": kron(cm, eye).compose(cm) == kron(eye, cm).compose(cm),
-        "counit": kron(cu, eye).compose(cm) == eye and kron(eye, cu).compose(cm) == eye,
+        "associativity": compose_kron(m, m, eye) == compose_kron(m, eye, m),
+        "unit": compose_kron(m, u, eye) == eye and compose_kron(m, eye, u) == eye,
+        "coassociativity": kron_apply(cm, eye, cm) == kron_apply(eye, cm, cm),
+        "counit": kron_apply(cu, eye, cm) == eye and kron_apply(eye, cu, cm) == eye,
         "bialgebra": cm.compose(m)
-        == kron(m, m).compose(swap_matrix(d, d, d, d)).compose(kron(cm, cm)),
+        == braided_product(m, m, swap_matrix(d, d), cm, cm, (d, d, d, d)),
         "unit_counit": cu.compose(m) == kron(cu, cu)
         and cm.compose(u) == kron(u, u)
         and cu.compose(u) == Matrix.identity(1),
-        "antipode_left": m.compose(kron(s, eye)).compose(cm) == u.compose(cu),
-        "antipode_right": m.compose(kron(eye, s)).compose(cm) == u.compose(cu),
+        "antipode_left": m.compose(kron_apply(s, eye, cm)) == eta_eps,
+        "antipode_right": m.compose(kron_apply(eye, s, cm)) == eta_eps,
         "antipode_invertible": s.compose(h.antipode_inv) == eye,
     })
 

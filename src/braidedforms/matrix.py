@@ -6,7 +6,9 @@ kron realizes the tensor product with the lexicographic basis order
 (i, j) -> i*dim(Y) + j.  kron_apply(f, g, x) = kron(f, g) o x and its mirror
 compose_kron(x, f, g) = x o kron(f, g) apply a tensor product without
 building it, the way to evaluate a whisker such as m o (f (x) id) that is
-only compared, never kept.  swap_matrix(a, b, pre, post) is the one constructor
+only compared, never kept; braided_product evaluates the right-hand side
+(m (x) m) o (id (x) beta (x) id) o (c (x) c) of the braided bialgebra law the
+same way.  swap_matrix(a, b, pre, post) is the one constructor
 of a leg swap id_pre (x) swap_{a,b} (x) id_post; a structure map that flips
 tensor legs composes with it like with any other morphism.  All eliminations
 pick pivots leftmost-first so every derived basis is reproducible bit for bit.
@@ -314,6 +316,14 @@ def kron(f: Matrix, g: Matrix) -> Matrix:
     return _sparse(f.rows * g.rows, f.cols * gc, out)
 
 
+def _finish(rows: int, cols: int, acc: dict) -> Matrix:
+    """The matrix of the touched rows acc (row -> {col: value}), zeros dropped."""
+    out = [{} for _ in range(rows)]
+    for r, row in acc.items():
+        out[r] = {c: v for c, v in row.items() if not v.is_zero}
+    return _sparse(rows, cols, out)
+
+
 def kron_apply(f: Matrix, g: Matrix, x: Matrix) -> Matrix:
     """kron(f, g).compose(x) without building kron(f, g).
 
@@ -326,24 +336,107 @@ def kron_apply(f: Matrix, g: Matrix, x: Matrix) -> Matrix:
         raise ShapeError(f"kron_apply: {f.rows * g.rows}x{f.cols * g.cols} with {x.rows}x{x.cols}")
     fcols, gcols = f.transpose()._nz, g.transpose()._nz
     gr, gc = g.rows, g.cols
-    acc = [{} for _ in range(f.rows * gr)]
+    acc = {}
     for r, xrow in enumerate(x._nz):
         if not xrow:
             continue
         j, l = divmod(r, gc)
+        gcol = gcols[l]
         for i, a in fcols[j].items():
-            for k, b in gcols[l].items():
-                _add_scaled(acc[i * gr + k], b if a is ONE else a if b is ONE else a * b, xrow)
-    out = [{c: v for c, v in row.items() if not v.is_zero} for row in acc]
-    return _sparse(f.rows * gr, x.cols, out)
+            base = i * gr
+            for k, b in gcol.items():
+                row = acc.get(base + k)
+                if row is None:
+                    row = acc[base + k] = {}
+                _add_scaled(row, b if a is ONE else a if b is ONE else a * b, xrow)
+    return _finish(f.rows * gr, x.cols, acc)
 
 
 def compose_kron(x: Matrix, f: Matrix, g: Matrix) -> Matrix:
-    """x.compose(kron(f, g)) without building kron(f, g): the mirror of
-    kron_apply through transposes."""
+    """x.compose(kron(f, g)) without building kron(f, g): entry (i, k) of a
+    row of x adds itself, scaled by f[i, j] * g[k, l], into column (j, l)."""
     if x.cols != f.rows * g.rows:
         raise ShapeError(f"compose_kron: {x.rows}x{x.cols} with {f.rows * g.rows}x{f.cols * g.cols}")
-    return kron_apply(f.transpose(), g.transpose(), x.transpose()).transpose()
+    frows, grows = f._nz, g._nz
+    gr, gc = g.rows, g.cols
+    out = []
+    for xrow in x._nz:
+        acc = {}
+        for c, v in xrow.items():
+            i, k = divmod(c, gr)
+            grow = grows[k]
+            for j, a in frows[i].items():
+                va = v if a is ONE else a if v is ONE else v * a
+                base = j * gc
+                for l, b in grow.items():
+                    p = b if va is ONE else va if b is ONE else va * b
+                    col = base + l
+                    acc[col] = acc[col] + p if col in acc else p
+        out.append({c: v for c, v in acc.items() if not v.is_zero})
+    return _sparse(x.rows, f.cols * gc, out)
+
+
+def braided_product(m1: Matrix, m2: Matrix, beta: Matrix, c1: Matrix, c2: Matrix,
+                    dims) -> Matrix:
+    """(m1 (x) m2) o (id_A (x) beta (x) id_D) o (c1 (x) c2) without building a
+    Kronecker product: the right-hand side of the braided bialgebra law.
+
+    dims = (a, b, c, d) are the dimensions of A, B, C, D, with c1: X -> A (x) B,
+    c2: Y -> C (x) D, beta: B (x) C -> C (x) B, m1: A (x) C -> P and
+    m2: B (x) D -> Q.  Each column (x, y) of the result is one depth-first
+    pass: the entries of column x of c1 and column y of c2 meet column (j, k)
+    of beta, whose entries land on column (i, k') of m1 and (j', l) of m2.
+    The result equals the materialized product; its sums may run in another
+    order."""
+    a, b, c, d = dims
+    if (c1.rows != a * b or c2.rows != c * d or beta.rows != c * b or beta.cols != b * c
+            or m1.cols != a * c or m2.cols != b * d):
+        raise ShapeError(
+            f"braided_product: legs {tuple(dims)} with c1 {c1.rows}x{c1.cols}, "
+            f"c2 {c2.rows}x{c2.cols}, beta {beta.rows}x{beta.cols}, "
+            f"m1 {m1.rows}x{m1.cols}, m2 {m2.rows}x{m2.cols}")
+    # columns as lists of (leg indices, value); beta's columns land on the
+    # flat offsets of m1's and m2's columns
+    cols1 = [[(divmod(i, b), v) for i, v in col.items()] for col in c1.transpose()._nz]
+    cols2 = [[(divmod(i, d), v) for i, v in col.items()] for col in c2.transpose()._nz]
+    bcols = [[(divmod(i, b), v) for i, v in col.items()] for col in beta.transpose()._nz]
+    m1cols, m2cols = m1.transpose()._nz, m2.transpose()._nz
+    q = m2.rows
+    width = c2.cols
+    acc = {}
+    for x, col1 in enumerate(cols1):
+        if not col1:
+            continue
+        for y, col2 in enumerate(cols2):
+            if not col2:
+                continue
+            # z[p][s]: coefficient of e_p (x) e_s in (A (x) C) (x) (B (x) D)
+            z = {}
+            for (i, j), u in col1:
+                for (k, l), v in col2:
+                    uv = v if u is ONE else u if v is ONE else u * v
+                    for (k2, j2), w in bcols[j * c + k]:
+                        t = w if uv is ONE else uv if w is ONE else uv * w
+                        zp = z.get(i * c + k2)
+                        if zp is None:
+                            zp = z[i * c + k2] = {}
+                        s = j2 * d + l
+                        zp[s] = zp[s] + t if s in zp else t
+            # (m1 (x) m2) z, one m1 column at a time: m1[:, p] (x) (m2 z[p])
+            col = x * width + y
+            for p, zp in z.items():
+                part = {}
+                for s, t in zp.items():
+                    _add_scaled(part, t, m2cols[s])
+                for r, e in m1cols[p].items():
+                    base = r * q
+                    for r2, f in part.items():
+                        t = f if e is ONE else e if f is ONE else e * f
+                        row = acc.get(base + r2)
+                        if row is None:
+                            row = acc[base + r2] = {}
+                        row[col] = row[col] + t if col in row else t
+    return _finish(m1.rows * q, c1.cols * width, acc)
 
 
 def kron_all(*mats: Matrix) -> Matrix:

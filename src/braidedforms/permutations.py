@@ -9,6 +9,7 @@ and the upper set is its set of inverses.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations
 from math import factorial
 from typing import Iterator
@@ -64,13 +65,14 @@ class Permutation:
         return f"Permutation{self.images}"
 
     def length(self) -> int:
-        """Number of inversions = length of any reduced word."""
+        """Number of inversions = length of any reduced word: each image
+        counts the smaller images to its right, found by bisection."""
         count = 0
-        images = self.images
-        for a in range(len(images)):
-            for b in range(a + 1, len(images)):
-                if images[a] > images[b]:
-                    count += 1
+        seen = []
+        for v in reversed(self.images):
+            k = bisect_left(seen, v)
+            count += k
+            seen.insert(k, v)
         return count
 
     def reduced_expression(self) -> tuple[int, ...]:

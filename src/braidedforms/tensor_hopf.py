@@ -25,7 +25,7 @@ from .checks import Checks
 from .cyclotomic import MINUS_ONE, Scalar
 from .errors import FactorizationError
 from .graded import GradedBialgebra, GradedSpace, ideal_quotient, sub_bialgebra
-from .matrix import Matrix, kron
+from .matrix import Matrix, compose_kron, kron_apply
 from .permutations import Partition, Permutation
 
 
@@ -101,9 +101,9 @@ def check_antisym_hopf_morphism(x: BraidedSpace, N: int) -> Checks:
     checks = Checks()
     for k in range(N + 1):
         for l in range(N + 1 - k):
-            ok = t0.m(k, l).compose(kron(a[k], a[l])) == a[k + l].compose(t.m(k, l))
+            ok = compose_kron(t0.m(k, l), a[k], a[l]) == a[k + l].compose(t.m(k, l))
             checks.record("multiplicative", None if ok else (k, l))
-            ok = kron(a[k], a[l]).compose(t.cm(k, l)) == t0.cm(k, l).compose(a[k + l])
+            ok = kron_apply(a[k], a[l], t.cm(k, l)) == t0.cm(k, l).compose(a[k + l])
             checks.record("comultiplicative", None if ok else (k, l))
     for n in range(N + 1):
         ok = t0.antipode[n].compose(a[n]) == a[n].compose(t.antipode[n])

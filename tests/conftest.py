@@ -35,3 +35,20 @@ def sweedler():
 @pytest.fixture(scope="session")
 def taft3():
     return bundled("taft3")
+
+
+@pytest.fixture
+def built_sizes(monkeypatch):
+    """max(rows, cols) of every matrix built from row maps while the test
+    runs, recorded at matrix._sparse, the one internal constructor."""
+    from braidedforms import matrix
+
+    sizes = []
+    real = matrix._sparse
+
+    def recording(rows, cols, maps):
+        sizes.append(max(rows, cols))
+        return real(rows, cols, maps)
+
+    monkeypatch.setattr(matrix, "_sparse", recording)
+    return sizes

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidedforms import io
 from braidedforms.braiding import (
     BraidedSpace,
     braided_factorial,
@@ -95,6 +96,17 @@ class TestRepresentation:
         q = Scalar.zeta(5)
         for p in all_permutations(4):
             assert x.rep(p) == Matrix(1, 1, [q ** p.length()])
+
+    def test_braided_line_rep_matches_reduced_word_product(self):
+        # rep on a 1-dimensional space is psi^length; the product of the
+        # elementary braidings over the reduced word is the definition
+        x = io.braiding_from_obj(io.load_json(io.bundled_path("braided_line_zeta3")))
+        assert x.dim == 1
+        for p in all_permutations(6):
+            word = compose_all(Matrix.identity(1),
+                               *[x.elementary(6, a) for a in p.reduced_expression()])
+            got = x.rep(p)
+            assert got == word and got.to_obj() == word.to_obj()
 
 
 class TestMultinomials:

@@ -200,3 +200,35 @@ class TestChecksAgainstReference:
         report = check_graded_structure(b, "diff_hopf")
         assert report.to_obj() == reference_check(b, "diff_hopf").to_obj()
         assert report.ok == (part is None)
+
+    @pytest.mark.parametrize("block", [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0)])
+    def test_one_corrupted_comult_entry(self, exterior, block):
+        # one entry changed in one comult block: every check that sees it
+        # must fail at the reference's first witness
+        comult = dict(exterior.comult)
+        comult[block] = _bump(comult[block])
+        b = GradedBialgebra(exterior.space, exterior.mult, exterior.unit, comult,
+                            exterior.counit, exterior.braid, antipode=exterior.antipode,
+                            differential=exterior.differential, lam=exterior.lam)
+        report = check_graded_structure(b, "diff_hopf")
+        reference = reference_check(b, "diff_hopf")
+        assert report.first == reference.first and report.failed == reference.failed
+        assert not report.ok
+
+
+def _triple_block(b):
+    """The largest dimension of a triple tensor block B_k (x) B_l (x) B_m."""
+    N = b.N
+    return max(b.dims[k] * b.dims[l] * b.dims[m]
+               for k in range(N + 1) for l in range(N + 1 - k) for m in range(N + 1 - k - l))
+
+
+def test_checks_build_no_matrix_beyond_a_triple_block(exterior, built_sizes):
+    # the braid blocks are construction; the check itself must not build a
+    # whisker or a Kronecker product of two comult blocks (2304 rows on sweedler)
+    for k in range(exterior.N + 1):
+        for l in range(exterior.N + 1 - k):
+            exterior.braid(k, l)
+    built_sizes.clear()
+    assert check_graded_structure(exterior, "diff_hopf").ok
+    assert built_sizes and max(built_sizes) <= _triple_block(exterior)

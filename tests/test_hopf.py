@@ -1,9 +1,11 @@
 import pytest
 
 from braidedforms import io
+from braidedforms.checks import Checks
 from braidedforms.cyclotomic import ONE, Scalar
 from braidedforms.errors import InvalidBaseHopf
 from braidedforms.hopf import (
+    HopfAlgebraData,
     check_hopf,
     corpus,
     cyclic_group_algebra,
@@ -12,7 +14,7 @@ from braidedforms.hopf import (
     symmetric_group_algebra_s3,
     taft_algebra,
 )
-from braidedforms.matrix import Matrix, kron
+from braidedforms.matrix import Matrix, kron, swap_matrix
 
 
 class TestCorpus:
@@ -109,3 +111,62 @@ class TestValidation:
         bad_mult[0, 3] = bad_mult[0, 3] + ONE
         with pytest.raises(InvalidBaseHopf):
             make_hopf(2, bad_mult, h.unit, h.comult, h.counit, "broken")
+
+
+# --- check_hopf against a reference that builds every Kronecker product
+
+
+def reference_check_hopf(h):
+    eye = h.eye()
+    m, u, cm, cu, s = h.mult, h.unit, h.comult, h.counit, h.antipode
+    d = h.dim
+    return Checks({
+        "associativity": m.compose(kron(m, eye)) == m.compose(kron(eye, m)),
+        "unit": m.compose(kron(u, eye)) == eye and m.compose(kron(eye, u)) == eye,
+        "coassociativity": kron(cm, eye).compose(cm) == kron(eye, cm).compose(cm),
+        "counit": kron(cu, eye).compose(cm) == eye and kron(eye, cu).compose(cm) == eye,
+        "bialgebra": cm.compose(m)
+        == kron(m, m).compose(swap_matrix(d, d, d, d)).compose(kron(cm, cm)),
+        "unit_counit": cu.compose(m) == kron(cu, cu)
+        and cm.compose(u) == kron(u, u)
+        and cu.compose(u) == Matrix.identity(1),
+        "antipode_left": m.compose(kron(s, eye)).compose(cm) == u.compose(cu),
+        "antipode_right": m.compose(kron(eye, s)).compose(cm) == u.compose(cu),
+        "antipode_invertible": s.compose(h.antipode_inv) == eye,
+    })
+
+
+def _with_comult_entry_changed(h, r, c):
+    comult = h.comult + Matrix.zero(h.comult.rows, h.comult.cols)
+    comult[r, c] = comult[r, c] + ONE
+    return HopfAlgebraData(h.dim, h.mult, h.unit, comult, h.counit, h.antipode,
+                           h.antipode_inv, h.name)
+
+
+class TestChecksAgainstReference:
+    @pytest.mark.parametrize("name", ["kz3", "ks3", "sweedler", "taft3"])
+    def test_corpus(self, name):
+        h = io.hopf_from_obj(io.load_json(io.bundled_path(name)))
+        assert check_hopf(h).to_obj() == reference_check_hopf(h).to_obj()
+
+    @pytest.mark.parametrize("which", ["first", "last", "zero"])
+    def test_one_corrupted_comult_entry_on_taft3(self, taft3, which):
+        nonzero = [rc for rc, _ in taft3.comult.nonzeros()]
+        if which == "zero":
+            occupied = set(nonzero)
+            r, c = next((r, c) for r in range(taft3.comult.rows) for c in range(taft3.dim)
+                        if (r, c) not in occupied)
+        else:
+            r, c = nonzero[0 if which == "first" else -1]
+        h = _with_comult_entry_changed(taft3, r, c)
+        report = check_hopf(h)
+        reference = reference_check_hopf(h)
+        assert report.first == reference.first and report.failed == reference.failed
+        assert "bialgebra" in report.failed
+
+
+def test_check_hopf_builds_no_matrix_beyond_three_legs(taft3, built_sizes):
+    # the materialized bialgebra right side builds 6561-row matrices on taft3
+    d = taft3.dim
+    assert check_hopf(taft3).ok
+    assert built_sizes and max(built_sizes) <= d**3

@@ -9,6 +9,7 @@ from braidedforms.cyclotomic import MINUS_ONE, ONE, ZERO, Scalar
 from braidedforms.errors import FactorizationError, ShapeError
 from braidedforms.matrix import (
     Matrix,
+    braided_product,
     compose_kron,
     hstack,
     kron,
@@ -316,6 +317,87 @@ class TestKronApply:
             kron_apply(f, g, Matrix.identity(5))
         with pytest.raises(ShapeError):
             compose_kron(Matrix.identity(5), f, g)
+
+
+# zero-heavy entries 0, +-1, 1/2, zeta_3 and zeta_5; ONE is the shared object
+# the kernels skip, Scalar.rational(1) an equal one they multiply
+kernel_entries = st.sampled_from([
+    ZERO, ZERO, ZERO, ONE, Scalar.rational(1), MINUS_ONE, Scalar.rational(1, 2), z3, z5, -z5])
+
+
+def kernel_matrices(rows, cols):
+    return st.lists(kernel_entries, min_size=rows * cols, max_size=rows * cols).map(
+        lambda e: Matrix(rows, cols, e))
+
+
+def braided_reference(m1, m2, beta, c1, c2, dims):
+    """(m1 (x) m2) o (id_A (x) beta (x) id_D) o (c1 (x) c2), every factor built."""
+    a, _, _, d = dims
+    whisker = kron(kron(Matrix.identity(a), beta), Matrix.identity(d))
+    return kron(m1, m2).compose(whisker).compose(kron(c1, c2))
+
+
+class TestKernels:
+    """braided_product, kron_apply and compose_kron against the materialized
+    kron/compose chain."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_braided_product_matches_reference(self, data):
+        a, b, c, d, x, y, p, q = (data.draw(st.integers(0, 2)) for _ in range(8))
+        m1 = data.draw(kernel_matrices(p, a * c))
+        m2 = data.draw(kernel_matrices(q, b * d))
+        beta = data.draw(kernel_matrices(c * b, b * c))
+        c1 = data.draw(kernel_matrices(a * b, x))
+        c2 = data.draw(kernel_matrices(c * d, y))
+        out = braided_product(m1, m2, beta, c1, c2, (a, b, c, d))
+        assert out == braided_reference(m1, m2, beta, c1, c2, (a, b, c, d))
+        assert (out.rows, out.cols) == (p * q, x * y) and _no_stored_zero(out)
+
+    def test_braided_product_with_swap_is_the_bialgebra_right_side(self):
+        d = 2
+        m = Matrix(d, d * d, [ONE, z3, ZERO, MINUS_ONE, ZERO, z5, Scalar.rational(1, 2), ONE])
+        cm = m.transpose()
+        got = braided_product(m, m, swap_matrix(d, d), cm, cm, (d, d, d, d))
+        assert got == kron(m, m).compose(swap_matrix(d, d, d, d)).compose(kron(cm, cm))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_kron_apply_and_compose_kron_match_reference(self, data):
+        fr, fc, gr, gc, p = (data.draw(st.integers(0, 3)) for _ in range(5))
+        f = data.draw(kernel_matrices(fr, fc))
+        g = data.draw(kernel_matrices(gr, gc))
+        x = data.draw(kernel_matrices(fc * gc, p))
+        y = data.draw(kernel_matrices(p, fr * gr))
+        out = kron_apply(f, g, x)
+        assert out == kron(f, g).compose(x) and _no_stored_zero(out)
+        out = compose_kron(y, f, g)
+        assert out == y.compose(kron(f, g)) and _no_stored_zero(out)
+
+    def test_braided_product_cancels_to_zero(self):
+        # two summands of one output entry cancel: no zero is stored
+        m1 = Matrix(1, 2, [ONE, ONE])
+        c1 = Matrix(2, 1, [z5, -z5])
+        one = Matrix.identity(1)
+        out = braided_product(m1, one, one, c1, one, (2, 1, 1, 1))
+        assert out.is_zero and list(out.nonzeros()) == []
+
+    @pytest.mark.parametrize("bad", ["c1", "c2", "beta_rows", "beta_cols", "m1", "m2"])
+    def test_braided_product_shape_mismatch(self, bad):
+        dims = (1, 2, 2, 1)
+        shapes = {"m1": (1, 2), "m2": (1, 2), "beta": (4, 4), "c1": (2, 1), "c2": (2, 1)}
+        fit = (Matrix.zero(*shapes[k]) for k in ("m1", "m2", "beta", "c1", "c2"))
+        assert braided_product(*fit, dims).is_zero
+        if bad.startswith("beta"):
+            r, c = shapes["beta"]
+            shapes["beta"] = (r + 1, c) if bad == "beta_rows" else (r, c + 1)
+        elif bad.startswith("m"):
+            shapes[bad] = (1, 3)
+        else:
+            shapes[bad] = (3, 1)
+        m1, m2, beta, c1, c2 = (Matrix.zero(*shapes[k]) for k in ("m1", "m2", "beta", "c1", "c2"))
+        with pytest.raises(ShapeError):
+            braided_product(m1, m2, beta, c1, c2, dims)
 
 
 class TestSolvers:

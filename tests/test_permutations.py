@@ -22,6 +22,13 @@ class TestPermutation:
             rev = Permutation(range(n, 0, -1))
             assert rev.length() == n * (n - 1) // 2
 
+    def test_length_counts_inversions(self):
+        for n in range(7):
+            for p in all_permutations(n):
+                im = p.images
+                pairs = sum(im[a] > im[b] for a in range(n) for b in range(a + 1, n))
+                assert p.length() == pairs == len(p.reduced_expression())
+
     def test_reduced_expression_examples(self):
         assert Permutation.identity(3).reduced_expression() == ()
         assert Permutation.transposition(4, 2).reduced_expression() == (2,)
