@@ -1,7 +1,8 @@
 """Hopf bimodules and crossed (Yetter-Drinfeld) modules over a
 finite-dimensional Hopf algebra, the coinvariants/smash equivalence, the
 tensor product over H with its lambda/rho universal morphisms, the induced
-braiding Theta/B, relative antipodes, and bialgebra-projection transfer.
+braiding Theta/B, the crossed-module braiding in closed form, relative
+antipodes, and bialgebra-projection transfer.
 
 The base category is finite-dimensional vector spaces with the plain tensor
 swap; X (x)_H Y is realized on X (x) coinv(Y), with the cotensor realization
@@ -17,8 +18,11 @@ from .errors import ShapeError
 from .hopf import HopfAlgebraData
 from .matrix import (
     Matrix,
+    braided_product,
+    compose_kron,
     hstack,
     kron,
+    kron_apply,
     particular_solution,
     solve_epi,
     solve_factor,
@@ -89,31 +93,27 @@ def check_hopf_bimodule(x: HopfBimodule) -> Checks:
     ea, ed = Matrix.identity(a), Matrix.identity(d)
     m, u, cm, cu = h.mult, h.unit, h.comult, h.counit
     ml, mr, nl, nr = x.mu_l, x.mu_r, x.nu_l, x.nu_r
-    # compatibility composites: nu(action) via Delta on the acting leg and a
-    # middle swap, e.g. nu_l(h.x) = h1 x(-1) (x) h2.x(0)
-    lhs_ll = nl.compose(ml)
-    rhs_ll = kron(m, ml).compose(swap_matrix(a, a, a, d).compose(kron(cm, nl)))
-    lhs_lr = nl.compose(mr)
-    rhs_lr = kron(m, mr).compose(swap_matrix(d, a, a, a).compose(kron(nl, cm)))
-    lhs_rl = nr.compose(ml)
-    rhs_rl = kron(ml, m).compose(swap_matrix(a, d, a, a).compose(kron(cm, nr)))
-    lhs_rr = nr.compose(mr)
-    rhs_rr = kron(mr, m).compose(swap_matrix(a, a, d, a).compose(kron(nr, cm)))
     return Checks({
-        "left_module": ml.compose(kron(m, ed)) == ml.compose(kron(ea, ml))
-        and ml.compose(kron(u, ed)) == ed,
-        "right_module": mr.compose(kron(ed, m)) == mr.compose(kron(mr, ea))
-        and mr.compose(kron(ed, u)) == ed,
-        "bimodule": mr.compose(kron(ml, ea)) == ml.compose(kron(ea, mr)),
-        "left_comodule": kron(cm, ed).compose(nl) == kron(ea, nl).compose(nl)
-        and kron(cu, ed).compose(nl) == ed,
-        "right_comodule": kron(ed, cm).compose(nr) == kron(nr, ea).compose(nr)
-        and kron(ed, cu).compose(nr) == ed,
-        "bicomodule": kron(nl, ea).compose(nr) == kron(ea, nr).compose(nl),
-        "nu_l_left_module_map": lhs_ll == rhs_ll,
-        "nu_l_right_module_map": lhs_lr == rhs_lr,
-        "nu_r_left_module_map": lhs_rl == rhs_rl,
-        "nu_r_right_module_map": lhs_rr == rhs_rr,
+        "left_module": compose_kron(ml, m, ed) == compose_kron(ml, ea, ml)
+        and compose_kron(ml, u, ed) == ed,
+        "right_module": compose_kron(mr, ed, m) == compose_kron(mr, mr, ea)
+        and compose_kron(mr, ed, u) == ed,
+        "bimodule": compose_kron(mr, ml, ea) == compose_kron(ml, ea, mr),
+        "left_comodule": kron_apply(cm, ed, nl) == kron_apply(ea, nl, nl)
+        and kron_apply(cu, ed, nl) == ed,
+        "right_comodule": kron_apply(ed, cm, nr) == kron_apply(nr, ea, nr)
+        and kron_apply(ed, cu, nr) == ed,
+        "bicomodule": kron_apply(nl, ea, nr) == kron_apply(ea, nr, nl),
+        # the coactions are module maps: Delta on the acting leg and a middle
+        # swap, e.g. nu_l(h.x) = h1 x(-1) (x) h2.x(0)
+        "nu_l_left_module_map":
+            nl.compose(ml) == braided_product(m, ml, swap_matrix(a, a), cm, nl, (a, a, a, d)),
+        "nu_l_right_module_map":
+            nl.compose(mr) == braided_product(m, mr, swap_matrix(d, a), nl, cm, (a, d, a, a)),
+        "nu_r_left_module_map":
+            nr.compose(ml) == braided_product(ml, m, swap_matrix(a, d), cm, nr, (a, a, d, a)),
+        "nu_r_right_module_map":
+            nr.compose(mr) == braided_product(mr, m, swap_matrix(a, a), nr, cm, (d, a, a, a)),
     })
 
 
@@ -455,22 +455,18 @@ def is_bimodule_morphism(x: HopfBimodule, y: HopfBimodule, f: Matrix) -> bool:
     )
 
 
-# --- Yetter-Drinfeld braiding by transport --------------------------------
+# --- Yetter-Drinfeld braiding --------------------------------------------
 
 
 def yd_braiding(m: CrossedModule, n: CrossedModule) -> Matrix:
-    """Braiding M (x) N -> N (x) M transported from the Hopf bimodule braiding
-    of the smash products through the equivalence."""
-    h = m.h
-    x = smash(h, m)
-    y = smash(h, n)
-    txy = tensor_over_H(x, y)
-    tyx = tensor_over_H(y, x)
-    b = hopf_bimodule_braiding(x, y, txy, tyx)
-    em, en = Matrix.identity(m.dim), Matrix.identity(n.dim)
-    embed = txy.lam.compose(kron(kron(h.unit, em), kron(h.unit, en)))
-    extract = kron(kron(h.counit, en), kron(h.counit, em)).compose(tyx.rho)
-    return extract.compose(b).compose(embed)
+    """The crossed-module braiding M (x) N -> N (x) M,
+    Psi(m (x) n) = n_(0) (x) m <| n_(1) (Yetter, Math. Proc. Camb. Phil. Soc.
+    108, 1990): (id_N (x) mu_M) o (swap_{M,N} (x) id_H) o (id_M (x) nu_N).
+    It is the Hopf bimodule braiding of the smash products carried through
+    the equivalence with crossed modules."""
+    a = m.h.dim
+    coacted = swap_matrix(m.dim, n.dim, 1, a).compose(kron(Matrix.identity(m.dim), n.nu_r))
+    return kron_apply(Matrix.identity(n.dim), m.mu_r, coacted)
 
 
 # --- bialgebra projections ------------------------------------------------

@@ -1,10 +1,11 @@
 """The exterior Hopf algebra of forms over H as a graded biproduct.
 
 Given a Hopf bimodule X over H, the coinvariants M = _HX form a crossed
-module whose transported braiding makes M a braided space; the antisymmetric
-tensor algebra T^wedge(M) is then a Hopf algebra in crossed modules, and the
-biproduct H (x) T^wedge(M) is a graded Hopf algebra in the base category
-(degree-0 component H, degree-1 component H (x) M isomorphic to X).
+module whose braiding Psi(m (x) n) = n_(0) (x) m <| n_(1) makes M a braided
+space; the antisymmetric tensor algebra T^wedge(M) is then a Hopf algebra in
+crossed modules, and the biproduct H (x) T^wedge(M) is a graded Hopf algebra
+in the base category (degree-0 component H, degree-1 component H (x) M
+isomorphic to X).
 
 All structure maps are assembled blockwise:
   (h (x) v)(g (x) w) = h g_(1) (x) (v <| g_(2)) w
@@ -27,7 +28,7 @@ from .graded import (
     signed_swap_blocks,
 )
 from .hopf import HopfAlgebraData
-from .matrix import Matrix, kron, solve_mono, swap_matrix
+from .matrix import Matrix, compose_kron, kron, kron_apply, solve_mono, swap_matrix
 from .tensor_hopf import WedgeAlgebra, build_wedge
 
 
@@ -40,10 +41,9 @@ def crossed_power_action(mc: CrossedModule, n: int) -> Matrix:
     act = mc.mu_r
     for k in range(2, n + 1):
         prev_dim = mc.dim ** (k - 1)
-        act = kron(act, mc.mu_r).compose(
-            swap_matrix(mc.dim, a, prev_dim, a).compose(
-                kron(Matrix.identity(prev_dim * mc.dim), h.comult)
-            )
+        act = compose_kron(
+            kron(act, mc.mu_r).compose(swap_matrix(mc.dim, a, prev_dim, a)),
+            Matrix.identity(prev_dim * mc.dim), h.comult,
         )
     return act
 
@@ -57,8 +57,9 @@ def crossed_power_coaction(mc: CrossedModule, n: int) -> Matrix:
     coact = mc.nu_r
     for k in range(2, n + 1):
         prev_dim = mc.dim ** (k - 1)
-        coact = kron(Matrix.identity(prev_dim * mc.dim), h.mult).compose(
-            swap_matrix(a, mc.dim, prev_dim, a).compose(kron(coact, mc.nu_r))
+        coact = kron_apply(
+            Matrix.identity(prev_dim * mc.dim), h.mult,
+            swap_matrix(a, mc.dim, prev_dim, a).compose(kron(coact, mc.nu_r)),
         )
     return coact
 
@@ -90,7 +91,7 @@ def wedge_over_H(h: HopfAlgebraData, x: HopfBimodule, N: int) -> WedgeOverH:
     for n in range(N + 1):
         big_act = crossed_power_action(mc, n)
         big_coact = crossed_power_coaction(mc, n)
-        acts.append(solve_mono(w.im[n], big_act.compose(kron(w.im[n], Matrix.identity(a)))))
+        acts.append(solve_mono(w.im[n], compose_kron(big_act, w.im[n], Matrix.identity(a))))
         coacts.append(solve_mono(kron(w.im[n], Matrix.identity(a)), big_coact.compose(w.im[n])))
 
     dims = [a * walg.dims[n] for n in range(N + 1)]
@@ -101,21 +102,18 @@ def wedge_over_H(h: HopfAlgebraData, x: HopfBimodule, N: int) -> WedgeOverH:
         for l in range(N + 1 - k):
             wl = walg.dims[l]
             # (h, v, g, w) -> (h, v, g1, g2, w) -> (h, g1, v, g2, w)
-            spread = swap_matrix(wk, a, a, a * wl).compose(
-                kron(Matrix.identity(a * wk), kron(h.comult, Matrix.identity(wl)))
+            acted = kron(h.mult, compose_kron(walg.m(k, l), acts[k], Matrix.identity(wl)))
+            mult[(k, l)] = compose_kron(
+                acted.compose(swap_matrix(wk, a, a, a * wl)),
+                Matrix.identity(a * wk), kron(h.comult, Matrix.identity(wl)),
             )
-            acted = kron(Matrix.identity(a * a), kron(acts[k], Matrix.identity(wl)))
-            mult[(k, l)] = kron(h.mult, walg.m(k, l)).compose(acted).compose(spread)
             # (h, u) -> (h1, h2, u1, u2) -> (h1, h2, u1_0, u1_1, u2)
             #        -> (h1, u1_0, h2, u1_1, u2) -> (h1, u1_0, h2 u1_1, u2)
-            split = swap_matrix(a, wk, a, a * wl).compose(
-                kron(Matrix.identity(a * a), kron(coacts[k], Matrix.identity(wl))).compose(
-                    kron(h.comult, walg.cm(k, l))
-                )
+            coacted = kron(h.comult, kron_apply(coacts[k], Matrix.identity(wl), walg.cm(k, l)))
+            comult[(k, l)] = kron_apply(
+                Matrix.identity(a * wk), kron(h.mult, Matrix.identity(wl)),
+                swap_matrix(a, wk, a, a * wl).compose(coacted),
             )
-            comult[(k, l)] = kron(
-                Matrix.identity(a * wk), kron(h.mult, Matrix.identity(wl))
-            ).compose(split)
 
     unit = kron(h.unit, walg.unit)
     counit = kron(h.counit, walg.counit)

@@ -234,20 +234,20 @@ def antipode_recursive(b: GradedBialgebra, s0: Matrix | None = None) -> list[Mat
         if b.antipode is None:
             raise InvalidBaseHopf("no degree-0 antipode supplied")
         s0 = b.antipode[0]
-    d0 = b.dims[0]
+    id_d0 = Matrix.identity(b.dims[0])
     eta_eps = b.unit.compose(b.counit)
-    conv_l = b.m(0, 0).compose(kron(s0, Matrix.identity(d0))).compose(b.cm(0, 0))
-    conv_r = b.m(0, 0).compose(kron(Matrix.identity(d0), s0)).compose(b.cm(0, 0))
+    conv_l = b.m(0, 0).compose(kron(s0, id_d0)).compose(b.cm(0, 0))
+    conv_r = b.m(0, 0).compose(kron(id_d0, s0)).compose(b.cm(0, 0))
     if conv_l != eta_eps or conv_r != eta_eps:
         raise InvalidBaseHopf("S_0 is not an antipode for the degree-0 component")
     s = [s0]
     for n in range(1, b.N + 1):
         total = Matrix.zero(b.dims[n], b.dims[n])
         for k in range(1, n + 1):
-            inner = b.m(k, n - k).compose(kron(b.eye(k), s[n - k]))
-            term = b.m(0, n).compose(kron(s0, inner)).compose(
-                kron(Matrix.identity(d0), b.cm(k, n - k))
-            ).compose(b.cm(0, n))
+            inner = compose_kron(b.m(k, n - k), b.eye(k), s[n - k])
+            term = compose_kron(b.m(0, n), s0, inner).compose(
+                kron_apply(id_d0, b.cm(k, n - k), b.cm(0, n))
+            )
             total = total + term
         s.append(-total)
     return s

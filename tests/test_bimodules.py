@@ -1,7 +1,9 @@
 import pytest
 
+from braidedforms import io
 from braidedforms.bimodules import (
     BialgebraProjection,
+    HopfBimodule,
     TensorCache,
     adjoint_crossed,
     check_crossed_module,
@@ -28,8 +30,10 @@ from braidedforms.bimodules import (
     yd_braiding,
 )
 from braidedforms.braiding import check_yang_baxter
+from braidedforms.calculus import kernel_counit_crossed
+from braidedforms.checks import Checks
 from braidedforms.cyclotomic import ONE
-from braidedforms.matrix import Matrix, kron
+from braidedforms.matrix import Matrix, kron, swap_matrix
 
 
 class TestAxioms:
@@ -54,6 +58,92 @@ class TestAxioms:
         sigma_x = Matrix.from_rows([[0, 1], [1, 0]])
         bad.mu_l = bad.mu_l.compose(kron(sigma_x, Matrix.identity(2)))
         assert not check_hopf_bimodule(bad).ok
+
+
+def reference_check_hopf_bimodule(x):
+    """check_hopf_bimodule with every whisker and every comodule-map right
+    side built as a Kronecker product."""
+    h = x.h
+    a, d = h.dim, x.dim
+    ea, ed = Matrix.identity(a), Matrix.identity(d)
+    m, u, cm, cu = h.mult, h.unit, h.comult, h.counit
+    ml, mr, nl, nr = x.mu_l, x.mu_r, x.nu_l, x.nu_r
+    rhs_ll = kron(m, ml).compose(swap_matrix(a, a, a, d).compose(kron(cm, nl)))
+    rhs_lr = kron(m, mr).compose(swap_matrix(d, a, a, a).compose(kron(nl, cm)))
+    rhs_rl = kron(ml, m).compose(swap_matrix(a, d, a, a).compose(kron(cm, nr)))
+    rhs_rr = kron(mr, m).compose(swap_matrix(a, a, d, a).compose(kron(nr, cm)))
+    return Checks({
+        "left_module": ml.compose(kron(m, ed)) == ml.compose(kron(ea, ml))
+        and ml.compose(kron(u, ed)) == ed,
+        "right_module": mr.compose(kron(ed, m)) == mr.compose(kron(mr, ea))
+        and mr.compose(kron(ed, u)) == ed,
+        "bimodule": mr.compose(kron(ml, ea)) == ml.compose(kron(ea, mr)),
+        "left_comodule": kron(cm, ed).compose(nl) == kron(ea, nl).compose(nl)
+        and kron(cu, ed).compose(nl) == ed,
+        "right_comodule": kron(ed, cm).compose(nr) == kron(nr, ea).compose(nr)
+        and kron(ed, cu).compose(nr) == ed,
+        "bicomodule": kron(nl, ea).compose(nr) == kron(ea, nr).compose(nl),
+        "nu_l_left_module_map": nl.compose(ml) == rhs_ll,
+        "nu_l_right_module_map": nl.compose(mr) == rhs_lr,
+        "nu_r_left_module_map": nr.compose(ml) == rhs_rl,
+        "nu_r_right_module_map": nr.compose(mr) == rhs_rr,
+    })
+
+
+def with_map(x, field, f):
+    """The bimodule x with its structure map `field` replaced by f."""
+    maps = {name: getattr(x, name) for name in ("mu_l", "mu_r", "nu_l", "nu_r")}
+    maps[field] = f
+    return HopfBimodule(x.h, x.dim, **maps)
+
+
+class TestCheckAgainstReference:
+    def test_same_report(self, kz2, kz3, sweedler, ks3):
+        for h in (kz2, kz3, sweedler, ks3):
+            for x in (regular_bimodule(h), square_bimodule(h), smash(h, adjoint_crossed(h))):
+                assert check_hopf_bimodule(x).to_obj() == \
+                    reference_check_hopf_bimodule(x).to_obj(), (h.name, x.name)
+
+    @pytest.mark.parametrize("which", ["first", "last", "zero"])
+    @pytest.mark.parametrize("field", ["mu_l", "mu_r", "nu_l", "nu_r"])
+    def test_one_corrupted_entry(self, sweedler, field, which):
+        x = square_bimodule(sweedler)
+        f = getattr(x, field)
+        nonzero = [rc for rc, _ in f.nonzeros()]
+        if which == "zero":
+            occupied = set(nonzero)
+            rc = next((r, c) for r in range(f.rows) for c in range(f.cols)
+                      if (r, c) not in occupied)
+        else:
+            rc = nonzero[0 if which == "first" else -1]
+        g = Matrix(f.rows, f.cols, f.entries)
+        g[rc] = f[rc] + ONE
+        bad = with_map(x, field, g)
+        report = check_hopf_bimodule(bad)
+        assert report.to_obj() == reference_check_hopf_bimodule(bad).to_obj()
+        assert not report.ok
+        if field == "nu_l":
+            assert "nu_l_left_module_map" in report.failed
+
+    @pytest.mark.parametrize("field", ["mu_l", "mu_r", "nu_l", "nu_r"])
+    def test_one_zero_map(self, kz3, field):
+        # a zero map satisfies every homogeneous law and fails only the unit
+        # or counit half of its own
+        x = square_bimodule(kz3)
+        f = getattr(x, field)
+        bad = with_map(x, field, Matrix.zero(f.rows, f.cols))
+        report = check_hopf_bimodule(bad)
+        assert report.to_obj() == reference_check_hopf_bimodule(bad).to_obj()
+        assert not report.ok
+
+
+def test_check_builds_no_matrix_beyond_three_legs(taft3, built_sizes):
+    # the materialized comodule-map right sides build kron(m, ml) with
+    # a * a * a * d = 59049 columns on the taft3 square bimodule
+    x = square_bimodule(taft3)
+    built_sizes.clear()
+    assert check_hopf_bimodule(x).ok
+    assert built_sizes and max(built_sizes) <= taft3.dim**2 * x.dim
 
 
 class TestCoinvariantsAndSmash:
@@ -157,6 +247,50 @@ class TestBraiding:
             psi = yd_braiding(mc, mc)
             ok, _ = check_yang_baxter(psi)
             assert ok
+
+
+def reference_yd_braiding(m, n):
+    """The braiding M (x) N -> N (x) M transported from the Hopf bimodule
+    braiding of the smash products through the equivalence with crossed
+    modules: the construction that yd_braiding's closed form replaced."""
+    h = m.h
+    x = smash(h, m)
+    y = smash(h, n)
+    txy = tensor_over_H(x, y)
+    tyx = tensor_over_H(y, x)
+    b = hopf_bimodule_braiding(x, y, txy, tyx)
+    em, en = Matrix.identity(m.dim), Matrix.identity(n.dim)
+    embed = txy.lam.compose(kron(kron(h.unit, em), kron(h.unit, en)))
+    extract = kron(kron(h.counit, en), kron(h.counit, em)).compose(tyx.rho)
+    return extract.compose(b).compose(embed)
+
+
+def crossed_examples(h):
+    return [trivial_crossed(h), kernel_counit_crossed(h)[0], coadjoint_crossed(h),
+            adjoint_crossed(h)]
+
+
+class TestYdBraidingAgainstTransport:
+    """The closed form Psi(m (x) n) = n_(0) (x) m <| n_(1) equals the
+    braiding transported through the smash products."""
+
+    @pytest.mark.parametrize("name", ["kz2", "kz3", "sweedler"])
+    def test_all_ordered_pairs(self, request, name):
+        examples = crossed_examples(request.getfixturevalue(name))
+        for m in examples:
+            for n in examples:
+                assert yd_braiding(m, n) == reference_yd_braiding(m, n), (m.name, n.name)
+
+    def test_ks3(self, ks3):
+        for mc in (kernel_counit_crossed(ks3)[0], coadjoint_crossed(ks3)):
+            assert yd_braiding(mc, mc) == reference_yd_braiding(mc, mc), mc.name
+
+    @pytest.mark.parametrize("name", ["kz2", "kz3", "sweedler"])
+    def test_universal_calculus_coinvariants(self, name):
+        path = io.bundled_path(f"{name}_universal_calculus")
+        calc = io.calculus_from_obj(io.load_json(path), path.parent)
+        mc = coinvariants(calc.x)[0]
+        assert yd_braiding(mc, mc) == reference_yd_braiding(mc, mc)
 
 
 class TestRelativeAntipode:

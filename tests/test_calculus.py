@@ -1,7 +1,11 @@
 import pytest
 
 from braidedforms.bimodules import check_hopf_bimodule
-from braidedforms.bosonization import wedge_over_H
+from braidedforms.bosonization import (
+    crossed_power_action,
+    crossed_power_coaction,
+    wedge_over_H,
+)
 from braidedforms.calculus import (
     FirstOrderCalculus,
     check_first_order,
@@ -11,6 +15,7 @@ from braidedforms.calculus import (
     exterior_calculus_via_comma,
     fodc_from_submodule,
     generation_conditions,
+    kernel_counit_crossed,
     maximal_calculus,
     read_off_submodule,
     universal_fodc,
@@ -19,10 +24,41 @@ from braidedforms.calculus import (
 from braidedforms.errors import NotASubmodule
 from braidedforms.graded import check_graded_structure
 from braidedforms.hopf import cyclic_group_algebra
-from braidedforms.matrix import Matrix, kron
+from braidedforms.matrix import Matrix, kron, swap_matrix
+
+
+def reference_antipode(b, s0):
+    """antipode_recursive with its whiskers built as Kronecker products."""
+    s = [s0]
+    for n in range(1, b.N + 1):
+        total = Matrix.zero(b.dims[n], b.dims[n])
+        for k in range(1, n + 1):
+            inner = b.m(k, n - k).compose(kron(b.eye(k), s[n - k]))
+            total = total + b.m(0, n).compose(kron(s0, inner)).compose(
+                kron(Matrix.identity(b.dims[0]), b.cm(k, n - k))).compose(b.cm(0, n))
+        s.append(-total)
+    return s
 
 
 class TestBosonization:
+    def test_crossed_powers_against_kronecker_chains(self, sweedler):
+        h, a = sweedler, sweedler.dim
+        mc = kernel_counit_crossed(h)[0]
+        act, coact = mc.mu_r, mc.nu_r
+        for k in (2, 3):
+            prev = mc.dim ** (k - 1)
+            eye = Matrix.identity(prev * mc.dim)
+            act = kron(act, mc.mu_r).compose(swap_matrix(mc.dim, a, prev, a)).compose(
+                kron(eye, h.comult))
+            coact = kron(eye, h.mult).compose(swap_matrix(a, mc.dim, prev, a)).compose(
+                kron(coact, mc.nu_r))
+            assert crossed_power_action(mc, k) == act
+            assert crossed_power_coaction(mc, k) == coact
+
+    def test_antipode_against_kronecker_chains(self, sweedler):
+        alg = wedge_over_H(sweedler, universal_fodc(sweedler).x, 2).algebra
+        assert alg.antipode == reference_antipode(alg, alg.antipode[0])
+
     def test_wedge_over_H_square_kz2(self, kz2):
         from braidedforms.bimodules import square_bimodule
 

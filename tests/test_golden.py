@@ -27,6 +27,8 @@ REPORTS = [
      ["--max-degree", "2", "--route", "both"]),
     (GOLDEN / "build-calculus-kz3_universal_calculus.json", "build-calculus",
      "kz3_universal_calculus", ["--max-degree", "3", "--route", "both"]),
+    (GOLDEN / "build-calculus-kz2_universal_calculus.json", "build-calculus",
+     "kz2_universal_calculus", ["--max-degree", "3", "--route", "both"]),
     (GOLDEN / "check-bimodule-kz3_square_bimodule.json", "check", "kz3_square_bimodule",
      ["--kind", "bimodule"]),
     (GOLDEN / "check-crossed-sweedler_coadjoint_crossed.json", "check",
