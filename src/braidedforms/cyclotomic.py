@@ -1,10 +1,22 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
 A Scalar is a vector of rationals over the power basis 1, z, ..., z^(phi(n)-1)
-of Q(zeta_n), reduced modulo the n-th cyclotomic polynomial.  Mixed-conductor
-operations promote both operands to the least common conductor via
-zeta_n -> zeta_m^(m/n).  Values whose higher coordinates vanish are stored at
-conductor 1, so plain rationals stay cheap.
+of Q(zeta_n), reduced modulo the n-th cyclotomic polynomial.  Values whose
+higher coordinates vanish are stored at conductor 1, so plain rationals stay
+cheap, and a conductor-n Scalar with n > 1 is never rational.
+
+A computation inside one field never promotes.  A rational times an element
+of Q(zeta_n) scales its coordinates and a rational plus one adds to
+coordinate 0; a product of two elements of Q(zeta_n) reads the coordinates
+of zeta^((i+j) mod n) from a per-conductor table.  Only operands at two
+different conductors above 1 are promoted, both to the least common
+conductor m via zeta_n -> zeta_m^(m/n).
+
+Every arithmetic result and every parsed rational passes through one
+internal factory, which stores the values 0, 1 and -1 as the shared ZERO,
+ONE and MINUS_ONE objects, so that kernels can skip a unit factor with an
+identity test.  The Scalar(n, coeffs) constructor reduces arbitrary input
+and always builds a new object.
 
 A coordinate is an int when it is integral and a Fraction otherwise, never a
 float: every input is canonicalised on entry, every quotient goes through the
@@ -151,10 +163,72 @@ def _reduce(n: int, coeffs) -> tuple:
             row = rows[e]
             for i in range(phi):
                 out[i] += c * row[i]
-    for i, c in enumerate(out):
-        if type(c) is not int and c.denominator == 1:
-            out[i] = c.numerator
-    return tuple(out)
+    return _canonical(out)
+
+
+def _canonical(coords) -> tuple:
+    """The coordinates as a tuple, each integral Fraction as an int."""
+    return tuple([c if type(c) is int or c.denominator != 1 else c.numerator for c in coords])
+
+
+_PRODUCT_CACHE: dict[int, list] = {}
+
+
+def _product_table(n: int) -> list:
+    """table[i + j] for power-basis indices i, j < phi(n): the nonzero
+    (index, coordinate) pairs of zeta^((i+j) mod n) = z^i z^j."""
+    if n in _PRODUCT_CACHE:
+        return _PRODUCT_CACHE[n]
+    phi, rows = _tables(n)
+    table = []
+    for e in range(2 * phi - 1):
+        e %= n
+        table.append(((e, _ONE),) if e < phi else tuple((k, r) for k, r in enumerate(rows[e]) if r))
+    _PRODUCT_CACHE[n] = table
+    return table
+
+
+def _product(n: int, a: tuple, b: tuple) -> tuple:
+    """Canonical coordinates of the product of two elements of Q(zeta_n)."""
+    table = _product_table(n)
+    out = [_ZERO] * len(a)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    p = x * y
+                    for k, r in table[i + j]:
+                        out[k] += p * r
+    return _canonical(out)
+
+
+# The factory: every Scalar that arithmetic returns comes from _scalar or
+# _rational, without Scalar.__init__'s reduction.
+_new = object.__new__
+
+
+def _stored(n: int, coeffs: tuple) -> "Scalar":
+    """A new Scalar of coordinates already in stored form: canonical, and at
+    conductor 1 only when rational."""
+    s = _new(Scalar)
+    s.n, s.c, s.is_zero = n, coeffs, False
+    return s
+
+
+def _rational(v) -> "Scalar":
+    """The Scalar of a canonical rational v: ZERO, ONE or MINUS_ONE for 0, 1
+    or -1, else a new conductor-1 Scalar."""
+    if type(v) is int and -1 <= v <= 1:
+        return _UNITS[v]
+    return _stored(1, (v,))
+
+
+def _scalar(n: int, coeffs: tuple) -> "Scalar":
+    """The Scalar of canonical coordinates at conductor n, stored at
+    conductor 1 when its higher coordinates vanish."""
+    if n == 1 or not any(coeffs[1:]):
+        return _rational(coeffs[0])
+    return _stored(n, coeffs)
 
 
 class Scalar:
@@ -162,15 +236,11 @@ class Scalar:
 
     __slots__ = ("n", "c", "is_zero")
 
-    def __init__(self, n: int, coeffs, _reduced: bool = False):
-        # _reduced: coeffs are already canonical coordinates over the power
-        # basis, trusted as they are (every internal caller passes them so)
-        if _reduced:
-            coeffs = tuple(coeffs)
-        else:
-            coeffs = _reduce(n, [_canon(x) for x in coeffs])
+    def __init__(self, n: int, coeffs):
+        # a new object for any coefficient list; arithmetic uses the factory
+        coeffs = _reduce(n, [_canon(x) for x in coeffs])
         if n > 1 and not any(coeffs[1:]):
-            n, coeffs = 1, (coeffs[0] if coeffs else _ZERO,)
+            n, coeffs = 1, coeffs[:1]
         self.n = n
         self.c = coeffs
         # precomputed: zero tests dominate sparse matrix arithmetic
@@ -180,19 +250,19 @@ class Scalar:
 
     @staticmethod
     def rational(p, q=1) -> "Scalar":
-        return Scalar(1, (_div(p, q),), _reduced=True)
+        return _rational(p if q == 1 and type(p) is int else _div(p, q))
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "Scalar":
-        k %= n
-        phi, rows = _tables(n) if n > 1 else (1, {})
         if n == 1:
             return ONE
+        k %= n
+        phi, rows = _tables(n)
         if k < phi:
             coeffs = [_ZERO] * phi
             coeffs[k] = _ONE
-            return Scalar(n, coeffs, _reduced=True)
-        return Scalar(n, rows[k], _reduced=True)
+            return _scalar(n, tuple(coeffs))
+        return _scalar(n, rows[k])
 
     # --- promotion --------------------------------------------------------
 
@@ -206,10 +276,6 @@ class Scalar:
             coeffs[i * step] = ci
         return _reduce(m, coeffs)
 
-    def promote(self, m: int) -> "Scalar":
-        """Rewrite at conductor m (a multiple of self.n)."""
-        return Scalar(m, self._coeffs_at(m), _reduced=True)
-
     def _pair(self, other: "Scalar"):
         m = lcm(self.n, other.n)
         return m, self._coeffs_at(m), other._coeffs_at(m)
@@ -222,10 +288,10 @@ class Scalar:
     def __eq__(self, other) -> bool:
         if self is other:
             return True
-        if isinstance(other, (int, Fraction)):
-            other = Scalar(1, (_canon(other),), _reduced=True)
         if not isinstance(other, Scalar):
-            return NotImplemented
+            other = Scalar._coerce(other)
+            if other is None:
+                return NotImplemented
         if self.n == other.n:
             return self.c == other.c
         _, ca, cb = self._pair(other)
@@ -246,28 +312,38 @@ class Scalar:
         if isinstance(x, Scalar):
             return x
         if isinstance(x, (int, Fraction)):
-            return Scalar(1, (_canon(x),), _reduced=True)
+            return _rational(_canon(x))
         return None
 
     def __add__(self, other):
-        other = Scalar._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = Scalar._coerce(other)
+            if other is None:
+                return NotImplemented
         # zero operands are ubiquitous in sparse matrix sums; skip the arithmetic
-        if self.n == 1 and not self.c[0]:
+        if self.is_zero:
             return other
-        if other.n == 1 and not other.c[0]:
+        if other.is_zero:
             return self
-        if self.n == 1 and other.n == 1:
-            v = self.c[0] + other.c[0]
-            return Scalar(1, (v if type(v) is int else _canon(v),), _reduced=True)
+        n, m = self.n, other.n
+        if n == 1:
+            if m == 1:
+                v = self.c[0] + other.c[0]
+                return _rational(v if type(v) is int else _canon(v))
+            return _stored(m, _canonical((other.c[0] + self.c[0],)) + other.c[1:])
+        if m == 1:
+            return _stored(n, _canonical((self.c[0] + other.c[0],)) + self.c[1:])
+        if n == m:
+            return _scalar(n, _canonical([x + y for x, y in zip(self.c, other.c)]))
         m, ca, cb = self._pair(other)
-        return Scalar(m, tuple(_canon(x + y) for x, y in zip(ca, cb)), _reduced=True)
+        return _scalar(m, _canonical([x + y for x, y in zip(ca, cb)]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.n, tuple(-x for x in self.c), _reduced=True)
+        if self.n == 1:
+            return _rational(-self.c[0])
+        return _stored(self.n, tuple([-x for x in self.c]))
 
     def __sub__(self, other):
         other = Scalar._coerce(other)
@@ -279,19 +355,29 @@ class Scalar:
         return Scalar._coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = Scalar._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = Scalar._coerce(other)
+            if other is None:
+                return NotImplemented
         # a factor 1 is most products of kron(id, f); skip the arithmetic
-        if self.n == 1 and self.c[0] == 1:
+        if self is ONE:
             return other
-        if other.n == 1 and other.c[0] == 1:
+        if other is ONE:
             return self
-        if self.n == 1 and other.n == 1:
-            v = self.c[0] * other.c[0]
-            return Scalar(1, (v if type(v) is int else _canon(v),), _reduced=True)
+        n, m = self.n, other.n
+        if n == 1:
+            x = self.c[0]
+            if m == 1:
+                v = x * other.c[0]
+                return _rational(v if type(v) is int else _canon(v))
+            return _stored(m, _canonical([x * y for y in other.c])) if x else ZERO
+        if m == 1:
+            x = other.c[0]
+            return _stored(n, _canonical([y * x for y in self.c])) if x else ZERO
+        if n == m:
+            return _scalar(n, _product(n, self.c, other.c))
         m, ca, cb = self._pair(other)
-        return Scalar(m, _reduce(m, _poly_mul(ca, cb)), _reduced=True)
+        return _scalar(m, _reduce(m, _poly_mul(ca, cb)))
 
     __rmul__ = __mul__
 
@@ -299,7 +385,7 @@ class Scalar:
         if self.is_zero:
             raise DivisionByZero("inversion of zero")
         if self.n == 1:
-            return Scalar(1, (_div(1, self.c[0]),), _reduced=True)
+            return _rational(_div(1, self.c[0]))
         # extended Euclid in Q[x]: maintain r_i = s_i * self (mod Phi_n)
         r0, s0 = list(cyclotomic_polynomial(self.n)), [_ZERO]
         r1, s1 = list(self.c), [_ONE]
@@ -308,7 +394,7 @@ class Scalar:
                 r1.pop()
             if len(r1) == 1:
                 c = r1[0]  # nonzero: Phi_n is irreducible and self is not 0
-                return Scalar(self.n, _reduce(self.n, [_div(x, c) for x in s1]), _reduced=True)
+                return _scalar(self.n, _reduce(self.n, [_div(x, c) for x in s1]))
             q, rem = _poly_divmod(r0, r1)
             r0, r1 = r1, rem
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
@@ -398,6 +484,7 @@ def _poly_sub(a, b):
     return [x - y for x, y in zip(a, b)]
 
 
-ZERO = Scalar(1, (_ZERO,), _reduced=True)
-ONE = Scalar(1, (_ONE,), _reduced=True)
-MINUS_ONE = Scalar(1, (-_ONE,), _reduced=True)
+ZERO = Scalar(1, (_ZERO,))
+ONE = Scalar(1, (_ONE,))
+MINUS_ONE = Scalar(1, (-_ONE,))
+_UNITS = {0: ZERO, 1: ONE, -1: MINUS_ONE}

@@ -19,12 +19,11 @@ A <ref> is an inline object, a path relative to the referring file, or
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 
 from .braiding import BraidedSpace
 from .bimodules import CrossedModule, HopfBimodule
-from .cyclotomic import Scalar
+from .cyclotomic import Scalar, _canon, _div
 from .errors import BraidedFormsError, ParseError, TooLarge
 from .hopf import HopfAlgebraData
 from .matrix import Matrix, hstack
@@ -46,11 +45,20 @@ def scalar_from_obj(obj) -> Scalar:
             n = int(obj["conductor"])
             if n < 1:
                 raise ParseError(f"conductor must be >= 1, got {n}")
-            return Scalar(n, [Fraction(int(p), int(q)) for p, q in obj["coeffs"]])
+            coords = []
+            for p, q in obj["coeffs"]:
+                p, q = int(p), int(q)
+                coords.append(p if q == 1 else _div(p, q))
+            if n > 1 or len(coords) != 1:
+                s = Scalar(n, coords)  # reduced, at conductor 1 if rational
+                if s.n > 1:
+                    return s
+                coords = s.c
+            return Scalar.rational(coords[0])  # 0, 1 and -1 are the shared units
         if isinstance(obj, int) and not isinstance(obj, bool):
             return Scalar.rational(obj)
         if isinstance(obj, str):
-            return Scalar.rational(Fraction(obj))
+            return Scalar.rational(_canon(obj))
         if isinstance(obj, (list, tuple)) and len(obj) == 2:
             return Scalar.rational(int(obj[0]), int(obj[1]))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -89,14 +97,20 @@ def load_json(path) -> dict:
     return obj
 
 
+# the one report format: sorted keys, two-space indent, a final newline
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+
+
 def save_json(obj, path) -> None:
+    # streamed: the whole text of a large report at once would raise the
+    # command's peak memory, which the report write can set
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
+        f.writelines(_ENCODER.iterencode(obj))
         f.write("\n")
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return _ENCODER.encode(obj) + "\n"
 
 
 def _resolve_ref(ref, base_dir):

@@ -256,7 +256,10 @@ class TestExitCodes:
         obj = json.load(open(io.bundled_path("swap2")))
         for bad in ({"conductor": 0, "coeffs": [[1, 1]]},
                     {"conductor": -3, "coeffs": [[1, 1]]},
-                    {"conductor": 1, "coeffs": [[1, 0]]}, "1/0", [1, 0]):
+                    {"conductor": 1, "coeffs": [[1, 0]]}, "1/0", [1, 0],
+                    {"conductor": 3, "coeffs": [[1, 1], [2, 0]]},
+                    {"conductor": 3, "coeffs": [[1, 1], ["x", 1]]},
+                    {"conductor": 3, "coeffs": [[1]]}):
             obj["lambda"] = bad
             path = bundle(tmp_path, "l.json", obj)
             assert run(["check", "--kind", "braiding", path]) == 2, bad

@@ -1,11 +1,13 @@
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidedforms import io
+from braidedforms.calculus import exterior_calculus, exterior_calculus_via_comma
 from braidedforms.cyclotomic import (
     _CYCLO_CACHE,
     _TABLE_CACHE,
@@ -15,9 +17,14 @@ from braidedforms.cyclotomic import (
     ZERO,
     Scalar,
     _poly_divide,
+    _poly_mul,
+    _reduce,
     cyclotomic_polynomial,
+    euler_phi,
 )
 from braidedforms.errors import DivisionByZero, TooLarge
+from braidedforms.graded import check_graded_structure
+from braidedforms.matrix import Matrix
 
 rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 8))
 
@@ -196,3 +203,109 @@ class TestExactness:
                   Scalar._coerce(Fraction(6, 3)), ONE * Fraction(2, 1)):
             assert _canonical(s), s.c
         assert Scalar(1, [Fraction(4, 2)]) == 2 and ZERO == Fraction(0)
+
+
+# --- one field per computation ----------------------------------------------
+
+CONDUCTORS = (1, 3, 4, 5, 6, 7, 12)
+
+
+def _promoted(a, b, op):
+    """The result of op on a and b through the general path: both promoted to
+    lcm(a.n, b.n), then combined and reduced there."""
+    m = lcm(a.n, b.n)
+    ca, cb = a._coeffs_at(m), b._coeffs_at(m)
+    if op == "*":
+        return Scalar(m, _reduce(m, _poly_mul(ca, cb)))
+    if op == "+":
+        return Scalar(m, [x + y for x, y in zip(ca, cb)])
+    return Scalar(m, [x - y for x, y in zip(ca, cb)])
+
+
+def _exactly(s):
+    return s.n, s.c, [type(x) for x in s.c], hash(s)
+
+
+def _apply(a, b, op):
+    return a * b if op == "*" else a + b if op == "+" else a - b
+
+
+field_elements = st.sampled_from(CONDUCTORS).flatmap(
+    lambda n: st.builds(lambda cs: Scalar(n, cs),
+                        st.lists(st.one_of(st.integers(-3, 3), rationals),
+                                 min_size=euler_phi(n), max_size=euler_phi(n))))
+
+
+class TestOneField:
+    @settings(max_examples=300, deadline=None)
+    @given(field_elements, field_elements, st.sampled_from("*+-"))
+    def test_arithmetic_matches_promotion(self, a, b, op):
+        # same field, rational with either operand, and two different fields;
+        # the canonical (n, c), the coordinate types and the hash all agree
+        for x, y in ((a, b), (b, a)):
+            assert _exactly(_apply(x, y, op)) == _exactly(_promoted(x, y, op))
+
+    def test_basis_products_wrap_modulo_n(self):
+        # z^i z^j for every pair of basis indices, including i + j >= n at
+        # prime n, where the table index wraps
+        for n in CONDUCTORS:
+            phi = euler_phi(n)
+            basis = [Scalar.zeta(n, i) for i in range(phi)]
+            for i, zi in enumerate(basis):
+                for j, zj in enumerate(basis):
+                    got = zi * zj
+                    assert _exactly(got) == _exactly(_promoted(zi, zj, "*"))
+                    assert got == Scalar.zeta(n, i + j), (n, i, j)
+
+    def test_units_are_shared(self):
+        half, z = Scalar.rational(1, 2), Scalar.zeta(3)
+        fresh_one, fresh_two = Scalar(1, [1]), Scalar(1, [2])
+        assert fresh_one == ONE and fresh_one is not ONE
+        results = {
+            "rational": (Scalar.rational(0), Scalar.rational(1), Scalar.rational(-2, 2)),
+            "zeta": (Scalar.zeta(1), Scalar.zeta(2), Scalar.zeta(3, 3)),
+            "parse": (io.scalar_from_obj({"conductor": 1, "coeffs": [[2, 2]]}),
+                      io.scalar_from_obj({"conductor": 3, "coeffs": [[-1, 1], [0, 1]]}),
+                      io.scalar_from_obj({"conductor": 1, "coeffs": []}),
+                      io.scalar_from_obj(1), io.scalar_from_obj("-3/3"),
+                      io.scalar_from_obj([0, 5])),
+            "+": (half + half, fresh_one + fresh_one * -2, z + (-z)),
+            "-": (fresh_two - fresh_one, half - half, z - z),
+            "*": (fresh_one * fresh_one, half * 2, MINUS_ONE * fresh_one,
+                  z * Scalar.zeta(3, 2), fresh_two * ZERO),
+            "neg": (-fresh_one, -MINUS_ONE, -Scalar(1, [0])),
+            "inv": (fresh_one.inv(), Scalar(1, [-1]).inv(), MINUS_ONE.inv()),
+        }
+        for source, values in results.items():
+            for v in values:
+                assert v is ZERO or v is ONE or v is MINUS_ONE, (source, v)
+
+    def test_rref_pivots_are_shared(self):
+        two, three = Scalar(1, [2]), Scalar(3, [0, 3])
+        red, pivots = Matrix(2, 3, [two, 1, 0, 1, three, Scalar(1, [1])]).rref()
+        assert pivots == [0, 1]
+        assert all(red[r, c] is ONE for r, c in enumerate(pivots))
+
+    def test_no_unshared_unit_factor_in_graded_checks(self, monkeypatch):
+        # every factor equal to 1 or -1 that the graded checks multiply is
+        # the shared object, so the kernels' identity tests can skip it
+        path = io.bundled_path("sweedler_universal_calculus")
+        calc = io.calculus_from_obj(io.load_json(path), path.parent)
+        algebras = [exterior_calculus(calc, 2).algebra, exterior_calculus_via_comma(calc, 2)]
+        factors, unshared = 0, []
+        mul = Scalar.__mul__
+
+        def counting(a, b):
+            nonlocal factors
+            for x in (a, b):
+                factors += 1
+                if (isinstance(x, Scalar) and x.n == 1 and x.c[0] in (1, -1)
+                        and x is not ONE and x is not MINUS_ONE):
+                    unshared.append(x)
+            return mul(a, b)
+
+        monkeypatch.setattr(Scalar, "__mul__", counting)
+        monkeypatch.setattr(Scalar, "__rmul__", counting)
+        for alg in algebras:
+            assert check_graded_structure(alg, "diff_hopf").ok
+        assert factors > 0 and unshared == []

@@ -3,8 +3,8 @@
 The four benchmark workloads are compared with `perfbench/expected/` (read,
 never written). The reports under `tests/golden/` come from commands that
 run the Hopf bimodule and crossed module leg swaps, square bimodules,
-classification, and the wedge dimensions with and without the quadratic
-comparison.
+classification over Q and over Q(zeta_3), and the wedge dimensions with and
+without the quadratic comparison.
 """
 
 from pathlib import Path
@@ -34,6 +34,7 @@ REPORTS = [
     (GOLDEN / "check-crossed-sweedler_coadjoint_crossed.json", "check",
      "sweedler_coadjoint_crossed", ["--kind", "crossed"]),
     (GOLDEN / "classify-sweedler.json", "classify", "sweedler", []),
+    (GOLDEN / "classify-taft3.json", "classify", "taft3", []),
     *[(GOLDEN / f"wedge-dims-{name}-compare-quadratic.json", "wedge-dims", name,
        ["--max-degree", "5", "--compare-quadratic"])
       for name in ("swap2", "swap3", "braided_line_zeta3", "diagonal_zeta5")],

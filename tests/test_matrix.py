@@ -123,7 +123,7 @@ class TestBasics:
     def test_compose_with_swap_matches_general_path(self):
         # rows that are one entry ONE take the row-copy path of compose; a
         # rational 1 that is not the shared ONE object forces the general path
-        one = Scalar.rational(1)
+        one = Scalar(1, [1])
         assert one == ONE and one is not ONE
         p = swap_matrix(2, 3)
         general = Matrix(6, 6, [0 if e.is_zero else one for e in p.entries])

@@ -31,6 +31,18 @@ def test_matrix_layout_stays_in_matrix_module():
     assert found == []
 
 
+def test_scalar_constructor_stays_in_scalar_and_parse_modules():
+    # arithmetic and parsed rationals come from cyclotomic's factory, which
+    # returns the shared ZERO/ONE/MINUS_ONE; the bare Scalar(n, coeffs)
+    # constructor builds a new object, so only io.py's conductor form uses it
+    found = [f"{name}:{node.lineno}"
+             for name, tree in _trees(skip=("cyclotomic.py", "io.py"))
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "Scalar"]
+    assert found == []
+
+
 def _names(node, ctx):
     return [n for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ctx)]
 
