@@ -28,7 +28,7 @@ from .cyclotomic import MINUS_ONE, ONE
 from .errors import NotASubmodule
 from .graded import GradedBialgebra, check_graded_structure, sub_bialgebra
 from .hopf import HopfAlgebraData
-from .matrix import Matrix, hstack, kron, solve_epi, solve_mono, vstack
+from .matrix import Matrix, compose_kron, hstack, kron, kron_apply, solve_epi, solve_mono, vstack
 
 
 @dataclass
@@ -78,8 +78,8 @@ def universal_fodc(h: HopfAlgebraData) -> UniversalCalculus:
     sq = square_bimodule(h)
     incl = h.mult.kernel_basis()
     dim_x = incl.cols
-    mu_l = solve_mono(incl, sq.mu_l.compose(kron(ea, incl)))
-    mu_r = solve_mono(incl, sq.mu_r.compose(kron(incl, ea)))
+    mu_l = solve_mono(incl, compose_kron(sq.mu_l, ea, incl))
+    mu_r = solve_mono(incl, compose_kron(sq.mu_r, incl, ea))
     nu_l = solve_mono(kron(ea, incl), sq.nu_l.compose(incl))
     nu_r = solve_mono(kron(incl, ea), sq.nu_r.compose(incl))
     x = HopfBimodule(h, dim_x, mu_l, mu_r, nu_l, nu_r, "ker_mult")
@@ -104,7 +104,7 @@ def kernel_counit_crossed(h: HopfAlgebraData):
     a = h.dim
     ad = coadjoint_crossed(h)
     ik = h.counit.kernel_basis()
-    mu_r = solve_mono(ik, ad.mu_r.compose(kron(ik, Matrix.identity(a))))
+    mu_r = solve_mono(ik, compose_kron(ad.mu_r, ik, Matrix.identity(a)))
     nu_r = solve_mono(kron(ik, Matrix.identity(a)), ad.nu_r.compose(ik))
     return CrossedModule(h, ik.cols, mu_r, nu_r, "ker_counit"), ik
 
@@ -118,7 +118,7 @@ def crossed_submodule_closure(m: CrossedModule, gens: Matrix) -> Matrix:
     while True:
         pieces = [basis]
         if basis.cols:
-            pieces.append(m.mu_r.compose(kron(basis, Matrix.identity(a))))
+            pieces.append(compose_kron(m.mu_r, basis, Matrix.identity(a)))
             co = m.nu_r.compose(basis)  # (M (x) H) x gens
             comp = Matrix.zero(m.dim, basis.cols * a)
             for (rj, c), v in co.nonzeros():
@@ -145,13 +145,13 @@ def fodc_from_submodule(univ: UniversalCalculus, r_gens: Matrix) -> FirstOrderCa
         )
     a = h.dim
     ea = Matrix.identity(a)
-    n_basis = alpha.compose(kron(ea, r_basis)).column_echelon_basis()[0]
+    n_basis = compose_kron(alpha, ea, r_basis).column_echelon_basis()[0]
     q = n_basis.transpose().kernel_basis().transpose()  # the cokernel
     dim_q = q.rows
     mu_l = solve_epi(q.compose(univ.x.mu_l), kron(ea, q))
     mu_r = solve_epi(q.compose(univ.x.mu_r), kron(q, ea))
-    nu_l = solve_epi(kron(ea, q).compose(univ.x.nu_l), q)
-    nu_r = solve_epi(kron(q, ea).compose(univ.x.nu_r), q)
+    nu_l = solve_epi(kron_apply(ea, q, univ.x.nu_l), q)
+    nu_r = solve_epi(kron_apply(q, ea, univ.x.nu_r), q)
     x = HopfBimodule(h, dim_q, mu_l, mu_r, nu_l, nu_r, "classified")
     return FirstOrderCalculus(h, x, q.compose(univ.d), q.compose(alpha))
 

@@ -346,13 +346,34 @@ class Scalar:
         return _stored(self.n, tuple([-x for x in self.c]))
 
     def __sub__(self, other):
+        # the cases of __add__, without building -other
+        if type(other) is not Scalar:
+            other = Scalar._coerce(other)
+            if other is None:
+                return NotImplemented
+        if self.is_zero:
+            return -other
+        if other.is_zero:
+            return self
+        n, m = self.n, other.n
+        if n == 1:
+            if m == 1:
+                v = self.c[0] - other.c[0]
+                return _rational(v if type(v) is int else _canon(v))
+            rest = tuple([-x for x in other.c[1:]])
+            return _stored(m, _canonical((self.c[0] - other.c[0],)) + rest)
+        if m == 1:
+            return _stored(n, _canonical((self.c[0] - other.c[0],)) + self.c[1:])
+        if n == m:
+            return _scalar(n, _canonical([x - y for x, y in zip(self.c, other.c)]))
+        m, ca, cb = self._pair(other)
+        return _scalar(m, _canonical([x - y for x, y in zip(ca, cb)]))
+
+    def __rsub__(self, other):
         other = Scalar._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return Scalar._coerce(other) + (-self)
+        return other - self
 
     def __mul__(self, other):
         if type(other) is not Scalar:

@@ -38,16 +38,30 @@ def bundled_path(name: str) -> Path:
     return Path(__file__).parent / "data" / name
 
 
+def _integer(x) -> int:
+    """An integer field of the input.  A JSON float or bool is refused, since
+    int() would truncate 2.7 to 2 or read true as 1."""
+    if type(x) is int:
+        return x
+    if isinstance(x, (bool, float)):
+        raise ParseError(f"expected an integer, got {x!r}")
+    return int(x)
+
+
 def scalar_from_obj(obj) -> Scalar:
     """Scalar from the full serialization, an integer, "p/q", or [p, q]."""
     try:
         if isinstance(obj, dict):
-            n = int(obj["conductor"])
+            n = obj["conductor"]
+            if type(n) is not int:
+                n = _integer(n)
             if n < 1:
                 raise ParseError(f"conductor must be >= 1, got {n}")
             coords = []
             for p, q in obj["coeffs"]:
-                p, q = int(p), int(q)
+                # plain ints skip the call: this loop is most of a large parse
+                if type(p) is not int or type(q) is not int:
+                    p, q = _integer(p), _integer(q)
                 coords.append(p if q == 1 else _div(p, q))
             if n > 1 or len(coords) != 1:
                 s = Scalar(n, coords)  # reduced, at conductor 1 if rational
@@ -60,14 +74,14 @@ def scalar_from_obj(obj) -> Scalar:
         if isinstance(obj, str):
             return Scalar.rational(_canon(obj))
         if isinstance(obj, (list, tuple)) and len(obj) == 2:
-            return Scalar.rational(int(obj[0]), int(obj[1]))
+            return Scalar.rational(_integer(obj[0]), _integer(obj[1]))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a scalar: {obj!r} ({exc})") from exc
     raise ParseError(f"not a scalar: {obj!r}")
 
 
 def matrix_from_obj(obj) -> Matrix:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = _integer(obj["rows"]), _integer(obj["cols"])
     entries = obj["entries"]
     if len(entries) != rows * cols:
         raise ParseError(f"matrix {rows}x{cols} needs {rows * cols} entries, got {len(entries)}")
@@ -137,15 +151,15 @@ def _wrap(fn, obj, what):
 
 def hopf_from_obj(obj) -> HopfAlgebraData:
     def build(o):
-        n = int(o["dim"])
+        n = _integer(o["dim"])
         shapes = {"mult": (n, n * n), "unit": (n, 1), "comult": (n * n, n),
                   "counit": (1, n), "antipode": (n, n), "antipode_inv": (n, n)}
         for key, (r, c) in shapes.items():
             m = o[key]
-            if int(m["rows"]) != r or int(m["cols"]) != c:
+            if _integer(m["rows"]) != r or _integer(m["cols"]) != c:
                 raise ParseError(f'"{key}" must be {r}x{c}, got {m["rows"]}x{m["cols"]}')
         return HopfAlgebraData(
-            int(o["dim"]),
+            n,
             matrix_from_obj(o["mult"]),
             matrix_from_obj(o["unit"]),
             matrix_from_obj(o["comult"]),
@@ -161,7 +175,7 @@ def hopf_from_obj(obj) -> HopfAlgebraData:
 def braiding_from_obj(obj) -> BraidedSpace:
     def build(o):
         lam = scalar_from_obj(o["lambda"]) if "lambda" in o else None
-        return BraidedSpace(int(o["dim"]), matrix_from_obj(o["psi"]), lam, check=False)
+        return BraidedSpace(_integer(o["dim"]), matrix_from_obj(o["psi"]), lam, check=False)
 
     return _wrap(build, obj, "braiding")
 
@@ -179,7 +193,7 @@ def bimodule_from_obj(obj, base_dir=None) -> HopfBimodule:
     def build(o):
         return HopfBimodule(
             h,
-            int(o["dim"]),
+            _integer(o["dim"]),
             matrix_from_obj(o["mu_l"]),
             matrix_from_obj(o["mu_r"]),
             matrix_from_obj(o["nu_l"]),
@@ -198,7 +212,7 @@ def crossed_from_obj(obj, base_dir=None) -> CrossedModule:
     def build(o):
         return CrossedModule(
             h,
-            int(o["dim"]),
+            _integer(o["dim"]),
             matrix_from_obj(o["mu_r"]),
             matrix_from_obj(o["nu_r"]),
             name=o.get("name", ""),

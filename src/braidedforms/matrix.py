@@ -13,6 +13,14 @@ of a leg swap id_pre (x) swap_{a,b} (x) id_post; a structure map that flips
 tensor legs composes with it like with any other morphism.  All eliminations
 pick pivots leftmost-first so every derived basis is reproducible bit for bit.
 
+A kernel basis has the row {j: ONE} at the free coordinate of its column j,
+and so does a column echelon basis at its pivot row of column j; kron with an
+identity keeps such unit rows.  solve_mono, and with it solve_epi and
+solve_factor, reads its solution off these rows when every column has one
+and checks it by one product: the unit rows make the matrix injective, so
+the solution is unique and equals the one elimination would give.  Only a
+matrix without such a cover is eliminated.
+
 This is the only module that knows the storage layout: sparse rows of
 nonzero entries, one {col: Scalar} map per row, so products, Kronecker
 products, comparisons and eliminations cost time in the number of nonzero
@@ -482,21 +490,47 @@ def _solution_rows(red: Matrix, first: int, rows) -> list:
     return [{c - first: v for c, v in red._nz[r].items() if c >= first} for r in rows]
 
 
+def _unit_rows(a: Matrix):
+    """For each column j of a, the first row of a that is exactly {j: ONE};
+    None when some column has no such row."""
+    where = {}
+    for r, row in enumerate(a._nz):
+        if len(row) == 1:
+            (j, v), = row.items()
+            if v is ONE and j not in where:
+                where[j] = r
+    if len(where) != a.cols:
+        return None
+    return [where[j] for j in range(a.cols)]
+
+
 def solve_mono(a: Matrix, b: Matrix) -> Matrix:
     """The unique x with a o x = b, for a of full column rank.
 
-    Raises FactorizationError when b is not in the column space of a.
+    When every column j of a has a row that is exactly {j: ONE} (a kernel or
+    column echelon basis, and their Kronecker products with identities),
+    those rows make a injective and read x off b: row j of x is b's row at
+    the unit row of column j.  One product a o x == b then decides whether b
+    lies in the image.  Any other a is reduced together with b.  Both ways
+    give the unique solution, so the same x.
+
+    Raises FactorizationError when b is not in the column space of a or a
+    is not injective.
     """
     if a.rows != b.rows:
         raise ShapeError("solve_mono row mismatch")
-    aug = hstack([a, b])
-    red, pivots = aug.rref()
-    if len(pivots) != a.cols or any(p >= a.cols for p in pivots):
-        raise FactorizationError("image not contained in the mono's image, or mono not injective")
-    # consistency: remaining rows of the reduced augmented system must vanish
-    if any(_solution_rows(red, a.cols, range(a.cols, red.rows))):
-        raise FactorizationError("image not contained in the mono's image")
-    return _sparse(a.cols, b.cols, _solution_rows(red, a.cols, range(a.cols)))
+    rows = _unit_rows(a)
+    if rows is not None:
+        x = _sparse(a.cols, b.cols, [dict(b._nz[r]) for r in rows])
+        if a.compose(x) == b:
+            return x
+    else:
+        # a row past the last pivot of the reduced system is zero, so the
+        # pivots alone decide consistency
+        red, pivots = hstack([a, b]).rref()
+        if pivots == list(range(a.cols)):
+            return _sparse(a.cols, b.cols, _solution_rows(red, a.cols, range(a.cols)))
+    raise FactorizationError("image not contained in the mono's image, or mono not injective")
 
 
 def solve_epi(b: Matrix, e: Matrix) -> Matrix:

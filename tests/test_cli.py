@@ -259,10 +259,27 @@ class TestExitCodes:
                     {"conductor": 1, "coeffs": [[1, 0]]}, "1/0", [1, 0],
                     {"conductor": 3, "coeffs": [[1, 1], [2, 0]]},
                     {"conductor": 3, "coeffs": [[1, 1], ["x", 1]]},
-                    {"conductor": 3, "coeffs": [[1]]}):
+                    {"conductor": 3, "coeffs": [[1]]},
+                    # JSON numbers that are not integers, which int() would
+                    # truncate or read as 1
+                    {"conductor": 1, "coeffs": [[1, 1.5]]},
+                    {"conductor": 1, "coeffs": [[2.7, 1]]},
+                    {"conductor": 2.7, "coeffs": [[1, 1]]},
+                    {"conductor": True, "coeffs": [[1, 1]]},
+                    {"conductor": 1, "coeffs": [[True, 1]]},
+                    [3, 2.9], [-1.0, 1], [True, 1]):
             obj["lambda"] = bad
             path = bundle(tmp_path, "l.json", obj)
             assert run(["check", "--kind", "braiding", path]) == 2, bad
+        obj = json.load(open(io.bundled_path("swap2")))
+        for key, bad in (("rows", 4.0), ("rows", 4.5), ("cols", True), ("dim", 2.0)):
+            broken = dict(obj, psi=dict(obj["psi"]))
+            if key == "dim":
+                broken["dim"] = bad
+            else:
+                broken["psi"][key] = bad
+            path = bundle(tmp_path, "p.json", broken)
+            assert run(["check", "--kind", "braiding", path]) == 2, (key, bad)
         cand = {"hopf": "bundled:kz2", "candidates": [[["1/0"]]]}
         assert run(["classify", bundle(tmp_path, "c.json", cand)]) == 2
 

@@ -245,6 +245,21 @@ class TestOneField:
         for x, y in ((a, b), (b, a)):
             assert _exactly(_apply(x, y, op)) == _exactly(_promoted(x, y, op))
 
+    @settings(max_examples=300, deadline=None)
+    @given(field_elements, field_elements, st.one_of(st.integers(-2, 2), rationals))
+    def test_subtraction_is_the_negated_sum(self, a, b, q):
+        # x - y is x + (-y) exactly, the shared unit object where that is one,
+        # with a Scalar or a plain rational on either side
+        units = (ZERO, ONE, MINUS_ONE)
+
+        def shared(s):
+            return any(s is u for u in units)
+
+        for got, ref in ((a - b, a + (-b)), (b - a, b + (-a)), (a - a, ZERO),
+                         (a - q, a + (-q)), (q - a, -a + q)):
+            assert _exactly(got) == _exactly(ref)
+            assert shared(got) == shared(ref)
+
     def test_basis_products_wrap_modulo_n(self):
         # z^i z^j for every pair of basis indices, including i + j >= n at
         # prime n, where the table index wraps

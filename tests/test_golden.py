@@ -3,16 +3,18 @@
 The four benchmark workloads are compared with `perfbench/expected/` (read,
 never written). The reports under `tests/golden/` come from commands that
 run the Hopf bimodule and crossed module leg swaps, square bimodules,
-classification over Q and over Q(zeta_3), and the wedge dimensions with and
-without the quadratic comparison.
+classification over Q, Q(zeta_3) and Q(zeta_4), and the wedge dimensions
+with and without the quadratic comparison.
 """
 
+import sys
 from pathlib import Path
 
 import pytest
 
-from braidedforms import io
+from braidedforms import hopf, io
 from braidedforms.cli import main
+from braidedforms.matrix import Matrix
 
 TESTS = Path(__file__).resolve().parent
 EXPECTED = TESTS.parent / "perfbench" / "expected"
@@ -35,6 +37,7 @@ REPORTS = [
      "sweedler_coadjoint_crossed", ["--kind", "crossed"]),
     (GOLDEN / "classify-sweedler.json", "classify", "sweedler", []),
     (GOLDEN / "classify-taft3.json", "classify", "taft3", []),
+    (GOLDEN / "classify-ks3.json", "classify", "ks3", []),
     *[(GOLDEN / f"wedge-dims-{name}-compare-quadratic.json", "wedge-dims", name,
        ["--max-degree", "5", "--compare-quadratic"])
       for name in ("swap2", "swap3", "braided_line_zeta3", "diagonal_zeta5")],
@@ -49,3 +52,41 @@ def test_report_bytes(tmp_path, expected, command, name, rest):
     out = tmp_path / "report.json"
     assert main([command, str(io.bundled_path(name)), *rest, "--out", str(out)]) == 0
     assert out.read_bytes() == expected.read_bytes()
+
+
+def test_classify_taft4_report_bytes(tmp_path):
+    # the 16-dim Taft algebra at a primitive 4th root of unity, not bundled:
+    # the default sweep of 17 candidates over its 240-dim universal calculus
+    path = tmp_path / "taft4.json"
+    io.save_json(hopf.taft_algebra(4).to_obj(), path)
+    out = tmp_path / "report.json"
+    assert main(["classify", str(path), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "classify-taft4.json").read_bytes()
+
+
+SOLVERS = {"solve_mono", "solve_epi", "solve_factor", "particular_solution", "inverse"}
+
+
+def test_classify_eliminates_only_to_find_bases(tmp_path, monkeypatch):
+    # every solve of classify runs against a kernel or echelon basis (or a
+    # Kronecker product of one with an identity), so it reads its answer off
+    # unit rows: rref runs to find bases and the counit's rank, never in a
+    # solver
+    callers, in_solver = [], []
+    rref = Matrix.rref
+
+    def recording(self):
+        frame = sys._getframe(1)
+        callers.append(frame.f_code.co_name)
+        while frame is not None:
+            if frame.f_code.co_name in SOLVERS:
+                in_solver.append(frame.f_code.co_name)
+            frame = frame.f_back
+        return rref(self)
+
+    monkeypatch.setattr(Matrix, "rref", recording)
+    out = tmp_path / "report.json"
+    assert main(["classify", str(io.bundled_path("kz5")), "--out", str(out)]) == 0
+    assert out.read_bytes() == (EXPECTED / "classify-kz5.json").read_bytes()
+    assert callers and set(callers) <= {"kernel_basis", "column_echelon_basis", "rank"}
+    assert in_solver == []

@@ -436,6 +436,126 @@ class TestSolvers:
         assert a.compose(x) == b
 
 
+# --- solvers against elimination -------------------------------------------
+
+MONO_MESSAGE = "image not contained in the mono's image, or mono not injective"
+
+
+def _reference_solve_mono(a, b):
+    """solve_mono by dense elimination of the augmented system [a | b]."""
+    k = a.cols
+    red, pivots = _rref([ra + rb for ra, rb in zip(_dense(a), _dense(b))], k + b.cols)
+    if pivots != list(range(k)):
+        raise FactorizationError(MONO_MESSAGE)
+    return Matrix(k, b.cols, [e for row in red[:k] for e in row[k:]])
+
+
+def _outcome(solve, *args):
+    """The solution's serialization, or the FactorizationError message."""
+    try:
+        return solve(*args).to_obj()
+    except FactorizationError as exc:
+        return str(exc)
+
+
+def field_entries(n):
+    # mostly zeros, else k * zeta_n^j: one field per system, where equal
+    # values serialize alike whatever the order of the sums
+    return st.one_of(
+        st.just(ZERO), st.just(ZERO),
+        st.builds(lambda k, j: Scalar.zeta(n, j) * k, st.integers(-3, 3), st.integers(0, n - 1)))
+
+
+SYSTEM_KINDS = ("cover", "duplicate_unit_rows", "zero_column", "unshared_one", "no_cover")
+
+
+@st.composite
+def mono_systems(draw):
+    """(kind, a, b): a with or without a row {j: ONE} for each column j, and
+    b = a o x, perturbed half of the time so that it may leave the image."""
+    kind = draw(st.sampled_from(SYSTEM_KINDS))
+    entry = field_entries(draw(st.sampled_from([1, 3, 4])))
+    k = draw(st.integers(0, 4))
+    rows = [[draw(entry) for _ in range(k)] for _ in range(draw(st.integers(0, 3)))]
+    if kind == "no_cover":
+        rows += [[draw(entry) for _ in range(k)] for _ in range(k)]
+    else:
+        units = list(range(k))
+        if kind == "duplicate_unit_rows" and k:
+            units += draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=2))
+        for j in units:
+            unit = [ZERO] * k
+            unit[j] = ONE
+            rows.insert(draw(st.integers(0, len(rows))), unit)
+        if kind == "zero_column" and k:
+            j = draw(st.integers(0, k - 1))
+            for row in rows:
+                row[j] = ZERO
+        if kind == "unshared_one" and k:
+            # equal to 1 but not the shared ONE: no unit row for that column
+            j = draw(st.integers(0, k - 1))
+            for row in rows:
+                if row[j] is ONE:
+                    row[j] = Scalar(1, [1])
+    a = Matrix(len(rows), k, [e for row in rows for e in row])
+    c = draw(st.integers(0, 3))
+    b = a.compose(Matrix(k, c, [draw(entry) for _ in range(k * c)]))
+    if draw(st.booleans()):
+        b = b + Matrix(a.rows, c, [draw(entry) for _ in range(a.rows * c)])
+    return kind, a, b
+
+
+class TestSolversAgainstElimination:
+    @settings(max_examples=300, deadline=None)
+    @given(mono_systems())
+    def test_solve_mono_matches_elimination(self, system):
+        kind, a, b = system
+        assert _outcome(solve_mono, a, b) == _outcome(_reference_solve_mono, a, b), kind
+
+    @settings(max_examples=150, deadline=None)
+    @given(mono_systems())
+    def test_solve_epi_matches_elimination(self, system):
+        kind, e, b = system
+        e, b = e.transpose(), b.transpose()
+
+        def reference(b, e):
+            return _reference_solve_mono(e.transpose(), b.transpose()).transpose()
+
+        assert _outcome(solve_epi, b, e) == _outcome(reference, b, e), kind
+
+    def test_unit_rows_are_read_without_elimination(self, monkeypatch):
+        m = mat([[1, 2, 0, 1], [0, 1, 1, 3]])
+        ker = m.kernel_basis()
+        q = ker.transpose().kernel_basis().transpose()  # a cokernel: identity columns
+        x = mat([[1, -2], [3, 0]])
+        eye = Matrix.identity(2)
+        rhs = kron(eye, ker).compose(kron(x, x))
+
+        def no_rref(self):
+            raise AssertionError("eliminated a matrix with unit rows")
+
+        monkeypatch.setattr(Matrix, "rref", no_rref)
+        assert solve_mono(ker, ker.compose(x)) == x
+        assert solve_mono(kron(eye, ker), rhs) == kron(x, x)
+        assert solve_epi(x.compose(q), q) == x
+        assert solve_factor(ker, q, ker.compose(x).compose(q)) == x
+        with pytest.raises(FactorizationError, match="mono's image"):
+            solve_mono(ker, Matrix.identity(4).col(0))
+        # two unit rows of one column: read off the first, checked on both
+        twice = mat([[1], [1]])
+        assert solve_mono(twice, mat([[2], [2]])) == mat([[2]])
+        with pytest.raises(FactorizationError, match="mono's image"):
+            solve_mono(twice, mat([[1], [2]]))
+
+    def test_matrix_without_unit_rows_is_eliminated(self, monkeypatch):
+        calls = []
+        rref = Matrix.rref
+        monkeypatch.setattr(Matrix, "rref", lambda self: calls.append(1) or rref(self))
+        a = mat([[1, 0], [1, 1], [0, 2]])
+        assert solve_mono(a, a.compose(mat([[2], [3]]))) == mat([[2], [3]])
+        assert calls == [1]
+
+
 class TestProperties:
     @settings(max_examples=30, deadline=None)
     @given(matrices(3, 4))
