@@ -123,20 +123,16 @@ def check_crossed_module(x: CrossedModule) -> Checks:
     ea, ed = Matrix.identity(a), Matrix.identity(d)
     m, u, cm, cu = h.mult, h.unit, h.comult, h.counit
     mr, nr = x.mu_r, x.nu_r
-    # crossed compatibility: both sides are maps X (x) H -> X (x) H
-    lhs = kron(ed, m).compose(
-        swap_matrix(a, d, 1, a).compose(
-            kron(ea, nr.compose(mr))
-            .compose(swap_matrix(d, a, 1, a))
-            .compose(kron(ed, cm))
-        )
-    )
-    rhs = kron(mr, m).compose(swap_matrix(a, a, d, a).compose(kron(nr, cm)))
+    # crossed compatibility, both sides maps X (x) H -> X (x) H:
+    # (x <| h_(2))_(0) (x) h_(1) (x <| h_(2))_(1) = (x_(0) <| h_(1)) (x) x_(1) h_(2)
+    moved = braided_product(ea, nr.compose(mr), swap_matrix(d, a), ed, cm, (1, d, a, a))
+    lhs = kron_apply(ed, m, kron_apply(swap_matrix(a, d), ea, moved))
+    rhs = braided_product(mr, m, swap_matrix(a, a), nr, cm, (d, a, a, a))
     return Checks({
-        "right_module": mr.compose(kron(ed, m)) == mr.compose(kron(mr, ea))
-        and mr.compose(kron(ed, u)) == ed,
-        "right_comodule": kron(ed, cm).compose(nr) == kron(nr, ea).compose(nr)
-        and kron(ed, cu).compose(nr) == ed,
+        "right_module": compose_kron(mr, ed, m) == compose_kron(mr, mr, ea)
+        and compose_kron(mr, ed, u) == ed,
+        "right_comodule": kron_apply(ed, cm, nr) == kron_apply(nr, ea, nr)
+        and kron_apply(ed, cu, nr) == ed,
         "crossed_compatibility": lhs == rhs,
     })
 
@@ -151,10 +147,9 @@ def regular_bimodule(h: HopfAlgebraData) -> HopfBimodule:
 def square_bimodule(h: HopfAlgebraData) -> HopfBimodule:
     """H (x) H with multiplication actions and codiagonal coactions."""
     a = h.dim
-    ea = Matrix.identity(a)
-    dd = kron(h.comult, h.comult)
-    nu_l = kron(h.mult, kron(ea, ea)).compose(swap_matrix(a, a, a, a).compose(dd))
-    nu_r = kron(kron(ea, ea), h.mult).compose(swap_matrix(a, a, a, a).compose(dd))
+    ea, eaa, sw = Matrix.identity(a), Matrix.identity(a * a), swap_matrix(a, a)
+    nu_l = braided_product(h.mult, eaa, sw, h.comult, h.comult, (a, a, a, a))
+    nu_r = braided_product(eaa, h.mult, sw, h.comult, h.comult, (a, a, a, a))
     return HopfBimodule(
         h, a * a, kron(h.mult, ea), kron(ea, h.mult), nu_l, nu_r, "square"
     )
@@ -168,27 +163,18 @@ def trivial_crossed(h: HopfAlgebraData) -> CrossedModule:
 
 def adjoint_crossed(h: HopfAlgebraData) -> CrossedModule:
     """H_ad: right adjoint action x <| g = S(g1) x g2, regular coaction Delta."""
-    a = h.dim
-    ea = Matrix.identity(a)
-    act = (
-        h.mult.compose(kron(ea, h.mult))
-        .compose(swap_matrix(a, a, 1, a))
-        .compose(kron(ea, kron(h.antipode, ea)))
-        .compose(kron(ea, h.comult))
-    )
-    return CrossedModule(h, a, act, h.comult, "adjoint")
+    ea = Matrix.identity(h.dim)
+    moved = compose_kron(compose_kron(h.mult, ea, h.mult), swap_matrix(h.dim, h.dim), ea)
+    act = compose_kron(moved, ea, kron_apply(h.antipode, ea, h.comult))
+    return CrossedModule(h, h.dim, act, h.comult, "adjoint")
 
 
 def coadjoint_crossed(h: HopfAlgebraData) -> CrossedModule:
     """H^ad: regular action m, right coadjoint coaction x -> x2 (x) S(x1) x3."""
-    a = h.dim
-    ea = Matrix.identity(a)
-    coact = (
-        kron(ea, h.mult)
-        .compose(kron(ea, kron(h.antipode, ea)))
-        .compose(swap_matrix(a, a, 1, a).compose(kron(h.comult, ea)).compose(h.comult))
-    )
-    return CrossedModule(h, a, h.mult, coact, "coadjoint")
+    ea = Matrix.identity(h.dim)
+    moved = kron_apply(swap_matrix(h.dim, h.dim), ea, kron_apply(h.comult, ea, h.comult))
+    coact = kron_apply(ea, compose_kron(h.mult, h.antipode, ea), moved)
+    return CrossedModule(h, h.dim, h.mult, coact, "coadjoint")
 
 
 # --- coinvariants and smash ----------------------------------------------
@@ -211,19 +197,25 @@ def coinvariants(x: HopfBimodule):
     return CrossedModule(h, i.cols, mu_r, nu_r, f"coinv({x.name})"), p, i
 
 
+def diagonal_structures(x, m: CrossedModule):
+    """(mu_r, nu_r) on X (x) M: the diagonal right action
+    (x (x) v) <| g = x <| g_(1) (x) v <| g_(2) and the codiagonal right coaction
+    x (x) v -> x_(0) (x) v_(0) (x) x_(1) v_(1), for x a Hopf bimodule or crossed
+    module (any right module and comodule with mu_r, nu_r and dim)."""
+    h = m.h
+    a, dx, d = h.dim, x.dim, m.dim
+    exm = Matrix.identity(dx * d)
+    mu_r = braided_product(x.mu_r, m.mu_r, swap_matrix(d, a), exm, h.comult, (dx, d, a, a))
+    nu_r = braided_product(exm, h.mult, swap_matrix(a, d), x.nu_r, m.nu_r, (dx, a, d, a))
+    return mu_r, nu_r
+
+
 def smash(h: HopfAlgebraData, m: CrossedModule) -> HopfBimodule:
     """H |x M: induced left structure, diagonal right structure."""
-    a, d = h.dim, m.dim
-    ea, ed = Matrix.identity(a), Matrix.identity(d)
-    mu_l = kron(h.mult, ed)
-    nu_l = kron(h.comult, ed)
-    mu_r = kron(h.mult, m.mu_r).compose(
-        swap_matrix(d, a, a, a).compose(kron(kron(ea, ed), h.comult))
-    )
-    nu_r = kron(kron(ea, ed), h.mult).compose(
-        swap_matrix(a, d, a, a).compose(kron(h.comult, m.nu_r))
-    )
-    return HopfBimodule(h, a * d, mu_l, mu_r, nu_l, nu_r, f"smash({m.name})")
+    ed = Matrix.identity(m.dim)
+    mu_r, nu_r = diagonal_structures(regular_bimodule(h), m)
+    return HopfBimodule(h, h.dim * m.dim, kron(h.mult, ed), mu_r, kron(h.comult, ed), nu_r,
+                        f"smash({m.name})")
 
 
 def crossed_iso_smash(m: CrossedModule):
@@ -264,40 +256,26 @@ def tensor_over_H(x: HopfBimodule, y: HopfBimodule) -> TensorOverH:
     # left coaction live on the X factor alone, while the right action and
     # right coaction are diagonal, acting on coinv(Y) through its crossed
     # module structure.
-    mu_l = kron(x.mu_l, em)
-    nu_l = kron(x.nu_l, em)
-    mu_r = kron(x.mu_r, mc.mu_r).compose(
-        swap_matrix(mc.dim, a, x.dim, a).compose(kron(kron(ex, em), h.comult))
-    )
-    nu_r = kron(kron(ex, em), h.mult).compose(
-        swap_matrix(a, mc.dim, x.dim, a).compose(kron(x.nu_r, mc.nu_r))
-    )
+    mu_r, nu_r = diagonal_structures(x, mc)
     z = HopfBimodule(
-        h, x.dim * mc.dim, mu_l, mu_r, nu_l, nu_r, f"({x.name}(x)H{y.name})"
+        h, x.dim * mc.dim, kron(x.mu_l, em), mu_r, kron(x.nu_l, em), nu_r,
+        f"({x.name}(x)H{y.name})"
     )
     return TensorOverH(x, y, z, lam, rho, mc, p, i)
 
 
 def rho_lambda_formula(x: HopfBimodule, y: HopfBimodule) -> Matrix:
     """The explicit composite that rho o lambda must equal on X (x) Y."""
-    h = x.h
-    a = h.dim
-    return kron(x.mu_r, y.mu_l).compose(
-        swap_matrix(a, a, x.dim, y.dim).compose(kron(x.nu_r, y.nu_l))
-    )
+    a = x.h.dim
+    return braided_product(x.mu_r, y.mu_l, swap_matrix(a, a), x.nu_r, y.nu_l,
+                           (x.dim, a, a, y.dim))
 
 
 def theta(x: HopfBimodule, y: HopfBimodule) -> Matrix:
     """Theta_{X,Y}: X (x) Y -> Y (x) X inducing the Hopf bimodule braiding."""
-    h = x.h
-    a = h.dim
-    # the swap goes on the narrow side: its one-entry rows outnumber the
-    # nonzeros of the coaction factor
-    return (
-        kron(y.mu_l, x.mu_r)
-        .compose(swap_matrix(x.dim, y.dim, a, a))
-        .compose(kron(x.nu_l, y.nu_r))
-    )
+    a = x.h.dim
+    return braided_product(y.mu_l, x.mu_r, swap_matrix(x.dim, y.dim), x.nu_l, y.nu_r,
+                           (a, x.dim, y.dim, a))
 
 
 def tensor_map_over_H(t: TensorOverH, t2: TensorOverH, f: Matrix, g: Matrix) -> Matrix:
@@ -323,15 +301,15 @@ def hopf_bimodule_braiding(x: HopfBimodule, y: HopfBimodule, txy=None, tyx=None,
 
 
 def _inv_braid_composite(x: HopfBimodule, y: HopfBimodule, txy, tyx) -> Matrix:
-    """lam_{Y,X} o (mu_r^Y o swap (x) id) o (S^{-1} (x) swap) o
-    (swap o nu_r^X (x) id) o rho_{X,Y}: X (x)_H Y -> Y (x)_H X."""
+    """lam_{Y,X} o phi o rho_{X,Y}: X (x)_H Y -> Y (x)_H X, where
+    phi(x (x) y) = y <| S^{-1}(x_(1)) (x) x_(0) on X (x) Y."""
     h = x.h
     a = h.dim
     ex, ey = Matrix.identity(x.dim), Matrix.identity(y.dim)
-    step1 = kron(swap_matrix(x.dim, a).compose(x.nu_r), ey)
-    step2 = kron(h.antipode_inv, swap_matrix(x.dim, y.dim))
-    step3 = kron(y.mu_r.compose(swap_matrix(a, y.dim)), ex)
-    return tyx.lam.compose(step3).compose(step2).compose(step1).compose(txy.rho)
+    act = compose_kron(y.mu_r.compose(swap_matrix(a, y.dim)), h.antipode_inv, ey)
+    coact = swap_matrix(x.dim, a).compose(x.nu_r)
+    phi = braided_product(act, ex, swap_matrix(x.dim, y.dim), coact, ey, (a, x.dim, y.dim, 1))
+    return tyx.lam.compose(phi).compose(txy.rho)
 
 
 def hopf_bimodule_braiding_inverse(x: HopfBimodule, y: HopfBimodule,
@@ -437,10 +415,10 @@ def relative_antipode_commutes(x: HopfBimodule) -> bool:
     tw_ax = swap_matrix(a, x.dim)
     tw_xa = swap_matrix(x.dim, a)
     return (
-        sp.compose(x.mu_l) == x.mu_r.compose(kron(sp, s)).compose(tw_ax)
-        and sp.compose(x.mu_r) == x.mu_l.compose(kron(s, sp)).compose(tw_xa)
-        and x.nu_l.compose(sp) == tw_xa.compose(kron(sp, s)).compose(x.nu_r)
-        and x.nu_r.compose(sp) == tw_ax.compose(kron(s, sp)).compose(x.nu_l)
+        sp.compose(x.mu_l) == compose_kron(x.mu_r, sp, s).compose(tw_ax)
+        and sp.compose(x.mu_r) == compose_kron(x.mu_l, s, sp).compose(tw_xa)
+        and x.nu_l.compose(sp) == tw_xa.compose(kron_apply(sp, s, x.nu_r))
+        and x.nu_r.compose(sp) == tw_ax.compose(kron_apply(s, sp, x.nu_l))
     )
 
 
@@ -464,9 +442,8 @@ def yd_braiding(m: CrossedModule, n: CrossedModule) -> Matrix:
     108, 1990): (id_N (x) mu_M) o (swap_{M,N} (x) id_H) o (id_M (x) nu_N).
     It is the Hopf bimodule braiding of the smash products carried through
     the equivalence with crossed modules."""
-    a = m.h.dim
-    coacted = swap_matrix(m.dim, n.dim, 1, a).compose(kron(Matrix.identity(m.dim), n.nu_r))
-    return kron_apply(Matrix.identity(n.dim), m.mu_r, coacted)
+    return braided_product(Matrix.identity(n.dim), m.mu_r, swap_matrix(m.dim, n.dim),
+                           Matrix.identity(m.dim), n.nu_r, (1, m.dim, n.dim, m.h.dim))
 
 
 # --- bialgebra projections ------------------------------------------------

@@ -18,7 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bimodules import CrossedModule, HopfBimodule, coinvariants, yd_braiding
+from .bimodules import (
+    CrossedModule,
+    HopfBimodule,
+    coinvariants,
+    diagonal_structures,
+    trivial_crossed,
+    yd_braiding,
+)
 from .braiding import BraidedSpace
 from .cyclotomic import MINUS_ONE
 from .graded import (
@@ -28,40 +35,26 @@ from .graded import (
     signed_swap_blocks,
 )
 from .hopf import HopfAlgebraData
-from .matrix import Matrix, compose_kron, kron, kron_apply, solve_mono, swap_matrix
+from .matrix import (
+    Matrix,
+    braided_product,
+    compose_kron,
+    kron,
+    kron_apply,
+    solve_mono,
+    swap_matrix,
+)
 from .tensor_hopf import WedgeAlgebra, build_wedge
 
 
-def crossed_power_action(mc: CrossedModule, n: int) -> Matrix:
-    """Diagonal right action of H on M^(tensor n)."""
+def crossed_power(mc: CrossedModule, n: int) -> CrossedModule:
+    """M^(tensor n) with the diagonal right action and codiagonal right
+    coaction; the unit object at n = 0."""
     h = mc.h
-    a = h.dim
-    if n == 0:
-        return h.counit
-    act = mc.mu_r
-    for k in range(2, n + 1):
-        prev_dim = mc.dim ** (k - 1)
-        act = compose_kron(
-            kron(act, mc.mu_r).compose(swap_matrix(mc.dim, a, prev_dim, a)),
-            Matrix.identity(prev_dim * mc.dim), h.comult,
-        )
-    return act
-
-
-def crossed_power_coaction(mc: CrossedModule, n: int) -> Matrix:
-    """Codiagonal right coaction of H on M^(tensor n)."""
-    h = mc.h
-    a = h.dim
-    if n == 0:
-        return h.unit
-    coact = mc.nu_r
-    for k in range(2, n + 1):
-        prev_dim = mc.dim ** (k - 1)
-        coact = kron_apply(
-            Matrix.identity(prev_dim * mc.dim), h.mult,
-            swap_matrix(a, mc.dim, prev_dim, a).compose(kron(coact, mc.nu_r)),
-        )
-    return coact
+    power = trivial_crossed(h)
+    for _ in range(n):
+        power = CrossedModule(h, power.dim * mc.dim, *diagonal_structures(power, mc))
+    return power
 
 
 @dataclass
@@ -89,10 +82,9 @@ def wedge_over_H(h: HopfAlgebraData, x: HopfBimodule, N: int) -> WedgeOverH:
     acts = []    # W_n (x) H -> W_n
     coacts = []  # W_n -> W_n (x) H
     for n in range(N + 1):
-        big_act = crossed_power_action(mc, n)
-        big_coact = crossed_power_coaction(mc, n)
-        acts.append(solve_mono(w.im[n], compose_kron(big_act, w.im[n], Matrix.identity(a))))
-        coacts.append(solve_mono(kron(w.im[n], Matrix.identity(a)), big_coact.compose(w.im[n])))
+        power = crossed_power(mc, n)
+        acts.append(solve_mono(w.im[n], compose_kron(power.mu_r, w.im[n], Matrix.identity(a))))
+        coacts.append(solve_mono(kron(w.im[n], Matrix.identity(a)), power.nu_r.compose(w.im[n])))
 
     dims = [a * walg.dims[n] for n in range(N + 1)]
     mult = {}
@@ -101,18 +93,18 @@ def wedge_over_H(h: HopfAlgebraData, x: HopfBimodule, N: int) -> WedgeOverH:
         wk = walg.dims[k]
         for l in range(N + 1 - k):
             wl = walg.dims[l]
+            ewl = Matrix.identity(wl)
             # (h, v, g, w) -> (h, v, g1, g2, w) -> (h, g1, v, g2, w)
-            acted = kron(h.mult, compose_kron(walg.m(k, l), acts[k], Matrix.identity(wl)))
-            mult[(k, l)] = compose_kron(
-                acted.compose(swap_matrix(wk, a, a, a * wl)),
-                Matrix.identity(a * wk), kron(h.comult, Matrix.identity(wl)),
+            #              -> (h g1, (v <| g2) w)
+            mult[(k, l)] = braided_product(
+                h.mult, compose_kron(walg.m(k, l), acts[k], ewl), swap_matrix(wk, a),
+                Matrix.identity(a * wk), kron(h.comult, ewl), (a, wk, a, a * wl),
             )
-            # (h, u) -> (h1, h2, u1, u2) -> (h1, h2, u1_0, u1_1, u2)
-            #        -> (h1, u1_0, h2, u1_1, u2) -> (h1, u1_0, h2 u1_1, u2)
-            coacted = kron(h.comult, kron_apply(coacts[k], Matrix.identity(wl), walg.cm(k, l)))
-            comult[(k, l)] = kron_apply(
-                Matrix.identity(a * wk), kron(h.mult, Matrix.identity(wl)),
-                swap_matrix(a, wk, a, a * wl).compose(coacted),
+            # (h, u) -> (h1, h2, u1_0, u1_1, u2) -> (h1, u1_0, h2, u1_1, u2)
+            #        -> (h1, u1_0, h2 u1_1, u2)
+            comult[(k, l)] = braided_product(
+                Matrix.identity(a * wk), kron(h.mult, ewl), swap_matrix(a, wk),
+                h.comult, kron_apply(coacts[k], ewl, walg.cm(k, l)), (a, a, wk, a * wl),
             )
 
     unit = kron(h.unit, walg.unit)

@@ -128,9 +128,16 @@ def cmd_build_calculus(args) -> int:
     obj = io.load_json(args.file)
     calc = io.calculus_from_obj(obj, io.Path(args.file).parent)
     fodc_checks = verify_calculus(calc)
-    ok = fodc_checks.ok
     report = {"command": "build-calculus", "max_degree": args.max_degree,
               "route": args.route, "fodc_checks": fodc_checks.to_obj()}
+    if not fodc_checks.ok:
+        # the forms exist only over a first-order calculus: on a broken X the
+        # derived braiding need not even be invertible
+        print("first-order calculus: CHECKS FAILED")
+        _print_checks(fodc_checks, failed_only=True)
+        _emit(report, args.out)
+        return EXIT_FAIL
+    ok = True
     routes = ["maximal", "biproduct"] if args.route == "both" else [args.route]
     for route in routes:
         sub, checks = _route_report(calc, args.max_degree, route)

@@ -173,8 +173,10 @@ def taft_algebra(n: int) -> HopfAlgebraData:
                         mult[idx((a + c) % n, b + d), idx(a, b) * dim + idx(c, d)] = coeff
     unit = Matrix.zero(dim, 1)
     unit[idx(0, 0), 0] = ONE
-    # comultiplication computed in the tensor-square algebra from the generators
-    mult2 = kron(mult, mult).compose(swap_matrix(dim, dim, dim, dim))
+    # comultiplication computed in the tensor-square algebra from the
+    # generators, whose product (u (x) v)(u' (x) v') = u u' (x) v v' is a
+    # braided product with the plain swap
+    sw = swap_matrix(dim, dim)
     unit2 = kron(unit, unit)
     dg = Matrix.zero(dim * dim, 1)
     dg[idx(1, 0) * dim + idx(1, 0), 0] = ONE
@@ -185,10 +187,8 @@ def taft_algebra(n: int) -> HopfAlgebraData:
     for a in range(n):
         for b in range(n):
             val = unit2
-            for _ in range(a):
-                val = mult2.compose(kron(val, dg))
-            for _ in range(b):
-                val = mult2.compose(kron(val, dx))
+            for gen in [dg] * a + [dx] * b:
+                val = braided_product(mult, mult, sw, val, gen, (dim, dim, dim, dim))
             columns.append(val)
     comult = hstack(columns)
     counit = Matrix.zero(1, dim)

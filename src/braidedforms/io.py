@@ -10,7 +10,7 @@ serialization {"conductor": n, "coeffs": [[num, den], ...]}; integer and
   crossed   {"hopf": <ref>, "dim", "mu_r", "nu_r"}
   calculus  {"hopf": <ref>, "submodule": {"ambient": "ker_counit",
              "generators": [vectors]}}  or  {"hopf": <ref>, "X": bimodule
-             fields, "d": Matrix}
+             fields, "d": Matrix of shape X.dim x H.dim}
 
 A <ref> is an inline object, a path relative to the referring file, or
 "bundled:<name>" for a file shipped with the package under data/.
@@ -242,5 +242,8 @@ def calculus_from_obj(obj, base_dir=None):
         xobj.setdefault("hopf", obj["hopf"])
         x = bimodule_from_obj(xobj, base_dir)
         d = _wrap(matrix_from_obj, obj["d"], "differential")
+        if (d.rows, d.cols) != (x.dim, h.dim):
+            raise ParseError(f'"d" must be {x.dim}x{h.dim} (X.dim x H.dim), '
+                             f'got {d.rows}x{d.cols}')
         return FirstOrderCalculus(h, x, d)
     raise ParseError('calculus bundle needs either "submodule" or explicit "X" and "d"')

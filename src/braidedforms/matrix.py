@@ -6,12 +6,15 @@ kron realizes the tensor product with the lexicographic basis order
 (i, j) -> i*dim(Y) + j.  kron_apply(f, g, x) = kron(f, g) o x and its mirror
 compose_kron(x, f, g) = x o kron(f, g) apply a tensor product without
 building it, the way to evaluate a whisker such as m o (f (x) id) that is
-only compared, never kept; braided_product evaluates the right-hand side
-(m (x) m) o (id (x) beta (x) id) o (c (x) c) of the braided bialgebra law the
-same way.  swap_matrix(a, b, pre, post) is the one constructor
-of a leg swap id_pre (x) swap_{a,b} (x) id_post; a structure map that flips
-tensor legs composes with it like with any other morphism.  All eliminations
-pick pivots leftmost-first so every derived basis is reproducible bit for bit.
+only compared, never kept.  braided_product evaluates the braided composite
+(m1 (x) m2) o (id (x) beta (x) id) o (c1 (x) c2) the same way, stated by its
+four leg dimensions; it is the one kernel for tensor products of structures:
+the braided bialgebra law, the diagonal action and codiagonal coaction on a
+tensor product of modules, the smash and biproduct blocks and the braidings
+built from them.  swap_matrix(a, b) is the plain tensor swap A (x) B -> B (x) A;
+no caller pads it with identity legs, so only this module knows how tensor
+legs are laid out.  All eliminations pick pivots leftmost-first so every
+derived basis is reproducible bit for bit.
 
 A kernel basis has the row {j: ONE} at the free coordinate of its column j,
 and so does a column echelon basis at its pivot row of column j; kron with an
@@ -301,15 +304,10 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-def swap_matrix(a: int, b: int, pre: int = 1, post: int = 1) -> Matrix:
-    """id_pre (x) swap_{a,b} (x) id_post: the plain tensor swap A (x) B -> B (x) A
-    between identity legs, one entry ONE per row."""
-    # the source of each target basis vector (k, j, l) of B (x) A (x) post;
-    # the pre blocks repeat it at a stride of one block
-    block = [(j * b + k) * post + l for k in range(b) for j in range(a) for l in range(post)]
-    step = len(block)
-    rows = [{i * step + src: ONE} for i in range(pre) for src in block]
-    return _sparse(pre * step, pre * step, rows)
+def swap_matrix(a: int, b: int) -> Matrix:
+    """The plain tensor swap A (x) B -> B (x) A, e_i (x) f_j -> f_j (x) e_i,
+    one entry ONE per row."""
+    return _sparse(a * b, a * b, [{j * b + k: ONE} for k in range(b) for j in range(a)])
 
 
 def kron(f: Matrix, g: Matrix) -> Matrix:

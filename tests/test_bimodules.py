@@ -3,6 +3,7 @@ import pytest
 from braidedforms import io
 from braidedforms.bimodules import (
     BialgebraProjection,
+    CrossedModule,
     HopfBimodule,
     TensorCache,
     adjoint_crossed,
@@ -29,11 +30,12 @@ from braidedforms.bimodules import (
     trivial_crossed,
     yd_braiding,
 )
+from braidedforms.bosonization import crossed_power
 from braidedforms.braiding import check_yang_baxter
 from braidedforms.calculus import kernel_counit_crossed
 from braidedforms.checks import Checks
 from braidedforms.cyclotomic import ONE
-from braidedforms.matrix import Matrix, kron, swap_matrix
+from braidedforms.matrix import Matrix, kron, kron_all, swap_matrix
 
 
 class TestAxioms:
@@ -60,6 +62,11 @@ class TestAxioms:
         assert not check_hopf_bimodule(bad).ok
 
 
+def legs(pre, a, b, post):
+    """id_pre (x) swap_{a,b} (x) id_post as a Kronecker product."""
+    return kron_all(Matrix.identity(pre), swap_matrix(a, b), Matrix.identity(post))
+
+
 def reference_check_hopf_bimodule(x):
     """check_hopf_bimodule with every whisker and every comodule-map right
     side built as a Kronecker product."""
@@ -68,10 +75,10 @@ def reference_check_hopf_bimodule(x):
     ea, ed = Matrix.identity(a), Matrix.identity(d)
     m, u, cm, cu = h.mult, h.unit, h.comult, h.counit
     ml, mr, nl, nr = x.mu_l, x.mu_r, x.nu_l, x.nu_r
-    rhs_ll = kron(m, ml).compose(swap_matrix(a, a, a, d).compose(kron(cm, nl)))
-    rhs_lr = kron(m, mr).compose(swap_matrix(d, a, a, a).compose(kron(nl, cm)))
-    rhs_rl = kron(ml, m).compose(swap_matrix(a, d, a, a).compose(kron(cm, nr)))
-    rhs_rr = kron(mr, m).compose(swap_matrix(a, a, d, a).compose(kron(nr, cm)))
+    rhs_ll = kron(m, ml).compose(legs(a, a, a, d).compose(kron(cm, nl)))
+    rhs_lr = kron(m, mr).compose(legs(a, d, a, a).compose(kron(nl, cm)))
+    rhs_rl = kron(ml, m).compose(legs(a, a, d, a).compose(kron(cm, nr)))
+    rhs_rr = kron(mr, m).compose(legs(d, a, a, a).compose(kron(nr, cm)))
     return Checks({
         "left_module": ml.compose(kron(m, ed)) == ml.compose(kron(ea, ml))
         and ml.compose(kron(u, ed)) == ed,
@@ -291,6 +298,183 @@ class TestYdBraidingAgainstTransport:
         calc = io.calculus_from_obj(io.load_json(path), path.parent)
         mc = coinvariants(calc.x)[0]
         assert yd_braiding(mc, mc) == reference_yd_braiding(mc, mc)
+
+
+# --- the builders against their Kronecker chains ---------------------------
+# Each reference builds a tensor product of structures as
+# kron(...) o (id (x) swap (x) id) o kron(...), the construction that
+# braided_product replaced.
+
+
+def reference_square_bimodule(h):
+    a = h.dim
+    ea, eaa = Matrix.identity(a), Matrix.identity(a * a)
+    dd = kron(h.comult, h.comult)
+    nu_l = kron(h.mult, eaa).compose(legs(a, a, a, a)).compose(dd)
+    nu_r = kron(eaa, h.mult).compose(legs(a, a, a, a)).compose(dd)
+    return HopfBimodule(h, a * a, kron(h.mult, ea), kron(ea, h.mult), nu_l, nu_r)
+
+
+def reference_diagonal_structures(x, m):
+    h = m.h
+    a, dx, d = h.dim, x.dim, m.dim
+    exm = Matrix.identity(dx * d)
+    mu_r = kron(x.mu_r, m.mu_r).compose(legs(dx, d, a, a)).compose(kron(exm, h.comult))
+    nu_r = kron(exm, h.mult).compose(legs(dx, a, d, a)).compose(kron(x.nu_r, m.nu_r))
+    return mu_r, nu_r
+
+
+def reference_smash(h, m):
+    ed = Matrix.identity(m.dim)
+    mu_r, nu_r = reference_diagonal_structures(regular_bimodule(h), m)
+    return HopfBimodule(h, h.dim * m.dim, kron(h.mult, ed), mu_r, kron(h.comult, ed), nu_r)
+
+
+def reference_theta(x, y):
+    a = x.h.dim
+    return kron(y.mu_l, x.mu_r).compose(legs(a, x.dim, y.dim, a)).compose(
+        kron(x.nu_l, y.nu_r))
+
+
+def reference_rho_lambda_formula(x, y):
+    a = x.h.dim
+    return kron(x.mu_r, y.mu_l).compose(legs(x.dim, a, a, y.dim)).compose(
+        kron(x.nu_r, y.nu_l))
+
+
+def reference_adjoint_crossed(h):
+    a = h.dim
+    ea = Matrix.identity(a)
+    act = (h.mult.compose(kron(ea, h.mult)).compose(legs(1, a, a, a))
+           .compose(kron(ea, kron(h.antipode, ea))).compose(kron(ea, h.comult)))
+    return CrossedModule(h, a, act, h.comult)
+
+
+def reference_coadjoint_crossed(h):
+    a = h.dim
+    ea = Matrix.identity(a)
+    coact = (kron(ea, h.mult).compose(kron(ea, kron(h.antipode, ea)))
+             .compose(legs(1, a, a, a)).compose(kron(h.comult, ea)).compose(h.comult))
+    return CrossedModule(h, a, h.mult, coact)
+
+
+def reference_inverse_composite(x, y):
+    """X (x) Y -> Y (x) X, x (x) y -> y <| S^{-1}(x_(1)) (x) x_(0), in steps."""
+    h = x.h
+    a = h.dim
+    ex, ey = Matrix.identity(x.dim), Matrix.identity(y.dim)
+    step1 = kron(swap_matrix(x.dim, a).compose(x.nu_r), ey)
+    step2 = kron(h.antipode_inv, swap_matrix(x.dim, y.dim))
+    step3 = kron(y.mu_r.compose(swap_matrix(a, y.dim)), ex)
+    return step3.compose(step2).compose(step1)
+
+
+def reference_check_crossed_module(x):
+    """check_crossed_module with every whisker and both sides of the crossed
+    law built as Kronecker products."""
+    h = x.h
+    a, d = h.dim, x.dim
+    ea, ed = Matrix.identity(a), Matrix.identity(d)
+    m, u, cm, cu = h.mult, h.unit, h.comult, h.counit
+    mr, nr = x.mu_r, x.nu_r
+    lhs = (kron(ed, m).compose(legs(1, a, d, a)).compose(kron(ea, nr.compose(mr)))
+           .compose(legs(1, d, a, a)).compose(kron(ed, cm)))
+    rhs = kron(mr, m).compose(legs(d, a, a, a)).compose(kron(nr, cm))
+    return Checks({
+        "right_module": mr.compose(kron(ed, m)) == mr.compose(kron(mr, ea))
+        and mr.compose(kron(ed, u)) == ed,
+        "right_comodule": kron(ed, cm).compose(nr) == kron(nr, ea).compose(nr)
+        and kron(ed, cu).compose(nr) == ed,
+        "crossed_compatibility": lhs == rhs,
+    })
+
+
+def _maps(x):
+    return [getattr(x, f) for f in ("mu_l", "mu_r", "nu_l", "nu_r") if hasattr(x, f)]
+
+
+class TestBuildersAgainstKroneckerChains:
+    @pytest.fixture(params=["kz3", "sweedler", "ks3"])
+    def h(self, request):
+        return request.getfixturevalue(request.param)
+
+    def test_square_bimodule(self, h):
+        assert _maps(square_bimodule(h)) == _maps(reference_square_bimodule(h))
+
+    def test_smash(self, h):
+        for mc in crossed_examples(h):
+            assert _maps(smash(h, mc)) == _maps(reference_smash(h, mc)), mc.name
+
+    def test_adjoint_and_coadjoint(self, h):
+        assert _maps(adjoint_crossed(h)) == _maps(reference_adjoint_crossed(h))
+        assert _maps(coadjoint_crossed(h)) == _maps(reference_coadjoint_crossed(h))
+
+    def test_tensor_over_H_right_structures(self, h):
+        reg, sq = regular_bimodule(h), square_bimodule(h)
+        sm = smash(h, kernel_counit_crossed(h)[0])
+        for x, y in [(reg, sq), (sq, reg), (sm, sq)]:
+            t = tensor_over_H(x, y)
+            ref = reference_diagonal_structures(x, t.coinv)
+            assert (t.z.mu_r, t.z.nu_r) == ref, (x.name, y.name)
+
+    def test_theta_rho_lambda_and_inverse_composite(self, h):
+        reg, sq = regular_bimodule(h), square_bimodule(h)
+        sm = smash(h, coadjoint_crossed(h))
+        for x, y in [(reg, sq), (sq, sm), (sm, reg)]:
+            assert theta(x, y) == reference_theta(x, y), (x.name, y.name)
+            assert rho_lambda_formula(x, y) == reference_rho_lambda_formula(x, y)
+            txy, tyx = tensor_over_H(x, y), tensor_over_H(y, x)
+            assert hopf_bimodule_braiding_inverse(y, x, tyx, txy) == \
+                tyx.lam.compose(reference_inverse_composite(x, y)).compose(txy.rho)
+
+    def test_check_crossed_module(self, h):
+        for mc in crossed_examples(h):
+            assert check_crossed_module(mc).to_obj() == \
+                reference_check_crossed_module(mc).to_obj(), mc.name
+
+
+class TestCrossedCheckAgainstReference:
+    @pytest.mark.parametrize("which", ["first", "last", "zero"])
+    @pytest.mark.parametrize("field", ["mu_r", "nu_r"])
+    def test_one_corrupted_entry(self, sweedler, field, which):
+        x = coadjoint_crossed(sweedler)
+        f = getattr(x, field)
+        nonzero = [rc for rc, _ in f.nonzeros()]
+        if which == "zero":
+            occupied = set(nonzero)
+            rc = next((r, c) for r in range(f.rows) for c in range(f.cols)
+                      if (r, c) not in occupied)
+        else:
+            rc = nonzero[0 if which == "first" else -1]
+        g = Matrix(f.rows, f.cols, f.entries)
+        g[rc] = f[rc] + ONE
+        maps = {"mu_r": x.mu_r, "nu_r": x.nu_r, field: g}
+        bad = CrossedModule(sweedler, x.dim, **maps)
+        report = check_crossed_module(bad)
+        assert report.to_obj() == reference_check_crossed_module(bad).to_obj()
+        assert not report.ok
+
+    @pytest.mark.parametrize("field", ["mu_r", "nu_r"])
+    def test_one_zero_map(self, kz3, field):
+        x = kernel_counit_crossed(kz3)[0]
+        maps = {"mu_r": x.mu_r, "nu_r": x.nu_r}
+        maps[field] = Matrix.zero(maps[field].rows, maps[field].cols)
+        bad = CrossedModule(kz3, x.dim, **maps)
+        report = check_crossed_module(bad)
+        assert report.to_obj() == reference_check_crossed_module(bad).to_obj()
+        assert not report.ok
+
+
+def test_tensor_products_build_no_matrix_beyond_their_output(taft3, built_sizes):
+    # the Kronecker chains built 6561 > 729 (square), 5832 > 648 (smash) and
+    # 41472 > 4608 (third crossed power) on taft3
+    ker = kernel_counit_crossed(taft3)[0]
+    for build in (lambda: square_bimodule(taft3), lambda: smash(taft3, ker),
+                  lambda: crossed_power(ker, 3)):
+        built_sizes.clear()
+        out = build()
+        largest = max(max(f.rows, f.cols) for f in _maps(out))
+        assert built_sizes and max(built_sizes) <= largest, (out, max(built_sizes))
 
 
 class TestRelativeAntipode:

@@ -1,11 +1,7 @@
 import pytest
 
 from braidedforms.bimodules import check_hopf_bimodule
-from braidedforms.bosonization import (
-    crossed_power_action,
-    crossed_power_coaction,
-    wedge_over_H,
-)
+from braidedforms.bosonization import crossed_power, wedge_over_H
 from braidedforms.calculus import (
     FirstOrderCalculus,
     check_first_order,
@@ -24,7 +20,7 @@ from braidedforms.calculus import (
 from braidedforms.errors import NotASubmodule
 from braidedforms.graded import check_graded_structure
 from braidedforms.hopf import cyclic_group_algebra
-from braidedforms.matrix import Matrix, kron, swap_matrix
+from braidedforms.matrix import Matrix, kron, kron_all, swap_matrix
 
 
 def reference_antipode(b, s0):
@@ -40,20 +36,31 @@ def reference_antipode(b, s0):
     return s
 
 
+def reference_crossed_powers(mc, n):
+    """(action, coaction) of crossed_power(mc, k) for k = 0..n, each factor
+    added as a Kronecker chain through id (x) swap (x) id."""
+    h, a = mc.h, mc.h.dim
+    out = [(h.counit, h.unit), (mc.mu_r, mc.nu_r)]
+    act, coact = mc.mu_r, mc.nu_r
+    for k in range(2, n + 1):
+        prev = Matrix.identity(mc.dim ** (k - 1))
+        eye, ea = Matrix.identity(mc.dim ** k), Matrix.identity(a)
+        act = kron(act, mc.mu_r).compose(kron_all(prev, swap_matrix(mc.dim, a), ea)).compose(
+            kron(eye, h.comult))
+        coact = kron(eye, h.mult).compose(kron_all(prev, swap_matrix(a, mc.dim), ea)).compose(
+            kron(coact, mc.nu_r))
+        out.append((act, coact))
+    return out[:n + 1]
+
+
 class TestBosonization:
-    def test_crossed_powers_against_kronecker_chains(self, sweedler):
-        h, a = sweedler, sweedler.dim
-        mc = kernel_counit_crossed(h)[0]
-        act, coact = mc.mu_r, mc.nu_r
-        for k in (2, 3):
-            prev = mc.dim ** (k - 1)
-            eye = Matrix.identity(prev * mc.dim)
-            act = kron(act, mc.mu_r).compose(swap_matrix(mc.dim, a, prev, a)).compose(
-                kron(eye, h.comult))
-            coact = kron(eye, h.mult).compose(swap_matrix(a, mc.dim, prev, a)).compose(
-                kron(coact, mc.nu_r))
-            assert crossed_power_action(mc, k) == act
-            assert crossed_power_coaction(mc, k) == coact
+    def test_crossed_powers_against_kronecker_chains(self, kz3, sweedler, ks3):
+        for h in (kz3, sweedler, ks3):
+            mc = kernel_counit_crossed(h)[0]
+            for n, (act, coact) in enumerate(reference_crossed_powers(mc, 3)):
+                power = crossed_power(mc, n)
+                assert power.dim == mc.dim ** n
+                assert (power.mu_r, power.nu_r) == (act, coact), (h.name, n)
 
     def test_antipode_against_kronecker_chains(self, sweedler):
         alg = wedge_over_H(sweedler, universal_fodc(sweedler).x, 2).algebra

@@ -9,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidedforms import io, tensor_hopf
+from braidedforms.bimodules import regular_bimodule
+from braidedforms.calculus import universal_fodc
 from braidedforms.cli import main
+from braidedforms.matrix import Matrix
 
 
 def run(args):
@@ -167,12 +170,26 @@ class TestBuildCalculus:
                     "--max-degree", "9"]) == 3
 
     def test_explicit_bimodule_form(self, tmp_path, kz2):
-        from braidedforms.calculus import universal_fodc
-
         univ = universal_fodc(kz2)
         obj = {"hopf": "bundled:kz2", "X": univ.x.to_obj(), "d": univ.d.to_obj()}
         assert run(["build-calculus", bundle(tmp_path, "e.json", obj),
                     "--max-degree", "2"]) == 0
+
+    @pytest.mark.parametrize("field, index", [("mu_l", 5), ("mu_r", 6), ("nu_r", 5)])
+    def test_broken_first_order_calculus_exit_1(self, tmp_path, capsys, kz2, field, index):
+        # a zeroed entry here left the coinvariants unsplit or the derived
+        # braiding singular, which ended in a traceback; the forms are now
+        # built only over a calculus that passes its first-order checks
+        univ = universal_fodc(kz2)
+        obj = {"hopf": "bundled:kz2", "X": univ.x.to_obj(), "d": univ.d.to_obj()}
+        obj["X"][field]["entries"][index] = 0
+        out = tmp_path / "r.json"
+        assert run(["build-calculus", bundle(tmp_path, "b.json", obj), "--max-degree", "1",
+                    "--out", str(out)]) == 1
+        assert "first-order calculus: CHECKS FAILED" in capsys.readouterr().out
+        report = json.load(open(out))
+        assert "routes" not in report and "dims" not in report
+        assert not all(v["pass"] for v in report["fodc_checks"].values())
 
 
 class TestClassify:
@@ -317,6 +334,16 @@ class TestExitCodes:
         assert run(["check", "--kind", "calculus", bundle(tmp_path, "x.json", obj)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3)])
+    def test_wrong_shaped_differential_exit_2(self, tmp_path, capsys, kz2, shape):
+        # d: H -> X must be X.dim x H.dim, here 2x2
+        obj = {"hopf": "bundled:kz2", "X": regular_bimodule(kz2).to_obj(),
+               "d": Matrix.zero(*shape).to_obj()}
+        path = bundle(tmp_path, "d.json", obj)
+        assert run(["check", "--kind", "calculus", path]) == 2
+        assert run(["build-calculus", path, "--max-degree", "1"]) == 2
+        assert capsys.readouterr().err.count('error: "d" must be 2x2') == 2
+
     def test_non_yang_baxter_wedge_exit_1(self, tmp_path, capsys):
         obj = json.load(open(io.bundled_path("swap2")))
         obj["psi"]["entries"][1] = {"conductor": 1, "coeffs": [[1, 1]]}
@@ -373,9 +400,22 @@ def _paths(obj, path=()):
     return keys, scalars
 
 
-# the check kind of each fuzzed corpus file
-FUZZ_FILES = {kind: json.load(open(io.bundled_path(name)))
-              for kind, name in (("hopf", "kz2"), ("braiding", "swap2"))}
+def _fuzz_files():
+    """The fuzzed files by check kind: corpus files, with the Hopf algebra of
+    the bimodule and crossed module read from the package, and an explicit
+    {"hopf", "X", "d"} calculus bundle (the universal calculus of kZ_2)."""
+    files = {kind: json.load(open(io.bundled_path(name)))
+             for kind, name in (("hopf", "kz2"), ("braiding", "swap2"),
+                                ("bimodule", "sweedler_regular_bimodule"),
+                                ("crossed", "sweedler_coadjoint_crossed"))}
+    for kind in ("bimodule", "crossed"):
+        files[kind]["hopf"] = "bundled:sweedler"
+    univ = universal_fodc(io.hopf_from_obj(files["hopf"]))
+    files["calculus"] = {"hopf": "bundled:kz2", "X": univ.x.to_obj(), "d": univ.d.to_obj()}
+    return files
+
+
+FUZZ_FILES = _fuzz_files()
 FUZZ_PATHS = {kind: _paths(obj) for kind, obj in FUZZ_FILES.items()}
 
 pairs = st.lists(st.tuples(st.integers(-3, 3), st.integers(-1, 3)), max_size=4)
@@ -407,18 +447,22 @@ def mutated_files(draw):
 
 
 class TestFuzz:
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=125, deadline=None)  # about 25 per kind
     @given(mutated_files())
     def test_mutated_corpus_ends_in_exit_code(self, mutated):
         kind, obj = mutated
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.json"
             path.write_text(json.dumps(obj))
-            calc = Path(tmp) / "calc.json"
-            calc.write_text(json.dumps(
-                {"hopf": "m.json", "submodule": {"ambient": "ker_counit", "generators": []}}))
-            for argv in (["check", "--kind", kind, str(path)],
-                         ["wedge-dims", str(path), "--max-degree", "3"],
-                         ["classify", str(path)],
-                         ["build-calculus", str(calc), "--max-degree", "1"]):
+            commands = [["check", "--kind", kind, str(path)]]
+            if kind in ("hopf", "braiding"):
+                calc = Path(tmp) / "calc.json"
+                calc.write_text(json.dumps(
+                    {"hopf": "m.json", "submodule": {"ambient": "ker_counit", "generators": []}}))
+                commands += [["wedge-dims", str(path), "--max-degree", "3"],
+                             ["classify", str(path)],
+                             ["build-calculus", str(calc), "--max-degree", "1"]]
+            if kind == "calculus":
+                commands.append(["build-calculus", str(path), "--max-degree", "1"])
+            for argv in commands:
                 assert run(argv) in (0, 1, 2, 3), argv

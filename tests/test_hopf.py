@@ -14,7 +14,7 @@ from braidedforms.hopf import (
     symmetric_group_algebra_s3,
     taft_algebra,
 )
-from braidedforms.matrix import Matrix, kron, swap_matrix
+from braidedforms.matrix import Matrix, hstack, kron, kron_all, swap_matrix
 
 
 class TestCorpus:
@@ -126,7 +126,7 @@ def reference_check_hopf(h):
         "coassociativity": kron(cm, eye).compose(cm) == kron(eye, cm).compose(cm),
         "counit": kron(cu, eye).compose(cm) == eye and kron(eye, cu).compose(cm) == eye,
         "bialgebra": cm.compose(m)
-        == kron(m, m).compose(swap_matrix(d, d, d, d)).compose(kron(cm, cm)),
+        == kron(m, m).compose(kron_all(eye, swap_matrix(d, d), eye)).compose(kron(cm, cm)),
         "unit_counit": cu.compose(m) == kron(cu, cu)
         and cm.compose(u) == kron(u, u)
         and cu.compose(u) == Matrix.identity(1),
@@ -170,3 +170,31 @@ def test_check_hopf_builds_no_matrix_beyond_three_legs(taft3, built_sizes):
     d = taft3.dim
     assert check_hopf(taft3).ok
     assert built_sizes and max(built_sizes) <= d**3
+
+
+def reference_taft_comult(h, n):
+    """taft_algebra's comultiplication with the product of H (x) H built as
+    kron(m, m) o (id (x) swap (x) id)."""
+    d = h.dim
+    eye = Matrix.identity(d)
+    mult2 = kron(h.mult, h.mult).compose(kron_all(eye, swap_matrix(d, d), eye))
+    dg = Matrix.zero(d * d, 1)
+    dg[n * d + n, 0] = ONE  # g (x) g, with g^a x^b at index a * n + b
+    dx = Matrix.zero(d * d, 1)
+    dx[1 * d + 0, 0] = ONE  # x (x) 1
+    dx[n * d + 1, 0] = ONE  # g (x) x
+    columns = []
+    for a in range(n):
+        for b in range(n):
+            val = kron(h.unit, h.unit)
+            for _ in range(a):
+                val = mult2.compose(kron(val, dg))
+            for _ in range(b):
+                val = mult2.compose(kron(val, dx))
+            columns.append(val)
+    return hstack(columns)
+
+
+def test_taft_comult_against_kronecker_chain():
+    h = taft_algebra(3)
+    assert h.comult == reference_taft_comult(h, 3)

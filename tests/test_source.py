@@ -88,3 +88,24 @@ def test_no_unused_names():
             unused += _unused_imports(tree)
         found += [f"{name}:{line} {n}" for n, line in unused if not n.startswith("_")]
     assert found == []
+
+
+def test_traced_functions_exist():
+    # perfbench/layertrace.py wraps its SPANS targets by name when a run is
+    # traced; a renamed or moved function would only fail there. Load the
+    # tracer's table without installing it.
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace_spans", path)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    missing = []
+    for name, module, cls, attr in layertrace.SPANS:
+        owner = vars(importlib.import_module(f"braidedforms.{module}"))
+        if cls is not None:
+            owner = vars(owner.get(cls, object))
+        if not callable(owner.get(attr)):
+            missing.append(f"{name}: {module}.{cls + '.' if cls else ''}{attr}")
+    assert layertrace.SPANS and missing == []
