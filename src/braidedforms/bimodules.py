@@ -188,12 +188,12 @@ def coinvariants(x: HopfBimodule):
     ea = Matrix.identity(a)
     condition = x.nu_l - kron(h.unit, ed)
     i = condition.kernel_basis()
-    proj = x.mu_l.compose(kron(h.antipode, ed)).compose(x.nu_l)
+    proj = x.mu_l.compose(kron_apply(h.antipode, ed, x.nu_l))
     p = solve_mono(i, proj)
     if p.compose(i) != Matrix.identity(i.cols):
         raise ShapeError("coinvariant projection does not split the inclusion")
-    mu_r = p.compose(x.mu_r).compose(kron(i, ea))
-    nu_r = kron(p, ea).compose(x.nu_r).compose(i)
+    mu_r = compose_kron(p.compose(x.mu_r), i, ea)
+    nu_r = kron_apply(p, ea, x.nu_r.compose(i))
     return CrossedModule(h, i.cols, mu_r, nu_r, f"coinv({x.name})"), p, i
 
 
@@ -223,8 +223,9 @@ def crossed_iso_smash(m: CrossedModule):
     h = m.h
     x = smash(h, m)
     mc, p, i = coinvariants(x)
-    alpha = p.compose(kron(h.unit, Matrix.identity(m.dim)))
-    beta = kron(h.counit, Matrix.identity(m.dim)).compose(i)
+    em = Matrix.identity(m.dim)
+    alpha = compose_kron(p, h.unit, em)
+    beta = kron_apply(h.counit, em, i)
     return mc, alpha, beta
 
 
@@ -247,11 +248,11 @@ def tensor_over_H(x: HopfBimodule, y: HopfBimodule) -> TensorOverH:
     """X (x)_H Y realized on X (x) coinv(Y), with universal lambda and rho."""
     h = x.h
     a = h.dim
-    ex = Matrix.identity(x.dim)
     mc, p, i = coinvariants(y)
-    em = Matrix.identity(mc.dim)
-    lam = kron(x.mu_r, em).compose(kron(ex, kron(Matrix.identity(a), p).compose(y.nu_l)))
-    rho = kron(ex, y.mu_l.compose(kron(Matrix.identity(a), i))).compose(kron(x.nu_r, em))
+    ea, ex, em = Matrix.identity(a), Matrix.identity(x.dim), Matrix.identity(mc.dim)
+    # lam(x (x) y) = x <| y_(-1) (x) p(y_(0)); rho(x (x) v) = x_(0) (x) x_(1) . i(v)
+    lam = braided_product(x.mu_r, em, ea, ex, kron_apply(ea, p, y.nu_l), (x.dim, 1, a, mc.dim))
+    rho = braided_product(ex, compose_kron(y.mu_l, ea, i), ea, x.nu_r, em, (x.dim, a, 1, mc.dim))
     # Canonical Hopf bimodule structure on X (x) coinv(Y): the left action and
     # left coaction live on the X factor alone, while the right action and
     # right coaction are diagonal, acting on coinv(Y) through its crossed
@@ -281,7 +282,7 @@ def theta(x: HopfBimodule, y: HopfBimodule) -> Matrix:
 def tensor_map_over_H(t: TensorOverH, t2: TensorOverH, f: Matrix, g: Matrix) -> Matrix:
     """The map induced on the tensor products over H by bimodule morphisms
     f: t.x -> t2.x and g: t.y -> t2.y."""
-    return solve_epi(t2.lam.compose(kron(f, g)), t.lam)
+    return solve_epi(compose_kron(t2.lam, f, g), t.lam)
 
 
 def hopf_bimodule_braiding(x: HopfBimodule, y: HopfBimodule, txy=None, tyx=None,
@@ -328,12 +329,9 @@ def hopf_bimodule_braiding_inverse(x: HopfBimodule, y: HopfBimodule,
 
 def relative_antipode(x: HopfBimodule) -> Matrix:
     """S_{X/H} = mu_l o (id (x) mu_r) o (S (x) id (x) S) o (id (x) nu_r) o nu_l."""
-    h = x.h
-    a = h.dim
-    ex = Matrix.identity(x.dim)
-    big = kron(Matrix.identity(a), x.nu_r).compose(x.nu_l)
-    twisted = kron(h.antipode, kron(ex, h.antipode)).compose(big)
-    return x.mu_l.compose(kron(Matrix.identity(a), x.mu_r)).compose(twisted)
+    s = x.h.antipode
+    inner = compose_kron(x.mu_r, Matrix.identity(x.dim), s).compose(x.nu_r)  # x_(0) <| S(x_(1))
+    return x.mu_l.compose(kron_apply(s, inner, x.nu_l))
 
 
 class TensorCache:
@@ -357,8 +355,8 @@ def associator(x: HopfBimodule, y: HopfBimodule, z: HopfBimodule,
     tyz = cache.get(y, z)
     tl = cache.get(txy.z, z)
     tr = cache.get(x, tyz.z)
-    q1 = tl.lam.compose(kron(txy.lam, Matrix.identity(z.dim)))
-    q2 = tr.lam.compose(kron(Matrix.identity(x.dim), tyz.lam))
+    q1 = compose_kron(tl.lam, txy.lam, Matrix.identity(z.dim))
+    q2 = compose_kron(tr.lam, Matrix.identity(x.dim), tyz.lam)
     return solve_epi(q2, q1)
 
 
@@ -426,10 +424,10 @@ def is_bimodule_morphism(x: HopfBimodule, y: HopfBimodule, f: Matrix) -> bool:
     h = x.h
     ea = Matrix.identity(h.dim)
     return (
-        f.compose(x.mu_l) == y.mu_l.compose(kron(ea, f))
-        and f.compose(x.mu_r) == y.mu_r.compose(kron(f, ea))
-        and kron(ea, f).compose(x.nu_l) == y.nu_l.compose(f)
-        and kron(f, ea).compose(x.nu_r) == y.nu_r.compose(f)
+        f.compose(x.mu_l) == compose_kron(y.mu_l, ea, f)
+        and f.compose(x.mu_r) == compose_kron(y.mu_r, f, ea)
+        and kron_apply(ea, f, x.nu_l) == y.nu_l.compose(f)
+        and kron_apply(f, ea, x.nu_r) == y.nu_r.compose(f)
     )
 
 
@@ -461,10 +459,10 @@ def projection_bimodule(pr: BialgebraProjection) -> HopfBimodule:
     """The Hopf bimodule underline-B induced by a bialgebra projection."""
     h, b = pr.h, pr.b
     eb = Matrix.identity(b.dim)
-    mu_l = b.mult.compose(kron(pr.eta_bar, eb))
-    mu_r = b.mult.compose(kron(eb, pr.eta_bar))
-    nu_l = kron(pr.eps_bar, eb).compose(b.comult)
-    nu_r = kron(eb, pr.eps_bar).compose(b.comult)
+    mu_l = compose_kron(b.mult, pr.eta_bar, eb)
+    mu_r = compose_kron(b.mult, eb, pr.eta_bar)
+    nu_l = kron_apply(pr.eps_bar, eb, b.comult)
+    nu_r = kron_apply(eb, pr.eps_bar, b.comult)
     return HopfBimodule(h, b.dim, mu_l, mu_r, nu_l, nu_r, "projection")
 
 
@@ -480,19 +478,11 @@ def projection_to_bimodule(pr: BialgebraProjection):
     """
     bb = projection_bimodule(pr)
     t = tensor_over_H(bb, bb)
-    a = pr.h.dim
     em = Matrix.identity(t.coinv.dim)
     eb = Matrix.identity(pr.b.dim)
-    can = bb.mu_l.compose(kron(Matrix.identity(a), t.i))
-    can_inv = can.inverse()
-    mult_bar = solve_epi(
-        pr.b.mult.compose(kron(eb, can)),
-        kron(bb.mu_r, em),
-    )
-    comult_bar = solve_mono(
-        kron(bb.nu_r, em),
-        kron(eb, can_inv).compose(pr.b.comult),
-    )
+    can = compose_kron(bb.mu_l, Matrix.identity(pr.h.dim), t.i)
+    mult_bar = solve_epi(compose_kron(pr.b.mult, eb, can), kron(bb.mu_r, em))
+    comult_bar = solve_mono(kron(bb.nu_r, em), kron_apply(eb, can.inverse(), pr.b.comult))
     return {"bimodule": bb, "tensor": t, "mult_bar": mult_bar, "comult_bar": comult_bar,
             "unit_bar": pr.eta_bar, "counit_bar": pr.eps_bar}
 

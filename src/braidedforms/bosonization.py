@@ -30,7 +30,6 @@ from .braiding import BraidedSpace
 from .cyclotomic import MINUS_ONE
 from .graded import (
     GradedBialgebra,
-    GradedSpace,
     antipode_recursive,
     signed_swap_blocks,
 )
@@ -110,7 +109,7 @@ def wedge_over_H(h: HopfAlgebraData, x: HopfBimodule, N: int) -> WedgeOverH:
     unit = kron(h.unit, walg.unit)
     counit = kron(h.counit, walg.counit)
     alg = GradedBialgebra(
-        GradedSpace(dims), mult, unit, comult, counit,
+        dims, mult, unit, comult, counit,
         signed_swap_blocks(dims, dims), lam=MINUS_ONE,
     )
     s0 = kron(h.antipode, Matrix.identity(walg.dims[0]))

@@ -12,9 +12,11 @@ the previous degree as [j]! = (id (x) [j-1]!) o [1, j-1].
 
 from __future__ import annotations
 
+import math
+
 from .cyclotomic import Scalar
 from .errors import ShapeError, TooLarge
-from .matrix import Matrix, kron, kron_all, swap_matrix
+from .matrix import Matrix, kron, kron_all, kron_apply, swap_matrix
 from .permutations import Partition, Permutation, shuffle_set
 
 RESOURCE_BOUND = 4096
@@ -24,7 +26,7 @@ def check_yang_baxter(psi: Matrix):
     """(holds, witness): witness is a failing basis column index on X@X@X."""
     if psi.rows != psi.cols:
         raise ShapeError("braiding must be square")
-    d = round(psi.rows ** 0.5)
+    d = math.isqrt(psi.rows)
     if d * d != psi.rows:
         raise ShapeError("braiding side length must be a perfect square")
     eye = Matrix.identity(d)
@@ -140,8 +142,8 @@ def braided_factorial(j: int, x: BraidedSpace, below: Matrix | None = None) -> M
         return Matrix.identity(x.dim**j)
     if below is None:
         below = braided_factorials(j - 1, x)[-1]
-    return kron(Matrix.identity(x.dim), below).compose(
-        multinomial(Partition([1, j - 1]), x, "upper"))
+    return kron_apply(Matrix.identity(x.dim), below,
+                      multinomial(Partition([1, j - 1]), x, "upper"))
 
 
 def braided_factorials(N: int, x: BraidedSpace) -> list[Matrix]:

@@ -28,7 +28,18 @@ from .cyclotomic import MINUS_ONE, ONE
 from .errors import NotASubmodule
 from .graded import GradedBialgebra, check_graded_structure, sub_bialgebra
 from .hopf import HopfAlgebraData
-from .matrix import Matrix, compose_kron, hstack, kron, kron_apply, solve_epi, solve_mono, vstack
+from .matrix import (
+    Matrix,
+    braided_product,
+    compose_kron,
+    hstack,
+    kron,
+    kron_apply,
+    solve_epi,
+    solve_mono,
+    split_leg,
+    vstack,
+)
 
 
 @dataclass
@@ -84,8 +95,8 @@ def universal_fodc(h: HopfAlgebraData) -> UniversalCalculus:
     nu_r = solve_mono(kron(incl, ea), sq.nu_r.compose(incl))
     x = HopfBimodule(h, dim_x, mu_l, mu_r, nu_l, nu_r, "ker_mult")
     d = solve_mono(incl, kron(h.unit, ea) - kron(ea, h.unit))
-    phi = kron(h.mult, ea).compose(kron(ea, kron(h.antipode, ea).compose(h.comult)))
-    alpha = solve_mono(incl, phi.compose(kron(ea, ik)))
+    twisted = kron_apply(h.antipode, ea, h.comult.compose(ik))  # x -> S(x_(1)) (x) x_(2)
+    alpha = solve_mono(incl, braided_product(h.mult, ea, ea, ea, twisted, (a, 1, a, a)))
     return UniversalCalculus(h, x, d, alpha, inclusion=incl, ker_counit=mc)
 
 
@@ -93,9 +104,8 @@ def derivation_morphism(univ: UniversalCalculus, other: FirstOrderCalculus) -> M
     """The unique bimodule morphism pi: Ker m -> X' with pi o D = d',
     computed as mu_l' o (id (x) d') o incl (initiality of the universal
     calculus)."""
-    incl = univ.inclusion
-    h = univ.h
-    return other.x.mu_l.compose(kron(Matrix.identity(h.dim), other.d)).compose(incl)
+    ea = Matrix.identity(univ.h.dim)
+    return other.x.mu_l.compose(kron_apply(ea, other.d, univ.inclusion))
 
 
 def kernel_counit_crossed(h: HopfAlgebraData):
@@ -113,18 +123,13 @@ def crossed_submodule_closure(m: CrossedModule, gens: Matrix) -> Matrix:
     """Echelon basis of the smallest subspace of M containing Im(gens) that
     is stable under the action (v <| h) and the coaction components
     (id (x) e_j*) o nu_r."""
-    a = m.h.dim
+    ea = Matrix.identity(m.h.dim)
     basis = gens.column_echelon_basis()[0]
     while True:
         pieces = [basis]
         if basis.cols:
-            pieces.append(compose_kron(m.mu_r, basis, Matrix.identity(a)))
-            co = m.nu_r.compose(basis)  # (M (x) H) x gens
-            comp = Matrix.zero(m.dim, basis.cols * a)
-            for (rj, c), v in co.nonzeros():
-                r, j = divmod(rj, a)
-                comp[r, c * a + j] = v
-            pieces.append(comp)
+            pieces.append(compose_kron(m.mu_r, basis, ea))
+            pieces.append(split_leg(m.nu_r.compose(basis), m.h.dim))
         new_basis = hstack(pieces).column_echelon_basis()[0]
         if new_basis.cols == basis.cols:
             return new_basis
@@ -160,7 +165,7 @@ def read_off_submodule(calc: FirstOrderCalculus) -> Matrix:
     """Recover the classifying crossed submodule R of Ker eps from a
     classified calculus: R = {x in Ker eps : psi(1 (x) x) = 0}."""
     h, psi = calc.h, calc.smash_map
-    psi0 = psi.compose(kron(h.unit, Matrix.identity(psi.cols // h.dim)))
+    psi0 = compose_kron(psi, h.unit, Matrix.identity(psi.cols // h.dim))
     return psi0.kernel_basis().column_echelon_basis()[0]
 
 
@@ -189,14 +194,11 @@ def comma_extension(calc: FirstOrderCalculus) -> CommaExtension:
     ph = ih.transpose()
     px = ix.transpose()
     ea = Matrix.identity(a)
-    mu_l = ih.compose(h.mult).compose(kron(ea, ph)) + ix.compose(x.mu_l).compose(kron(ea, px))
-    mu_r = (
-        ih.compose(h.mult).compose(kron(ph, ea))
-        + ix.compose(x.mu_l.compose(kron(ea, d))).compose(kron(ph, ea))
-        + ix.compose(x.mu_r).compose(kron(px, ea))
-    )
-    nu_l = kron(ea, ih).compose(h.comult).compose(ph) + kron(ea, ix).compose(x.nu_l).compose(px)
-    nu_r = kron(ih, ea).compose(h.comult).compose(ph) + kron(ix, ea).compose(x.nu_r).compose(px)
+    mu_l = compose_kron(ih.compose(h.mult), ea, ph) + compose_kron(ix.compose(x.mu_l), ea, px)
+    on_h = ih.compose(h.mult) + ix.compose(compose_kron(x.mu_l, ea, d))  # g h + g d(h)
+    mu_r = compose_kron(on_h, ph, ea) + compose_kron(ix.compose(x.mu_r), px, ea)
+    nu_l = kron_apply(ea, ih, h.comult.compose(ph)) + kron_apply(ea, ix, x.nu_l.compose(px))
+    nu_r = kron_apply(ih, ea, h.comult.compose(ph)) + kron_apply(ix, ea, x.nu_r.compose(px))
     bim = HopfBimodule(h, n, mu_l, mu_r, nu_l, nu_r, "comma")
     xhat = ih.compose(h.unit)
     return CommaExtension(h, calc, bim, xhat)
@@ -207,8 +209,8 @@ def bracket_differential(alg: GradedBialgebra, xhat: Matrix) -> list[Matrix]:
     m_(n,1)(. (x) xhat) for a degree-1 element xhat."""
     out = []
     for n in range(alg.N):
-        left = alg.m(1, n).compose(kron(xhat, alg.eye(n)))
-        right = alg.m(n, 1).compose(kron(alg.eye(n), xhat))
+        left = compose_kron(alg.m(1, n), xhat, alg.eye(n))
+        right = compose_kron(alg.m(n, 1), alg.eye(n), xhat)
         sign = ONE if n % 2 == 0 else MINUS_ONE
         out.append(left - right.scale(sign))
     out.append(Matrix.zero(0, alg.dims[alg.N]))
@@ -225,10 +227,10 @@ def maximal_calculus(alg: GradedBialgebra, diff: list[Matrix] | None = None) -> 
     if diff is None:
         diff = alg.differential
     incl = [Matrix.identity(alg.dims[0])]
-    first = alg.m(0, 1).compose(kron(alg.eye(0), diff[0]))
+    first = compose_kron(alg.m(0, 1), alg.eye(0), diff[0])
     incl.append(first.column_echelon_basis()[0])
     for n in range(2, alg.N + 1):
-        gen = alg.m(n - 1, 1).compose(kron(incl[n - 1], incl[1]))
+        gen = compose_kron(alg.m(n - 1, 1), incl[n - 1], incl[1])
         incl.append(gen.column_echelon_basis()[0])
     return sub_bialgebra(alg, incl, diff)
 
@@ -239,7 +241,7 @@ def maximal_calculus(alg: GradedBialgebra, diff: list[Matrix] | None = None) -> 
 def _free_iso(x: HopfBimodule, i: Matrix) -> Matrix:
     """can: H (x) _HX -> X, h (x) v -> h . i(v) (invertible by the Hopf
     module structure theorem)."""
-    return x.mu_l.compose(kron(Matrix.identity(x.h.dim), i))
+    return compose_kron(x.mu_l, Matrix.identity(x.h.dim), i)
 
 
 def biproduct_differential(wh: WedgeOverH, d: Matrix) -> list[Matrix]:
@@ -258,13 +260,13 @@ def biproduct_differential(wh: WedgeOverH, d: Matrix) -> list[Matrix]:
     d1 = can.inverse().compose(d)  # H -> B_1 = H (x) M
     ds = [None, d1]  # ds[n]: H^(x)n -> B_n, d(a_1)...d(a_n)
     for n in range(2, N + 1):
-        ds.append(alg.m(1, n - 1).compose(kron(d1, ds[n - 1])))
+        ds.append(compose_kron(alg.m(1, n - 1), d1, ds[n - 1]))
     gens = [Matrix.identity(a)]  # gen_0 = id on H = B_0
     for n in range(1, N + 1):
-        gens.append(alg.m(0, n).compose(kron(Matrix.identity(a), ds[n])))
+        gens.append(compose_kron(alg.m(0, n), Matrix.identity(a), ds[n]))
     diff = []
     for n in range(N):
-        target = alg.m(1, n).compose(kron(d1, ds[n])) if n >= 1 else d1
+        target = compose_kron(alg.m(1, n), d1, ds[n]) if n >= 1 else d1
         diff.append(solve_epi(target, gens[n]))
     diff.append(Matrix.zero(0, alg.dims[N]))
     return diff

@@ -25,7 +25,6 @@ from .matrix import (
     compose_kron,
     hstack,
     kron,
-    kron_all,
     kron_apply,
     solve_epi,
     solve_mono,
@@ -33,42 +32,31 @@ from .matrix import (
 )
 
 
-class GradedSpace:
-    __slots__ = ("N", "dims")
-
-    def __init__(self, dims):
-        self.dims = tuple(int(d) for d in dims)
-        self.N = len(self.dims) - 1
-        if any(d < 0 for d in self.dims):
-            raise ShapeError("negative dimension")
-
-    def __eq__(self, other):
-        return isinstance(other, GradedSpace) and self.dims == other.dims
-
-    def __repr__(self):
-        return f"GradedSpace{self.dims}"
-
-
-def signed_swap_blocks(dims_x, dims_y, lam=MINUS_ONE):
-    """Braid blocks lam^(kl) * plain swap, the graded braiding of Vect^N."""
-    lam = Scalar._coerce(lam)
-
+def weighted_blocks(swap, lam):
+    """Braid blocks (k, l) -> lam^(kl) * swap(k, l): the graded braiding of
+    degree-k and degree-l components at lam, from their unweighted swap."""
     def blocks(k, l):
-        m = swap_matrix(dims_x[k], dims_y[l])
+        m = swap(k, l)
         w = lam ** (k * l)
         return m if w == 1 else m.scale(w)
 
     return blocks
 
 
+def signed_swap_blocks(dims_x, dims_y, lam=MINUS_ONE):
+    """Braid blocks lam^(kl) * plain swap, the graded braiding of Vect^N."""
+    return weighted_blocks(lambda k, l: swap_matrix(dims_x[k], dims_y[l]), Scalar._coerce(lam))
+
+
 class GradedBialgebra:
     """Blockwise graded bialgebra data, optionally Hopf and differential."""
 
-    def __init__(self, space, mult, unit, comult, counit, braid_blocks,
+    def __init__(self, dims, mult, unit, comult, counit, braid_blocks,
                  antipode=None, differential=None, lam=MINUS_ONE):
-        self.space = space
-        self.N = space.N
-        self.dims = space.dims
+        self.dims = tuple(int(d) for d in dims)
+        self.N = len(self.dims) - 1
+        if any(d < 0 for d in self.dims):
+            raise ShapeError("negative dimension")
         self.mult = dict(mult)
         self.unit = unit
         self.comult = dict(comult)
@@ -236,8 +224,8 @@ def antipode_recursive(b: GradedBialgebra, s0: Matrix | None = None) -> list[Mat
         s0 = b.antipode[0]
     id_d0 = Matrix.identity(b.dims[0])
     eta_eps = b.unit.compose(b.counit)
-    conv_l = b.m(0, 0).compose(kron(s0, id_d0)).compose(b.cm(0, 0))
-    conv_r = b.m(0, 0).compose(kron(id_d0, s0)).compose(b.cm(0, 0))
+    conv_l = b.m(0, 0).compose(kron_apply(s0, id_d0, b.cm(0, 0)))
+    conv_r = b.m(0, 0).compose(kron_apply(id_d0, s0, b.cm(0, 0)))
     if conv_l != eta_eps or conv_r != eta_eps:
         raise InvalidBaseHopf("S_0 is not an antipode for the degree-0 component")
     s = [s0]
@@ -253,10 +241,12 @@ def antipode_recursive(b: GradedBialgebra, s0: Matrix | None = None) -> list[Mat
     return s
 
 
-def _along(maps, degrees) -> Matrix:
-    """The tensor product of maps[n] over the given degrees (the identity of
-    the ground field for no degrees)."""
-    return kron_all(*(maps[n] for n in degrees)) if degrees else Matrix.identity(1)
+def _legs(maps, degrees):
+    """maps[n] over the given degrees (at most two) as the two legs of a
+    tensor product, padded with the identity of the ground field."""
+    one = Matrix.identity(1)
+    legs = [maps[n] for n in degrees] + [one, one]
+    return legs[0], legs[1]
 
 
 def _transport(b: GradedBialgebra, dims, block, differential=None) -> GradedBialgebra:
@@ -276,7 +266,7 @@ def _transport(b: GradedBialgebra, dims, block, differential=None) -> GradedBial
     if d is not None:
         d = [block(d[n], (n,), (n + 1,)) for n in range(N)] + [Matrix.zero(0, dims[N])]
     return GradedBialgebra(
-        GradedSpace(dims), mult, block(b.unit, (), (0,)), comult, block(b.counit, (0,), ()),
+        dims, mult, block(b.unit, (), (0,)), comult, block(b.counit, (0,), ()),
         lambda k, l: block(b.braid(k, l), (k, l), (l, k)),
         antipode=antipode, differential=d, lam=b.lam,
     )
@@ -287,7 +277,7 @@ def sub_bialgebra(b: GradedBialgebra, incl, differential=None) -> GradedBialgebr
     block f becomes the unique g with incl o g = f o incl.  `differential`
     replaces b's own.  FactorizationError when a block leaves the image."""
     def block(f, src, tgt):
-        return solve_mono(_along(incl, tgt), f.compose(_along(incl, src)))
+        return solve_mono(kron(*_legs(incl, tgt)), compose_kron(f, *_legs(incl, src)))
 
     return _transport(b, [i.cols for i in incl], block, differential)
 
@@ -297,7 +287,7 @@ def quotient_bialgebra(b: GradedBialgebra, proj) -> GradedBialgebra:
     epi): each block f becomes the unique g with g o proj = proj o f.
     FactorizationError when a block does not descend."""
     def block(f, src, tgt):
-        return solve_epi(_along(proj, tgt).compose(f), _along(proj, src))
+        return solve_epi(kron_apply(*_legs(proj, tgt), f), kron(*_legs(proj, src)))
 
     return _transport(b, [p.rows for p in proj], block)
 
@@ -321,8 +311,8 @@ def ideal_quotient(b: GradedBialgebra, f: Matrix, degree: int) -> GradedBialgebr
             pieces = []
             for a in range(n - degree + 1):
                 c = n - degree - a
-                two_step = b.m(a + degree, c).compose(kron(b.m(a, degree), b.eye(c)))
-                pieces.append(two_step.compose(kron(kron(b.eye(a), f), Matrix.identity(b.dims[c]))))
+                left = compose_kron(b.m(a, degree), b.eye(a), f)
+                pieces.append(compose_kron(b.m(a + degree, c), left, b.eye(c)))
             gen = hstack(pieces)
         basis, _ = gen.column_echelon_basis()
         bases.append(basis)
@@ -334,7 +324,7 @@ def ideal_quotient(b: GradedBialgebra, f: Matrix, degree: int) -> GradedBialgebr
             continue
         for k in range(n + 1):
             l = n - k
-            if not kron(projs[k], projs[l]).compose(b.cm(k, l)).compose(bases[n]).is_zero:
+            if not kron_apply(projs[k], projs[l], b.cm(k, l).compose(bases[n])).is_zero:
                 raise NotABiIdeal(f"coideal condition fails at degrees ({k},{l})")
     if bases[0].cols and not b.counit.compose(bases[0]).is_zero:
         raise NotABiIdeal("counit does not vanish on the degree-0 ideal")

@@ -5,10 +5,12 @@ spaces).  Composition is matrix product with the right factor applied first;
 kron realizes the tensor product with the lexicographic basis order
 (i, j) -> i*dim(Y) + j.  kron_apply(f, g, x) = kron(f, g) o x and its mirror
 compose_kron(x, f, g) = x o kron(f, g) apply a tensor product without
-building it, the way to evaluate a whisker such as m o (f (x) id) that is
-only compared, never kept.  braided_product evaluates the braided composite
-(m1 (x) m2) o (id (x) beta (x) id) o (c1 (x) c2) the same way, stated by its
-four leg dimensions; it is the one kernel for tensor products of structures:
+building it; outside this module every product with a tensor product of
+maps goes through them or braided_product, and kron builds only a stored
+structure map or the mono/epi of a solve.  split_leg lays the components of
+a map into A (x) B along B side by side.  braided_product evaluates the
+braided composite (m1 (x) m2) o (id (x) beta (x) id) o (c1 (x) c2) the same
+way, stated by its four leg dimensions; it is the one kernel for tensor products of structures:
 the braided bialgebra law, the diagonal action and codiagonal coaction on a
 tensor product of modules, the smash and biproduct blocks and the braidings
 built from them.  swap_matrix(a, b) is the plain tensor swap A (x) B -> B (x) A;
@@ -104,10 +106,6 @@ class Matrix:
     @staticmethod
     def column(values) -> "Matrix":
         return Matrix(len(values), 1, list(values))
-
-    @staticmethod
-    def row(values) -> "Matrix":
-        return Matrix(1, len(values), list(values))
 
     # --- access -----------------------------------------------------------
 
@@ -213,11 +211,6 @@ class Matrix:
                 _add_scaled(acc, arow[k], brows[k])
             out.append({j: v for j, v in acc.items() if not v.is_zero})
         return _sparse(self.rows, other.cols, out)
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            return self.compose(other)
-        return NotImplemented
 
     def transpose(self) -> "Matrix":
         out = [{} for _ in range(self.cols)]
@@ -443,6 +436,21 @@ def braided_product(m1: Matrix, m2: Matrix, beta: Matrix, c1: Matrix, c2: Matrix
                             row = acc[base + r2] = {}
                         row[col] = row[col] + t if col in row else t
     return _finish(m1.rows * q, c1.cols * width, acc)
+
+
+def split_leg(x: Matrix, b: int) -> Matrix:
+    """The components of x: K -> A (x) B along B, side by side: the A x (B K)
+    matrix [(id_A (x) e_0*) o x | ... | (id_A (x) e_(b-1)*) o x], one pass
+    over the entries of x."""
+    if x.rows % b:
+        raise ShapeError(f"split_leg: {x.rows} rows are not a multiple of {b}")
+    k = x.cols
+    out = [{} for _ in range(x.rows // b)]
+    for r, row in enumerate(x._nz):
+        i, j = divmod(r, b)
+        for c, v in row.items():
+            out[i][j * k + c] = v
+    return _sparse(x.rows // b, b * k, out)
 
 
 def kron_all(*mats: Matrix) -> Matrix:

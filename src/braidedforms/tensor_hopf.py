@@ -24,7 +24,7 @@ from .braiding import (
 from .checks import Checks
 from .cyclotomic import MINUS_ONE, Scalar
 from .errors import FactorizationError
-from .graded import GradedBialgebra, GradedSpace, ideal_quotient, sub_bialgebra
+from .graded import GradedBialgebra, ideal_quotient, sub_bialgebra, weighted_blocks
 from .matrix import Matrix, compose_kron, kron_apply
 from .permutations import Partition, Permutation
 
@@ -43,13 +43,10 @@ def closed_form_antipode(x: BraidedSpace, n: int) -> Matrix:
     return mat.scale(weight)
 
 
-def _braid_blocks(x: BraidedSpace):
-    def blocks(k, l):
-        m = block_swap_rep(k, l, x)
-        w = x.lam ** (k * l)
-        return m if w == 1 else m.scale(w)
-
-    return blocks
+def at_minus_one(x: BraidedSpace) -> BraidedSpace:
+    """x with lam = -1, the antisymmetrizer's and the wedge's parameter; x
+    itself when its lam already is -1, so psi is ranked only once."""
+    return x if x.lam == MINUS_ONE else BraidedSpace(x.dim, x.psi, MINUS_ONE, check=False)
 
 
 @dataclass
@@ -79,25 +76,25 @@ def build_tensor_hopf(x: BraidedSpace, variant: str, N: int) -> TensorHopf:
                 raise ValueError(f"unknown variant {variant!r}")
     antipode = [closed_form_antipode(x, n) for n in range(N + 1)]
     alg = GradedBialgebra(
-        GradedSpace(dims), mult, Matrix.identity(1), comult, Matrix.identity(1),
-        _braid_blocks(x), antipode=antipode, lam=x.lam,
+        dims, mult, Matrix.identity(1), comult, Matrix.identity(1),
+        weighted_blocks(lambda k, l: block_swap_rep(k, l, x), x.lam),
+        antipode=antipode, lam=x.lam,
     )
     return TensorHopf(x, variant, N, alg)
 
 
 def antisymmetrizer(x: BraidedSpace, N: int) -> list[Matrix]:
     """The degree-n blocks [n|X]! at lam = -1, for n = 0..N."""
-    xm = BraidedSpace(x.dim, x.psi, MINUS_ONE, check=False)
-    return braided_factorials(N, xm)
+    return braided_factorials(N, at_minus_one(x))
 
 
 def check_antisym_hopf_morphism(x: BraidedSpace, N: int) -> Checks:
     """Blockwise check that A: T(X) -> T°(X) is a Hopf algebra morphism
     (at lam = -1)."""
-    xm = BraidedSpace(x.dim, x.psi, MINUS_ONE, check=False)
+    xm = at_minus_one(x)
     t = build_tensor_hopf(xm, "shuffle_coproduct", N).algebra
     t0 = build_tensor_hopf(xm, "shuffle_product", N).algebra
-    a = antisymmetrizer(x, N)
+    a = antisymmetrizer(xm, N)
     checks = Checks()
     for k in range(N + 1):
         for l in range(N + 1 - k):
@@ -134,7 +131,7 @@ def build_wedge(x: BraidedSpace, N: int) -> WedgeAlgebra:
     antisymmetrizer, a graded sub-Hopf algebra of T°(X).  The antisymmetrizer
     is a Hopf morphism only when psi satisfies the braid equation, so any
     other psi raises FactorizationError."""
-    xm = BraidedSpace(x.dim, x.psi, MINUS_ONE, check=False)
+    xm = at_minus_one(x)
     xm.guard(N)
     holds, witness = check_yang_baxter(x.psi)
     if not holds:
@@ -151,8 +148,8 @@ def build_wedge(x: BraidedSpace, N: int) -> WedgeAlgebra:
 
 def wedge_vs_quadratic(x: BraidedSpace, N: int) -> dict:
     """Compare T/(Ker [2]!) with T^wedge degree by degree (lam = -1)."""
-    xm = BraidedSpace(x.dim, x.psi, MINUS_ONE, check=False)
-    wedge = build_wedge(x, N)
+    xm = at_minus_one(x)
+    wedge = build_wedge(xm, N)
     t = build_tensor_hopf(xm, "shuffle_coproduct", N).algebra
     two_bang = braided_factorial(2, xm)
     generators = two_bang.kernel_basis()

@@ -6,6 +6,7 @@ from braidedforms.calculus import (
     FirstOrderCalculus,
     check_first_order,
     comma_extension,
+    crossed_submodule_closure,
     derivation_morphism,
     exterior_calculus,
     exterior_calculus_via_comma,
@@ -20,7 +21,7 @@ from braidedforms.calculus import (
 from braidedforms.errors import NotASubmodule
 from braidedforms.graded import check_graded_structure
 from braidedforms.hopf import cyclic_group_algebra
-from braidedforms.matrix import Matrix, kron, kron_all, swap_matrix
+from braidedforms.matrix import Matrix, hstack, kron, kron_all, swap_matrix
 
 
 def reference_antipode(b, s0):
@@ -120,7 +121,37 @@ class TestUniversal:
             assert is_bimodule_morphism(smash(h, mc), univ.x, alpha)
 
 
+def reference_crossed_submodule_closure(m, gens):
+    """crossed_submodule_closure with the coaction components split off
+    nu_r o basis by index arithmetic on the M (x) H rows."""
+    a = m.h.dim
+    basis = gens.column_echelon_basis()[0]
+    while True:
+        pieces = [basis]
+        if basis.cols:
+            pieces.append(m.mu_r.compose(kron(basis, Matrix.identity(a))))
+            co = m.nu_r.compose(basis)
+            comp = Matrix.zero(m.dim, basis.cols * a)
+            for (rj, c), v in co.nonzeros():
+                r, j = divmod(rj, a)
+                comp[r, c * a + j] = v
+            pieces.append(comp)
+        new_basis = hstack(pieces).column_echelon_basis()[0]
+        if new_basis.cols == basis.cols:
+            return new_basis
+        basis = new_basis
+
+
 class TestClassification:
+    @pytest.mark.parametrize("name", ["kz3", "sweedler", "ks3", "taft3"])
+    def test_closure_against_index_split(self, request, name):
+        # every coordinate vector of Ker eps as a one-vector candidate
+        mc, _ = kernel_counit_crossed(request.getfixturevalue(name))
+        eye = Matrix.identity(mc.dim)
+        for j in range(mc.dim):
+            gens = eye.col(j)
+            assert crossed_submodule_closure(mc, gens) == reference_crossed_submodule_closure(mc, gens)
+
     def test_roundtrip_extremes(self, kz3, sweedler):
         for h in (kz3, sweedler):
             univ = universal_fodc(h)

@@ -5,10 +5,9 @@ from braidedforms.braiding import braided_line, swap_space
 from braidedforms.calculus import exterior_calculus, universal_fodc
 from braidedforms.checks import Checks
 from braidedforms.cyclotomic import MINUS_ONE, ONE, Scalar
-from braidedforms.errors import IncompatibleBraiding, NotABiIdeal
+from braidedforms.errors import IncompatibleBraiding, NotABiIdeal, ShapeError
 from braidedforms.graded import (
     GradedBialgebra,
-    GradedSpace,
     antipode_recursive,
     check_graded_structure,
     ideal_quotient,
@@ -36,14 +35,19 @@ class TestGradedBialgebra:
             assert check_graded_structure(t, level).ok, level
 
     def test_differential_requires_lambda_minus_one(self):
-        x = GradedSpace([1, 1])
+        dims = (1, 1)
         eye = Matrix.identity(1)
         mult = {(0, 0): eye, (0, 1): eye, (1, 0): eye}
         comult = {(0, 0): eye, (0, 1): eye, (1, 0): eye}
         with pytest.raises(IncompatibleBraiding):
-            GradedBialgebra(x, mult, eye, comult, eye,
-                            signed_swap_blocks(x.dims, x.dims, ONE),
+            GradedBialgebra(dims, mult, eye, comult, eye,
+                            signed_swap_blocks(dims, dims, ONE),
                             differential=[eye, Matrix.zero(0, 1)], lam=ONE)
+
+    def test_negative_dimension_rejected(self):
+        eye = Matrix.identity(1)
+        with pytest.raises(ShapeError, match="negative dimension"):
+            GradedBialgebra((1, -1), {}, eye, {}, eye, signed_swap_blocks((1, -1), (1, -1)))
 
     def test_broken_multiplication_detected(self):
         t = build_tensor_hopf(swap_space(2), "shuffle_coproduct", 2).algebra
@@ -183,7 +187,7 @@ def _corrupt(b, part):
         antipode[1] = _bump(antipode[1])
     elif part == "differential":
         differential[0] = _bump(differential[0])
-    return GradedBialgebra(b.space, mult, b.unit, comult, b.counit, braid,
+    return GradedBialgebra(b.dims, mult, b.unit, comult, b.counit, braid,
                            antipode=antipode, differential=differential, lam=b.lam)
 
 
@@ -207,7 +211,7 @@ class TestChecksAgainstReference:
         # must fail at the reference's first witness
         comult = dict(exterior.comult)
         comult[block] = _bump(comult[block])
-        b = GradedBialgebra(exterior.space, exterior.mult, exterior.unit, comult,
+        b = GradedBialgebra(exterior.dims, exterior.mult, exterior.unit, comult,
                             exterior.counit, exterior.braid, antipode=exterior.antipode,
                             differential=exterior.differential, lam=exterior.lam)
         report = check_graded_structure(b, "diff_hopf")

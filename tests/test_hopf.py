@@ -2,19 +2,20 @@ import pytest
 
 from braidedforms import io
 from braidedforms.checks import Checks
-from braidedforms.cyclotomic import ONE, Scalar
-from braidedforms.errors import InvalidBaseHopf
+from braidedforms.cyclotomic import ONE, ZERO, Scalar
+from braidedforms.errors import FactorizationError, InvalidBaseHopf
 from braidedforms.hopf import (
     HopfAlgebraData,
     check_hopf,
     corpus,
     cyclic_group_algebra,
     make_hopf,
+    solve_antipode,
     sweedler_algebra,
     symmetric_group_algebra_s3,
     taft_algebra,
 )
-from braidedforms.matrix import Matrix, hstack, kron, kron_all, swap_matrix
+from braidedforms.matrix import Matrix, hstack, kron, kron_all, solve_mono, swap_matrix
 
 
 class TestCorpus:
@@ -86,24 +87,29 @@ class TestSerialization:
             assert check_hopf(h).ok, name
 
 
+def monoid_bialgebra():
+    """The bialgebra k{1, e} of the monoid with e^2 = e: Delta diagonal,
+    eps = (1, 1).  e is group-like without an inverse, so it has no
+    antipode."""
+    n = 2
+    mult = Matrix.zero(n, n * n)
+    mult[0, 0] = ONE              # 1*1 = 1
+    mult[1, 1] = ONE              # 1*e = e
+    mult[1, n] = ONE              # e*1 = e
+    mult[1, n + 1] = ONE          # e*e = e
+    unit = Matrix.zero(n, 1)
+    unit[0, 0] = ONE
+    comult = Matrix.zero(n * n, n)
+    comult[0, 0] = ONE            # Delta(1) = 1(x)1
+    comult[3, 1] = ONE            # Delta(e) = e(x)e
+    counit = Matrix(1, n, [ONE, ONE])
+    return n, mult, unit, comult, counit
+
+
 class TestValidation:
     def test_no_antipode_rejected(self):
-        # the "group-like without inverses" bialgebra on the 2-element monoid
-        # {1, e} with e^2 = e has no antipode
-        n = 2
-        mult = Matrix.zero(n, n * n)
-        mult[0, 0] = ONE              # 1*1 = 1
-        mult[1, 1] = ONE              # 1*e = e
-        mult[1, n] = ONE              # e*1 = e
-        mult[1, n + 1] = ONE          # e*e = e
-        unit = Matrix.zero(n, 1)
-        unit[0, 0] = ONE
-        comult = Matrix.zero(n * n, n)
-        comult[0, 0] = ONE            # Delta(1) = 1(x)1
-        comult[3, 1] = ONE            # Delta(e) = e(x)e
-        counit = Matrix(1, n, [ONE, ONE])
         with pytest.raises(InvalidBaseHopf):
-            make_hopf(n, mult, unit, comult, counit, "monoid")
+            make_hopf(*monoid_bialgebra(), "monoid")
 
     def test_broken_associativity_rejected(self):
         h = cyclic_group_algebra(2)
@@ -198,3 +204,47 @@ def reference_taft_comult(h, n):
 def test_taft_comult_against_kronecker_chain():
     h = taft_algebra(3)
     assert h.comult == reference_taft_comult(h, 3)
+
+
+def reference_solve_antipode(dim, mult, unit, comult, counit):
+    """The antipode solved from m o (S (x) id) o Delta = eta o eps as a
+    dim^2 x dim^2 linear system in the entries of S."""
+    n = dim
+    # unknown s[i*n + a] = S_{i,a}; equation rows indexed by (r, c)
+    system = Matrix.zero(n * n, n * n)
+    target = unit.compose(counit)
+    rhs = Matrix.column([target[r, c] for r in range(n) for c in range(n)])
+    for c in range(n):
+        for r in range(n):
+            for a in range(n):
+                for i in range(n):
+                    coeff = ZERO
+                    for b in range(n):
+                        delta = comult[a * n + b, c]
+                        if delta.is_zero:
+                            continue
+                        mval = mult[r, i * n + b]
+                        if not mval.is_zero:
+                            coeff = coeff + delta * mval
+                    if not coeff.is_zero:
+                        system[r * n + c, i * n + a] = coeff
+    try:
+        s_flat = solve_mono(system, rhs)
+    except FactorizationError as exc:
+        raise InvalidBaseHopf("no antipode exists for the given bialgebra") from exc
+    return Matrix.from_rows([[s_flat[i * n + a, 0] for a in range(n)] for i in range(n)])
+
+
+class TestAntipodeAgainstConvolutionSystem:
+    @pytest.mark.parametrize("name", ["kz2", "kz3", "kz4", "kz5", "kz6", "ks3", "sweedler",
+                                      "taft3", "taft4"])
+    def test_same_antipode(self, name):
+        h = taft_algebra(4) if name == "taft4" else io.hopf_from_obj(
+            io.load_json(io.bundled_path(name)))
+        data = (h.dim, h.mult, h.unit, h.comult, h.counit)
+        assert solve_antipode(*data).to_obj() == reference_solve_antipode(*data).to_obj()
+
+    @pytest.mark.parametrize("solve", [solve_antipode, reference_solve_antipode])
+    def test_monoid_has_no_antipode(self, solve):
+        with pytest.raises(InvalidBaseHopf):
+            solve(*monoid_bialgebra())

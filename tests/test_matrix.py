@@ -19,6 +19,7 @@ from braidedforms.matrix import (
     solve_epi,
     solve_factor,
     solve_mono,
+    split_leg,
     swap_matrix,
     vstack,
 )
@@ -315,6 +316,23 @@ class TestKronApply:
             kron_apply(f, g, Matrix.identity(5))
         with pytest.raises(ShapeError):
             compose_kron(Matrix.identity(5), f, g)
+
+
+class TestSplitLeg:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_components_along_the_leg(self, data):
+        # block j is (id_A (x) e_j*) o x, the covector applied by kron_apply
+        a, b, k = (data.draw(st.integers(1, 3)) for _ in range(3))
+        x = data.draw(sparse_matrices(a * b, k))
+        covectors = Matrix.identity(b)
+        blocks = [kron_apply(Matrix.identity(a), covectors.col(j).transpose(), x)
+                  for j in range(b)]
+        assert split_leg(x, b) == hstack(blocks)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            split_leg(Matrix.identity(5), 2)
 
 
 # zero-heavy entries 0, +-1, 1/2, zeta_3 and zeta_5; ONE is the shared object

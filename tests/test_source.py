@@ -109,3 +109,70 @@ def test_traced_functions_exist():
         if not callable(owner.get(attr)):
             missing.append(f"{name}: {module}.{cls + '.' if cls else ''}{attr}")
     assert layertrace.SPANS and missing == []
+
+
+def _is_kron_call(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("kron", "kron_all"))
+
+
+def test_tensor_products_are_applied_not_built_for_compose():
+    # f o (g (x) h) is compose_kron(f, g, h) and (g (x) h) o x is
+    # kron_apply(g, h, x); a kron outside matrix.py is a stored structure map
+    # or the mono/epi of a solve, never a factor of a product
+    found = [f"{name}:{node.lineno}" for name, tree in _trees(skip=("matrix.py",))
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "compose"
+             for operand in (node.func.value, *node.args) if _is_kron_call(operand)]
+    assert found == []
+
+
+def test_leg_arithmetic_stays_in_matrix_module():
+    # splitting a flat index into tensor legs is the layout matrix.py owns
+    found = [f"{name}:{node.lineno}" for name, tree in _trees(skip=("matrix.py",))
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "divmod"]
+    assert found == []
+
+
+def _defined_functions(tree):
+    """(name, line, is_method) of the top-level functions and class methods."""
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        for fn in members:
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield fn.name, fn.lineno, fn is not node
+
+
+def _references(tree):
+    """(attributes taken, other names): a method is reached only as an
+    attribute; a function also by a bare name, an import, or a string
+    (perfbench's tracer names its targets as strings)."""
+    attrs, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            attrs.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            attrs.add(node.value)
+    return attrs, names
+
+
+def test_every_function_is_referenced():
+    root = Path(__file__).resolve().parent.parent
+    paths = [*PACKAGE.glob("*.py"), *root.joinpath("tests").glob("*.py"),
+             *root.joinpath("perfbench").glob("*.py")]
+    attrs, names = set(), set()
+    for path in paths:
+        a, n = _references(ast.parse(path.read_text(encoding="utf-8")))
+        attrs |= a
+        names |= n
+    found = [f"{name}:{line} {fn}" for name, tree in _trees()
+             for fn, line, is_method in _defined_functions(tree)
+             if not (fn.startswith("__") and fn.endswith("__"))
+             and fn not in attrs and (is_method or fn not in names)]
+    assert found == []
