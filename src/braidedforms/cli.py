@@ -10,7 +10,8 @@ Exit codes
   0  success: every requested axiom/verification passed
   1  an axiom or verification failed (including unstable submodule generators
      and structure maps that do not factor, e.g. on a non-Hopf algebra)
-  2  input file missing, malformed, or schema violation
+  2  input file missing, malformed, or schema violation, or an --out path
+     that cannot be written
   3  the requested construction exceeds the desk-scale resource bound
 
 Reports are JSON with "schema_version"; identical inputs always produce
@@ -49,7 +50,10 @@ EXIT_TOO_LARGE = 3
 def _emit(report: dict, out: str | None) -> None:
     report = {"schema_version": io.SCHEMA_VERSION, **report}
     if out:
-        io.save_json(report, out)
+        try:
+            io.save_json(report, out)
+        except OSError as exc:
+            raise ParseError(f"cannot write the report: {exc}") from exc
     else:
         sys.stdout.write(io.dumps(report))
 

@@ -19,16 +19,25 @@ identity test.  The Scalar(n, coeffs) constructor reduces arbitrary input
 and always builds a new object.
 
 A coordinate is an int when it is integral and a Fraction otherwise, never a
-float: every input is canonicalised on entry, every quotient goes through the
-one exact _div, and arithmetic results are canonicalised where a Fraction
-operand can leave an integral value.  int and Fraction agree on ==, hash and
-numerator/denominator, so the representation never shows in a comparison or
-a serialized report; it only keeps integral arithmetic off Fraction.
+float: every input is canonicalised on entry, and arithmetic results are
+canonicalised where a Fraction operand can leave an integral value.  int and
+Fraction agree on ==, hash and numerator/denominator, so the representation
+never shows in a comparison or a serialized report; it only keeps integral
+arithmetic off Fraction.
+
+Division is integral too.  The inverse of a = p / d, with p of integral
+coordinates, comes from an integral adjugate: the extended Euclid of
+(Phi_n, p) over Z[x] by pseudo-division, each remainder and cofactor divided
+by their joint content, ends in s * p = N modulo Phi_n with s integral and N
+a nonzero int, so 1/a = d * s / N, and the only rational quotients are the
+last phi(n) calls to _div.  A quotient x / a is x times the cleared inverse
+s' of integral coordinates, then one exact division of each coordinate by
+the int that cleared it (cleared and over); this keeps the product on the
+integral path.
 """
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -407,27 +416,44 @@ class Scalar:
             raise DivisionByZero("inversion of zero")
         if self.n == 1:
             return _rational(_div(1, self.c[0]))
-        # extended Euclid in Q[x]: maintain r_i = s_i * self (mod Phi_n)
-        r0, s0 = list(cyclotomic_polynomial(self.n)), [_ZERO]
-        r1, s1 = list(self.c), [_ONE]
-        while True:
-            while len(r1) > 1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                c = r1[0]  # nonzero: Phi_n is irreducible and self is not 0
-                return _scalar(self.n, _reduce(self.n, [_div(x, c) for x in s1]))
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+        # self = a / d with a integral; s * a = N modulo Phi_n gives
+        # 1 / self = d * s / N
+        a, d = self.cleared()
+        s, norm = _integral_inverse(cyclotomic_polynomial(self.n), a.c)
+        return _stored(self.n, tuple([_div(d * x, norm) for x in _reduce(self.n, s)]))
+
+    def cleared(self) -> tuple["Scalar", int]:
+        """(a, d) with self = a / d, a of integral coordinates and d the
+        least positive int that clears them."""
+        d = lcm(*[x.denominator for x in self.c])
+        if d == 1:
+            return self, 1
+        return _scalar(self.n, tuple([x.numerator * (d // x.denominator) for x in self.c])), d
+
+    def over(self, d: int) -> "Scalar":
+        """self / d for a positive int d: one exact division per coordinate."""
+        if d == 1:
+            return self
+        if self.n == 1:
+            return _rational(_div(self.c[0], d))
+        return _stored(self.n, tuple([x // d if type(x) is int and not x % d else _div(x, d)
+                                      for x in self.c]))
 
     def __truediv__(self, other):
         other = Scalar._coerce(other)
         if other is None:
             return NotImplemented
-        return self * other.inv()
+        inv = other.inv()
+        if inv.n == 1:
+            return self * inv
+        s, d = inv.cleared()
+        return (self * s).over(d)
 
     def __rtruediv__(self, other):
-        return Scalar._coerce(other) * self.inv()
+        other = Scalar._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other / self
 
     def __pow__(self, k: int):
         if k < 0:
@@ -443,10 +469,6 @@ class Scalar:
 
     # --- misc -------------------------------------------------------------
 
-    def approx(self) -> complex:
-        z = cmath.exp(2j * cmath.pi / self.n)
-        return sum(complex(ci) * z**i for i, ci in enumerate(self.c))
-
     def to_obj(self):
         return {
             "conductor": self.n,
@@ -458,6 +480,64 @@ class Scalar:
             return f"Scalar({self.c[0]})"
         terms = " + ".join(f"{c}*z{self.n}^{i}" for i, c in enumerate(self.c) if c)
         return f"Scalar({terms or 0})"
+
+
+def _integral_inverse(mod, a):
+    """(s, N) with s * a = N modulo mod: s an integer coefficient list and N
+    a nonzero int, for integer polynomials mod and a that are coprime in
+    Q[x] with deg a < deg mod.
+
+    The extended Euclid of (mod, a) over Z[x]: pseudo-division keeps every
+    remainder integral, and each remainder and its cofactor of a are divided
+    by their joint content, so the coefficients stay small (the primitive
+    remainder sequence of Collins and Brown)."""
+    r0, t0 = list(mod), [_ZERO]
+    r1, t1 = list(a), [_ONE]
+    while True:
+        while not r1[-1]:
+            r1.pop()
+        if len(r1) == 1:
+            return t1, r1[0]
+        k, quot, rem = _pseudo_divmod(r0, r1)
+        # rem = k * r0 - quot * r1, so its cofactor is k * t0 - quot * t1
+        t = [k * x for x in t0] + [_ZERO] * (len(quot) + len(t1) - 1 - len(t0))
+        for i, x in enumerate(quot):
+            if x:
+                for j, y in enumerate(t1):
+                    t[i + j] -= x * y
+        g = gcd(*rem)
+        if g != 1:
+            g = gcd(g, *t)
+        if g != 1:
+            rem, t = [x // g for x in rem], [x // g for x in t]
+        r0, t0, r1, t1 = r1, t1, rem, t
+
+
+def _pseudo_divmod(num, den):
+    """(k, quotient, remainder) with k * num = quotient * den + remainder and
+    deg remainder < deg den, for integer polynomials num and den (nonzero
+    leading coefficient) with deg num >= deg den; k is a positive int that
+    scales num only as far as each step's exact division needs."""
+    num = list(num)
+    deg_d = len(den) - 1
+    lead = den[-1]
+    quot = [_ZERO] * (len(num) - deg_d)
+    k = 1
+    for i in range(len(num) - 1, deg_d - 1, -1):
+        c = num[i]
+        if not c:
+            continue
+        g = abs(lead) // gcd(c, lead)
+        if g != 1:
+            k *= g
+            num = [x * g for x in num]
+            quot = [x * g for x in quot]
+            c *= g
+        f = c // lead
+        quot[i - deg_d] = f
+        for j, dc in enumerate(den):
+            num[i - deg_d + j] -= f * dc
+    return k, quot, num[:deg_d]
 
 
 def _poly_divmod(num, den):
@@ -496,13 +576,6 @@ def _poly_mul(a, b):
                 if y:
                     out[i + j] += x * y
     return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [_ZERO] * (n - len(a))
-    b = list(b) + [_ZERO] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 ZERO = Scalar(1, (_ZERO,))

@@ -18,6 +18,13 @@ no caller pads it with identity legs, so only this module knows how tensor
 legs are laid out.  All eliminations pick pivots leftmost-first so every
 derived basis is reproducible bit for bit.
 
+rref normalizes each pivot row by the pivot's inverse: a ONE pivot leaves
+the row as it is, a rational inverse scales it, and an inverse in Q(zeta_n)
+is split once into integral coordinates and a positive int denominator, so
+each entry costs one integral product and one exact division by that int
+(Scalar.cleared and Scalar.over).  The coordinates themselves stay inside
+cyclotomic.py.
+
 A kernel basis has the row {j: ONE} at the free coordinate of its column j,
 and so does a column echelon basis at its pivot row of column j; kron with an
 identity keeps such unit rows.  solve_mono, and with it solve_epi and
@@ -236,7 +243,13 @@ class Matrix:
                 continue
             m[pr], m[pivot_row] = m[pivot_row], m[pr]
             inv = m[pr][pc].inv()
-            prow = m[pr] = {c: inv * x for c, x in m[pr].items()}
+            if inv is ONE:
+                prow = m[pr]
+            elif inv.n == 1:
+                prow = m[pr] = {c: inv * x for c, x in m[pr].items()}
+            else:
+                s, d = inv.cleared()
+                prow = m[pr] = {c: (s * x).over(d) for c, x in m[pr].items()}
             for r in range(self.rows):
                 if r != pr and pc in m[r]:
                     row = m[r]

@@ -300,6 +300,20 @@ class TestExitCodes:
         cand = {"hopf": "bundled:kz2", "candidates": [[["1/0"]]]}
         assert run(["classify", bundle(tmp_path, "c.json", cand)]) == 2
 
+    @pytest.mark.parametrize("command", [
+        ["check", "kz2", "--kind", "hopf"], ["wedge-dims", "swap2", "--max-degree", "2"],
+        ["build-calculus", "kz2_universal_calculus", "--max-degree", "1"],
+        ["classify", "kz2"]], ids=lambda c: c[0])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, command):
+        # a report path in a missing directory, or one that is a directory
+        name, file, *rest = command
+        for out in (tmp_path / "missing" / "r.json", tmp_path):
+            capsys.readouterr()
+            assert run([name, str(io.bundled_path(file)), *rest, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot write the report") and err.count("\n") == 1
+            assert "Traceback" not in err
+
     def test_zero_lambda_exit_2(self, tmp_path, capsys):
         obj = json.load(open(io.bundled_path("swap2")))
         obj["lambda"] = 0

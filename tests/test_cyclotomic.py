@@ -16,7 +16,9 @@ from braidedforms.cyclotomic import (
     ONE,
     ZERO,
     Scalar,
+    _div,
     _poly_divide,
+    _poly_divmod,
     _poly_mul,
     _reduce,
     cyclotomic_polynomial,
@@ -144,9 +146,12 @@ class TestProperties:
 
     @settings(max_examples=30, deadline=None)
     @given(small_scalars(), small_scalars())
-    def test_approx_consistent(self, a, b):
-        # the numeric shadow respects multiplication
-        assert abs((a * b).approx() - a.approx() * b.approx()) < 1e-9
+    def test_product_matches_polynomial_reference(self, a, b):
+        # the product of the coordinate polynomials, reduced modulo Phi_m at
+        # the common conductor m
+        m = lcm(a.n, b.n)
+        ref = Scalar(m, _reduce(m, _poly_mul(a._coeffs_at(m), b._coeffs_at(m))))
+        assert (a * b).to_obj() == ref.to_obj()
 
 
 def _canonical(s):
@@ -324,3 +329,81 @@ class TestOneField:
         for alg in algebras:
             assert check_graded_structure(alg, "diff_hopf").ok
         assert factors > 0 and unshared == []
+
+
+# --- inverses ----------------------------------------------------------------
+
+def _poly_sub(a, b):
+    n = max(len(a), len(b))
+    return [x - y for x, y in zip(list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b)))]
+
+
+def reference_inv(a):
+    """The inverse by the extended Euclid of (Phi_n, a) over Q."""
+    if a.n == 1:
+        return Scalar.rational(_div(1, a.c[0]))
+    # maintain r_i = s_i * a (mod Phi_n)
+    r0, s0 = list(cyclotomic_polynomial(a.n)), [0]
+    r1, s1 = list(a.c), [1]
+    while True:
+        while len(r1) > 1 and not r1[-1]:
+            r1.pop()
+        if len(r1) == 1:
+            return Scalar(a.n, _reduce(a.n, [_div(x, r1[0]) for x in s1]))
+        q, rem = _poly_divmod(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+
+
+INVERSE_CONDUCTORS = (1, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16)
+coordinates = st.one_of(st.integers(-5, 5), rationals)
+inverse_operands = st.one_of(
+    st.sampled_from(INVERSE_CONDUCTORS).flatmap(
+        # built by arithmetic, so that the value 1 is the shared ONE
+        lambda n: st.lists(coordinates, min_size=euler_phi(n), max_size=euler_phi(n))
+        .map(lambda cs: sum((Scalar.zeta(n, i) * c for i, c in enumerate(cs)), ZERO))),
+    # units, and non-units of small norm
+    st.sampled_from([Scalar.zeta(5, 2), -Scalar.zeta(12, 5), Scalar.zeta(3) + 1,
+                     1 - Scalar.zeta(5), 2 + Scalar.zeta(3), Scalar.zeta(4) + Fraction(1, 2),
+                     1 - Scalar.zeta(9) - Scalar.zeta(9, 4), 3 * Scalar.zeta(16, 3) - 1]),
+)
+
+
+class TestInverse:
+    @settings(max_examples=200, deadline=None)
+    @given(inverse_operands)
+    def test_matches_euclid_over_q(self, a):
+        if a.is_zero:
+            return
+        inv = a.inv()
+        assert inv.to_obj() == reference_inv(a).to_obj()
+        assert _canonical(inv)
+        assert a * inv is ONE and inv * a is ONE
+
+    @settings(max_examples=100, deadline=None)
+    @given(inverse_operands, inverse_operands)
+    def test_division_is_product_with_inverse(self, a, b):
+        # a / b scales by b's cleared inverse and divides once by its
+        # denominator; the value and the stored form are those of a * b^-1
+        if not b.is_zero:
+            assert _exactly(a / b) == _exactly(a * reference_inv(b))
+
+    def test_cleared_and_over(self):
+        a = Scalar(4, [Fraction(1, 2), Fraction(-2, 3)])
+        s, d = a.cleared()
+        assert d == 6 and s.c == (3, -4) and all(type(x) is int for x in s.c)
+        assert s.over(d).to_obj() == a.to_obj()
+        assert Scalar.zeta(5).cleared() == (Scalar.zeta(5), 1)
+        assert Scalar.rational(2).over(2) is ONE and Scalar.rational(-3, 4).cleared()[1] == 4
+
+    def test_large_conductors(self):
+        # 1 / (1 - zeta_p) = -(1/p) sum_k k zeta_p^k for a prime p; the Euclid
+        # over Q takes seconds at conductor 97 and tens of seconds at 256
+        start = time.perf_counter()
+        z = Scalar.zeta(97)
+        expected = sum((Scalar.zeta(97, k) * Fraction(-k, 97) for k in range(1, 97)), ZERO)
+        assert (1 - z).inv().to_obj() == expected.to_obj()
+        for n in (97, 256):
+            a = Scalar(n, [Fraction((7 * i) % 11 - 5, 1 + i % 3) for i in range(euler_phi(n))])
+            assert a * a.inv() is ONE
+        assert time.perf_counter() - start < 5

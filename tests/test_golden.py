@@ -4,7 +4,7 @@ The four benchmark workloads are compared with `perfbench/expected/` (read,
 never written). The reports under `tests/golden/` come from commands that
 run the Hopf bimodule and crossed module leg swaps, square bimodules,
 classification over Q, Q(zeta_3) and Q(zeta_4), and the wedge dimensions
-with and without the quadratic comparison.
+with and without the quadratic comparison, up to conductor 97.
 """
 
 import sys
@@ -14,6 +14,7 @@ import pytest
 
 from braidedforms import hopf, io
 from braidedforms.cli import main
+from braidedforms.cyclotomic import MINUS_ONE, Scalar
 from braidedforms.matrix import Matrix
 
 TESTS = Path(__file__).resolve().parent
@@ -62,6 +63,19 @@ def test_classify_taft4_report_bytes(tmp_path):
     out = tmp_path / "report.json"
     assert main(["classify", str(path), "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "classify-taft4.json").read_bytes()
+
+
+def test_wedge_dims_conductor97_line_report_bytes(tmp_path):
+    # a braided line over Q(zeta_97), psi = zeta + zeta^2 and lambda = -1, not
+    # bundled: each degree's rank divides by elements with phi(97) = 96
+    # coordinates
+    psi = Scalar.zeta(97) + Scalar.zeta(97, 2)
+    path = tmp_path / "line97.json"
+    io.save_json({"dim": 1, "kind": "braiding", "lambda": MINUS_ONE.to_obj(),
+                  "psi": Matrix(1, 1, [psi]).to_obj(), "schema_version": 1}, path)
+    out = tmp_path / "report.json"
+    assert main(["wedge-dims", str(path), "--max-degree", "6", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "wedge-dims-braided_line_zeta97-6.json").read_bytes()
 
 
 SOLVERS = {"solve_mono", "solve_epi", "solve_factor", "particular_solution", "inverse"}

@@ -213,11 +213,15 @@ def _rref(d, cols):
 
 
 # mostly zeros; nonzero entries at conductors 1, 3, 5 and 15, so sums of
-# mixed conductors end at a conductor that depends on the order of the terms
+# mixed conductors end at a conductor that depends on the order of the terms.
+# Besides the monomials, non-units that are not monomials, whose inverses
+# have Fraction coordinates, so rref scales pivot rows by cleared inverses.
+NON_UNITS = (1 - Scalar.zeta(5), 2 + Scalar.zeta(3), Scalar.zeta(15, 4) + Scalar.rational(1, 2))
 sparse_entries = st.one_of(
     st.just(ZERO), st.just(ZERO), st.just(ZERO),
     st.tuples(st.sampled_from([1, 3, 5, 15]), st.integers(0, 14), st.sampled_from([1, -1, 2]))
-    .map(lambda t: Scalar.zeta(t[0], t[1]) * t[2]))
+    .map(lambda t: Scalar.zeta(t[0], t[1]) * t[2]),
+    st.sampled_from(NON_UNITS))
 
 
 def sparse_matrices(rows, cols):
@@ -245,6 +249,16 @@ class TestSparseAgainstDense:
         b = Matrix(3, 1, [ONE, ONE, -z5])
         assert a.compose(b)[0, 0].n == 15
         self.check_against_dense(a, a, b, b)
+
+    def test_non_unit_pivots(self):
+        # every pivot is a non-unit whose inverse has Fraction coordinates,
+        # against rows of integral, Fraction and mixed-conductor entries
+        u, v, w = NON_UNITS
+        a = Matrix(3, 4, [u, v, ONE, w, z3 * v, w, u, ZERO, w * u, ZERO, v, z5])
+        assert all(type(c) is not int for x in (u.inv(), v.inv(), w.inv()) for c in x.c)
+        red, pivots = a.rref()
+        assert pivots == [0, 1, 2] and all(red[r, c] is ONE for r, c in enumerate(pivots))
+        self.check_against_dense(a, a, a.transpose(), a)
 
     @staticmethod
     def check_against_dense(a, a2, b, g):

@@ -43,6 +43,18 @@ def test_scalar_constructor_stays_in_scalar_and_parse_modules():
     assert found == []
 
 
+def test_scalar_coordinates_stay_in_scalar_and_parse_modules():
+    # only cyclotomic.py and io.py see a Scalar's coordinates (.c) and their
+    # Fraction type; matrix.py divides pivot rows through Scalar methods
+    found = [f"{name}:{node.lineno}"
+             for name, tree in _trees(skip=("cyclotomic.py", "io.py"))
+             for node in ast.walk(tree)
+             if (isinstance(node, ast.Attribute) and node.attr == "c")
+             or (isinstance(node, ast.alias) and node.name in ("Fraction", "fractions"))
+             or (isinstance(node, ast.Name) and node.id == "Fraction")]
+    assert found == []
+
+
 def _names(node, ctx):
     return [n for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ctx)]
 
