@@ -89,6 +89,24 @@ class GradedBialgebra:
     def eye(self, n):
         return Matrix.identity(self.dims[n])
 
+    def blocks(self) -> dict:
+        """Every block check_graded_structure reads, the braid blocks (k, l)
+        with k + l <= N among them.  Two algebras whose blocks compare equal
+        get the same verdicts and witnesses.  The result holds matrices only,
+        not the algebra or its braid callable."""
+        N = self.N
+        return {
+            "dims": self.dims,
+            "lam": self.lam,
+            "unit": self.unit,
+            "counit": self.counit,
+            "mult": dict(self.mult),
+            "comult": dict(self.comult),
+            "antipode": None if self.antipode is None else tuple(self.antipode),
+            "differential": None if self.differential is None else tuple(self.differential),
+            "braid": {(k, l): self.braid(k, l) for k in range(N + 1) for l in range(N + 1 - k)},
+        }
+
     def to_obj(self):
         obj = {
             "dims": list(self.dims),

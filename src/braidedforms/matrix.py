@@ -18,8 +18,9 @@ no caller pads it with identity legs, so only this module knows how tensor
 legs are laid out.  All eliminations pick pivots leftmost-first so every
 derived basis is reproducible bit for bit.
 
-rref normalizes each pivot row by the pivot's inverse: a ONE pivot leaves
-the row as it is, a rational inverse scales it, and an inverse in Q(zeta_n)
+rref normalizes each pivot row by the pivot's inverse: a pivot alone in its
+row becomes ONE with no inverse taken, a ONE pivot leaves the row as it is,
+a rational inverse scales it, and an inverse in Q(zeta_n)
 is split once into integral coordinates and a positive int denominator, so
 each entry costs one integral product and one exact division by that int
 (Scalar.cleared and Scalar.over).  The coordinates themselves stay inside
@@ -242,8 +243,9 @@ class Matrix:
             if pivot_row is None:
                 continue
             m[pr], m[pivot_row] = m[pivot_row], m[pr]
-            inv = m[pr][pc].inv()
-            if inv is ONE:
+            if len(m[pr]) == 1:  # a lone pivot becomes ONE without an inverse
+                prow = m[pr] = {pc: ONE}
+            elif (inv := m[pr][pc].inv()) is ONE:
                 prow = m[pr]
             elif inv.n == 1:
                 prow = m[pr] = {c: inv * x for c, x in m[pr].items()}

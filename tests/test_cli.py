@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidedforms import io, tensor_hopf
+from braidedforms import calculus, cli, io, tensor_hopf
 from braidedforms.bimodules import regular_bimodule
 from braidedforms.calculus import universal_fodc
 from braidedforms.cli import main
+from braidedforms.cyclotomic import Scalar
 from braidedforms.matrix import Matrix
 
 
@@ -190,6 +191,55 @@ class TestBuildCalculus:
         report = json.load(open(out))
         assert "routes" not in report and "dims" not in report
         assert not all(v["pass"] for v in report["fodc_checks"].values())
+
+
+def _counting_checks(monkeypatch):
+    """The algebras check_graded_structure is run on, from now on."""
+    seen = []
+    check = calculus.check_graded_structure
+    monkeypatch.setattr(calculus, "check_graded_structure",
+                        lambda b, level: seen.append(b) or check(b, level))
+    return seen
+
+
+class TestVerifyOnce:
+    """--route both builds both routes and verifies an algebra they share once."""
+
+    @pytest.mark.parametrize("name, N", [("kz2_universal_calculus", "3"),
+                                         ("kz3_universal_calculus", "3"),
+                                         ("sweedler_universal_calculus", "2"),
+                                         ("taft3_quotient_calculus", "2")])
+    def test_shared_algebra_verified_once(self, tmp_path, monkeypatch, name, N):
+        seen = _counting_checks(monkeypatch)
+        out = tmp_path / "report.json"
+        assert run(["build-calculus", str(io.bundled_path(name)), "--max-degree", N,
+                    "--route", "both", "--out", str(out)]) == 0
+        assert len(seen) == 1
+        routes = json.load(open(out))["routes"]
+        assert routes["maximal"]["checks"] == routes["biproduct"]["checks"]
+
+    def test_different_algebras_verified_each(self, tmp_path, monkeypatch, capsys):
+        # the biproduct route's d_0 doubled: its blocks differ from the
+        # maximal route's, so it is verified on its own and fails there
+        build = cli.exterior_calculus
+
+        def doubled(calc, N):
+            ext = build(calc, N)
+            ext.algebra.differential[0] = ext.algebra.differential[0].scale(Scalar.rational(2))
+            return ext
+
+        monkeypatch.setattr(cli, "exterior_calculus", doubled)
+        seen = _counting_checks(monkeypatch)
+        assert run(["build-calculus", str(io.bundled_path("sweedler_universal_calculus")),
+                    "--max-degree", "2", "--route", "both",
+                    "--out", str(tmp_path / "report.json")]) == 1
+        assert len(seen) == 2
+        assert capsys.readouterr().out == (
+            "route maximal: dims 4,12,24  all checks pass\n"
+            "route biproduct: dims 4,12,24  CHECKS FAILED\n"
+            "  comult_diff              FAIL ((1, 1))\n"
+            "  leibniz                  FAIL ((0, 1))\n"
+            "routes agree on dims\n")
 
 
 class TestClassify:

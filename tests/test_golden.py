@@ -3,8 +3,9 @@
 The four benchmark workloads are compared with `perfbench/expected/` (read,
 never written). The reports under `tests/golden/` come from commands that
 run the Hopf bimodule and crossed module leg swaps, square bimodules,
-classification over Q, Q(zeta_3) and Q(zeta_4), and the wedge dimensions
-with and without the quadratic comparison, up to conductor 97.
+classification over Q, Q(zeta_3) and Q(zeta_4), both exterior-calculus
+routes over Q and over Q(zeta_3), and the wedge dimensions with and without
+the quadratic comparison, up to conductor 97.
 """
 
 import sys
@@ -32,6 +33,8 @@ REPORTS = [
      "kz3_universal_calculus", ["--max-degree", "3", "--route", "both"]),
     (GOLDEN / "build-calculus-kz2_universal_calculus.json", "build-calculus",
      "kz2_universal_calculus", ["--max-degree", "3", "--route", "both"]),
+    (GOLDEN / "build-calculus-taft3_quotient_calculus.json", "build-calculus",
+     "taft3_quotient_calculus", ["--max-degree", "2", "--route", "both"]),
     (GOLDEN / "check-bimodule-kz3_square_bimodule.json", "check", "kz3_square_bimodule",
      ["--kind", "bimodule"]),
     (GOLDEN / "check-crossed-sweedler_coadjoint_crossed.json", "check",
@@ -65,17 +68,28 @@ def test_classify_taft4_report_bytes(tmp_path):
     assert out.read_bytes() == (GOLDEN / "classify-taft4.json").read_bytes()
 
 
-def test_wedge_dims_conductor97_line_report_bytes(tmp_path):
+def _wedge_dims_conductor97_line(tmp_path, max_degree):
     # a braided line over Q(zeta_97), psi = zeta + zeta^2 and lambda = -1, not
-    # bundled: each degree's rank divides by elements with phi(97) = 96
-    # coordinates
+    # bundled: each degree's braided factorial is a 1 x 1 matrix whose entry
+    # has phi(97) = 96 coordinates
     psi = Scalar.zeta(97) + Scalar.zeta(97, 2)
     path = tmp_path / "line97.json"
     io.save_json({"dim": 1, "kind": "braiding", "lambda": MINUS_ONE.to_obj(),
                   "psi": Matrix(1, 1, [psi]).to_obj(), "schema_version": 1}, path)
     out = tmp_path / "report.json"
-    assert main(["wedge-dims", str(path), "--max-degree", "6", "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / "wedge-dims-braided_line_zeta97-6.json").read_bytes()
+    assert main(["wedge-dims", str(path), "--max-degree", str(max_degree),
+                 "--out", str(out)]) == 0
+    golden = GOLDEN / f"wedge-dims-braided_line_zeta97-{max_degree}.json"
+    assert out.read_bytes() == golden.read_bytes()
+
+
+def test_wedge_dims_conductor97_line_report_bytes(tmp_path):
+    _wedge_dims_conductor97_line(tmp_path, 6)
+
+
+def test_wedge_dims_conductor97_line_degree12_report_bytes(tmp_path):
+    # degrees 7-12, where the factorial's entry has the largest coordinates
+    _wedge_dims_conductor97_line(tmp_path, 12)
 
 
 SOLVERS = {"solve_mono", "solve_epi", "solve_factor", "particular_solution", "inverse"}

@@ -220,6 +220,27 @@ class TestChecksAgainstReference:
         assert not report.ok
 
 
+class TestBlocks:
+    """blocks() is what decides whether an algebra's checks may be reused."""
+
+    def test_a_copy_compares_equal(self, exterior):
+        assert _corrupt(exterior, None).blocks() == exterior.blocks()
+
+    @pytest.mark.parametrize("part", ["mult", "comult", "braid", "antipode", "differential"])
+    def test_one_changed_block_compares_unequal(self, exterior, part):
+        assert _corrupt(exterior, part).blocks() != exterior.blocks()
+
+    def test_lambda_alone_compares_unequal(self):
+        t = build_tensor_hopf(braided_line(Scalar.zeta(3)), "shuffle_coproduct", 2).algebra
+
+        def with_lam(lam):
+            return GradedBialgebra(t.dims, t.mult, t.unit, t.comult, t.counit, t.braid,
+                                   antipode=t.antipode, lam=lam)
+
+        assert with_lam(t.lam).blocks() == t.blocks()
+        assert with_lam(Scalar.zeta(3)).blocks() != t.blocks()
+
+
 def _triple_block(b):
     """The largest dimension of a triple tensor block B_k (x) B_l (x) B_m."""
     N = b.N

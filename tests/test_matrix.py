@@ -260,6 +260,22 @@ class TestSparseAgainstDense:
         assert pivots == [0, 1, 2] and all(red[r, c] is ONE for r, c in enumerate(pivots))
         self.check_against_dense(a, a, a.transpose(), a)
 
+    @pytest.mark.parametrize("n", [5, 97])
+    def test_lone_pivots_take_no_inverse(self, monkeypatch, n):
+        # each pivot is the only entry of its row, so rref sets it to ONE
+        # without inverting it; the inverses of these non-units at conductor
+        # 97 are the slow ones
+        z = Scalar.zeta(n)
+        diag = [1 - z, 2 + z, z + Scalar.zeta(n, 2), Scalar.rational(3)]
+        a = Matrix(4, 4, [diag[r] if r == c else ZERO for r in range(4) for c in range(4)])
+        ref, ref_pivots = _rref(_dense(a), 4)
+        calls = []
+        inv = Scalar.inv
+        monkeypatch.setattr(Scalar, "inv", lambda x: calls.append(x) or inv(x))
+        red, pivots = a.rref()
+        assert calls == []
+        assert pivots == ref_pivots == [0, 1, 2, 3] and red.to_obj() == _obj(4, 4, ref)
+
     @staticmethod
     def check_against_dense(a, a2, b, g):
         da, da2, db, dg = _dense(a), _dense(a2), _dense(b), _dense(g)
