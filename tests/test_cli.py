@@ -194,12 +194,11 @@ class TestBuildCalculus:
 
 
 def _counting_checks(monkeypatch):
-    """The algebras check_graded_structure is run on, from now on."""
-    seen = []
-    check = calculus.check_graded_structure
+    """Calls of check_graded_structure from now on, by name."""
+    calls = Counter()
     monkeypatch.setattr(calculus, "check_graded_structure",
-                        lambda b, level: seen.append(b) or check(b, level))
-    return seen
+                        _counting(calls, calculus.check_graded_structure))
+    return calls
 
 
 class TestVerifyOnce:
@@ -210,11 +209,11 @@ class TestVerifyOnce:
                                          ("sweedler_universal_calculus", "2"),
                                          ("taft3_quotient_calculus", "2")])
     def test_shared_algebra_verified_once(self, tmp_path, monkeypatch, name, N):
-        seen = _counting_checks(monkeypatch)
+        calls = _counting_checks(monkeypatch)
         out = tmp_path / "report.json"
         assert run(["build-calculus", str(io.bundled_path(name)), "--max-degree", N,
                     "--route", "both", "--out", str(out)]) == 0
-        assert len(seen) == 1
+        assert calls["check_graded_structure"] == 1
         routes = json.load(open(out))["routes"]
         assert routes["maximal"]["checks"] == routes["biproduct"]["checks"]
 
@@ -229,11 +228,11 @@ class TestVerifyOnce:
             return ext
 
         monkeypatch.setattr(cli, "exterior_calculus", doubled)
-        seen = _counting_checks(monkeypatch)
+        calls = _counting_checks(monkeypatch)
         assert run(["build-calculus", str(io.bundled_path("sweedler_universal_calculus")),
                     "--max-degree", "2", "--route", "both",
                     "--out", str(tmp_path / "report.json")]) == 1
-        assert len(seen) == 2
+        assert calls["check_graded_structure"] == 2
         assert capsys.readouterr().out == (
             "route maximal: dims 4,12,24  all checks pass\n"
             "route biproduct: dims 4,12,24  CHECKS FAILED\n"
