@@ -12,4 +12,4 @@ from .matrix import Matrix  # noqa: F401
 from .braiding import BraidedSpace  # noqa: F401
 from .hopf import HopfAlgebraData  # noqa: F401
 from .bimodules import CrossedModule, HopfBimodule  # noqa: F401
-from .calculus import ExteriorCalculus, FirstOrderCalculus  # noqa: F401
+from .calculus import FirstOrderCalculus  # noqa: F401

@@ -80,9 +80,6 @@ class CrossedModule:
         self.nu_r = nu_r
         self.name = name
 
-    def to_obj(self):
-        return {"dim": self.dim, "mu_r": self.mu_r.to_obj(), "nu_r": self.nu_r.to_obj()}
-
     def __repr__(self):
         return f"CrossedModule({self.name or self.dim})"
 
@@ -234,14 +231,11 @@ def crossed_iso_smash(m: CrossedModule):
 
 @dataclass
 class TensorOverH:
-    x: HopfBimodule
-    y: HopfBimodule
     z: HopfBimodule
     lam: Matrix  # X (x) Y -> Z, surjective
     rho: Matrix  # Z -> X (x) Y, injective; rho o lam = rho_lambda_formula
-    coinv: CrossedModule
-    p: Matrix
-    i: Matrix
+    coinv: CrossedModule  # the coinvariants of Y
+    i: Matrix             # coinv(Y) -> Y
 
 
 def tensor_over_H(x: HopfBimodule, y: HopfBimodule) -> TensorOverH:
@@ -262,7 +256,7 @@ def tensor_over_H(x: HopfBimodule, y: HopfBimodule) -> TensorOverH:
         h, x.dim * mc.dim, kron(x.mu_l, em), mu_r, kron(x.nu_l, em), nu_r,
         f"({x.name}(x)H{y.name})"
     )
-    return TensorOverH(x, y, z, lam, rho, mc, p, i)
+    return TensorOverH(z, lam, rho, mc, i)
 
 
 def rho_lambda_formula(x: HopfBimodule, y: HopfBimodule) -> Matrix:
@@ -281,7 +275,7 @@ def theta(x: HopfBimodule, y: HopfBimodule) -> Matrix:
 
 def tensor_map_over_H(t: TensorOverH, t2: TensorOverH, f: Matrix, g: Matrix) -> Matrix:
     """The map induced on the tensor products over H by bimodule morphisms
-    f: t.x -> t2.x and g: t.y -> t2.y."""
+    f: X -> X' and g: Y -> Y', where t is X (x)_H Y and t2 is X' (x)_H Y'."""
     return solve_epi(compose_kron(t2.lam, f, g), t.lam)
 
 

@@ -5,7 +5,8 @@ module whose braiding Psi(m (x) n) = n_(0) (x) m <| n_(1) makes M a braided
 space; the antisymmetric tensor algebra T^wedge(M) is then a Hopf algebra in
 crossed modules, and the biproduct H (x) T^wedge(M) is a graded Hopf algebra
 in the base category (degree-0 component H, degree-1 component H (x) M
-isomorphic to X).
+isomorphic to X by can(h (x) v) = h . v, which wedge_over_H returns with the
+algebra).
 
 All structure maps are assembled blockwise:
   (h (x) v)(g (x) w) = h g_(1) (x) (v <| g_(2)) w
@@ -15,8 +16,6 @@ with the crossed action/coaction of H on T^wedge(M) taken degreewise
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .bimodules import (
     CrossedModule,
@@ -43,7 +42,7 @@ from .matrix import (
     solve_mono,
     swap_matrix,
 )
-from .tensor_hopf import WedgeAlgebra, build_wedge
+from .tensor_hopf import build_wedge
 
 
 def crossed_power(mc: CrossedModule, n: int) -> CrossedModule:
@@ -56,21 +55,11 @@ def crossed_power(mc: CrossedModule, n: int) -> CrossedModule:
     return power
 
 
-@dataclass
-class WedgeOverH:
-    h: HopfAlgebraData
-    x: HopfBimodule
-    N: int
-    algebra: GradedBialgebra
-    coinv: CrossedModule
-    p: Matrix
-    i: Matrix
-    wedge: WedgeAlgebra
-
-
-def wedge_over_H(h: HopfAlgebraData, x: HopfBimodule, N: int) -> WedgeOverH:
-    """The graded biproduct H (x) T^wedge(_HX) truncated at degree N."""
-    mc, p, i = coinvariants(x)
+def wedge_over_H(h: HopfAlgebraData, x: HopfBimodule, N: int) -> tuple[GradedBialgebra, Matrix]:
+    """The graded biproduct H (x) T^wedge(_HX) truncated at degree N, and the
+    isomorphism can: H (x) _HX -> X, h (x) v -> h . v, from its degree 1 onto
+    X (invertible by the Hopf module structure theorem)."""
+    mc, _, i = coinvariants(x)
     a = h.dim
     m = mc.dim
     psi = yd_braiding(mc, mc)
@@ -114,4 +103,4 @@ def wedge_over_H(h: HopfAlgebraData, x: HopfBimodule, N: int) -> WedgeOverH:
     )
     s0 = kron(h.antipode, Matrix.identity(walg.dims[0]))
     alg.antipode = antipode_recursive(alg, s0)
-    return WedgeOverH(h, x, N, alg, mc, p, i, w)
+    return alg, compose_kron(x.mu_l, Matrix.identity(a), i)

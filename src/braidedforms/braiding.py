@@ -5,7 +5,9 @@ operator psi on X@X and an invertible scalar lam (the unit automorphism).
 BraidedSpace.rep sends a permutation to the product of elementary braidings
 over a reduced word; the braid equation makes this well defined.  Braided
 multinomials are the sums sum_sigma lam^l(sigma) * rep(sigma) over the lower
-or upper shuffle set.  The braided factorial [j]! is not summed over S_j but
+or upper shuffle set; on a 1-dimensional space that sum is the polynomial
+sum_i c_i (lam psi)^i in the Gaussian multinomial coefficients c_i, and no
+shuffle is enumerated.  The braided factorial [j]! is not summed over S_j but
 built by the braided binomial theorem (Majid, J. Math. Phys. 34, 1993) from
 the previous degree as [j]! = (id (x) [j-1]!) o [1, j-1].
 """
@@ -14,10 +16,10 @@ from __future__ import annotations
 
 import math
 
-from .cyclotomic import Scalar
+from .cyclotomic import ONE, ZERO, Scalar
 from .errors import ShapeError, TooLarge
 from .matrix import Matrix, kron, kron_all, kron_apply, swap_matrix
-from .permutations import Partition, Permutation, shuffle_set
+from .permutations import Partition, Permutation, gaussian_multinomial, shuffle_set
 
 RESOURCE_BOUND = 4096
 
@@ -121,6 +123,14 @@ def multinomial(pi: Partition, x: BraidedSpace, side: str) -> Matrix:
     """[pi over j] (side="lower") or [j over pi] (side="upper") on X^(tensor j)."""
     j = pi.total
     x.guard(j)
+    if x.dim == 1:
+        # c_i shuffles of length i each contribute (lam psi)^i
+        q = x.lam * x.psi[0, 0]
+        total, power = ZERO, ONE
+        for c in gaussian_multinomial(pi.parts):
+            total = total + c * power
+            power = power * q
+        return Matrix(1, 1, [total])
     size = x.dim**j
     acc = Matrix.zero(size, size)
     for sigma in shuffle_set(pi, side):

@@ -8,7 +8,8 @@ Higher order: the comma extension H (+)_d X with its distinguished
 bi-invariant element, the maximal differential calculus inside a
 differential graded algebra, and the exterior differential Hopf algebra
 (X^wedge_H, d^wedge) computed by two independent routes (the biproduct of
-forms, and the maximal calculus of the comma extension's wedge).
+forms, and the maximal calculus of the comma extension's wedge).  Both
+routes take (calc, N) and return the GradedBialgebra with its differential.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .bimodules import (
     coadjoint_crossed,
     square_bimodule,
 )
-from .bosonization import WedgeOverH, wedge_over_H
+from .bosonization import wedge_over_H
 from .checks import Checks
 from .cyclotomic import MINUS_ONE, ONE
 from .errors import NotASubmodule
@@ -48,9 +49,6 @@ class FirstOrderCalculus:
     x: HopfBimodule
     d: Matrix  # H -> X
     smash_map: Matrix | None = None  # psi: H (x) Ker eps -> X; None for explicit X, d
-
-    def to_obj(self):
-        return {"X": self.x.to_obj(), "d": self.d.to_obj()}
 
 
 @dataclass(kw_only=True)
@@ -172,19 +170,11 @@ def read_off_submodule(calc: FirstOrderCalculus) -> Matrix:
 # --- comma extension -------------------------------------------------------
 
 
-@dataclass
-class CommaExtension:
-    h: HopfAlgebraData
-    calc: FirstOrderCalculus
-    bimodule: HopfBimodule
-    xhat: Matrix  # column vector in H (+) X
-
-
-def comma_extension(calc: FirstOrderCalculus) -> CommaExtension:
+def comma_extension(calc: FirstOrderCalculus) -> tuple[HopfBimodule, Matrix]:
     """H (+)_d X: the Hopf bimodule on H (+) X with
     mu_l = diag(m, mu_l), mu_r = [[m, 0], [mu_l o (id (x) d), mu_r]],
-    block-diagonal coactions, and distinguished bi-invariant element
-    xhat = (eta, 0)."""
+    block-diagonal coactions, and its distinguished bi-invariant element
+    xhat = (eta, 0), a column vector in H (+) X."""
     h, x, d = calc.h, calc.x, calc.d
     a = h.dim
     dx = x.dim
@@ -200,8 +190,7 @@ def comma_extension(calc: FirstOrderCalculus) -> CommaExtension:
     nu_l = kron_apply(ea, ih, h.comult.compose(ph)) + kron_apply(ea, ix, x.nu_l.compose(px))
     nu_r = kron_apply(ih, ea, h.comult.compose(ph)) + kron_apply(ix, ea, x.nu_r.compose(px))
     bim = HopfBimodule(h, n, mu_l, mu_r, nu_l, nu_r, "comma")
-    xhat = ih.compose(h.unit)
-    return CommaExtension(h, calc, bim, xhat)
+    return bim, ih.compose(h.unit)
 
 
 def bracket_differential(alg: GradedBialgebra, xhat: Matrix) -> list[Matrix]:
@@ -238,67 +227,45 @@ def maximal_calculus(alg: GradedBialgebra, diff: list[Matrix] | None = None) -> 
 # --- exterior calculus -----------------------------------------------------
 
 
-def _free_iso(x: HopfBimodule, i: Matrix) -> Matrix:
-    """can: H (x) _HX -> X, h (x) v -> h . i(v) (invertible by the Hopf
-    module structure theorem)."""
-    return compose_kron(x.mu_l, Matrix.identity(x.h.dim), i)
-
-
-def biproduct_differential(wh: WedgeOverH, d: Matrix) -> list[Matrix]:
-    """The differential on the biproduct H (x) T^wedge(_HX) determined by the
-    first order d: H -> X.
-
-    Degree-n blocks are solved from the generation surjections
-    gen_n: H^(x)(n+1) -> B_n, a_0 (x) ... (x) a_n -> a_0 d(a_1) ... d(a_n),
-    using d(a_0 d(a_1)...d(a_n)) = d(a_0) d(a_1) ... d(a_n).
+def biproduct_differential(alg: GradedBialgebra, can: Matrix, d: Matrix) -> list[Matrix]:
+    """The differential on the biproduct B = H (x) T^wedge(_HX) determined by
+    the first order d: H -> X, where can: B_1 -> X is the isomorphism of
+    wedge_over_H.  Degree by degree, each block is solved over a surjection
+    onto its source from blocks already known:
+      d_0 = can^-1 o d;
+      d_1 from d(a d(b)) = d(a) d(b), over m(0,1) o (id (x) d_0): H (x) H -> B_1;
+      d_n (n >= 2) from d(x y) = d(x) y - x d(y), over m(1,n-1): B_1 (x) B_(n-1) -> B_n,
+    the last a surjection because T^wedge(_HX) is generated in degree 1.  No
+    block is built on H^(x)(n+1), so the cost follows the dimensions of B.
     """
-    alg = wh.algebra
-    h = wh.h
-    a = h.dim
     N = alg.N
-    can = _free_iso(wh.x, wh.i)
-    d1 = can.inverse().compose(d)  # H -> B_1 = H (x) M
-    ds = [None, d1]  # ds[n]: H^(x)n -> B_n, d(a_1)...d(a_n)
-    for n in range(2, N + 1):
-        ds.append(compose_kron(alg.m(1, n - 1), d1, ds[n - 1]))
-    gens = [Matrix.identity(a)]  # gen_0 = id on H = B_0
-    for n in range(1, N + 1):
-        gens.append(compose_kron(alg.m(0, n), Matrix.identity(a), ds[n]))
-    diff = []
-    for n in range(N):
-        target = compose_kron(alg.m(1, n), d1, ds[n]) if n >= 1 else d1
-        diff.append(solve_epi(target, gens[n]))
+    d0 = can.inverse().compose(d)
+    diff = [d0]
+    if N >= 2:
+        gen = compose_kron(alg.m(0, 1), alg.eye(0), d0)
+        diff.append(solve_epi(compose_kron(alg.m(1, 1), d0, d0), gen))
+    for n in range(2, N):
+        target = (compose_kron(alg.m(2, n - 1), diff[1], alg.eye(n - 1))
+                  - compose_kron(alg.m(1, n), alg.eye(1), diff[n - 1]))
+        diff.append(solve_epi(target, alg.m(1, n - 1)))
     diff.append(Matrix.zero(0, alg.dims[N]))
     return diff
 
 
-@dataclass
-class ExteriorCalculus:
-    h: HopfAlgebraData
-    calc: FirstOrderCalculus
-    N: int
-    algebra: GradedBialgebra   # with differential attached
-    wedge: WedgeOverH
-    can: Matrix                # H (x) _HX -> X
-
-
-def exterior_calculus(calc: FirstOrderCalculus, N: int) -> ExteriorCalculus:
+def exterior_calculus(calc: FirstOrderCalculus, N: int) -> GradedBialgebra:
     """(X^wedge_H, d^wedge) by the biproduct route."""
-    wh = wedge_over_H(calc.h, calc.x, N)
-    alg = wh.algebra
-    alg.differential = biproduct_differential(wh, calc.d)
-    return ExteriorCalculus(calc.h, calc, N, alg, wh, _free_iso(calc.x, wh.i))
+    alg, can = wedge_over_H(calc.h, calc.x, N)
+    alg.differential = biproduct_differential(alg, can, calc.d)
+    return alg
 
 
 def exterior_calculus_via_comma(calc: FirstOrderCalculus, N: int) -> GradedBialgebra:
     """(X^wedge_H, d^wedge) by the oracle route: the maximal calculus of
     ((H (+)_d X)^wedge_H, [xhat, .])."""
-    com = comma_extension(calc)
-    wh = wedge_over_H(calc.h, com.bimodule, N)
-    alg = wh.algebra
+    bim, xhat = comma_extension(calc)
+    alg, can = wedge_over_H(calc.h, bim, N)
     # xhat = (eta, 0) in degree 1: B_1 = H (x) _H(H (+) X)
-    xhat_in_b = _free_iso(com.bimodule, wh.i).inverse().compose(com.xhat)
-    diff = bracket_differential(alg, xhat_in_b)
+    diff = bracket_differential(alg, can.inverse().compose(xhat))
     # top block: zero map out of degree N (truncation)
     diff[alg.N] = Matrix.zero(0, alg.dims[alg.N])
     return maximal_calculus(alg, diff)
@@ -339,9 +306,7 @@ def generation_conditions(alg: GradedBialgebra, diff: list[Matrix]) -> dict:
 
 def verify_calculus(obj) -> Checks:
     """Per-axiom verdicts: the first-order axioms of a FirstOrderCalculus, or
-    the differential Hopf axioms of an ExteriorCalculus or a graded bialgebra
-    with differential."""
+    the differential Hopf axioms of a graded bialgebra with differential."""
     if isinstance(obj, FirstOrderCalculus):
         return check_first_order(obj)
-    alg = obj.algebra if isinstance(obj, ExteriorCalculus) else obj
-    return check_graded_structure(alg, "diff_hopf")
+    return check_graded_structure(obj, "diff_hopf")

@@ -120,10 +120,10 @@ def _route_report(calc, N: int, route: str, verified: list) -> tuple[dict, Check
     checks) of each algebra this command has verified: the checks read only
     the blocks, so an algebra whose blocks equal a held entry's takes its
     checks, and any other is verified and added."""
-    if route == "biproduct":
-        alg = exterior_calculus(calc, N).algebra
-    else:
-        alg = exterior_calculus_via_comma(calc, N)
+    # no route table built at import: a tracer that rebinds this module's
+    # names must see both builders' calls
+    build = exterior_calculus if route == "biproduct" else exterior_calculus_via_comma
+    alg = build(calc, N)
     blocks = alg.blocks()
     for seen, checks in verified:
         if seen == blocks:

@@ -107,21 +107,6 @@ class GradedBialgebra:
             "braid": {(k, l): self.braid(k, l) for k in range(N + 1) for l in range(N + 1 - k)},
         }
 
-    def to_obj(self):
-        obj = {
-            "dims": list(self.dims),
-            "mult": {f"{k},{l}": m.to_obj() for (k, l), m in sorted(self.mult.items())},
-            "unit": self.unit.to_obj(),
-            "comult": {f"{k},{l}": m.to_obj() for (k, l), m in sorted(self.comult.items())},
-            "counit": self.counit.to_obj(),
-            "lambda": self.lam.to_obj(),
-        }
-        if self.antipode is not None:
-            obj["antipode"] = [s.to_obj() for s in self.antipode]
-        if self.differential is not None:
-            obj["differential"] = [d.to_obj() for d in self.differential]
-        return obj
-
 
 def check_graded_structure(b: GradedBialgebra, level: str) -> Checks:
     """Blockwise axiom checks; levels are cumulative:

@@ -4,13 +4,15 @@ Permutations act on {1..j} and are stored in one-line notation.  Products
 compose as functions: (s*t)(i) = s(t(i)).  Shuffle sets follow the braided
 multinomial convention: for a partition pi = (j_1,...,j_r) of j the lower set
 consists of the permutations that are increasing on each consecutive block,
-and the upper set is its set of inverses.
+and the upper set is its set of inverses.  On either side, the number of
+shuffles of each length is a coefficient of the Gaussian multinomial
+(`gaussian_multinomial`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import factorial
 from typing import Iterator
 
@@ -186,3 +188,28 @@ def shuffle_set(pi: Partition, side: str) -> list[Permutation]:
     else:
         raise ValueError(f"side must be lower or upper, got {side!r}")
     return sorted(result, key=lambda p: p.images)
+
+
+def gaussian_multinomial(parts) -> list[int]:
+    """Coefficients c_0, c_1, ... of the Gaussian multinomial [j over parts]_q:
+    c_i is the number of shuffles of length i for the partition `parts` of j,
+    on either side.  It is the product over the blocks of the Gaussian
+    binomials [l + k over k] (k the block, l the blocks before it), each from
+    the q-Pascal rule [k+l over k] = [k+l-1 over k-1] + q^k [k+l-1 over k]."""
+    coeffs = [1]
+    l = 0
+    for k in parts:
+        row = [[1]] * (l + 1)  # row[b] = [a + b over a], from a = 0 up to a = k
+        for a in range(1, k + 1):
+            nxt = [[1]]
+            for b in range(1, l + 1):
+                nxt.append([x + y for x, y in
+                            zip_longest(row[b], [0] * a + nxt[b - 1], fillvalue=0)])
+            row = nxt
+        product = [0] * (len(coeffs) + len(row[l]) - 1)
+        for i, x in enumerate(coeffs):
+            for t, y in enumerate(row[l]):
+                product[i + t] += x * y
+        coeffs = product
+        l += k
+    return coeffs

@@ -49,15 +49,7 @@ def at_minus_one(x: BraidedSpace) -> BraidedSpace:
     return x if x.lam == MINUS_ONE else BraidedSpace(x.dim, x.psi, MINUS_ONE, check=False)
 
 
-@dataclass
-class TensorHopf:
-    space: BraidedSpace
-    variant: str
-    N: int
-    algebra: GradedBialgebra
-
-
-def build_tensor_hopf(x: BraidedSpace, variant: str, N: int) -> TensorHopf:
+def build_tensor_hopf(x: BraidedSpace, variant: str, N: int) -> GradedBialgebra:
     """variant "shuffle_coproduct" builds T(X); "shuffle_product" builds T°(X)."""
     x.guard(N)
     d = x.dim
@@ -75,12 +67,11 @@ def build_tensor_hopf(x: BraidedSpace, variant: str, N: int) -> TensorHopf:
             else:
                 raise ValueError(f"unknown variant {variant!r}")
     antipode = [closed_form_antipode(x, n) for n in range(N + 1)]
-    alg = GradedBialgebra(
+    return GradedBialgebra(
         dims, mult, Matrix.identity(1), comult, Matrix.identity(1),
         weighted_blocks(lambda k, l: block_swap_rep(k, l, x), x.lam),
         antipode=antipode, lam=x.lam,
     )
-    return TensorHopf(x, variant, N, alg)
 
 
 def antisymmetrizer(x: BraidedSpace, N: int) -> list[Matrix]:
@@ -92,8 +83,8 @@ def check_antisym_hopf_morphism(x: BraidedSpace, N: int) -> Checks:
     """Blockwise check that A: T(X) -> T°(X) is a Hopf algebra morphism
     (at lam = -1)."""
     xm = at_minus_one(x)
-    t = build_tensor_hopf(xm, "shuffle_coproduct", N).algebra
-    t0 = build_tensor_hopf(xm, "shuffle_product", N).algebra
+    t = build_tensor_hopf(xm, "shuffle_coproduct", N)
+    t0 = build_tensor_hopf(xm, "shuffle_product", N)
     a = antisymmetrizer(xm, N)
     checks = Checks()
     for k in range(N + 1):
@@ -122,7 +113,7 @@ class WedgeAlgebra:
     @cached_property
     def algebra(self) -> GradedBialgebra:
         """The Hopf structure, transported from T°(X) when first read."""
-        t0 = build_tensor_hopf(self.space, "shuffle_product", self.N).algebra
+        t0 = build_tensor_hopf(self.space, "shuffle_product", self.N)
         return sub_bialgebra(t0, self.im)
 
 
@@ -150,7 +141,7 @@ def wedge_vs_quadratic(x: BraidedSpace, N: int) -> dict:
     """Compare T/(Ker [2]!) with T^wedge degree by degree (lam = -1)."""
     xm = at_minus_one(x)
     wedge = build_wedge(xm, N)
-    t = build_tensor_hopf(xm, "shuffle_coproduct", N).algebra
+    t = build_tensor_hopf(xm, "shuffle_coproduct", N)
     two_bang = braided_factorial(2, xm)
     generators = two_bang.kernel_basis()
     quad = ideal_quotient(t, generators, 2)

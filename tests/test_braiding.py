@@ -149,6 +149,26 @@ class TestMultinomials:
             direct = direct + x.rep(sigma)
         assert got == direct
 
+    def test_line_multinomial_enumerates_no_shuffles(self, monkeypatch):
+        # on a 1-dimensional space the sum over shuffles is a polynomial in
+        # lam * psi, so no shuffle set is built
+        from braidedforms import braiding
+        from braidedforms.permutations import shuffle_set
+
+        x = braided_line(Scalar.zeta(5) + 2, Scalar.zeta(3))
+        expected = {}
+        for parts in ([2, 3], [1, 4], [3, 0, 2], [0], [2, 2, 2]):
+            for side in ("lower", "upper"):
+                total = Scalar.rational(0)
+                for sigma in shuffle_set(Partition(parts), side):
+                    total = total + x.lam ** sigma.length() * x.rep(sigma)[0, 0]
+                expected[tuple(parts), side] = Matrix(1, 1, [total])
+        calls = []
+        monkeypatch.setattr(braiding, "shuffle_set", lambda *args: calls.append(args))
+        for (parts, side), want in expected.items():
+            assert multinomial(Partition(parts), x, side) == want, (parts, side)
+        assert calls == []
+
     def test_resource_bound(self):
         x = swap_space(4)
         with pytest.raises(TooLarge):

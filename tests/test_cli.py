@@ -170,6 +170,14 @@ class TestBuildCalculus:
         assert run(["build-calculus", str(io.bundled_path("sweedler_universal_calculus")),
                     "--max-degree", "9"]) == 3
 
+    def test_one_dimensional_coinvariants_high_degree(self, tmp_path):
+        # the resource bound never limits kz2's 1-dimensional coinvariants, so
+        # degree 30 must cost neither 2^31 shuffles nor H^(x)31 words
+        out = tmp_path / "report.json"
+        assert run(["build-calculus", str(io.bundled_path("kz2_universal_calculus")),
+                    "--max-degree", "30", "--out", str(out)]) == 0
+        assert json.load(open(out))["dims"] == [2, 2] + [0] * 29
+
     def test_explicit_bimodule_form(self, tmp_path, kz2):
         univ = universal_fodc(kz2)
         obj = {"hopf": "bundled:kz2", "X": univ.x.to_obj(), "d": univ.d.to_obj()}
@@ -223,9 +231,9 @@ class TestVerifyOnce:
         build = cli.exterior_calculus
 
         def doubled(calc, N):
-            ext = build(calc, N)
-            ext.algebra.differential[0] = ext.algebra.differential[0].scale(Scalar.rational(2))
-            return ext
+            alg = build(calc, N)
+            alg.differential[0] = alg.differential[0].scale(Scalar.rational(2))
+            return alg
 
         monkeypatch.setattr(cli, "exterior_calculus", doubled)
         calls = _counting_checks(monkeypatch)
@@ -239,6 +247,20 @@ class TestVerifyOnce:
             "  comult_diff              FAIL ((1, 1))\n"
             "  leibniz                  FAIL ((0, 1))\n"
             "routes agree on dims\n")
+
+
+class TestRouteBuilders:
+    def test_each_route_builder_runs_once_through_cli_names(self, monkeypatch, tmp_path):
+        # perfbench/layertrace.py traces a function by rebinding the module
+        # names that hold it; the CLI must call the route builders through
+        # its own names, once each, for the trace to see them
+        calls = Counter()
+        for name in ("exterior_calculus", "exterior_calculus_via_comma"):
+            monkeypatch.setattr(cli, name, _counting(calls, getattr(cli, name)))
+        assert run(["build-calculus", str(io.bundled_path("sweedler_universal_calculus")),
+                    "--max-degree", "2", "--route", "both",
+                    "--out", str(tmp_path / "report.json")]) == 0
+        assert calls == {"exterior_calculus": 1, "exterior_calculus_via_comma": 1}
 
 
 class TestClassify:

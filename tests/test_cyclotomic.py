@@ -311,7 +311,7 @@ class TestOneField:
         # the shared object, so the kernels' identity tests can skip it
         path = io.bundled_path("sweedler_universal_calculus")
         calc = io.calculus_from_obj(io.load_json(path), path.parent)
-        algebras = [exterior_calculus(calc, 2).algebra, exterior_calculus_via_comma(calc, 2)]
+        algebras = [exterior_calculus(calc, 2), exterior_calculus_via_comma(calc, 2)]
         factors, unshared = 0, []
         mul = Scalar.__mul__
 

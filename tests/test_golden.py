@@ -33,6 +33,8 @@ REPORTS = [
      "kz3_universal_calculus", ["--max-degree", "3", "--route", "both"]),
     (GOLDEN / "build-calculus-kz2_universal_calculus.json", "build-calculus",
      "kz2_universal_calculus", ["--max-degree", "3", "--route", "both"]),
+    (GOLDEN / "build-calculus-kz2_universal_calculus-12.json", "build-calculus",
+     "kz2_universal_calculus", ["--max-degree", "12"]),
     (GOLDEN / "build-calculus-taft3_quotient_calculus.json", "build-calculus",
      "taft3_quotient_calculus", ["--max-degree", "2", "--route", "both"]),
     (GOLDEN / "check-bimodule-kz3_square_bimodule.json", "check", "kz3_square_bimodule",

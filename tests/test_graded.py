@@ -30,7 +30,7 @@ class TestSpacesAndMaps:
 
 class TestGradedBialgebra:
     def test_tensor_hopf_passes_all_levels(self):
-        t = build_tensor_hopf(swap_space(2), "shuffle_coproduct", 3).algebra
+        t = build_tensor_hopf(swap_space(2), "shuffle_coproduct", 3)
         for level in ("algebra", "coalgebra", "bialgebra", "hopf"):
             assert check_graded_structure(t, level).ok, level
 
@@ -50,20 +50,20 @@ class TestGradedBialgebra:
             GradedBialgebra((1, -1), {}, eye, {}, eye, signed_swap_blocks((1, -1), (1, -1)))
 
     def test_broken_multiplication_detected(self):
-        t = build_tensor_hopf(swap_space(2), "shuffle_coproduct", 2).algebra
+        t = build_tensor_hopf(swap_space(2), "shuffle_coproduct", 2)
         t.mult[(0, 1)] = Matrix.zero(2, 2)  # breaks unitality
         report = check_graded_structure(t, "algebra")
         assert report.first == {"associativity": (0, 1, 1), "unit": (1,)}
 
     def test_antipode_recursive_is_convolution_inverse(self):
-        t = build_tensor_hopf(braided_line(Scalar.zeta(4)), "shuffle_coproduct", 3).algebra
+        t = build_tensor_hopf(braided_line(Scalar.zeta(4)), "shuffle_coproduct", 3)
         s = antipode_recursive(t)
         t.antipode = s
         assert check_graded_structure(t, "hopf").ok
 
     def test_ideal_quotient_exterior_line(self):
         # q = -1: (x^2) is a biideal, quotient has dims 1,1,0,0
-        t = build_tensor_hopf(braided_line(MINUS_ONE, ONE), "shuffle_coproduct", 3).algebra
+        t = build_tensor_hopf(braided_line(MINUS_ONE, ONE), "shuffle_coproduct", 3)
         q = ideal_quotient(t, Matrix.identity(1), 2)
         assert q.dims == (1, 1, 0, 0)
         assert q.antipode is not None  # the antipode descends to the quotient
@@ -72,7 +72,7 @@ class TestGradedBialgebra:
     def test_ideal_quotient_rejects_non_coideal(self):
         # q = 1: Delta(x^2) has the cross term 2 x(x)x, so (x^2) is not a
         # coideal and the quotient must be rejected
-        t = build_tensor_hopf(braided_line(ONE, ONE), "shuffle_coproduct", 3).algebra
+        t = build_tensor_hopf(braided_line(ONE, ONE), "shuffle_coproduct", 3)
         with pytest.raises(NotABiIdeal):
             ideal_quotient(t, Matrix.identity(1), 2)
 
@@ -194,7 +194,7 @@ def _corrupt(b, part):
 @pytest.fixture(scope="module", params=["kz3", "sweedler"])
 def exterior(request):
     h = io.hopf_from_obj(io.load_json(io.bundled_path(request.param)))
-    return exterior_calculus(universal_fodc(h), 2).algebra
+    return exterior_calculus(universal_fodc(h), 2)
 
 
 class TestChecksAgainstReference:
@@ -231,7 +231,7 @@ class TestBlocks:
         assert _corrupt(exterior, part).blocks() != exterior.blocks()
 
     def test_lambda_alone_compares_unequal(self):
-        t = build_tensor_hopf(braided_line(Scalar.zeta(3)), "shuffle_coproduct", 2).algebra
+        t = build_tensor_hopf(braided_line(Scalar.zeta(3)), "shuffle_coproduct", 2)
 
         def with_lam(lam):
             return GradedBialgebra(t.dims, t.mult, t.unit, t.comult, t.counit, t.braid,

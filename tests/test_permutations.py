@@ -1,3 +1,5 @@
+from collections import Counter
+from itertools import product
 from math import factorial
 
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from braidedforms.permutations import (
     Partition,
     Permutation,
     all_permutations,
+    gaussian_multinomial,
     shuffle_set,
     word_to_permutation,
 )
@@ -87,3 +90,16 @@ class TestShuffles:
         upper = set(shuffle_set(pi, "upper"))
         lower = set(shuffle_set(pi, "lower"))
         assert {p.inverse() for p in upper} == lower
+
+    def test_gaussian_multinomial_counts_lengths(self):
+        # c_i of the Gaussian multinomial is the number of shuffles of length
+        # i, on either side, for every partition of total <= 7 in <= 3 parts
+        for size in (1, 2, 3):
+            for parts in product(range(8), repeat=size):
+                if sum(parts) > 7:
+                    continue
+                coeffs = gaussian_multinomial(parts)
+                for side in ("lower", "upper"):
+                    lengths = Counter(s.length() for s in shuffle_set(Partition(parts), side))
+                    assert coeffs == [lengths[i] for i in range(max(lengths) + 1)], \
+                        (parts, side)

@@ -32,21 +32,21 @@ class TestTensorHopf:
     def test_both_variants_are_hopf(self):
         for x in (swap_space(2), braided_line(Scalar.zeta(3))):
             for variant in ("shuffle_coproduct", "shuffle_product"):
-                t = build_tensor_hopf(x, variant, 3).algebra
+                t = build_tensor_hopf(x, variant, 3)
                 assert check_graded_structure(t, "hopf").ok, (variant, x.dim)
 
     def test_closed_form_antipode_matches_recursive(self):
         from braidedforms.graded import antipode_recursive
 
         for x in (swap_space(2), braided_line(Scalar.zeta(4))):
-            t = build_tensor_hopf(x, "shuffle_coproduct", 3).algebra
+            t = build_tensor_hopf(x, "shuffle_coproduct", 3)
             rec = antipode_recursive(t)
             for n in range(4):
                 assert rec[n] == closed_form_antipode(x, n), n
 
     def test_degree_zero_and_one_structure(self):
         x = swap_space(2)
-        t = build_tensor_hopf(x, "shuffle_coproduct", 3).algebra
+        t = build_tensor_hopf(x, "shuffle_coproduct", 3)
         assert t.dims == (1, 2, 4, 8)
         # degree-1 comultiplication is primitive: cm(0,1) and cm(1,0) are id
         assert t.cm(0, 1) == Matrix.identity(2)
@@ -98,7 +98,7 @@ class TestWedge:
         w = build_wedge(x, 3)
         t = build_tensor_hopf(
             type(x)(x.dim, x.psi, MINUS_ONE, check=False), "shuffle_coproduct", 3
-        ).algebra
+        )
         for k in range(4):
             for l in range(4 - k):
                 lhs = w.coim[k + l].compose(t.m(k, l))
