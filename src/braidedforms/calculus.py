@@ -1,8 +1,15 @@
 """Bicovariant differential calculi over a Hopf algebra H.
 
-First order: the universal calculus on Ker m, classification of calculi by
-crossed submodules of Ker epsilon (regular action, coadjoint coaction), and
-quotients of the universal calculus.
+First order: the universal calculus on Ker m, and classification of calculi
+by crossed submodules R of Ker epsilon (regular action, coadjoint coaction).
+The calculus that R classifies is built on the crossed-module side of the
+equivalence with Hopf bimodules (Schauenburg, J. Algebra 169, 1994) as the
+smash product H |x (Ker eps / R) with d(h) = h_(1) (x) [h_(2) - eps(h_(2)) 1]
+(Woronowicz, Comm. Math. Phys. 122, 1989), so no Ker m is built; the
+quotient of the universal calculus by alpha(H (x) R) is the same calculus up
+to isomorphism and is what "submodule" calculus bundles load.  R is read
+back off any calculus as the kernel on Ker eps of its Maurer-Cartan form
+omega(h) = S(h_(1)) d(h_(2)).
 
 Higher order: the comma extension H (+)_d X with its distinguished
 bi-invariant element, the maximal differential calculus inside a
@@ -21,6 +28,7 @@ from .bimodules import (
     HopfBimodule,
     check_hopf_bimodule,
     coadjoint_crossed,
+    smash,
     square_bimodule,
 )
 from .bosonization import wedge_over_H
@@ -48,14 +56,13 @@ class FirstOrderCalculus:
     h: HopfAlgebraData
     x: HopfBimodule
     d: Matrix  # H -> X
-    smash_map: Matrix | None = None  # psi: H (x) Ker eps -> X; None for explicit X, d
 
 
 @dataclass(kw_only=True)
 class UniversalCalculus(FirstOrderCalculus):
     """The universal calculus Ker m, from which every bicovariant first order
-    calculus over H is a quotient; its smash_map is the isomorphism
-    alpha: H (x) Ker eps -> Ker m."""
+    calculus over H is a quotient."""
+    smash_map: Matrix            # the isomorphism alpha: H (x) Ker eps -> Ker m
     inclusion: Matrix            # Ker m -> H (x) H
     ker_counit: CrossedModule    # Ker eps, regular action, coadjoint coaction
 
@@ -95,7 +102,7 @@ def universal_fodc(h: HopfAlgebraData) -> UniversalCalculus:
     d = solve_mono(incl, kron(h.unit, ea) - kron(ea, h.unit))
     twisted = kron_apply(h.antipode, ea, h.comult.compose(ik))  # x -> S(x_(1)) (x) x_(2)
     alpha = solve_mono(incl, braided_product(h.mult, ea, ea, ea, twisted, (a, 1, a, a)))
-    return UniversalCalculus(h, x, d, alpha, inclusion=incl, ker_counit=mc)
+    return UniversalCalculus(h, x, d, smash_map=alpha, inclusion=incl, ker_counit=mc)
 
 
 def derivation_morphism(univ: UniversalCalculus, other: FirstOrderCalculus) -> Matrix:
@@ -120,18 +127,23 @@ def kernel_counit_crossed(h: HopfAlgebraData):
 def crossed_submodule_closure(m: CrossedModule, gens: Matrix) -> Matrix:
     """Echelon basis of the smallest subspace of M containing Im(gens) that
     is stable under the action (v <| h) and the coaction components
-    (id (x) e_j*) o nu_r."""
-    ea = Matrix.identity(m.h.dim)
-    basis = gens.column_echelon_basis()[0]
-    while True:
-        pieces = [basis]
-        if basis.cols:
-            pieces.append(compose_kron(m.mu_r, basis, ea))
-            pieces.append(split_leg(m.nu_r.compose(basis), m.h.dim))
-        new_basis = hstack(pieces).column_echelon_basis()[0]
-        if new_basis.cols == basis.cols:
-            return new_basis
-        basis = new_basis
+    (id (x) e_j*) o nu_r.
+
+    Semi-naive: a round applies them only to the columns that the last
+    round's echelon basis gained, those at pivot rows it did not have
+    before; with the old basis they span the new one, and the images of the
+    old basis are in it already.  All of M returns as the identity at once."""
+    a = m.h.dim
+    ea = Matrix.identity(a)
+    basis, pivots = gens.column_echelon_basis()
+    fresh = basis
+    while fresh.cols and basis.cols < m.dim:
+        images = [basis, compose_kron(m.mu_r, fresh, ea), split_leg(m.nu_r.compose(fresh), a)]
+        old = set(pivots)
+        basis, pivots = hstack(images).column_echelon_basis()
+        gained = [basis.col(j) for j, p in enumerate(pivots) if p not in old]
+        fresh = hstack(gained) if gained else Matrix.zero(m.dim, 0)
+    return Matrix.identity(m.dim) if basis.cols == m.dim else basis
 
 
 def fodc_from_submodule(univ: UniversalCalculus, r_gens: Matrix) -> FirstOrderCalculus:
@@ -156,15 +168,39 @@ def fodc_from_submodule(univ: UniversalCalculus, r_gens: Matrix) -> FirstOrderCa
     nu_l = solve_epi(kron_apply(ea, q, univ.x.nu_l), q)
     nu_r = solve_epi(kron_apply(q, ea, univ.x.nu_r), q)
     x = HopfBimodule(h, dim_q, mu_l, mu_r, nu_l, nu_r, "classified")
-    return FirstOrderCalculus(h, x, q.compose(univ.d), q.compose(alpha))
+    return FirstOrderCalculus(h, x, q.compose(univ.d))
+
+
+def smash_calculus(ker: CrossedModule, ik: Matrix, r_basis: Matrix) -> FirstOrderCalculus:
+    """The first order calculus classified by the crossed submodule
+    R = Im(r_basis) of Ker eps, built on the crossed-module side:
+    X = H |x (Ker eps / R) with d(h) = h_(1) (x) q(h_(2) - eps(h_(2)) 1), where
+    ker and ik are kernel_counit_crossed(h) and q is the cokernel of R.  Along
+    alpha it is isomorphic to fodc_from_submodule's quotient of Ker m, which
+    it never builds.  The action and coaction of Ker eps / R are solved over
+    q, so a subspace R that is not a crossed submodule raises
+    FactorizationError."""
+    h = ker.h
+    ea = Matrix.identity(h.dim)
+    q = r_basis.transpose().kernel_basis().transpose()  # the cokernel
+    mu_r = solve_epi(q.compose(ker.mu_r), kron(q, ea))
+    nu_r = solve_epi(kron_apply(q, ea, ker.nu_r), q)
+    quotient = CrossedModule(h, q.rows, mu_r, nu_r, "ker_counit/R")
+    to_ker = solve_mono(ik, ea - h.unit.compose(h.counit))  # id - eta eps: H -> Ker eps
+    d = kron_apply(ea, q.compose(to_ker), h.comult)
+    return FirstOrderCalculus(h, smash(h, quotient), d)
 
 
 def read_off_submodule(calc: FirstOrderCalculus) -> Matrix:
-    """Recover the classifying crossed submodule R of Ker eps from a
-    classified calculus: R = {x in Ker eps : psi(1 (x) x) = 0}."""
-    h, psi = calc.h, calc.smash_map
-    psi0 = compose_kron(psi, h.unit, Matrix.identity(psi.cols // h.dim))
-    return psi0.kernel_basis().column_echelon_basis()[0]
+    """Recover the classifying crossed submodule R of Ker eps from a calculus
+    (X, d) alone: R = {x in Ker eps : omega(x) = 0}, the kernel of the
+    Maurer-Cartan form omega = mu_l o (S (x) d) o Delta, x -> S(x_(1)) d(x_(2)).
+    On the smash calculus omega(x) = 1 (x) q(x); on a quotient of Ker m it is
+    the class of alpha(1 (x) x)."""
+    h = calc.h
+    ik = h.counit.kernel_basis()
+    omega = calc.x.mu_l.compose(kron_apply(h.antipode, calc.d, h.comult.compose(ik)))
+    return omega.kernel_basis().column_echelon_basis()[0]
 
 
 # --- comma extension -------------------------------------------------------

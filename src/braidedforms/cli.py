@@ -30,9 +30,9 @@ from .calculus import (
     crossed_submodule_closure,
     exterior_calculus,
     exterior_calculus_via_comma,
-    fodc_from_submodule,
+    kernel_counit_crossed,
     read_off_submodule,
-    universal_fodc,
+    smash_calculus,
     verify_calculus,
 )
 from .checks import Checks
@@ -178,7 +178,7 @@ def cmd_classify(args) -> int:
     base = io.Path(args.file).parent
     h = io.load_hopf_ref(obj.get("hopf", obj if "mult" in obj else None), base)
     # the generators live in Ker eps, whose dimension the counit gives at
-    # once, so a bad candidate list fails before the universal build
+    # once, so a bad candidate list fails before any structure is built
     ker_dim = h.dim - h.counit.rank()
     if "candidates" in obj:
         if not isinstance(obj["candidates"], list):
@@ -188,17 +188,16 @@ def cmd_classify(args) -> int:
         # default sweep: no generators, each coordinate vector, all of them
         eye = Matrix.identity(ker_dim)
         candidates = [Matrix.zero(ker_dim, 0)] + [eye.col(c) for c in range(ker_dim)] + [eye]
-    univ = universal_fodc(h)
-    mc = univ.ker_counit
+    mc, ik = kernel_counit_crossed(h)
     entries = []
     ok = True
-    quotients = {}  # closed echelon basis -> (calculus, roundtrip): each built once
+    calculi = {}  # closed echelon basis -> (calculus, roundtrip): each built once
     for gens in candidates:
         closed = crossed_submodule_closure(mc, gens.column_echelon_basis()[0])
-        if closed not in quotients:
-            calc = fodc_from_submodule(univ, closed)
-            quotients[closed] = calc, read_off_submodule(calc) == closed
-        calc, roundtrip = quotients[closed]
+        if closed not in calculi:
+            calc = smash_calculus(mc, ik, closed)
+            calculi[closed] = calc, read_off_submodule(calc) == closed
+        calc, roundtrip = calculi[closed]
         ok = ok and roundtrip
         entries.append({
             "generators": gens.cols,

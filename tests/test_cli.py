@@ -275,27 +275,25 @@ class TestClassify:
         assert all(e["roundtrip"] for e in report["entries"])
 
     def test_builds_universal_calculus_once(self, monkeypatch):
+        # the calculi are smash products over Ker eps: the universal
+        # calculus is not built at all, and Ker eps once
         from braidedforms import calculus, cli
 
         calls = Counter()
-
-        def counting(fn):
-            return _counting(calls, fn)
-
-        univ = counting(calculus.universal_fodc)
-        monkeypatch.setattr(calculus, "universal_fodc", univ)
-        monkeypatch.setattr(cli, "universal_fodc", univ)
-        monkeypatch.setattr(calculus, "kernel_counit_crossed",
-                            counting(calculus.kernel_counit_crossed))
+        counted = {name: _counting(calls, getattr(calculus, name))
+                   for name in ("universal_fodc", "fodc_from_submodule", "kernel_counit_crossed")}
+        for name, fn in counted.items():
+            monkeypatch.setattr(calculus, name, fn)
+        monkeypatch.setattr(cli, "kernel_counit_crossed", counted["kernel_counit_crossed"])
         assert run(["classify", str(io.bundled_path("kz3"))]) == 0
         # the default sweep has 4 candidates, and every one reuses Ker eps
-        assert calls == {"universal_fodc": 1, "kernel_counit_crossed": 1}
+        assert calls == {"kernel_counit_crossed": 1}
 
     def test_builds_each_quotient_once(self, monkeypatch, tmp_path):
         from braidedforms import cli
 
         calls = Counter()
-        for name in ("fodc_from_submodule", "read_off_submodule"):
+        for name in ("smash_calculus", "read_off_submodule"):
             monkeypatch.setattr(cli, name, _counting(calls, getattr(cli, name)))
         out = tmp_path / "report.json"
         assert run(["classify", str(io.bundled_path("kz5")), "--out", str(out)]) == 0
@@ -303,16 +301,19 @@ class TestClassify:
         # six candidates, but every nonempty one closes to all of Ker eps
         assert [e["closure_dim"] for e in entries] == [0, 4, 4, 4, 4, 4]
         assert all(e["roundtrip"] for e in entries)
-        assert calls == {"fodc_from_submodule": 2, "read_off_submodule": 2}
+        assert calls == {"smash_calculus": 2, "read_off_submodule": 2}
 
     def test_bad_candidates_fail_before_universal_build(self, monkeypatch, tmp_path, capsys):
-        from braidedforms import cli
+        from braidedforms import calculus, cli
 
         calls = Counter()
-        monkeypatch.setattr(cli, "universal_fodc", _counting(calls, cli.universal_fodc))
+        for module, name in ((calculus, "universal_fodc"), (calculus, "fodc_from_submodule"),
+                             (cli, "kernel_counit_crossed"), (cli, "smash_calculus")):
+            monkeypatch.setattr(module, name, _counting(calls, getattr(module, name)))
         path = bundle(tmp_path, "c.json", {"hopf": "bundled:kz5", "candidates": [[5]]})
         assert run(["classify", path]) == 2
         assert "error: " in capsys.readouterr().err
+        # neither Ker eps nor any calculus is built
         assert calls == {}
 
 

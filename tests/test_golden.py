@@ -3,7 +3,7 @@
 The four benchmark workloads are compared with `perfbench/expected/` (read,
 never written). The reports under `tests/golden/` come from commands that
 run the Hopf bimodule and crossed module leg swaps, square bimodules,
-classification over Q, Q(zeta_3) and Q(zeta_4), both exterior-calculus
+classification over Q and Q(zeta_n) for n = 3, 4, 5, both exterior-calculus
 routes over Q and over Q(zeta_3), and the wedge dimensions with and without
 the quadratic comparison, up to conductor 97.
 """
@@ -60,14 +60,25 @@ def test_report_bytes(tmp_path, expected, command, name, rest):
     assert out.read_bytes() == expected.read_bytes()
 
 
-def test_classify_taft4_report_bytes(tmp_path):
-    # the 16-dim Taft algebra at a primitive 4th root of unity, not bundled:
-    # the default sweep of 17 candidates over its 240-dim universal calculus
-    path = tmp_path / "taft4.json"
-    io.save_json(hopf.taft_algebra(4).to_obj(), path)
+def _classify_taft(tmp_path, n):
+    # the Taft algebra of dim n^2 at a primitive nth root of unity, not
+    # bundled (taft5 is 4 MB as JSON): written from hopf.taft_algebra(n)
+    path = tmp_path / f"taft{n}.json"
+    io.save_json(hopf.taft_algebra(n).to_obj(), path)
     out = tmp_path / "report.json"
     assert main(["classify", str(path), "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / "classify-taft4.json").read_bytes()
+    assert out.read_bytes() == (GOLDEN / f"classify-taft{n}.json").read_bytes()
+
+
+def test_classify_taft4_report_bytes(tmp_path):
+    # the default sweep of 17 candidates over Ker eps of dim 15
+    _classify_taft(tmp_path, 4)
+
+
+def test_classify_taft5_report_bytes(tmp_path):
+    # the default sweep of 26 candidates over Ker eps of dim 24; the golden
+    # was written by the quotient-of-Ker-m classifier
+    _classify_taft(tmp_path, 5)
 
 
 def _wedge_dims_conductor97_line(tmp_path, max_degree):
