@@ -7,10 +7,13 @@ cheap, and a conductor-n Scalar with n > 1 is never rational.
 
 A computation inside one field never promotes.  A rational times an element
 of Q(zeta_n) scales its coordinates and a rational plus one adds to
-coordinate 0; a product of two elements of Q(zeta_n) reads the coordinates
-of zeta^((i+j) mod n) from a per-conductor table.  Only operands at two
-different conductors above 1 are promoted, both to the least common
-conductor m via zeta_n -> zeta_m^(m/n).
+coordinate 0.  Only operands at two different conductors above 1 are
+promoted, both to the least common conductor m via zeta_n -> zeta_m^(m/n).
+Two elements of one field multiply in one kernel: the schoolbook product
+into 2 phi(n) - 1 slots, each slot e >= phi(n) then folded onto the basis by
+the coordinates of zeta^(e mod n).  A difference is x + (-y).  All
+per-conductor state is in _CYCLO_CACHE (Phi_n, built by the pseudo-division
+that inversion uses) and _TABLE_CACHE (reduction rows and folds).
 
 Every arithmetic result and every parsed rational passes through one
 internal factory, which stores the values 0, 1 and -1 as the shared ZERO,
@@ -108,7 +111,10 @@ def cyclotomic_polynomial(n: int) -> list[int]:
     else:
         m = n // primes[-1]
         base = cyclotomic_polynomial(m)
-        poly = _poly_divide(_substitute_power(base, primes[-1]), base)
+        # Phi_m is monic, so the pseudo-division scales nothing (k = 1)
+        k, poly, rem = _pseudo_divmod(_substitute_power(base, primes[-1]), base)
+        if k != 1 or any(rem):
+            raise ArithmeticError(f"Phi_{m}(x^{primes[-1]}) / Phi_{m} is not exact")
     _CYCLO_CACHE[n] = poly
     return poly
 
@@ -133,11 +139,12 @@ def _normalized_trace(n: int, i: int) -> Fraction:
     return Fraction(_mobius(m), euler_phi(m))
 
 
-_TABLE_CACHE: dict[int, tuple[int, dict[int, tuple[int, ...]]]] = {}
+_TABLE_CACHE: dict[int, tuple[int, dict[int, tuple[int, ...]], list]] = {}
 
 
 def _tables(n: int):
-    """(phi(n), reduction rows): row[e] = coords of zeta^e for phi(n) <= e < n."""
+    """(phi(n), rows, folds): rows[e] = coords of zeta^e for phi(n) <= e < n;
+    folds[e - phi(n)] = nonzero (index, coord) pairs of zeta^(e mod n), e < 2 phi(n) - 1."""
     if n in _TABLE_CACHE:
         return _TABLE_CACHE[n]
     poly = cyclotomic_polynomial(n)
@@ -153,14 +160,18 @@ def _tables(n: int):
             base = rows[phi]
             cur = [cur[i] + top * base[i] for i in range(phi)]
         rows[e] = tuple(cur)
-    _TABLE_CACHE[n] = (phi, rows)
+    folds = []
+    for e in range(phi, 2 * phi - 1):
+        e %= n
+        folds.append(((e, _ONE),) if e < phi else tuple((k, r) for k, r in enumerate(rows[e]) if r))
+    _TABLE_CACHE[n] = (phi, rows, folds)
     return _TABLE_CACHE[n]
 
 
 def _reduce(n: int, coeffs) -> tuple:
     """Reduce a coefficient list in zeta_n (any length) to the power basis,
     with canonical coordinates."""
-    phi, rows = _tables(n)
+    phi, rows, _ = _tables(n)
     out = [_ZERO] * phi
     for e, c in enumerate(coeffs):
         if not c:
@@ -180,35 +191,23 @@ def _canonical(coords) -> tuple:
     return tuple([c if type(c) is int or c.denominator != 1 else c.numerator for c in coords])
 
 
-_PRODUCT_CACHE: dict[int, list] = {}
-
-
-def _product_table(n: int) -> list:
-    """table[i + j] for power-basis indices i, j < phi(n): the nonzero
-    (index, coordinate) pairs of zeta^((i+j) mod n) = z^i z^j."""
-    if n in _PRODUCT_CACHE:
-        return _PRODUCT_CACHE[n]
-    phi, rows = _tables(n)
-    table = []
-    for e in range(2 * phi - 1):
-        e %= n
-        table.append(((e, _ONE),) if e < phi else tuple((k, r) for k, r in enumerate(rows[e]) if r))
-    _PRODUCT_CACHE[n] = table
-    return table
-
-
 def _product(n: int, a: tuple, b: tuple) -> tuple:
-    """Canonical coordinates of the product of two elements of Q(zeta_n)."""
-    table = _product_table(n)
-    out = [_ZERO] * len(a)
+    """Canonical coordinates of the product of two elements of Q(zeta_n),
+    given by their phi(n) coordinates: the schoolbook product into
+    2 phi(n) - 1 slots, then each slot from phi(n) on folded onto the basis."""
+    phi, _, folds = _TABLE_CACHE.get(n) or _tables(n)
+    slots = [_ZERO] * (2 * phi - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
+            for k, y in enumerate(b, i):
                 if y:
-                    p = x * y
-                    for k, r in table[i + j]:
-                        out[k] += p * r
-    return _canonical(out)
+                    slots[k] += x * y
+    for e, fold in enumerate(folds, phi):
+        c = slots[e]
+        if c:
+            for k, r in fold:
+                slots[k] += c * r
+    return _canonical(slots[:phi])
 
 
 # The factory: every Scalar that arithmetic returns comes from _scalar or
@@ -266,7 +265,7 @@ class Scalar:
         if n == 1:
             return ONE
         k %= n
-        phi, rows = _tables(n)
+        phi, rows, _ = _tables(n)
         if k < phi:
             coeffs = [_ZERO] * phi
             coeffs[k] = _ONE
@@ -355,28 +354,11 @@ class Scalar:
         return _stored(self.n, tuple([-x for x in self.c]))
 
     def __sub__(self, other):
-        # the cases of __add__, without building -other
         if type(other) is not Scalar:
             other = Scalar._coerce(other)
             if other is None:
                 return NotImplemented
-        if self.is_zero:
-            return -other
-        if other.is_zero:
-            return self
-        n, m = self.n, other.n
-        if n == 1:
-            if m == 1:
-                v = self.c[0] - other.c[0]
-                return _rational(v if type(v) is int else _canon(v))
-            rest = tuple([-x for x in other.c[1:]])
-            return _stored(m, _canonical((self.c[0] - other.c[0],)) + rest)
-        if m == 1:
-            return _stored(n, _canonical((self.c[0] - other.c[0],)) + self.c[1:])
-        if n == m:
-            return _scalar(n, _canonical([x - y for x, y in zip(self.c, other.c)]))
-        m, ca, cb = self._pair(other)
-        return _scalar(m, _canonical([x - y for x, y in zip(ca, cb)]))
+        return self + (-other)
 
     def __rsub__(self, other):
         other = Scalar._coerce(other)
@@ -407,7 +389,7 @@ class Scalar:
         if n == m:
             return _scalar(n, _product(n, self.c, other.c))
         m, ca, cb = self._pair(other)
-        return _scalar(m, _reduce(m, _poly_mul(ca, cb)))
+        return _scalar(m, _product(m, ca, cb))
 
     __rmul__ = __mul__
 
@@ -538,44 +520,6 @@ def _pseudo_divmod(num, den):
         for j, dc in enumerate(den):
             num[i - deg_d + j] -= f * dc
     return k, quot, num[:deg_d]
-
-
-def _poly_divmod(num, den):
-    """(quotient, remainder) of polynomial division in Q[x]."""
-    num = list(num)
-    while den and not den[-1]:
-        den = den[:-1]
-    deg_d = len(den) - 1
-    lead = den[-1]
-    if len(num) - 1 < deg_d:
-        return [_ZERO], num
-    quot = [_ZERO] * (len(num) - deg_d)
-    for i in range(len(num) - 1, deg_d - 1, -1):
-        c = _div(num[i], lead)
-        if c:
-            quot[i - deg_d] = c
-            for j, dc in enumerate(den):
-                num[i - deg_d + j] -= c * dc
-    rem = num[:deg_d] or [_ZERO]
-    return quot, rem
-
-
-def _poly_divide(num, den):
-    """The quotient of an exact polynomial division."""
-    quot, rem = _poly_divmod(num, den)
-    if any(rem):
-        raise ArithmeticError("non-exact polynomial division")
-    return quot
-
-
-def _poly_mul(a, b):
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
 
 
 ZERO = Scalar(1, (_ZERO,))

@@ -24,7 +24,9 @@ a rational inverse scales it, and an inverse in Q(zeta_n)
 is split once into integral coordinates and a positive int denominator, so
 each entry costs one integral product and one exact division by that int
 (Scalar.cleared and Scalar.over).  The coordinates themselves stay inside
-cyclotomic.py.
+cyclotomic.py.  Each other row with an entry c in the pivot column then adds
+the pivot row times -c, negated once per row, in one fused loop that drops
+the entries it cancels; elimination makes no Scalar subtraction.
 
 A kernel basis has the row {j: ONE} at the free coordinate of its column j,
 and so does a column echelon basis at its pivot row of column j; kron with an
@@ -172,12 +174,10 @@ class Matrix:
         out = []
         for arow, brow in zip(self._nz, other._nz):
             row = dict(arow)
-            for c, b in brow.items():
-                v = row[c] + b if c in row else b
-                if v.is_zero:
+            _add_scaled(row, ONE, brow)
+            for c in brow:
+                if row[c].is_zero:
                     del row[c]
-                else:
-                    row[c] = v
             out.append(row)
         return _sparse(self.rows, self.cols, out)
 
@@ -255,9 +255,9 @@ class Matrix:
             for r in range(self.rows):
                 if r != pr and pc in m[r]:
                     row = m[r]
-                    c = row[pc]
+                    c = -row[pc]
                     for j, y in prow.items():
-                        v = row.get(j, ZERO) - c * y
+                        v = row.get(j, ZERO) + c * y
                         if v.is_zero:
                             del row[j]
                         else:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidedforms import io
+from braidedforms import cyclotomic, io
 from braidedforms.calculus import exterior_calculus, exterior_calculus_via_comma
 from braidedforms.cyclotomic import (
     _CYCLO_CACHE,
@@ -17,9 +17,6 @@ from braidedforms.cyclotomic import (
     ZERO,
     Scalar,
     _div,
-    _poly_divide,
-    _poly_divmod,
-    _poly_mul,
     _reduce,
     cyclotomic_polynomial,
     euler_phi,
@@ -29,6 +26,52 @@ from braidedforms.graded import check_graded_structure
 from braidedforms.matrix import Matrix
 
 rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 8))
+
+
+# --- polynomial references over Q, independent of the package ---------------
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_divmod(num, den):
+    """(quotient, remainder) of polynomial division in Q[x]."""
+    num = list(num)
+    deg = len(den) - 1
+    quot = [0] * (len(num) - deg)
+    for i in range(len(num) - 1, deg - 1, -1):
+        c = Fraction(num[i]) / den[-1]
+        if c:
+            # integral quotients stay ints, which keeps Phi_1008 quick
+            quot[i - deg] = c = c.numerator if c.denominator == 1 else c
+            for j, d in enumerate(den):
+                num[i - deg + j] -= c * d
+    return quot, num[:deg] or [0]
+
+
+def _poly_divide(num, den):
+    quot, rem = _poly_divmod(num, den)
+    if any(rem):
+        raise ArithmeticError("non-exact polynomial division")
+    return quot
+
+
+_REFERENCE_PHI = {}
+
+
+def reference_cyclotomic(n):
+    """Phi_n as x^n - 1 divided by Phi_d for every proper divisor d."""
+    if n not in _REFERENCE_PHI:
+        poly = [-1] + [0] * (n - 1) + [1]
+        for d in range(1, n):
+            if n % d == 0:
+                poly = _poly_divide(poly, reference_cyclotomic(d))
+        _REFERENCE_PHI[n] = poly
+    return _REFERENCE_PHI[n]
 
 
 def small_scalars():
@@ -95,20 +138,8 @@ class TestBasics:
             assert len(cyclotomic_polynomial(n)) - 1 == phi
 
     def test_cyclotomic_polynomial_matches_divisor_construction(self):
-        # reference: x^n - 1 divided by Phi_d for every proper divisor d
-        ref = {}
-
-        def by_division(n):
-            if n not in ref:
-                poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
-                for d in range(1, n):
-                    if n % d == 0:
-                        poly = _poly_divide(poly, by_division(d))
-                ref[n] = poly
-            return ref[n]
-
         for n in [*range(1, 301), 840, 1008]:
-            assert cyclotomic_polynomial(n) == by_division(n), n
+            assert cyclotomic_polynomial(n) == reference_cyclotomic(n), n
 
     def test_large_conductors_parse_quickly(self):
         _CYCLO_CACHE.clear()
@@ -329,6 +360,86 @@ class TestOneField:
         for alg in algebras:
             assert check_graded_structure(alg, "diff_hopf").ok
         assert factors > 0 and unshared == []
+
+
+# --- the product kernel -------------------------------------------------------
+
+_ZETA_POWERS = {}
+
+
+def _zeta_powers(m):
+    """table[e]: the nonzero (index, coordinate) pairs of zeta_m^e for
+    0 <= e < m, from the reference Phi_m one power of x at a time."""
+    if m not in _ZETA_POWERS:
+        phi_m = reference_cyclotomic(m)
+        cur, table = [1] + [0] * (len(phi_m) - 2), []
+        for _ in range(m):
+            table.append(tuple((k, r) for k, r in enumerate(cur) if r))
+            top = cur[-1]
+            cur = [0] + cur[:-1]
+            if top:  # x^deg = -(c_0 + ... + c_(deg-1) x^(deg-1)), Phi_m monic
+                cur = [c - top * p for c, p in zip(cur, phi_m)]
+        _ZETA_POWERS[m] = table
+    return _ZETA_POWERS[m]
+
+
+def reference_product(a, b):
+    """The product by a table walk at the common conductor m: each x * y of
+    a coordinate x of z^i in a and y of z^j in b adds onto the coordinates
+    of zeta_m^(i m/a.n + j m/b.n)."""
+    m = lcm(a.n, b.n)
+    table = _zeta_powers(m)
+    sa, sb = m // a.n, m // b.n
+    out = [0] * (len(reference_cyclotomic(m)) - 1)
+    for i, x in enumerate(a.c):
+        if x:
+            for j, y in enumerate(b.c):
+                if y:
+                    p = x * y
+                    for k, r in table[(i * sa + j * sb) % m]:
+                        out[k] += p * r
+    return Scalar(m, out)
+
+
+def _elements(n):
+    coordinate = st.one_of(st.just(0), st.integers(-3, 3), rationals)
+    return st.lists(coordinate, min_size=euler_phi(n), max_size=euler_phi(n)).map(
+        lambda cs: Scalar(n, cs))
+
+
+same_field_pairs = st.sampled_from((3, 4, 5, 7, 12, 16, 31, 97)).flatmap(
+    lambda n: st.tuples(_elements(n), _elements(n)))
+mixed_pairs = st.sampled_from(((3, 4), (5, 7), (16, 63))).flatmap(
+    lambda ns: st.tuples(_elements(ns[0]), _elements(ns[1])))
+
+
+class TestProductKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(same_field_pairs)
+    def test_same_field_matches_table_walk(self, pair):
+        a, b = pair
+        assert _exactly(a * b) == _exactly(reference_product(a, b))
+
+    @settings(max_examples=40, deadline=None)
+    @given(mixed_pairs)
+    def test_mixed_fields_match_table_walk(self, pair):
+        # 16 * 63 lands at conductor 1008
+        a, b = pair
+        for x, y in ((a, b), (b, a)):
+            assert _exactly(x * y) == _exactly(reference_product(x, y))
+
+    def test_clearing_two_caches_leaves_no_state(self):
+        # perfbench's cold state clears _CYCLO_CACHE and _TABLE_CACHE only
+        for n in (7, 9):
+            z = Scalar.zeta(n) + 1
+            assert z * z == Scalar.zeta(n, 2) + 2 * Scalar.zeta(n) + 1
+        assert ((Scalar.zeta(5) + 1) * (Scalar.zeta(7) + 2)).n == 35
+        _CYCLO_CACHE.clear()
+        _TABLE_CACHE.clear()
+        caches = {name: v for name, v in vars(cyclotomic).items()
+                  if name.endswith("_CACHE") and isinstance(v, dict)}
+        assert {"_CYCLO_CACHE", "_TABLE_CACHE"} <= set(caches)
+        assert {name: len(v) for name, v in caches.items() if v} == {}
 
 
 # --- inverses ----------------------------------------------------------------

@@ -231,6 +231,16 @@ def sparse_matrices(rows, cols):
 
 z3, z5 = Scalar.zeta(3), Scalar.zeta(5)
 
+# entries of one field, or of two whose products land at conductor 12
+FIELD_ENTRIES = {
+    "conductor 1": st.builds(Scalar.rational, st.integers(-4, 4), st.integers(1, 3)),
+    "conductor 5": st.builds(lambda k, q, r: Scalar.zeta(5, k) * q + r,
+                             st.integers(0, 4), st.integers(-2, 2), st.integers(-2, 2)),
+    "conductors 3 and 4": st.builds(lambda n, k, q, r: Scalar.zeta(n, k) * q + r,
+                                    st.sampled_from([3, 4]), st.integers(0, 3),
+                                    st.integers(-2, 2), st.integers(-2, 2)),
+}
+
 
 class TestSparseAgainstDense:
     @settings(max_examples=60, deadline=None)
@@ -275,6 +285,24 @@ class TestSparseAgainstDense:
         red, pivots = a.rref()
         assert calls == []
         assert pivots == ref_pivots == [0, 1, 2, 3] and red.to_obj() == _obj(4, 4, ref)
+
+    @pytest.mark.parametrize("field", sorted(FIELD_ENTRIES))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_rref_makes_no_subtraction(self, field, data):
+        # elimination adds the pivot row times the negated multiplier
+        r, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+        cells = st.one_of(st.just(ZERO), FIELD_ENTRIES[field])
+        a = Matrix(r, k, data.draw(st.lists(cells, min_size=r * k, max_size=r * k)))
+        ref, ref_pivots = _rref(_dense(a), k)
+
+        def refuse(x, y):
+            raise AssertionError(f"rref subtracted {y!r} from {x!r}")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Scalar, "__sub__", refuse)
+            red, pivots = a.rref()
+        assert pivots == ref_pivots and red.to_obj() == _obj(r, k, ref)
 
     @staticmethod
     def check_against_dense(a, a2, b, g):
