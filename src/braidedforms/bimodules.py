@@ -7,10 +7,19 @@ antipodes, and bialgebra-projection transfer.
 The base category is finite-dimensional vector spaces with the plain tensor
 swap; X (x)_H Y is realized on X (x) coinv(Y), with the cotensor realization
 entering only through rho.
+
+HopfBimodule and CrossedModule declare their structure maps once, in a leg
+table LEGS: map name -> (source legs, target legs), each leg H or X, so
+"XH" is X (x) H.  The constructor's shape checks, to_obj, io's one reader
+and the transports x.sub(incl) (matrix.restrict over a mono) and
+x.quotient(q) (matrix.descend over an epi) all read that table.
+induced(x, m) is X (x) M with X's left structure and the diagonal right
+structure: the smash product H |x M and the X (x)_H Y of tensor_over_H.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .checks import Checks
@@ -20,10 +29,12 @@ from .matrix import (
     Matrix,
     braided_product,
     compose_kron,
+    descend,
     hstack,
     kron,
     kron_apply,
     particular_solution,
+    restrict,
     solve_epi,
     solve_factor,
     solve_mono,
@@ -31,57 +42,54 @@ from .matrix import (
 )
 
 
-class HopfBimodule:
-    """(X, mu_l, mu_r, nu_l, nu_r) over a Hopf algebra h."""
+class _Structure:
+    """A space of dimension dim over h with the structure maps of LEGS."""
 
-    def __init__(self, h: HopfAlgebraData, dim: int, mu_l, mu_r, nu_l, nu_r, name=""):
-        a = h.dim
-        if mu_l.rows != dim or mu_l.cols != a * dim:
-            raise ShapeError("mu_l shape")
-        if mu_r.rows != dim or mu_r.cols != dim * a:
-            raise ShapeError("mu_r shape")
-        if nu_l.rows != a * dim or nu_l.cols != dim:
-            raise ShapeError("nu_l shape")
-        if nu_r.rows != dim * a or nu_r.cols != dim:
-            raise ShapeError("nu_r shape")
+    def __init__(self, h: HopfAlgebraData, dim: int, *maps, name=""):
+        size = {"H": h.dim, "X": dim}.get
+        # strict: one map per entry of LEGS, so a stray argument is an error
+        for (key, (src, tgt)), f in zip(self.LEGS.items(), maps, strict=True):
+            rows, cols = math.prod(map(size, tgt)), math.prod(map(size, src))
+            if (f.rows, f.cols) != (rows, cols):
+                raise ShapeError(f"{key} must be {rows}x{cols}, got {f.rows}x{f.cols}")
+            setattr(self, key, f)
         self.h = h
         self.dim = dim
-        self.mu_l = mu_l
-        self.mu_r = mu_r
-        self.nu_l = nu_l
-        self.nu_r = nu_r
         self.name = name
 
     def to_obj(self):
-        return {
-            "dim": self.dim,
-            "mu_l": self.mu_l.to_obj(),
-            "mu_r": self.mu_r.to_obj(),
-            "nu_l": self.nu_l.to_obj(),
-            "nu_r": self.nu_r.to_obj(),
-        }
+        return {"dim": self.dim, **{key: getattr(self, key).to_obj() for key in self.LEGS}}
+
+    def _transport(self, dim, leg, move, name):
+        legs = {"H": Matrix.identity(self.h.dim), "X": leg}
+        maps = [move(getattr(self, key), [legs[g] for g in src], [legs[g] for g in tgt])
+                for key, (src, tgt) in self.LEGS.items()]
+        return type(self)(self.h, dim, *maps, name=name)
+
+    def sub(self, incl: Matrix, name=""):
+        """The sub-object on Im(incl) for a mono incl, each map restricted to
+        it; FactorizationError when Im(incl) is not stable."""
+        return self._transport(incl.cols, incl, restrict, name)
+
+    def quotient(self, q: Matrix, name=""):
+        """The quotient along an epi q, each map descended through it;
+        FactorizationError when Ker(q) is not stable."""
+        return self._transport(q.rows, q, descend, name)
 
     def __repr__(self):
-        return f"HopfBimodule({self.name or self.dim})"
+        return f"{type(self).__name__}({self.name or self.dim})"
 
 
-class CrossedModule:
+class HopfBimodule(_Structure):
+    """(X, mu_l, mu_r, nu_l, nu_r) over a Hopf algebra h."""
+
+    LEGS = {"mu_l": ("HX", "X"), "mu_r": ("XH", "X"), "nu_l": ("X", "HX"), "nu_r": ("X", "XH")}
+
+
+class CrossedModule(_Structure):
     """(M, mu_r, nu_r): right module, right comodule, crossed compatibility."""
 
-    def __init__(self, h: HopfAlgebraData, dim: int, mu_r, nu_r, name=""):
-        a = h.dim
-        if mu_r.rows != dim or mu_r.cols != dim * a:
-            raise ShapeError("mu_r shape")
-        if nu_r.rows != dim * a or nu_r.cols != dim:
-            raise ShapeError("nu_r shape")
-        self.h = h
-        self.dim = dim
-        self.mu_r = mu_r
-        self.nu_r = nu_r
-        self.name = name
-
-    def __repr__(self):
-        return f"CrossedModule({self.name or self.dim})"
+    LEGS = {"mu_r": ("XH", "X"), "nu_r": ("X", "XH")}
 
 
 def check_hopf_bimodule(x: HopfBimodule) -> Checks:
@@ -138,7 +146,7 @@ def check_crossed_module(x: CrossedModule) -> Checks:
 
 
 def regular_bimodule(h: HopfAlgebraData) -> HopfBimodule:
-    return HopfBimodule(h, h.dim, h.mult, h.mult, h.comult, h.comult, "regular")
+    return HopfBimodule(h, h.dim, h.mult, h.mult, h.comult, h.comult, name="regular")
 
 
 def square_bimodule(h: HopfAlgebraData) -> HopfBimodule:
@@ -148,14 +156,14 @@ def square_bimodule(h: HopfAlgebraData) -> HopfBimodule:
     nu_l = braided_product(h.mult, eaa, sw, h.comult, h.comult, (a, a, a, a))
     nu_r = braided_product(eaa, h.mult, sw, h.comult, h.comult, (a, a, a, a))
     return HopfBimodule(
-        h, a * a, kron(h.mult, ea), kron(ea, h.mult), nu_l, nu_r, "square"
+        h, a * a, kron(h.mult, ea), kron(ea, h.mult), nu_l, nu_r, name="square"
     )
 
 
 def trivial_crossed(h: HopfAlgebraData) -> CrossedModule:
     """The unit object: action by the counit, coaction by the unit."""
     one = Matrix.identity(1)
-    return CrossedModule(h, 1, kron(one, h.counit), kron(one, h.unit), "trivial")
+    return CrossedModule(h, 1, kron(one, h.counit), kron(one, h.unit), name="trivial")
 
 
 def adjoint_crossed(h: HopfAlgebraData) -> CrossedModule:
@@ -163,7 +171,7 @@ def adjoint_crossed(h: HopfAlgebraData) -> CrossedModule:
     ea = Matrix.identity(h.dim)
     moved = compose_kron(compose_kron(h.mult, ea, h.mult), swap_matrix(h.dim, h.dim), ea)
     act = compose_kron(moved, ea, kron_apply(h.antipode, ea, h.comult))
-    return CrossedModule(h, h.dim, act, h.comult, "adjoint")
+    return CrossedModule(h, h.dim, act, h.comult, name="adjoint")
 
 
 def coadjoint_crossed(h: HopfAlgebraData) -> CrossedModule:
@@ -171,7 +179,7 @@ def coadjoint_crossed(h: HopfAlgebraData) -> CrossedModule:
     ea = Matrix.identity(h.dim)
     moved = kron_apply(swap_matrix(h.dim, h.dim), ea, kron_apply(h.comult, ea, h.comult))
     coact = kron_apply(ea, compose_kron(h.mult, h.antipode, ea), moved)
-    return CrossedModule(h, h.dim, h.mult, coact, "coadjoint")
+    return CrossedModule(h, h.dim, h.mult, coact, name="coadjoint")
 
 
 # --- coinvariants and smash ----------------------------------------------
@@ -191,7 +199,7 @@ def coinvariants(x: HopfBimodule):
         raise ShapeError("coinvariant projection does not split the inclusion")
     mu_r = compose_kron(p.compose(x.mu_r), i, ea)
     nu_r = kron_apply(p, ea, x.nu_r.compose(i))
-    return CrossedModule(h, i.cols, mu_r, nu_r, f"coinv({x.name})"), p, i
+    return CrossedModule(h, i.cols, mu_r, nu_r, name=f"coinv({x.name})"), p, i
 
 
 def diagonal_structures(x, m: CrossedModule):
@@ -207,12 +215,18 @@ def diagonal_structures(x, m: CrossedModule):
     return mu_r, nu_r
 
 
+def induced(x, m: CrossedModule, name="") -> HopfBimodule:
+    """X (x) M for a Hopf bimodule X: the left action and left coaction of X
+    on its factor alone, the diagonal right structure of diagonal_structures."""
+    em = Matrix.identity(m.dim)
+    mu_r, nu_r = diagonal_structures(x, m)
+    return HopfBimodule(x.h, x.dim * m.dim, kron(x.mu_l, em), mu_r, kron(x.nu_l, em), nu_r,
+                        name=name)
+
+
 def smash(h: HopfAlgebraData, m: CrossedModule) -> HopfBimodule:
-    """H |x M: induced left structure, diagonal right structure."""
-    ed = Matrix.identity(m.dim)
-    mu_r, nu_r = diagonal_structures(regular_bimodule(h), m)
-    return HopfBimodule(h, h.dim * m.dim, kron(h.mult, ed), mu_r, kron(h.comult, ed), nu_r,
-                        f"smash({m.name})")
+    """H |x M: the bimodule induced from the regular one."""
+    return induced(regular_bimodule(h), m, f"smash({m.name})")
 
 
 def crossed_iso_smash(m: CrossedModule):
@@ -240,23 +254,15 @@ class TensorOverH:
 
 def tensor_over_H(x: HopfBimodule, y: HopfBimodule) -> TensorOverH:
     """X (x)_H Y realized on X (x) coinv(Y), with universal lambda and rho."""
-    h = x.h
-    a = h.dim
+    a = x.h.dim
     mc, p, i = coinvariants(y)
     ea, ex, em = Matrix.identity(a), Matrix.identity(x.dim), Matrix.identity(mc.dim)
     # lam(x (x) y) = x <| y_(-1) (x) p(y_(0)); rho(x (x) v) = x_(0) (x) x_(1) . i(v)
     lam = braided_product(x.mu_r, em, ea, ex, kron_apply(ea, p, y.nu_l), (x.dim, 1, a, mc.dim))
     rho = braided_product(ex, compose_kron(y.mu_l, ea, i), ea, x.nu_r, em, (x.dim, a, 1, mc.dim))
-    # Canonical Hopf bimodule structure on X (x) coinv(Y): the left action and
-    # left coaction live on the X factor alone, while the right action and
-    # right coaction are diagonal, acting on coinv(Y) through its crossed
-    # module structure.
-    mu_r, nu_r = diagonal_structures(x, mc)
-    z = HopfBimodule(
-        h, x.dim * mc.dim, kron(x.mu_l, em), mu_r, kron(x.nu_l, em), nu_r,
-        f"({x.name}(x)H{y.name})"
-    )
-    return TensorOverH(z, lam, rho, mc, i)
+    # the canonical structure on X (x) coinv(Y): coinv(Y) acts through its
+    # crossed module structure
+    return TensorOverH(induced(x, mc, f"({x.name}(x)H{y.name})"), lam, rho, mc, i)
 
 
 def rho_lambda_formula(x: HopfBimodule, y: HopfBimodule) -> Matrix:
@@ -457,7 +463,7 @@ def projection_bimodule(pr: BialgebraProjection) -> HopfBimodule:
     mu_r = compose_kron(b.mult, eb, pr.eta_bar)
     nu_l = kron_apply(pr.eps_bar, eb, b.comult)
     nu_r = kron_apply(eb, pr.eps_bar, b.comult)
-    return HopfBimodule(h, b.dim, mu_l, mu_r, nu_l, nu_r, "projection")
+    return HopfBimodule(h, b.dim, mu_l, mu_r, nu_l, nu_r, name="projection")
 
 
 def projection_to_bimodule(pr: BialgebraProjection):

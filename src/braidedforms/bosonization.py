@@ -39,20 +39,20 @@ from .matrix import (
     compose_kron,
     kron,
     kron_apply,
-    solve_mono,
     swap_matrix,
 )
 from .tensor_hopf import build_wedge
 
 
-def crossed_power(mc: CrossedModule, n: int) -> CrossedModule:
-    """M^(tensor n) with the diagonal right action and codiagonal right
-    coaction; the unit object at n = 0."""
-    h = mc.h
-    power = trivial_crossed(h)
-    for _ in range(n):
-        power = CrossedModule(h, power.dim * mc.dim, *diagonal_structures(power, mc))
-    return power
+def crossed_powers(mc: CrossedModule, N: int) -> list[CrossedModule]:
+    """M^(tensor n) for n = 0..N with the diagonal right action and
+    codiagonal right coaction, each built on the one before; the unit object
+    at n = 0."""
+    powers = [trivial_crossed(mc.h)]
+    for _ in range(N):
+        last = powers[-1]
+        powers.append(CrossedModule(mc.h, last.dim * mc.dim, *diagonal_structures(last, mc)))
+    return powers
 
 
 def wedge_over_H(h: HopfAlgebraData, x: HopfBimodule, N: int) -> tuple[GradedBialgebra, Matrix]:
@@ -61,18 +61,11 @@ def wedge_over_H(h: HopfAlgebraData, x: HopfBimodule, N: int) -> tuple[GradedBia
     X (invertible by the Hopf module structure theorem)."""
     mc, _, i = coinvariants(x)
     a = h.dim
-    m = mc.dim
-    psi = yd_braiding(mc, mc)
-    space = BraidedSpace(m, psi, MINUS_ONE, check=False)  # build_wedge checks psi
-    w = build_wedge(space, N)
+    # build_wedge checks the braid equation
+    w = build_wedge(BraidedSpace(mc.dim, yd_braiding(mc, mc), MINUS_ONE), N)
     walg = w.algebra
-
-    acts = []    # W_n (x) H -> W_n
-    coacts = []  # W_n -> W_n (x) H
-    for n in range(N + 1):
-        power = crossed_power(mc, n)
-        acts.append(solve_mono(w.im[n], compose_kron(power.mu_r, w.im[n], Matrix.identity(a))))
-        coacts.append(solve_mono(kron(w.im[n], Matrix.identity(a)), power.nu_r.compose(w.im[n])))
+    # W_n as a crossed submodule of M^(tensor n)
+    wedges = [power.sub(im) for power, im in zip(crossed_powers(mc, N), w.im)]
 
     dims = [a * walg.dims[n] for n in range(N + 1)]
     mult = {}
@@ -85,14 +78,14 @@ def wedge_over_H(h: HopfAlgebraData, x: HopfBimodule, N: int) -> tuple[GradedBia
             # (h, v, g, w) -> (h, v, g1, g2, w) -> (h, g1, v, g2, w)
             #              -> (h g1, (v <| g2) w)
             mult[(k, l)] = braided_product(
-                h.mult, compose_kron(walg.m(k, l), acts[k], ewl), swap_matrix(wk, a),
+                h.mult, compose_kron(walg.m(k, l), wedges[k].mu_r, ewl), swap_matrix(wk, a),
                 Matrix.identity(a * wk), kron(h.comult, ewl), (a, wk, a, a * wl),
             )
             # (h, u) -> (h1, h2, u1_0, u1_1, u2) -> (h1, u1_0, h2, u1_1, u2)
             #        -> (h1, u1_0, h2 u1_1, u2)
             comult[(k, l)] = braided_product(
                 Matrix.identity(a * wk), kron(h.mult, ewl), swap_matrix(a, wk),
-                h.comult, kron_apply(coacts[k], ewl, walg.cm(k, l)), (a, a, wk, a * wl),
+                h.comult, kron_apply(wedges[k].nu_r, ewl, walg.cm(k, l)), (a, a, wk, a * wl),
             )
 
     unit = kron(h.unit, walg.unit)

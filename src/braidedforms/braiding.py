@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 
+from .checks import Checks
 from .cyclotomic import ONE, ZERO, Scalar
 from .errors import ShapeError, TooLarge
 from .matrix import Matrix, kron, kron_all, kron_apply, swap_matrix
@@ -24,8 +25,9 @@ from .permutations import Partition, Permutation, gaussian_multinomial, shuffle_
 RESOURCE_BOUND = 4096
 
 
-def check_yang_baxter(psi: Matrix):
-    """(holds, witness): witness is a failing basis column index on X@X@X."""
+def check_yang_baxter(psi: Matrix) -> Checks:
+    """The braid equation as the one check "yang_baxter", whose witness is
+    the first failing basis column index on X@X@X."""
     if psi.rows != psi.cols:
         raise ShapeError("braiding must be square")
     d = math.isqrt(psi.rows)
@@ -36,26 +38,24 @@ def check_yang_baxter(psi: Matrix):
     right = kron(eye, psi)
     lhs = left.compose(right).compose(left)
     rhs = right.compose(left).compose(right)
-    for (_, col), _ in (lhs - rhs).nonzeros():
-        return False, col
-    return True, None
+    checks = Checks()
+    checks.record("yang_baxter", next((col for (_, col), _ in (lhs - rhs).nonzeros()), None))
+    return checks
 
 
 class BraidedSpace:
-    """Finite-dimensional space with Yang-Baxter operator and parameter lam."""
+    """Finite-dimensional space with Yang-Baxter operator and parameter lam.
+    The constructor checks shapes and invertibility only; the braid equation
+    is check_yang_baxter's, which build_wedge runs before it uses psi."""
 
     __slots__ = ("dim", "psi", "lam", "_rep_cache")
 
-    def __init__(self, dim: int, psi: Matrix, lam=None, check: bool = True):
+    def __init__(self, dim: int, psi: Matrix, lam=None):
         lam = Scalar._coerce(-1 if lam is None else lam)
         if psi.rows != dim * dim or psi.cols != dim * dim:
             raise ShapeError(f"psi must be {dim*dim}x{dim*dim}")
         if lam.is_zero:
             raise ShapeError("lambda must be invertible")
-        if check:
-            ok, witness = check_yang_baxter(psi)
-            if not ok:
-                raise ShapeError(f"psi fails the braid equation at basis index {witness}")
         if psi.rank() != psi.rows:
             raise ShapeError("psi must be invertible")
         self.dim = dim
@@ -99,7 +99,7 @@ class BraidedSpace:
 
 
 def swap_space(dim: int, lam=None) -> BraidedSpace:
-    return BraidedSpace(dim, swap_matrix(dim, dim), lam, check=False)
+    return BraidedSpace(dim, swap_matrix(dim, dim), lam)
 
 
 def diagonal_space(q_table, lam=None) -> BraidedSpace:
@@ -109,14 +109,14 @@ def diagonal_space(q_table, lam=None) -> BraidedSpace:
     for i in range(d):
         for j in range(d):
             m[j * d + i, i * d + j] = q_table[i][j]
-    return BraidedSpace(d, m, lam, check=False)
+    return BraidedSpace(d, m, lam)
 
 
 def braided_line(mu, lam=None) -> BraidedSpace:
     """One-dimensional space with effective multinomial parameter mu = lam*q."""
     lam = Scalar._coerce(-1 if lam is None else lam)
     q = Scalar._coerce(mu) * lam.inv()
-    return BraidedSpace(1, Matrix(1, 1, [q]), lam, check=False)
+    return BraidedSpace(1, Matrix(1, 1, [q]), lam)
 
 
 def multinomial(pi: Partition, x: BraidedSpace, side: str) -> Matrix:

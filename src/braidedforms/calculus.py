@@ -91,14 +91,8 @@ def universal_fodc(h: HopfAlgebraData) -> UniversalCalculus:
     a = h.dim
     ea = Matrix.identity(a)
     mc, ik = kernel_counit_crossed(h)
-    sq = square_bimodule(h)
     incl = h.mult.kernel_basis()
-    dim_x = incl.cols
-    mu_l = solve_mono(incl, compose_kron(sq.mu_l, ea, incl))
-    mu_r = solve_mono(incl, compose_kron(sq.mu_r, incl, ea))
-    nu_l = solve_mono(kron(ea, incl), sq.nu_l.compose(incl))
-    nu_r = solve_mono(kron(incl, ea), sq.nu_r.compose(incl))
-    x = HopfBimodule(h, dim_x, mu_l, mu_r, nu_l, nu_r, "ker_mult")
+    x = square_bimodule(h).sub(incl, "ker_mult")
     d = solve_mono(incl, kron(h.unit, ea) - kron(ea, h.unit))
     twisted = kron_apply(h.antipode, ea, h.comult.compose(ik))  # x -> S(x_(1)) (x) x_(2)
     alpha = solve_mono(incl, braided_product(h.mult, ea, ea, ea, twisted, (a, 1, a, a)))
@@ -116,12 +110,8 @@ def derivation_morphism(univ: UniversalCalculus, other: FirstOrderCalculus) -> M
 def kernel_counit_crossed(h: HopfAlgebraData):
     """Ker epsilon as a crossed submodule of H^ad (regular action, coadjoint
     coaction). Returns (CrossedModule, inclusion into H)."""
-    a = h.dim
-    ad = coadjoint_crossed(h)
     ik = h.counit.kernel_basis()
-    mu_r = solve_mono(ik, compose_kron(ad.mu_r, ik, Matrix.identity(a)))
-    nu_r = solve_mono(kron(ik, Matrix.identity(a)), ad.nu_r.compose(ik))
-    return CrossedModule(h, ik.cols, mu_r, nu_r, "ker_counit"), ik
+    return coadjoint_crossed(h).sub(ik, "ker_counit"), ik
 
 
 def crossed_submodule_closure(m: CrossedModule, gens: Matrix) -> Matrix:
@@ -158,17 +148,9 @@ def fodc_from_submodule(univ: UniversalCalculus, r_gens: Matrix) -> FirstOrderCa
         raise NotASubmodule(
             f"generators span {r_basis.cols} dims but their closure spans {closed.cols}"
         )
-    a = h.dim
-    ea = Matrix.identity(a)
-    n_basis = compose_kron(alpha, ea, r_basis).column_echelon_basis()[0]
+    n_basis = compose_kron(alpha, Matrix.identity(h.dim), r_basis).column_echelon_basis()[0]
     q = n_basis.transpose().kernel_basis().transpose()  # the cokernel
-    dim_q = q.rows
-    mu_l = solve_epi(q.compose(univ.x.mu_l), kron(ea, q))
-    mu_r = solve_epi(q.compose(univ.x.mu_r), kron(q, ea))
-    nu_l = solve_epi(kron_apply(ea, q, univ.x.nu_l), q)
-    nu_r = solve_epi(kron_apply(q, ea, univ.x.nu_r), q)
-    x = HopfBimodule(h, dim_q, mu_l, mu_r, nu_l, nu_r, "classified")
-    return FirstOrderCalculus(h, x, q.compose(univ.d))
+    return FirstOrderCalculus(h, univ.x.quotient(q, "classified"), q.compose(univ.d))
 
 
 def smash_calculus(ker: CrossedModule, ik: Matrix, r_basis: Matrix) -> FirstOrderCalculus:
@@ -177,15 +159,12 @@ def smash_calculus(ker: CrossedModule, ik: Matrix, r_basis: Matrix) -> FirstOrde
     X = H |x (Ker eps / R) with d(h) = h_(1) (x) q(h_(2) - eps(h_(2)) 1), where
     ker and ik are kernel_counit_crossed(h) and q is the cokernel of R.  Along
     alpha it is isomorphic to fodc_from_submodule's quotient of Ker m, which
-    it never builds.  The action and coaction of Ker eps / R are solved over
-    q, so a subspace R that is not a crossed submodule raises
-    FactorizationError."""
+    it never builds.  Ker eps / R is ker.quotient(q), so a subspace R that
+    is not a crossed submodule raises FactorizationError."""
     h = ker.h
     ea = Matrix.identity(h.dim)
     q = r_basis.transpose().kernel_basis().transpose()  # the cokernel
-    mu_r = solve_epi(q.compose(ker.mu_r), kron(q, ea))
-    nu_r = solve_epi(kron_apply(q, ea, ker.nu_r), q)
-    quotient = CrossedModule(h, q.rows, mu_r, nu_r, "ker_counit/R")
+    quotient = ker.quotient(q, "ker_counit/R")
     to_ker = solve_mono(ik, ea - h.unit.compose(h.counit))  # id - eta eps: H -> Ker eps
     d = kron_apply(ea, q.compose(to_ker), h.comult)
     return FirstOrderCalculus(h, smash(h, quotient), d)
@@ -225,7 +204,7 @@ def comma_extension(calc: FirstOrderCalculus) -> tuple[HopfBimodule, Matrix]:
     mu_r = compose_kron(on_h, ph, ea) + compose_kron(ix.compose(x.mu_r), px, ea)
     nu_l = kron_apply(ea, ih, h.comult.compose(ph)) + kron_apply(ea, ix, x.nu_l.compose(px))
     nu_r = kron_apply(ih, ea, h.comult.compose(ph)) + kron_apply(ix, ea, x.nu_r.compose(px))
-    bim = HopfBimodule(h, n, mu_l, mu_r, nu_l, nu_r, "comma")
+    bim = HopfBimodule(h, n, mu_l, mu_r, nu_l, nu_r, name="comma")
     return bim, ih.compose(h.unit)
 
 
@@ -245,12 +224,10 @@ def bracket_differential(alg: GradedBialgebra, xhat: Matrix) -> list[Matrix]:
 # --- maximal calculus ------------------------------------------------------
 
 
-def maximal_calculus(alg: GradedBialgebra, diff: list[Matrix] | None = None) -> GradedBialgebra:
-    """The maximal differential calculus inside a differential graded
-    algebra: the sub-bialgebra with i_0 = id, i_1 = Im(m_(0,1) o (id (x) d_0)),
-    i_(n+1) = Im(m_(n,1) o (i_n (x) i_1))."""
-    if diff is None:
-        diff = alg.differential
+def maximal_calculus(alg: GradedBialgebra, diff: list[Matrix]) -> GradedBialgebra:
+    """The maximal differential calculus inside a graded algebra with the
+    differential diff: the sub-bialgebra with i_0 = id,
+    i_1 = Im(m_(0,1) o (id (x) d_0)), i_(n+1) = Im(m_(n,1) o (i_n (x) i_1))."""
     incl = [Matrix.identity(alg.dims[0])]
     first = compose_kron(alg.m(0, 1), alg.eye(0), diff[0])
     incl.append(first.column_echelon_basis()[0])
@@ -302,8 +279,6 @@ def exterior_calculus_via_comma(calc: FirstOrderCalculus, N: int) -> GradedBialg
     alg, can = wedge_over_H(calc.h, bim, N)
     # xhat = (eta, 0) in degree 1: B_1 = H (x) _H(H (+) X)
     diff = bracket_differential(alg, can.inverse().compose(xhat))
-    # top block: zero map out of degree N (truncation)
-    diff[alg.N] = Matrix.zero(0, alg.dims[alg.N])
     return maximal_calculus(alg, diff)
 
 

@@ -72,10 +72,7 @@ def cmd_check(args) -> int:
     if args.kind == "hopf":
         checks = check_hopf(io.hopf_from_obj(obj))
     elif args.kind == "braiding":
-        space = io.braiding_from_obj(obj)
-        _, witness = check_yang_baxter(space.psi)  # None when the equation holds
-        checks = Checks()
-        checks.record("yang_baxter", witness)
+        checks = check_yang_baxter(io.braiding_from_obj(obj).psi)
     elif args.kind == "bimodule":
         checks = check_hopf_bimodule(io.bimodule_from_obj(obj, base))
     elif args.kind == "crossed":

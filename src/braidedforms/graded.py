@@ -23,11 +23,11 @@ from .matrix import (
     Matrix,
     braided_product,
     compose_kron,
+    descend,
     hstack,
     kron,
     kron_apply,
-    solve_epi,
-    solve_mono,
+    restrict,
     swap_matrix,
 )
 
@@ -218,13 +218,9 @@ def check_graded_structure(b: GradedBialgebra, level: str) -> Checks:
     return checks
 
 
-def antipode_recursive(b: GradedBialgebra, s0: Matrix | None = None) -> list[Matrix]:
+def antipode_recursive(b: GradedBialgebra, s0: Matrix) -> list[Matrix]:
     """Per-degree antipode from the degree-0 antipode:
     S_n = -sum_{k=1..n} m(2)_{0,k,n-k} o (S_0 @ id @ S_{n-k}) o cm(2)_{0,k,n-k}."""
-    if s0 is None:
-        if b.antipode is None:
-            raise InvalidBaseHopf("no degree-0 antipode supplied")
-        s0 = b.antipode[0]
     id_d0 = Matrix.identity(b.dims[0])
     eta_eps = b.unit.compose(b.counit)
     conv_l = b.m(0, 0).compose(kron_apply(s0, id_d0, b.cm(0, 0)))
@@ -242,14 +238,6 @@ def antipode_recursive(b: GradedBialgebra, s0: Matrix | None = None) -> list[Mat
             total = total + term
         s.append(-total)
     return s
-
-
-def _legs(maps, degrees):
-    """maps[n] over the given degrees (at most two) as the two legs of a
-    tensor product, padded with the identity of the ground field."""
-    one = Matrix.identity(1)
-    legs = [maps[n] for n in degrees] + [one, one]
-    return legs[0], legs[1]
 
 
 def _transport(b: GradedBialgebra, dims, block, differential=None) -> GradedBialgebra:
@@ -280,7 +268,7 @@ def sub_bialgebra(b: GradedBialgebra, incl, differential=None) -> GradedBialgebr
     block f becomes the unique g with incl o g = f o incl.  `differential`
     replaces b's own.  FactorizationError when a block leaves the image."""
     def block(f, src, tgt):
-        return solve_mono(kron(*_legs(incl, tgt)), compose_kron(f, *_legs(incl, src)))
+        return restrict(f, [incl[n] for n in src], [incl[n] for n in tgt])
 
     return _transport(b, [i.cols for i in incl], block, differential)
 
@@ -290,7 +278,7 @@ def quotient_bialgebra(b: GradedBialgebra, proj) -> GradedBialgebra:
     epi): each block f becomes the unique g with g o proj = proj o f.
     FactorizationError when a block does not descend."""
     def block(f, src, tgt):
-        return solve_epi(kron_apply(*_legs(proj, tgt), f), kron(*_legs(proj, src)))
+        return descend(f, [proj[n] for n in src], [proj[n] for n in tgt])
 
     return _transport(b, [p.rows for p in proj], block)
 

@@ -175,7 +175,7 @@ def hopf_from_obj(obj) -> HopfAlgebraData:
 def braiding_from_obj(obj) -> BraidedSpace:
     def build(o):
         lam = scalar_from_obj(o["lambda"]) if "lambda" in o else None
-        return BraidedSpace(_integer(o["dim"]), matrix_from_obj(o["psi"]), lam, check=False)
+        return BraidedSpace(_integer(o["dim"]), matrix_from_obj(o["psi"]), lam)
 
     return _wrap(build, obj, "braiding")
 
@@ -185,40 +185,26 @@ def load_hopf_ref(ref, base_dir) -> HopfAlgebraData:
     return hopf_from_obj(obj)
 
 
-def bimodule_from_obj(obj, base_dir=None) -> HopfBimodule:
+def _structure_from_obj(cls, obj, base_dir, what):
+    """A HopfBimodule or CrossedModule: "dim" and the maps of cls.LEGS."""
     if "hopf" not in obj:
-        raise ParseError('bimodule file needs a "hopf" reference')
+        raise ParseError(f'{what} file needs a "hopf" reference')
     h = load_hopf_ref(obj["hopf"], base_dir)
 
     def build(o):
-        return HopfBimodule(
-            h,
-            _integer(o["dim"]),
-            matrix_from_obj(o["mu_l"]),
-            matrix_from_obj(o["mu_r"]),
-            matrix_from_obj(o["nu_l"]),
-            matrix_from_obj(o["nu_r"]),
-            name=o.get("name", ""),
-        )
+        dim = _integer(o["dim"])
+        maps = [matrix_from_obj(o[key]) for key in cls.LEGS]
+        return cls(h, dim, *maps, name=o.get("name", ""))
 
-    return _wrap(build, obj, "bimodule")
+    return _wrap(build, obj, what)
+
+
+def bimodule_from_obj(obj, base_dir=None) -> HopfBimodule:
+    return _structure_from_obj(HopfBimodule, obj, base_dir, "bimodule")
 
 
 def crossed_from_obj(obj, base_dir=None) -> CrossedModule:
-    if "hopf" not in obj:
-        raise ParseError('crossed module file needs a "hopf" reference')
-    h = load_hopf_ref(obj["hopf"], base_dir)
-
-    def build(o):
-        return CrossedModule(
-            h,
-            _integer(o["dim"]),
-            matrix_from_obj(o["mu_r"]),
-            matrix_from_obj(o["nu_r"]),
-            name=o.get("name", ""),
-        )
-
-    return _wrap(build, obj, "crossed")
+    return _structure_from_obj(CrossedModule, obj, base_dir, "crossed module")
 
 
 def calculus_from_obj(obj, base_dir=None):

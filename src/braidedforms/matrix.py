@@ -13,7 +13,10 @@ braided composite (m1 (x) m2) o (id (x) beta (x) id) o (c1 (x) c2) the same
 way, stated by its four leg dimensions; it is the one kernel for tensor products of structures:
 the braided bialgebra law, the diagonal action and codiagonal coaction on a
 tensor product of modules, the smash and biproduct blocks and the braidings
-built from them.  swap_matrix(a, b) is the plain tensor swap A (x) B -> B (x) A;
+built from them.  restrict and descend carry a map between tensor products
+onto sub-objects (over monos) or quotients (over epis) given leg by leg; every
+graded, bimodule and crossed-module transport goes through them.
+swap_matrix(a, b) is the plain tensor swap A (x) B -> B (x) A;
 no caller pads it with identity legs, so only this module knows how tensor
 legs are laid out.  All eliminations pick pivots leftmost-first so every
 derived basis is reproducible bit for bit.
@@ -560,6 +563,33 @@ def solve_epi(b: Matrix, e: Matrix) -> Matrix:
     Raises FactorizationError when b does not vanish on Ker(e).
     """
     return solve_mono(e.transpose(), b.transpose()).transpose()
+
+
+def _legs(legs):
+    """At most two maps as the two legs of a tensor product, padded with the
+    identity of the ground field."""
+    return (*legs, *[Matrix.identity(1)] * (2 - len(legs)))
+
+
+def _tensor(legs) -> Matrix:
+    """The tensor product of at most two maps; a lone map as it is, uncopied."""
+    return legs[0] if len(legs) == 1 else kron(*_legs(legs))
+
+
+def restrict(f: Matrix, src, tgt) -> Matrix:
+    """f on sub-objects: the unique g with (t1 (x) t2) o g = f o (s1 (x) s2),
+    where src = [s1, s2] and tgt = [t1, t2] list at most two monos each (an
+    empty list is the ground field).  FactorizationError when f does not map
+    the source sub-object into the target one."""
+    return solve_mono(_tensor(tgt), compose_kron(f, *_legs(src)))
+
+
+def descend(f: Matrix, src, tgt) -> Matrix:
+    """f on quotients: the unique g with g o (s1 (x) s2) = (t1 (x) t2) o f,
+    where src and tgt list at most two epis each.  FactorizationError when f
+    does not descend."""
+    image = tgt[0].compose(f) if len(tgt) == 1 else kron_apply(*_legs(tgt), f)
+    return solve_epi(image, _tensor(src))
 
 
 def particular_solution(a: Matrix, b: Matrix) -> Matrix:

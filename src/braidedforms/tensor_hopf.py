@@ -46,7 +46,7 @@ def closed_form_antipode(x: BraidedSpace, n: int) -> Matrix:
 def at_minus_one(x: BraidedSpace) -> BraidedSpace:
     """x with lam = -1, the antisymmetrizer's and the wedge's parameter; x
     itself when its lam already is -1, so psi is ranked only once."""
-    return x if x.lam == MINUS_ONE else BraidedSpace(x.dim, x.psi, MINUS_ONE, check=False)
+    return x if x.lam == MINUS_ONE else BraidedSpace(x.dim, x.psi, MINUS_ONE)
 
 
 def build_tensor_hopf(x: BraidedSpace, variant: str, N: int) -> GradedBialgebra:
@@ -124,10 +124,10 @@ def build_wedge(x: BraidedSpace, N: int) -> WedgeAlgebra:
     other psi raises FactorizationError."""
     xm = at_minus_one(x)
     xm.guard(N)
-    holds, witness = check_yang_baxter(x.psi)
-    if not holds:
-        raise FactorizationError(
-            f"psi fails the braid equation at basis index {witness}, so the wedge is not defined")
+    yb = check_yang_baxter(x.psi)
+    if not yb.ok:
+        raise FactorizationError(f"psi fails the braid equation at basis index "
+                                 f"{yb.first['yang_baxter']}, so the wedge is not defined")
     im = []
     coim = []
     for fact in braided_factorials(N, xm):

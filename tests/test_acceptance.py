@@ -201,7 +201,7 @@ class TestCriterion3TensorHopf:
     def test_recursive_antipode_matches_closed_form(self):
         for x in braiding_corpus():
             t = build_tensor_hopf(x, "shuffle_coproduct", 4)
-            rec = antipode_recursive(t)
+            rec = antipode_recursive(t, t.antipode[0])
             for n in range(5):
                 assert rec[n] == closed_form_antipode(x, n), (x.dim, n)
 
@@ -215,7 +215,7 @@ class TestCriterion4Antisymmetrizer:
         x = swap_space(2)
         N = 3
         w = build_wedge(x, N)
-        xm = type(x)(x.dim, x.psi, MINUS_ONE, check=False)
+        xm = type(x)(x.dim, x.psi, MINUS_ONE)
         t = build_tensor_hopf(xm, "shuffle_coproduct", N)
         t0 = build_tensor_hopf(xm, "shuffle_product", N)
         for k in range(N + 1):

@@ -13,9 +13,10 @@ from braidedforms.braiding import (
     swap_space,
 )
 from braidedforms.cyclotomic import MINUS_ONE, ONE, Scalar
-from braidedforms.errors import ShapeError, TooLarge
+from braidedforms.errors import FactorizationError, ShapeError, TooLarge
 from braidedforms.matrix import Matrix, compose_all, swap_matrix
 from braidedforms.permutations import Partition, Permutation, all_permutations
+from braidedforms.tensor_hopf import build_wedge
 
 perms4 = st.permutations(list(range(1, 5))).map(Permutation)
 
@@ -44,15 +45,16 @@ def q_factorial(q, n):
 class TestYangBaxter:
     def test_corpus_satisfies_yb(self):
         for x in corpus_spaces():
-            ok, witness = check_yang_baxter(x.psi)
-            assert ok and witness is None
+            checks = check_yang_baxter(x.psi)
+            assert checks.ok and checks.first == {"yang_baxter": None}
 
     def test_failing_braiding_has_witness(self):
         bad = Matrix.from_rows(
             [[ONE, ONE, 0, 0], [0, ONE, 0, 0], [0, 0, ONE, ONE], [0, 0, ONE, 0]]
         )
-        ok, witness = check_yang_baxter(bad)
-        assert not ok and witness is not None
+        checks = check_yang_baxter(bad)
+        assert checks.failed == ["yang_baxter"]
+        assert isinstance(checks.first["yang_baxter"], int)
 
     def test_shape_error(self):
         with pytest.raises(ShapeError):
@@ -61,11 +63,19 @@ class TestYangBaxter:
             check_yang_baxter(Matrix.identity(3))  # 3 is not a perfect square
 
     def test_constructor_validates(self):
+        # the constructor checks shapes and invertibility; the braid equation
+        # is rejected where a result depends on it
         bad = Matrix.from_rows(
             [[ONE, ONE, 0, 0], [0, ONE, 0, 0], [0, 0, ONE, ONE], [0, 0, ONE, 0]]
         )
-        with pytest.raises(Exception):
-            BraidedSpace(2, bad)
+        with pytest.raises(ShapeError):
+            BraidedSpace(2, Matrix.identity(3))
+        with pytest.raises(ShapeError):
+            BraidedSpace(2, Matrix.zero(4, 4))
+        x = BraidedSpace(2, bad)
+        assert not check_yang_baxter(x.psi).ok
+        with pytest.raises(FactorizationError, match="braid equation"):
+            build_wedge(x, 2)
 
 
 class TestRepresentation:

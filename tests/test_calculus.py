@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from braidedforms import io
 from braidedforms.bimodules import check_hopf_bimodule, is_bimodule_morphism
-from braidedforms.bosonization import crossed_power, wedge_over_H
+from braidedforms.bosonization import crossed_powers, wedge_over_H
 from braidedforms.calculus import (
     FirstOrderCalculus,
     biproduct_differential,
@@ -54,7 +54,7 @@ def reference_antipode(b, s0):
 
 
 def reference_crossed_powers(mc, n):
-    """(action, coaction) of crossed_power(mc, k) for k = 0..n, each factor
+    """(action, coaction) of crossed_powers(mc, n)[k] for k = 0..n, each factor
     added as a Kronecker chain through id (x) swap (x) id."""
     h, a = mc.h, mc.h.dim
     out = [(h.counit, h.unit), (mc.mu_r, mc.nu_r)]
@@ -90,10 +90,29 @@ class TestBosonization:
     def test_crossed_powers_against_kronecker_chains(self, kz3, sweedler, ks3):
         for h in (kz3, sweedler, ks3):
             mc = kernel_counit_crossed(h)[0]
+            powers = crossed_powers(mc, 3)
+            assert len(powers) == 4
             for n, (act, coact) in enumerate(reference_crossed_powers(mc, 3)):
-                power = crossed_power(mc, n)
+                power = powers[n]
                 assert power.dim == mc.dim ** n
                 assert (power.mu_r, power.nu_r) == (act, coact), (h.name, n)
+
+    def test_wedge_over_H_builds_each_crossed_power_once(self, kz3, monkeypatch):
+        from braidedforms import bosonization
+
+        calls = []
+        diagonal_structures = bosonization.diagonal_structures
+
+        def counting(x, m):
+            calls.append(x.dim)
+            return diagonal_structures(x, m)
+
+        monkeypatch.setattr(bosonization, "diagonal_structures", counting)
+        x = universal_fodc(kz3).x
+        for N in (1, 2, 3):
+            calls.clear()
+            wedge_over_H(kz3, x, N)
+            assert len(calls) == N  # not N(N+1)/2: M^(tensor n) is built once
 
     def test_antipode_against_kronecker_chains(self, sweedler):
         alg, _ = wedge_over_H(sweedler, universal_fodc(sweedler).x, 2)
@@ -398,7 +417,7 @@ class TestExterior:
     def test_maximal_calculus_idempotent(self, kz3):
         univ = universal_fodc(kz3)
         alg = exterior_calculus_via_comma(univ, 2)
-        again = maximal_calculus(alg)
+        again = maximal_calculus(alg, alg.differential)
         assert tuple(again.dims) == tuple(alg.dims)
 
     def test_braid_blocks_are_memoized(self, kz3):
