@@ -1,8 +1,9 @@
 """Hopf bimodules and crossed (Yetter-Drinfeld) modules over a
 finite-dimensional Hopf algebra, the coinvariants/smash equivalence, the
 tensor product over H with its lambda/rho universal morphisms, the induced
-braiding Theta/B, the crossed-module braiding in closed form, relative
-antipodes, and bialgebra-projection transfer.
+braiding Theta/B and its inverse, both taking the two tensor products over H,
+the associator and hexagon identities, and the crossed-module braiding in
+closed form.
 
 The base category is finite-dimensional vector spaces with the plain tensor
 swap; X (x)_H Y is realized on X (x) coinv(Y), with the cotensor realization
@@ -10,7 +11,8 @@ entering only through rho.
 
 HopfBimodule and CrossedModule declare their structure maps once, in a leg
 table LEGS: map name -> (source legs, target legs), each leg H or X, so
-"XH" is X (x) H.  The constructor's shape checks, to_obj, io's one reader
+"XH" is X (x) H, as HopfAlgebraData does with legs H.  The constructor's
+shape checks (hopf.set_legs), to_obj, io's one reader
 and the transports x.sub(incl) (matrix.restrict over a mono) and
 x.quotient(q) (matrix.descend over an epi) all read that table.
 induced(x, m) is X (x) M with X's left structure and the diagonal right
@@ -19,12 +21,11 @@ structure: the smash product H |x M and the X (x)_H Y of tensor_over_H.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .checks import Checks
 from .errors import ShapeError
-from .hopf import HopfAlgebraData
+from .hopf import HopfAlgebraData, set_legs
 from .matrix import (
     Matrix,
     braided_product,
@@ -46,13 +47,7 @@ class _Structure:
     """A space of dimension dim over h with the structure maps of LEGS."""
 
     def __init__(self, h: HopfAlgebraData, dim: int, *maps, name=""):
-        size = {"H": h.dim, "X": dim}.get
-        # strict: one map per entry of LEGS, so a stray argument is an error
-        for (key, (src, tgt)), f in zip(self.LEGS.items(), maps, strict=True):
-            rows, cols = math.prod(map(size, tgt)), math.prod(map(size, src))
-            if (f.rows, f.cols) != (rows, cols):
-                raise ShapeError(f"{key} must be {rows}x{cols}, got {f.rows}x{f.cols}")
-            setattr(self, key, f)
+        set_legs(self, {"H": h.dim, "X": dim}.get, maps)
         self.h = h
         self.dim = dim
         self.name = name
@@ -285,53 +280,25 @@ def tensor_map_over_H(t: TensorOverH, t2: TensorOverH, f: Matrix, g: Matrix) -> 
     return solve_epi(compose_kron(t2.lam, f, g), t.lam)
 
 
-def hopf_bimodule_braiding(x: HopfBimodule, y: HopfBimodule, txy=None, tyx=None,
-                           section=None) -> Matrix:
-    """The unique B: X (x)_H Y -> Y (x)_H X with rho o B o lam = Theta_{X,Y}.
-
-    An explicit right inverse of lam may be supplied as `section`; the result
-    does not depend on it.
-    """
-    if txy is None:
-        txy = tensor_over_H(x, y)
-    if tyx is None:
-        tyx = tensor_over_H(y, x)
-    if section is None:
-        return solve_factor(tyx.rho, txy.lam, theta(x, y))
-    return solve_mono(tyx.rho, theta(x, y).compose(section))
+def hopf_bimodule_braiding(x: HopfBimodule, y: HopfBimodule, txy: TensorOverH,
+                           tyx: TensorOverH) -> Matrix:
+    """The unique B: X (x)_H Y -> Y (x)_H X with rho o B o lam = Theta_{X,Y},
+    for txy = X (x)_H Y and tyx = Y (x)_H X."""
+    return solve_factor(tyx.rho, txy.lam, theta(x, y))
 
 
-def _inv_braid_composite(x: HopfBimodule, y: HopfBimodule, txy, tyx) -> Matrix:
-    """lam_{Y,X} o phi o rho_{X,Y}: X (x)_H Y -> Y (x)_H X, where
-    phi(x (x) y) = y <| S^{-1}(x_(1)) (x) x_(0) on X (x) Y."""
-    h = x.h
-    a = h.dim
-    ex, ey = Matrix.identity(x.dim), Matrix.identity(y.dim)
-    act = compose_kron(y.mu_r.compose(swap_matrix(a, y.dim)), h.antipode_inv, ey)
-    coact = swap_matrix(x.dim, a).compose(x.nu_r)
-    phi = braided_product(act, ex, swap_matrix(x.dim, y.dim), coact, ey, (a, x.dim, y.dim, 1))
-    return tyx.lam.compose(phi).compose(txy.rho)
-
-
-def hopf_bimodule_braiding_inverse(x: HopfBimodule, y: HopfBimodule,
-                                   txy=None, tyx=None) -> Matrix:
+def hopf_bimodule_braiding_inverse(x: HopfBimodule, y: HopfBimodule, txy: TensorOverH,
+                                   tyx: TensorOverH) -> Matrix:
     """The inverse of hopf_bimodule_braiding(x, y), built independently from
-    the closed inverse formula: a map Y (x)_H X -> X (x)_H Y."""
-    if txy is None:
-        txy = tensor_over_H(x, y)
-    if tyx is None:
-        tyx = tensor_over_H(y, x)
-    return _inv_braid_composite(y, x, tyx, txy)
-
-
-# --- relative antipode ----------------------------------------------------
-
-
-def relative_antipode(x: HopfBimodule) -> Matrix:
-    """S_{X/H} = mu_l o (id (x) mu_r) o (S (x) id (x) S) o (id (x) nu_r) o nu_l."""
-    s = x.h.antipode
-    inner = compose_kron(x.mu_r, Matrix.identity(x.dim), s).compose(x.nu_r)  # x_(0) <| S(x_(1))
-    return x.mu_l.compose(kron_apply(s, inner, x.nu_l))
+    the closed inverse formula: the map Y (x)_H X -> X (x)_H Y
+    lam_{X,Y} o phi o rho_{Y,X}, where phi(y (x) x) = x <| S^{-1}(y_(1)) (x) y_(0)
+    on Y (x) X."""
+    a = x.h.dim
+    ex, ey = Matrix.identity(x.dim), Matrix.identity(y.dim)
+    act = compose_kron(x.mu_r.compose(swap_matrix(a, x.dim)), x.h.antipode_inv, ex)
+    coact = swap_matrix(y.dim, a).compose(y.nu_r)
+    phi = braided_product(act, ey, swap_matrix(y.dim, x.dim), coact, ex, (a, y.dim, x.dim, 1))
+    return txy.lam.compose(phi).compose(tyx.rho)
 
 
 class TensorCache:
@@ -361,10 +328,8 @@ def associator(x: HopfBimodule, y: HopfBimodule, z: HopfBimodule,
 
 
 def hexagon_identities(x: HopfBimodule, y: HopfBimodule, z: HopfBimodule,
-                       cache: TensorCache | None = None) -> Checks:
+                       cache: TensorCache) -> Checks:
     """Both hexagon identities for the Hopf bimodule braiding on (X, Y, Z)."""
-    if cache is None:
-        cache = TensorCache()
     t = cache.get
     txy, tyx = t(x, y), t(y, x)
     txz, tzx = t(x, z), t(z, x)
@@ -400,26 +365,6 @@ def hexagon_identities(x: HopfBimodule, y: HopfBimodule, z: HopfBimodule,
     return Checks({"hexagon_left": lhs1 == rhs1, "hexagon_right": lhs2 == rhs2})
 
 
-def relative_antipode_commutes(x: HopfBimodule) -> bool:
-    """The relative antipode exchanges left and right structures through S,
-    exactly as the antipode of H does on the regular Hopf bimodule:
-    S'(h.x) = S'(x) <| S(h),   S'(x <| h) = S(h).S'(x),
-    nu_l(S'(x)) = S(x_(1)) (x) S'(x_(0)),  nu_r(S'(x)) = S'(x_(0)) (x) S(x_(-1)).
-    """
-    h = x.h
-    a = h.dim
-    s = h.antipode
-    sp = relative_antipode(x)
-    tw_ax = swap_matrix(a, x.dim)
-    tw_xa = swap_matrix(x.dim, a)
-    return (
-        sp.compose(x.mu_l) == compose_kron(x.mu_r, sp, s).compose(tw_ax)
-        and sp.compose(x.mu_r) == compose_kron(x.mu_l, s, sp).compose(tw_xa)
-        and x.nu_l.compose(sp) == tw_xa.compose(kron_apply(sp, s, x.nu_r))
-        and x.nu_r.compose(sp) == tw_ax.compose(kron_apply(s, sp, x.nu_l))
-    )
-
-
 def is_bimodule_morphism(x: HopfBimodule, y: HopfBimodule, f: Matrix) -> bool:
     h = x.h
     ea = Matrix.identity(h.dim)
@@ -442,60 +387,6 @@ def yd_braiding(m: CrossedModule, n: CrossedModule) -> Matrix:
     the equivalence with crossed modules."""
     return braided_product(Matrix.identity(n.dim), m.mu_r, swap_matrix(m.dim, n.dim),
                            Matrix.identity(m.dim), n.nu_r, (1, m.dim, n.dim, m.h.dim))
-
-
-# --- bialgebra projections ------------------------------------------------
-
-
-@dataclass
-class BialgebraProjection:
-    h: HopfAlgebraData
-    b: HopfAlgebraData
-    eta_bar: Matrix  # H -> B
-    eps_bar: Matrix  # B -> H
-
-
-def projection_bimodule(pr: BialgebraProjection) -> HopfBimodule:
-    """The Hopf bimodule underline-B induced by a bialgebra projection."""
-    h, b = pr.h, pr.b
-    eb = Matrix.identity(b.dim)
-    mu_l = compose_kron(b.mult, pr.eta_bar, eb)
-    mu_r = compose_kron(b.mult, eb, pr.eta_bar)
-    nu_l = kron_apply(pr.eps_bar, eb, b.comult)
-    nu_r = kron_apply(eb, pr.eps_bar, b.comult)
-    return HopfBimodule(h, b.dim, mu_l, mu_r, nu_l, nu_r, name="projection")
-
-
-def projection_to_bimodule(pr: BialgebraProjection):
-    """Transfer a bialgebra projection to a bialgebra in Hopf bimodules.
-
-    mult_bar: B (x)_H B -> B and comult_bar: B -> B (x)_H B are the unique
-    solutions of
-        mult_bar o (mu_r (x) id) = m_B o (id (x) can)
-        (nu_r (x) id) o comult_bar = (id (x) can^-1) o Delta_B
-    where can: H (x) coinv(B) -> B, h (x) v -> h.i(v) is the Hopf module
-    isomorphism (mu_r (x) id is surjective, nu_r (x) id injective).
-    """
-    bb = projection_bimodule(pr)
-    t = tensor_over_H(bb, bb)
-    em = Matrix.identity(t.coinv.dim)
-    eb = Matrix.identity(pr.b.dim)
-    can = compose_kron(bb.mu_l, Matrix.identity(pr.h.dim), t.i)
-    mult_bar = solve_epi(compose_kron(pr.b.mult, eb, can), kron(bb.mu_r, em))
-    comult_bar = solve_mono(kron(bb.nu_r, em), kron_apply(eb, can.inverse(), pr.b.comult))
-    return {"bimodule": bb, "tensor": t, "mult_bar": mult_bar, "comult_bar": comult_bar,
-            "unit_bar": pr.eta_bar, "counit_bar": pr.eps_bar}
-
-
-def projection_to_plain(h: HopfAlgebraData, transferred) -> dict:
-    """Recover the plain bialgebra structure from the transferred one."""
-    t = transferred["tensor"]
-    return {
-        "mult": transferred["mult_bar"].compose(t.lam),
-        "unit": transferred["unit_bar"].compose(h.unit),
-        "comult": t.rho.compose(transferred["comult_bar"]),
-        "counit": h.counit.compose(transferred["counit_bar"]),
-    }
 
 
 # --- sections of lam ------------------------------------------------------

@@ -43,9 +43,9 @@ def weighted_blocks(swap, lam):
     return blocks
 
 
-def signed_swap_blocks(dims_x, dims_y, lam=MINUS_ONE):
-    """Braid blocks lam^(kl) * plain swap, the graded braiding of Vect^N."""
-    return weighted_blocks(lambda k, l: swap_matrix(dims_x[k], dims_y[l]), Scalar._coerce(lam))
+def signed_swap_blocks(dims_x, dims_y):
+    """Braid blocks (-1)^(kl) * plain swap, the graded braiding of Vect^N."""
+    return weighted_blocks(lambda k, l: swap_matrix(dims_x[k], dims_y[l]), MINUS_ONE)
 
 
 class GradedBialgebra:

@@ -9,6 +9,8 @@ bialgebra is Hopf, and then re-verified on both sides by check_hopf.
 
 from __future__ import annotations
 
+import math
+
 from .checks import Checks
 from .cyclotomic import ONE, Scalar
 from .errors import FactorizationError, InvalidBaseHopf, ShapeError
@@ -25,34 +27,35 @@ from .matrix import (
 from .permutations import all_permutations
 
 
+def set_legs(obj, size, maps):
+    """Set obj.<key> = f for each entry key -> (source legs, target legs) of
+    obj.LEGS and each map f, in order; size(leg) is a leg's dimension and ""
+    the ground field.  ShapeError names a map of the wrong shape; a stray or
+    missing map is a ValueError."""
+    for (key, (src, tgt)), f in zip(obj.LEGS.items(), maps, strict=True):
+        rows, cols = math.prod(map(size, tgt)), math.prod(map(size, src))
+        if (f.rows, f.cols) != (rows, cols):
+            raise ShapeError(f"{key} must be {rows}x{cols}, got {f.rows}x{f.cols}")
+        setattr(obj, key, f)
+
+
 class HopfAlgebraData:
-    def __init__(self, dim, mult, unit, comult, counit, antipode, antipode_inv, name=""):
-        if mult.rows != dim or mult.cols != dim * dim:
-            raise ShapeError("mult shape")
-        if comult.rows != dim * dim or comult.cols != dim:
-            raise ShapeError("comult shape")
+    """A Hopf algebra of dimension dim with the structure maps of LEGS, each
+    leg H."""
+
+    LEGS = {"mult": ("HH", "H"), "unit": ("", "H"), "comult": ("H", "HH"),
+            "counit": ("H", ""), "antipode": ("H", "H"), "antipode_inv": ("H", "H")}
+
+    def __init__(self, dim, *maps, name=""):
+        set_legs(self, {"H": dim}.get, maps)
         self.dim = dim
-        self.mult = mult
-        self.unit = unit
-        self.comult = comult
-        self.counit = counit
-        self.antipode = antipode
-        self.antipode_inv = antipode_inv
         self.name = name
 
     def eye(self) -> Matrix:
         return Matrix.identity(self.dim)
 
     def to_obj(self):
-        return {
-            "dim": self.dim,
-            "mult": self.mult.to_obj(),
-            "unit": self.unit.to_obj(),
-            "comult": self.comult.to_obj(),
-            "counit": self.counit.to_obj(),
-            "antipode": self.antipode.to_obj(),
-            "antipode_inv": self.antipode_inv.to_obj(),
-        }
+        return {"dim": self.dim, **{key: getattr(self, key).to_obj() for key in self.LEGS}}
 
     def __repr__(self):
         return f"HopfAlgebraData({self.name or self.dim})"
@@ -74,7 +77,7 @@ def solve_antipode(dim, mult, unit, comult, counit) -> Matrix:
 
 def make_hopf(dim, mult, unit, comult, counit, name="") -> HopfAlgebraData:
     s = solve_antipode(dim, mult, unit, comult, counit)
-    h = HopfAlgebraData(dim, mult, unit, comult, counit, s, s.inverse(), name)
+    h = HopfAlgebraData(dim, mult, unit, comult, counit, s, s.inverse(), name=name)
     bad = check_hopf(h).failed
     if bad:
         raise InvalidBaseHopf(f"{name or 'algebra'} fails axioms: {bad}")
@@ -189,8 +192,9 @@ def sweedler_algebra() -> HopfAlgebraData:
     return h
 
 
-def corpus(names=None) -> dict[str, HopfAlgebraData]:
-    """The bundled Hopf algebra corpus, built fresh (and thus re-validated)."""
+def corpus(names) -> dict[str, HopfAlgebraData]:
+    """The named members of the bundled Hopf algebra corpus, built fresh (and
+    thus re-validated)."""
     builders = {
         "kz2": lambda: cyclic_group_algebra(2),
         "kz3": lambda: cyclic_group_algebra(3),
@@ -201,6 +205,4 @@ def corpus(names=None) -> dict[str, HopfAlgebraData]:
         "sweedler": sweedler_algebra,
         "taft3": lambda: taft_algebra(3),
     }
-    if names is None:
-        names = list(builders)
     return {name: builders[name]() for name in names}

@@ -151,23 +151,8 @@ def _wrap(fn, obj, what):
 
 def hopf_from_obj(obj) -> HopfAlgebraData:
     def build(o):
-        n = _integer(o["dim"])
-        shapes = {"mult": (n, n * n), "unit": (n, 1), "comult": (n * n, n),
-                  "counit": (1, n), "antipode": (n, n), "antipode_inv": (n, n)}
-        for key, (r, c) in shapes.items():
-            m = o[key]
-            if _integer(m["rows"]) != r or _integer(m["cols"]) != c:
-                raise ParseError(f'"{key}" must be {r}x{c}, got {m["rows"]}x{m["cols"]}')
-        return HopfAlgebraData(
-            n,
-            matrix_from_obj(o["mult"]),
-            matrix_from_obj(o["unit"]),
-            matrix_from_obj(o["comult"]),
-            matrix_from_obj(o["counit"]),
-            matrix_from_obj(o["antipode"]),
-            matrix_from_obj(o["antipode_inv"]),
-            name=o.get("name", ""),
-        )
+        maps = [matrix_from_obj(o[key]) for key in HopfAlgebraData.LEGS]
+        return HopfAlgebraData(_integer(o["dim"]), *maps, name=o.get("name", ""))
 
     return _wrap(build, obj, "hopf")
 

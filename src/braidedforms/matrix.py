@@ -110,13 +110,6 @@ class Matrix:
         return _sparse(n, n, [{i: ONE} for i in range(n)])
 
     @staticmethod
-    def from_rows(rows_data) -> "Matrix":
-        rows = len(rows_data)
-        cols = len(rows_data[0]) if rows else 0
-        flat = [x for row in rows_data for x in row]
-        return Matrix(rows, cols, flat)
-
-    @staticmethod
     def column(values) -> "Matrix":
         return Matrix(len(values), 1, list(values))
 

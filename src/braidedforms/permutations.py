@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import combinations, zip_longest
-from math import factorial
 from typing import Iterator
 
 from .errors import ShapeError
@@ -31,13 +30,6 @@ class Permutation:
     @staticmethod
     def identity(j: int) -> "Permutation":
         return Permutation(range(1, j + 1))
-
-    @staticmethod
-    def transposition(j: int, a: int) -> "Permutation":
-        """The adjacent transposition t_a = (a, a+1) in S_j."""
-        images = list(range(1, j + 1))
-        images[a - 1], images[a] = images[a], images[a - 1]
-        return Permutation(images)
 
     @property
     def size(self) -> int:
@@ -110,13 +102,6 @@ class Permutation:
         return tuple(word)
 
 
-def word_to_permutation(j: int, word) -> Permutation:
-    p = Permutation.identity(j)
-    for a in word:
-        p = p * Permutation.transposition(j, a)
-    return p
-
-
 def all_permutations(j: int) -> Iterator[Permutation]:
     from itertools import permutations as _perms
 
@@ -138,21 +123,6 @@ class Partition:
     @property
     def total(self) -> int:
         return sum(self.parts)
-
-    def blocks(self):
-        """Consecutive index blocks B_k inside {1..total}."""
-        out = []
-        start = 1
-        for p in self.parts:
-            out.append(tuple(range(start, start + p)))
-            start += p
-        return out
-
-    def multinomial_count(self) -> int:
-        num = factorial(self.total)
-        for p in self.parts:
-            num //= factorial(p)
-        return num
 
     def __repr__(self):
         return f"Partition{self.parts}"

@@ -49,9 +49,7 @@ class TestYangBaxter:
             assert checks.ok and checks.first == {"yang_baxter": None}
 
     def test_failing_braiding_has_witness(self):
-        bad = Matrix.from_rows(
-            [[ONE, ONE, 0, 0], [0, ONE, 0, 0], [0, 0, ONE, ONE], [0, 0, ONE, 0]]
-        )
+        bad = Matrix(4, 4, [ONE, ONE, 0, 0, 0, ONE, 0, 0, 0, 0, ONE, ONE, 0, 0, ONE, 0])
         checks = check_yang_baxter(bad)
         assert checks.failed == ["yang_baxter"]
         assert isinstance(checks.first["yang_baxter"], int)
@@ -65,9 +63,7 @@ class TestYangBaxter:
     def test_constructor_validates(self):
         # the constructor checks shapes and invertibility; the braid equation
         # is rejected where a result depends on it
-        bad = Matrix.from_rows(
-            [[ONE, ONE, 0, 0], [0, ONE, 0, 0], [0, 0, ONE, ONE], [0, 0, ONE, 0]]
-        )
+        bad = Matrix(4, 4, [ONE, ONE, 0, 0, 0, ONE, 0, 0, 0, 0, ONE, ONE, 0, 0, ONE, 0])
         with pytest.raises(ShapeError):
             BraidedSpace(2, Matrix.identity(3))
         with pytest.raises(ShapeError):
@@ -99,7 +95,7 @@ class TestRepresentation:
     def test_identity_and_transposition(self):
         x = swap_space(2)
         assert x.rep(Permutation.identity(3)) == Matrix.identity(8)
-        assert x.rep(Permutation.transposition(2, 1)) == swap_matrix(2, 2)
+        assert x.rep(Permutation((2, 1))) == swap_matrix(2, 2)
 
     def test_braided_line_rep_is_q_power(self):
         x = braided_line(Scalar.zeta(5), ONE)  # psi = [zeta_5]

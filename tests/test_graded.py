@@ -12,6 +12,7 @@ from braidedforms.graded import (
     check_graded_structure,
     ideal_quotient,
     signed_swap_blocks,
+    sub_bialgebra,
 )
 from braidedforms.matrix import Matrix, kron
 from braidedforms.tensor_hopf import build_tensor_hopf
@@ -41,7 +42,7 @@ class TestGradedBialgebra:
         comult = {(0, 0): eye, (0, 1): eye, (1, 0): eye}
         with pytest.raises(IncompatibleBraiding):
             GradedBialgebra(dims, mult, eye, comult, eye,
-                            signed_swap_blocks(dims, dims, ONE),
+                            signed_swap_blocks(dims, dims),
                             differential=[eye, Matrix.zero(0, 1)], lam=ONE)
 
     def test_negative_dimension_rejected(self):
@@ -75,6 +76,31 @@ class TestGradedBialgebra:
         t = build_tensor_hopf(braided_line(ONE, ONE), "shuffle_coproduct", 3)
         with pytest.raises(NotABiIdeal):
             ideal_quotient(t, Matrix.identity(1), 2)
+
+    def _sub_with_dropped_antipode(self):
+        # T(V) for the plain swap on V = k^2 with S_1 replaced by the swap of
+        # the two coordinates: mult and comult restrict to k (+) k e_0, but S_1
+        # moves e_0 out of it
+        t = build_tensor_hopf(swap_space(2), "shuffle_coproduct", 1)
+        t.antipode[1] = Matrix(2, 2, [0, 1, 1, 0])
+        return sub_bialgebra(t, [Matrix.identity(1), Matrix(2, 1, [1, 0])])
+
+    def test_transport_drops_an_antipode_that_leaves_the_image(self):
+        sub = self._sub_with_dropped_antipode()
+        assert sub.antipode is None
+        assert sub.dims == (1, 1)
+        assert check_graded_structure(sub, "bialgebra").ok
+
+    def test_missing_antipode_has_witness(self):
+        report = check_graded_structure(self._sub_with_dropped_antipode(), "hopf")
+        assert report.failed == ["antipode"] and report.first["antipode"] == ("missing",)
+
+    def test_missing_differential_has_witness(self):
+        t = build_tensor_hopf(swap_space(2), "shuffle_coproduct", 2)
+        assert t.differential is None
+        report = check_graded_structure(t, "diff_hopf")
+        assert report.failed == ["differential"]
+        assert report.first["differential"] == ("missing",)
 
 
 # --- the axiom checks against a reference that builds every Kronecker product

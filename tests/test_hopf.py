@@ -3,7 +3,7 @@ import pytest
 from braidedforms import io
 from braidedforms.checks import Checks
 from braidedforms.cyclotomic import ONE, ZERO, Scalar
-from braidedforms.errors import FactorizationError, InvalidBaseHopf
+from braidedforms.errors import FactorizationError, InvalidBaseHopf, ParseError, ShapeError
 from braidedforms.hopf import (
     HopfAlgebraData,
     check_hopf,
@@ -86,6 +86,18 @@ class TestSerialization:
             h = io.hopf_from_obj(io.load_json(io.bundled_path(name)))
             assert check_hopf(h).ok, name
 
+    @pytest.mark.parametrize("key", list(HopfAlgebraData.LEGS))
+    def test_wrong_shape_names_the_map(self, sweedler, key):
+        f = getattr(sweedler, key)
+        for rows, cols in ((f.rows + 1, f.cols), (f.rows, f.cols - 1)):
+            wrong = Matrix.zero(rows, cols)
+            maps = [wrong if k == key else getattr(sweedler, k) for k in HopfAlgebraData.LEGS]
+            message = f"{key} must be {f.rows}x{f.cols}, got {rows}x{cols}"
+            with pytest.raises(ShapeError, match=f"^{message}$"):
+                HopfAlgebraData(sweedler.dim, *maps)
+            with pytest.raises(ParseError, match=message):
+                io.hopf_from_obj(sweedler.to_obj() | {key: wrong.to_obj()})
+
 
 def monoid_bialgebra():
     """The bialgebra k{1, e} of the monoid with e^2 = e: Delta diagonal,
@@ -146,7 +158,7 @@ def _with_comult_entry_changed(h, r, c):
     comult = h.comult + Matrix.zero(h.comult.rows, h.comult.cols)
     comult[r, c] = comult[r, c] + ONE
     return HopfAlgebraData(h.dim, h.mult, h.unit, comult, h.counit, h.antipode,
-                           h.antipode_inv, h.name)
+                           h.antipode_inv, name=h.name)
 
 
 class TestChecksAgainstReference:
@@ -232,7 +244,7 @@ def reference_solve_antipode(dim, mult, unit, comult, counit):
         s_flat = solve_mono(system, rhs)
     except FactorizationError as exc:
         raise InvalidBaseHopf("no antipode exists for the given bialgebra") from exc
-    return Matrix.from_rows([[s_flat[i * n + a, 0] for a in range(n)] for i in range(n)])
+    return Matrix(n, n, [s_flat[i * n + a, 0] for i in range(n) for a in range(n)])
 
 
 class TestAntipodeAgainstConvolutionSystem:

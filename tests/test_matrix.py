@@ -34,7 +34,7 @@ def matrices(rows, cols):
 
 
 def mat(rows):
-    return Matrix.from_rows([[Scalar.rational(v) for v in r] for r in rows])
+    return Matrix(len(rows), len(rows[0]), [Scalar.rational(v) for r in rows for v in r])
 
 
 class TestBasics:
