@@ -17,6 +17,10 @@ and the transports x.sub(incl) (matrix.restrict over a mono) and
 x.quotient(q) (matrix.descend over an epi) all read that table.
 induced(x, m) is X (x) M with X's left structure and the diagonal right
 structure: the smash product H |x M and the X (x)_H Y of tensor_over_H.
+It builds mu_l at once and mu_r, nu_l and nu_r together on the first read
+of any of them (_Structure.deferred).  to_obj, sub/quotient, coinvariants
+and the checks read them and so build them; classify reads mu_l alone and
+never does.
 """
 
 from __future__ import annotations
@@ -43,14 +47,39 @@ from .matrix import (
 )
 
 
+def _sizes(h, dim):
+    return {"H": h.dim, "X": dim}.get
+
+
 class _Structure:
     """A space of dimension dim over h with the structure maps of LEGS."""
 
     def __init__(self, h: HopfAlgebraData, dim: int, *maps, name=""):
-        set_legs(self, {"H": h.dim, "X": dim}.get, maps)
+        set_legs(self, self.LEGS, _sizes(h, dim), maps)
         self.h = h
         self.dim = dim
         self.name = name
+
+    @classmethod
+    def deferred(cls, h: HopfAlgebraData, dim: int, given: dict, rest, name=""):
+        """The structure with the maps of given (map name -> map), checked at
+        once, and the other maps of LEGS, which rest() returns in LEGS order:
+        the first read of any of them runs rest once, checks and sets them
+        all, so later reads are plain attributes."""
+        obj = cls.__new__(cls)
+        set_legs(obj, given, _sizes(h, dim), given.values())
+        obj.h, obj.dim, obj.name = h, dim, name
+        obj._deferred = [key for key in cls.LEGS if key not in given], rest
+        return obj
+
+    def __getattr__(self, key):
+        # reached only when key is not set: a deferred map before its first read
+        keys, rest = self.__dict__.get("_deferred", ((), None))
+        if key not in keys:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {key!r}")
+        set_legs(self, keys, _sizes(self.h, self.dim), rest())
+        del self._deferred
+        return self.__dict__[key]
 
     def to_obj(self):
         return {"dim": self.dim, **{key: getattr(self, key).to_obj() for key in self.LEGS}}
@@ -212,15 +241,22 @@ def diagonal_structures(x, m: CrossedModule):
 
 def induced(x, m: CrossedModule, name="") -> HopfBimodule:
     """X (x) M for a Hopf bimodule X: the left action and left coaction of X
-    on its factor alone, the diagonal right structure of diagonal_structures."""
+    on its factor alone, the diagonal right structure of diagonal_structures.
+    Only mu_l is built here; the first read of mu_r, nu_l or nu_r builds the
+    three of them, so a caller that reads mu_l alone (classify) never pays
+    for the right structure."""
     em = Matrix.identity(m.dim)
-    mu_r, nu_r = diagonal_structures(x, m)
-    return HopfBimodule(x.h, x.dim * m.dim, kron(x.mu_l, em), mu_r, kron(x.nu_l, em), nu_r,
-                        name=name)
+
+    def rest():
+        mu_r, nu_r = diagonal_structures(x, m)
+        return mu_r, kron(x.nu_l, em), nu_r
+
+    return HopfBimodule.deferred(x.h, x.dim * m.dim, {"mu_l": kron(x.mu_l, em)}, rest, name)
 
 
 def smash(h: HopfAlgebraData, m: CrossedModule) -> HopfBimodule:
-    """H |x M: the bimodule induced from the regular one."""
+    """H |x M: the bimodule induced from the regular one, with its right
+    action and its coactions built on first read."""
     return induced(regular_bimodule(h), m, f"smash({m.name})")
 
 

@@ -27,15 +27,18 @@ from .matrix import (
 from .permutations import all_permutations
 
 
-def set_legs(obj, size, maps):
-    """Set obj.<key> = f for each entry key -> (source legs, target legs) of
-    obj.LEGS and each map f, in order; size(leg) is a leg's dimension and ""
-    the ground field.  ShapeError names a map of the wrong shape; a stray or
-    missing map is a ValueError."""
-    for (key, (src, tgt)), f in zip(obj.LEGS.items(), maps, strict=True):
+def set_legs(obj, keys, size, maps):
+    """Set obj.<key> = f for each key of keys, an entry key -> (source legs,
+    target legs) of obj.LEGS, and each map f, in order; size(leg) is a leg's
+    dimension and "" the ground field.  ShapeError names a map of the wrong
+    shape, and then no map is set; a stray or missing map is a ValueError."""
+    pairs = list(zip(keys, maps, strict=True))
+    for key, f in pairs:
+        src, tgt = obj.LEGS[key]
         rows, cols = math.prod(map(size, tgt)), math.prod(map(size, src))
         if (f.rows, f.cols) != (rows, cols):
             raise ShapeError(f"{key} must be {rows}x{cols}, got {f.rows}x{f.cols}")
+    for key, f in pairs:
         setattr(obj, key, f)
 
 
@@ -47,7 +50,7 @@ class HopfAlgebraData:
             "counit": ("H", ""), "antipode": ("H", "H"), "antipode_inv": ("H", "H")}
 
     def __init__(self, dim, *maps, name=""):
-        set_legs(self, {"H": dim}.get, maps)
+        set_legs(self, self.LEGS, {"H": dim}.get, maps)
         self.dim = dim
         self.name = name
 

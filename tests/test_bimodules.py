@@ -417,12 +417,18 @@ class TestBuildersAgainstKroneckerChains:
         assert _maps(coadjoint_crossed(h)) == _maps(reference_coadjoint_crossed(h))
 
     def test_tensor_over_H_right_structures(self, h):
+        # X (x)_H Y builds its right structure on first read: forced inside
+        # the check, it gives the verdict and the maps of the eager reference
         reg, sq = regular_bimodule(h), square_bimodule(h)
         sm = smash(h, kernel_counit_crossed(h)[0])
         for x, y in [(reg, sq), (sq, reg), (sm, sq)]:
             t = tensor_over_H(x, y)
-            ref = reference_diagonal_structures(x, t.coinv)
-            assert (t.z.mu_r, t.z.nu_r) == ref, (x.name, y.name)
+            em = Matrix.identity(t.coinv.dim)
+            mu_r, nu_r = reference_diagonal_structures(x, t.coinv)
+            eager = HopfBimodule(h, t.z.dim, kron(x.mu_l, em), mu_r, kron(x.nu_l, em), nu_r)
+            checks = check_hopf_bimodule(t.z)
+            assert checks.ok and checks.to_obj() == check_hopf_bimodule(eager).to_obj()
+            assert t.z.to_obj() == eager.to_obj(), (x.name, y.name)
 
     def test_theta_rho_lambda_and_inverse_composite(self, h):
         reg, sq = regular_bimodule(h), square_bimodule(h)
@@ -504,6 +510,40 @@ class TestLegTable:
                 maps = [Matrix.zero(rows, cols) if k == key else getattr(x, k) for k in cls.LEGS]
                 with pytest.raises(ShapeError, match=f"^{key} must be {f.rows}x{f.cols}, "):
                     cls(sweedler, x.dim, *maps)
+
+    def test_deferred_maps_built_once_on_first_read(self, sweedler, monkeypatch):
+        from braidedforms import bimodules
+
+        calls = []
+        diagonal_structures = bimodules.diagonal_structures
+
+        def counting(x, m):
+            calls.append(m.name)
+            return diagonal_structures(x, m)
+
+        monkeypatch.setattr(bimodules, "diagonal_structures", counting)
+        m = coadjoint_crossed(sweedler)
+        x = smash(sweedler, m)
+        assert calls == [] and x.mu_l.rows == x.dim
+        mu_r = x.mu_r
+        assert calls == ["coadjoint"]
+        assert x.mu_r is mu_r and _maps(x) == _maps(reference_smash(sweedler, m))
+        assert calls == ["coadjoint"]
+
+    def test_deferred_map_of_wrong_shape_names_the_map(self, sweedler):
+        y = square_bimodule(sweedler)
+        bad = Matrix.zero(y.nu_l.rows + 1, y.nu_l.cols)
+        x = HopfBimodule.deferred(sweedler, y.dim, {"mu_l": y.mu_l},
+                                  lambda: (y.mu_r, bad, y.nu_r))
+        for key in ("mu_r", "nu_r"):  # no map is set, so each read raises again
+            with pytest.raises(ShapeError, match=f"^nu_l must be {y.nu_l.rows}x{y.nu_l.cols}, "):
+                getattr(x, key)
+        with pytest.raises(AttributeError):
+            x.mu_q
+        with pytest.raises(ShapeError, match="^mu_l must be "):
+            HopfBimodule.deferred(sweedler, y.dim, {"mu_l": bad}, lambda: (y.mu_r, y.nu_l, y.nu_r))
+        with pytest.raises(ValueError):
+            HopfBimodule.deferred(sweedler, y.dim, {"mu_l": y.mu_l}, lambda: (y.mu_r, y.nu_l)).nu_r
 
     def test_map_count(self, sweedler):
         # a name passed positionally is a stray map, an error like a missing map

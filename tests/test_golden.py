@@ -81,6 +81,34 @@ def test_classify_taft5_report_bytes(tmp_path):
     _classify_taft(tmp_path, 5)
 
 
+def test_classify_taft6_report_bytes(tmp_path):
+    # the default sweep of 37 candidates over Ker eps of dim 35; the golden
+    # was written while every smash calculus still built its right structure
+    _classify_taft(tmp_path, 6)
+
+
+@pytest.mark.parametrize("expected, name", [(EXPECTED / "classify-kz5.json", "kz5"),
+                                            (GOLDEN / "classify-taft3.json", "taft3")],
+                         ids=["kz5", "taft3"])
+def test_classify_never_builds_right_structure(tmp_path, monkeypatch, expected, name):
+    # classify reads only the left action of each smash calculus, so its
+    # diagonal right action and coaction are never built
+    from braidedforms import bimodules
+
+    calls = []
+    diagonal_structures = bimodules.diagonal_structures
+
+    def counting(x, m):
+        calls.append(m.name)
+        return diagonal_structures(x, m)
+
+    monkeypatch.setattr(bimodules, "diagonal_structures", counting)
+    out = tmp_path / "report.json"
+    assert main(["classify", str(io.bundled_path(name)), "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.read_bytes()
+    assert calls == []
+
+
 def _wedge_dims_conductor97_line(tmp_path, max_degree):
     # a braided line over Q(zeta_97), psi = zeta + zeta^2 and lambda = -1, not
     # bundled: each degree's braided factorial is a 1 x 1 matrix whose entry
