@@ -34,10 +34,10 @@ def check_yang_baxter(psi: Matrix) -> Checks:
     if d * d != psi.rows:
         raise ShapeError("braiding side length must be a perfect square")
     eye = Matrix.identity(d)
-    left = kron(psi, eye)
-    right = kron(eye, psi)
-    lhs = left.compose(right).compose(left)
-    rhs = right.compose(left).compose(right)
+    # (psi (x) I)(I (x) psi)(psi (x) I) and (I (x) psi)(psi (x) I)(I (x) psi):
+    # the innermost factor is built, the outer two are applied to it
+    lhs = kron_apply(psi, eye, kron_apply(eye, psi, kron(psi, eye)))
+    rhs = kron_apply(eye, psi, kron_apply(psi, eye, kron(eye, psi)))
     checks = Checks()
     checks.record("yang_baxter", next((col for (_, col), _ in (lhs - rhs).nonzeros()), None))
     return checks

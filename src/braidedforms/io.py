@@ -14,6 +14,15 @@ serialization {"conductor": n, "coeffs": [[num, den], ...]}; integer and
 
 A <ref> is an inline object, a path relative to the referring file, or
 "bundled:<name>" for a file shipped with the package under data/.
+
+Reports have one format, written by one writer: keys sorted, each member on
+its own line indented two spaces per level, "," between items and ": "
+between a key and its value, empty containers as {} and [], strings with
+every non-ASCII or control character escaped, and a final newline; this is
+the text of json.JSONEncoder(indent=2, sort_keys=True) plus "\n". A report
+holds only str-keyed dicts, lists, tuples, str, int, bool and None; anything
+else raises TypeError. dumps returns the text; save_json streams it, writing
+the top container levels piece by piece.
 """
 
 from __future__ import annotations
@@ -111,20 +120,71 @@ def load_json(path) -> dict:
     return obj
 
 
-# the one report format: sorted keys, two-space indent, a final newline
-_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+_ESCAPE = json.encoder.encode_basestring_ascii  # raises TypeError on a non-str
+_STREAMED_LEVELS = 3  # container levels written piece by piece
+
+
+def _text(o, indent: str) -> str:
+    """The report text of o, whose lines after the first start with `indent`.
+    Types are matched exactly, most frequent first; bool is not int here."""
+    t = type(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is str:
+        return _ESCAPE(o)
+    if t is dict:
+        if not o:
+            return "{}"
+        inner = indent + "  "
+        return ("{\n" + inner
+                + (",\n" + inner).join([_ESCAPE(k) + ": " + _text(o[k], inner) for k in sorted(o)])
+                + "\n" + indent + "}")
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        inner = indent + "  "
+        return "[\n" + inner + (",\n" + inner).join([_text(v, inner) for v in o]) + "\n" + indent + "]"
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    raise TypeError(f"a report holds no {t.__name__}: {o!r}")
+
+
+def _pieces(o, indent: str, levels: int):
+    """_text(o, indent) in pieces: the top `levels` container levels piece by
+    piece, each subtree below them as one string."""
+    t = type(o)
+    if levels == 0 or not (t is dict or t is list or t is tuple) or not o:
+        yield _text(o, indent)
+        return
+    inner = indent + "  "
+    if t is dict:
+        opening, closing = "{", "}"
+        members = ((_ESCAPE(k) + ": ", o[k]) for k in sorted(o))
+    else:
+        opening, closing = "[", "]"
+        members = (("", v) for v in o)
+    sep = opening + "\n" + inner
+    for key, value in members:
+        yield sep + key
+        yield from _pieces(value, inner, levels - 1)
+        sep = ",\n" + inner
+    yield "\n" + indent + closing
 
 
 def save_json(obj, path) -> None:
     # streamed: the whole text of a large report at once would raise the
     # command's peak memory, which the report write can set
     with open(path, "w", encoding="utf-8") as f:
-        f.writelines(_ENCODER.iterencode(obj))
+        f.writelines(_pieces(obj, "", _STREAMED_LEVELS))
         f.write("\n")
 
 
 def dumps(obj) -> str:
-    return _ENCODER.encode(obj) + "\n"
+    return "".join(_pieces(obj, "", _STREAMED_LEVELS)) + "\n"
 
 
 def _resolve_ref(ref, base_dir):

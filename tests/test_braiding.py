@@ -14,7 +14,7 @@ from braidedforms.braiding import (
 )
 from braidedforms.cyclotomic import MINUS_ONE, ONE, Scalar
 from braidedforms.errors import FactorizationError, ShapeError, TooLarge
-from braidedforms.matrix import Matrix, compose_all, swap_matrix
+from braidedforms.matrix import Matrix, compose_all, kron, swap_matrix
 from braidedforms.permutations import Partition, Permutation, all_permutations
 from braidedforms.tensor_hopf import build_wedge
 
@@ -53,6 +53,17 @@ class TestYangBaxter:
         checks = check_yang_baxter(bad)
         assert checks.failed == ["yang_baxter"]
         assert isinstance(checks.first["yang_baxter"], int)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(-1, 1), min_size=16, max_size=16))
+    def test_witness_is_that_of_the_built_composites(self, entries):
+        # reference: both sides of the braid equation built from kron factors
+        psi = Matrix(4, 4, entries)
+        eye = Matrix.identity(2)
+        left, right = kron(psi, eye), kron(eye, psi)
+        diff = left.compose(right).compose(left) - right.compose(left).compose(right)
+        witness = next((col for (_, col), _ in diff.nonzeros()), None)
+        assert check_yang_baxter(psi).first == {"yang_baxter": witness}
 
     def test_shape_error(self):
         with pytest.raises(ShapeError):

@@ -336,6 +336,17 @@ class TestDeterminism:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_stdout_report_is_the_out_report(self, tmp_path, capsys):
+        # without --out the same JSON bytes follow the table lines on stdout
+        path = str(io.bundled_path("sweedler"))
+        out = tmp_path / "report.json"
+        assert run(["check", "--kind", "hopf", path, "--out", str(out)]) == 0
+        tables = capsys.readouterr().out
+        assert run(["check", "--kind", "hopf", path]) == 0
+        stdout = capsys.readouterr().out
+        assert "antipode_left" in tables
+        assert stdout.encode() == tables.encode() + out.read_bytes()
+
 
 class TestExitCodes:
     """Bad input, failed factorizations and oversized requests end in an exit

@@ -5,13 +5,18 @@ never written). The reports under `tests/golden/` come from commands that
 run the Hopf bimodule and crossed module leg swaps, square bimodules,
 classification over Q and Q(zeta_n) for n = 3, 4, 5, both exterior-calculus
 routes over Q and over Q(zeta_3), and the wedge dimensions with and without
-the quadratic comparison, up to conductor 97.
+the quadratic comparison, up to conductor 97. The report writer gives back
+every committed report from its parsed form, and it writes what
+`json.JSONEncoder(indent=2, sort_keys=True)` writes.
 """
 
+import json
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidedforms import hopf, io
 from braidedforms.cli import main
@@ -159,3 +164,44 @@ def test_classify_eliminates_only_to_find_bases(tmp_path, monkeypatch):
     assert out.read_bytes() == (EXPECTED / "classify-kz5.json").read_bytes()
     assert callers and set(callers) <= {"kernel_basis", "column_echelon_basis", "rank"}
     assert in_solver == []
+
+
+COMMITTED = sorted([*GOLDEN.glob("*.json"), *EXPECTED.glob("*.json")])
+
+
+@pytest.mark.parametrize("path", COMMITTED, ids=[f"{p.parent.name}/{p.stem}" for p in COMMITTED])
+def test_committed_report_round_trip(path):
+    text = path.read_text(encoding="utf-8")
+    assert io.dumps(json.loads(text)) == text
+
+
+_STRINGS = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7fé€😀\ud800') | st.characters(),
+                   max_size=8)
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(-10**80, 10**80)
+           | _STRINGS)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(_STRINGS, kids, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_TREES)
+def test_writer_matches_stdlib_indent_encoder(obj):
+    # empty containers, tuples, big and negative ints, bools, None and
+    # strings with escapes at every depth, streamed levels and below;
+    # save_json writes the pieces dumps joins
+    expected = json.JSONEncoder(indent=2, sort_keys=True).encode(obj) + "\n"
+    assert io.dumps(obj) == expected
+
+
+@pytest.mark.parametrize("obj", [1.5, {"a": [[1, 0.5]]}, {1: "x"}, {"a": {"b": {None: 1}}},
+                                 {"a": 1, 2: 3}, object(), [[[[object()]]]]],
+                         ids=["float", "nested-float", "int-key", "deep-none-key",
+                              "mixed-keys", "object", "deep-object"])
+def test_writer_refuses_what_no_report_holds(tmp_path, obj):
+    with pytest.raises(TypeError):
+        io.dumps(obj)
+    with pytest.raises(TypeError):
+        io.save_json(obj, tmp_path / "report.json")

@@ -102,6 +102,18 @@ def test_no_unused_names():
     assert found == []
 
 
+def test_reports_have_one_writer():
+    # every report is written by io.py's own writer: no module writes JSON
+    # through json.dump/json.dumps or names JSONEncoder, io.py included
+    found = [f"{name}:{node.lineno}" for name, tree in _trees() for node in ast.walk(tree)
+             if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id == "json" and node.attr in ("dump", "dumps"))
+             or (isinstance(node, ast.Attribute) and node.attr == "JSONEncoder")
+             or (isinstance(node, ast.Name) and node.id == "JSONEncoder")
+             or (isinstance(node, ast.alias) and node.name in ("dump", "dumps", "JSONEncoder"))]
+    assert found == []
+
+
 def test_traced_functions_exist():
     # perfbench/layertrace.py wraps its SPANS targets by name when a run is
     # traced; a renamed or moved function would only fail there. Load the
