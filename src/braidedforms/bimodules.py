@@ -25,8 +25,6 @@ never does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .checks import Checks
 from .errors import ShapeError
 from .hopf import HopfAlgebraData, set_legs
@@ -274,13 +272,14 @@ def crossed_iso_smash(m: CrossedModule):
 # --- tensor product over H ------------------------------------------------
 
 
-@dataclass
 class TensorOverH:
-    z: HopfBimodule
-    lam: Matrix  # X (x) Y -> Z, surjective
-    rho: Matrix  # Z -> X (x) Y, injective; rho o lam = rho_lambda_formula
-    coinv: CrossedModule  # the coinvariants of Y
-    i: Matrix             # coinv(Y) -> Y
+    def __init__(self, z: HopfBimodule, lam: Matrix, rho: Matrix, coinv: CrossedModule,
+                 i: Matrix):
+        self.z = z
+        self.lam = lam          # X (x) Y -> Z, surjective
+        self.rho = rho          # Z -> X (x) Y, injective; rho o lam = rho_lambda_formula
+        self.coinv = coinv      # the coinvariants of Y
+        self.i = i              # coinv(Y) -> Y
 
 
 def tensor_over_H(x: HopfBimodule, y: HopfBimodule) -> TensorOverH:

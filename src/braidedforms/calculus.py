@@ -21,8 +21,6 @@ routes take (calc, N) and return the GradedBialgebra with its differential.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bimodules import (
     CrossedModule,
     HopfBimodule,
@@ -51,20 +49,23 @@ from .matrix import (
 )
 
 
-@dataclass
 class FirstOrderCalculus:
-    h: HopfAlgebraData
-    x: HopfBimodule
-    d: Matrix  # H -> X
+    def __init__(self, h: HopfAlgebraData, x: HopfBimodule, d: Matrix):
+        self.h = h
+        self.x = x
+        self.d = d  # H -> X
 
 
-@dataclass(kw_only=True)
 class UniversalCalculus(FirstOrderCalculus):
     """The universal calculus Ker m, from which every bicovariant first order
     calculus over H is a quotient."""
-    smash_map: Matrix            # the isomorphism alpha: H (x) Ker eps -> Ker m
-    inclusion: Matrix            # Ker m -> H (x) H
-    ker_counit: CrossedModule    # Ker eps, regular action, coadjoint coaction
+
+    def __init__(self, h: HopfAlgebraData, x: HopfBimodule, d: Matrix, *,
+                 smash_map: Matrix, inclusion: Matrix, ker_counit: CrossedModule):
+        super().__init__(h, x, d)
+        self.smash_map = smash_map    # the isomorphism alpha: H (x) Ker eps -> Ker m
+        self.inclusion = inclusion    # Ker m -> H (x) H
+        self.ker_counit = ker_counit  # Ker eps, regular action, coadjoint coaction
 
 
 def check_first_order(calc: FirstOrderCalculus) -> Checks:

@@ -10,8 +10,10 @@ Exit codes
   0  success: every requested axiom/verification passed
   1  an axiom or verification failed (including unstable submodule generators
      and structure maps that do not factor, e.g. on a non-Hopf algebra)
-  2  input file missing, malformed, or schema violation, or an --out path
-     that cannot be written
+  2  input file missing, malformed, or schema violation, an --out path
+     that cannot be written, or a malformed command line (an unknown or
+     missing command, option or value, a missing or extra FILE, a bad choice,
+     or a --max-degree that is not an integer >= 1)
   3  the requested construction exceeds the desk-scale resource bound
 
 Reports are JSON with "schema_version"; identical inputs always produce
@@ -20,8 +22,8 @@ bit-identical reports (exact arithmetic, no randomness, sorted keys).
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from . import io
 from .bimodules import check_crossed_module, check_hopf_bimodule
@@ -79,7 +81,7 @@ def cmd_check(args) -> int:
         checks = check_crossed_module(io.crossed_from_obj(obj, base))
     elif args.kind == "calculus":
         checks = verify_calculus(io.calculus_from_obj(obj, base))
-    else:  # pragma: no cover - argparse restricts choices
+    else:  # pragma: no cover - parse_argv restricts choices
         raise ParseError(f"unknown kind {args.kind}")
     report = {"command": "check", "kind": args.kind, "checks": checks.to_obj()}
     print(f"check {args.kind}: {args.file}")
@@ -209,50 +211,117 @@ def cmd_classify(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="braidedforms", description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
+KINDS = ("hopf", "braiding", "bimodule", "crossed", "calculus")
+REQUIRED = object()  # the default of an option that must be given
 
-    p = sub.add_parser("check", help="verify the axioms of a structure file")
-    p.add_argument("file")
-    p.add_argument("--kind", required=True,
-                   choices=["hopf", "braiding", "bimodule", "crossed", "calculus"])
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_check)
+# command -> (handler, {option: (kind, default)}). A kind is bool (a flag),
+# int (a count >= 1), str, or a tuple of the choices.
+COMMANDS = {
+    "check": (cmd_check, {
+        "--kind": (KINDS, REQUIRED),
+        "--out": (str, None)}),
+    "wedge-dims": (cmd_wedge_dims, {
+        "--max-degree": (int, 4),
+        "--compare-quadratic": (bool, False),
+        "--out": (str, None)}),
+    "build-calculus": (cmd_build_calculus, {
+        "--max-degree": (int, 3),
+        "--route": (("maximal", "biproduct", "both"), "biproduct"),
+        "--out": (str, None)}),
+    "classify": (cmd_classify, {
+        "--out": (str, None)}),
+}
 
-    p = sub.add_parser("wedge-dims", help="dimensions of the braided exterior algebra")
-    p.add_argument("file")
-    p.add_argument("--max-degree", type=int, default=4)
-    p.add_argument("--compare-quadratic", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_wedge_dims)
+USAGE = """Usage
+  braidedforms check FILE --kind {hopf,braiding,bimodule,crossed,calculus} [--out REPORT]
+  braidedforms wedge-dims FILE [--max-degree N] [--compare-quadratic] [--out REPORT]
+  braidedforms build-calculus FILE [--max-degree N] [--route {maximal,biproduct,both}] [--out REPORT]
+  braidedforms classify FILE [--out REPORT]
+"""
 
-    p = sub.add_parser("build-calculus", help="exterior algebra of differential forms")
-    p.add_argument("file")
-    p.add_argument("--max-degree", type=int, default=3)
-    p.add_argument("--route", choices=["maximal", "biproduct", "both"], default="biproduct",
-                   help="both: build both routes, compare their algebras block by block "
-                        "and verify a shared algebra once; the report still carries "
-                        "each route's checks")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_build_calculus)
 
-    p = sub.add_parser("classify", help="calculi from candidate generator sets")
-    p.add_argument("file")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_classify)
-    return parser
+def _help(args) -> int:
+    print(__doc__ + "\n" + USAGE, end="")
+    return EXIT_OK
+
+
+def _option(token: str, options: dict) -> str:
+    """The option that token names in full or by an unambiguous prefix."""
+    if token in options:
+        return token
+    found = [name for name in options if name.startswith(token)]
+    if len(found) != 1:
+        raise ParseError(f"ambiguous option {token}: {', '.join(found)}" if found
+                         else f"unknown option {token}")
+    return found[0]
+
+
+def _value(name: str, kind, text: str):
+    if kind is int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = 0
+        if n < 1:
+            raise ParseError(f"{name} must be an integer >= 1, got {text!r}")
+        return n
+    if kind is not str and text not in kind:
+        raise ParseError(f"{name} must be one of {', '.join(kind)}, got {text!r}")
+    return text
+
+
+def parse_argv(argv) -> tuple:
+    """(handler, args) for a command line. args holds FILE as `file` and each
+    option of the command, named without its dashes (`--max-degree` as
+    `max_degree`), at its default when not given. Any -h/--help is (_help,
+    None); every other malformed command line raises ParseError."""
+    command = file = None
+    options, values = {"--help": (bool, False)}, {}
+    tokens = iter(argv)
+    for token in tokens:
+        if token[:1] == "-" and token != "-":
+            name, eq, text = token.partition("=")
+            name = "--help" if name == "-h" else _option(name, options)
+            kind, _ = options[name]
+            if kind is bool:
+                if eq:
+                    raise ParseError(f"{name} takes no value")
+                if name == "--help":
+                    return _help, None
+                values[name] = True
+                continue
+            if not eq:
+                text = next(tokens, None)
+                if text is None or text.startswith("--"):
+                    raise ParseError(f"{name} needs a value")
+            values[name] = _value(name, kind, text)
+        elif command is None:
+            if token not in COMMANDS:
+                raise ParseError(f"unknown command {token!r}: use one of {', '.join(COMMANDS)}")
+            command = token
+            options = {**options, **COMMANDS[command][1]}
+        elif file is None:
+            file = token
+        else:
+            raise ParseError(f"unexpected argument {token!r}: {command} takes one FILE")
+    if command is None:
+        raise ParseError(f"missing command: use one of {', '.join(COMMANDS)}")
+    if file is None:
+        raise ParseError(f"{command} needs a FILE")
+    handler, spec = COMMANDS[command]
+    args = SimpleNamespace(file=file)
+    for name, (_, default) in spec.items():
+        value = values.get(name, default)
+        if value is REQUIRED:
+            raise ParseError(f"{command} needs {name}")
+        setattr(args, name[2:].replace("-", "_"), value)
+    return handler, args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if getattr(args, "max_degree", 1) < 1:
-        print("error: --max-degree must be >= 1", file=sys.stderr)
-        return EXIT_PARSE
     try:
-        return args.fn(args)
+        handler, args = parse_argv(sys.argv[1:] if argv is None else argv)
+        return handler(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

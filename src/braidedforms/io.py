@@ -32,7 +32,7 @@ from pathlib import Path
 
 from .braiding import BraidedSpace
 from .bimodules import CrossedModule, HopfBimodule
-from .cyclotomic import Scalar, _canon, _div
+from .cyclotomic import ZERO, Scalar, _canon, _div
 from .errors import BraidedFormsError, ParseError, TooLarge
 from .hopf import HopfAlgebraData
 from .matrix import Matrix, hstack
@@ -89,12 +89,26 @@ def scalar_from_obj(obj) -> Scalar:
     raise ParseError(f"not a scalar: {obj!r}")
 
 
+_ZERO_OBJ = ZERO.to_obj()
+
+
+def _is_zero(e) -> bool:
+    """Whether e is exactly the serialized zero {"conductor": 1, "coeffs": [[0, 1]]}.
+    == alone would also take 1.0 or True for 1 and 0.0 or False for 0, which
+    scalar_from_obj refuses."""
+    if type(e) is not dict or e != _ZERO_OBJ:
+        return False
+    (p, q), = e["coeffs"]
+    return type(e["conductor"]) is type(p) is type(q) is int
+
+
 def matrix_from_obj(obj) -> Matrix:
     rows, cols = _integer(obj["rows"]), _integer(obj["cols"])
     entries = obj["entries"]
     if len(entries) != rows * cols:
         raise ParseError(f"matrix {rows}x{cols} needs {rows * cols} entries, got {len(entries)}")
-    return Matrix(rows, cols, [scalar_from_obj(e) for e in entries])
+    # most entries of a structure map are the canonical zero, which skips the parser
+    return Matrix(rows, cols, [ZERO if _is_zero(e) else scalar_from_obj(e) for e in entries])
 
 
 def generators_from_obj(vecs, dim: int) -> Matrix:

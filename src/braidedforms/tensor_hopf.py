@@ -10,7 +10,6 @@ images and their ranks; the wedge's Hopf structure is built when first read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .braiding import (
@@ -99,12 +98,12 @@ def check_antisym_hopf_morphism(x: BraidedSpace, N: int) -> Checks:
     return checks
 
 
-@dataclass
 class WedgeAlgebra:
-    space: BraidedSpace
-    N: int
-    im: list  # inclusion blocks into X^(tensor n)
-    coim: list  # projection blocks
+    def __init__(self, space: BraidedSpace, N: int, im: list, coim: list):
+        self.space = space
+        self.N = N
+        self.im = im      # inclusion blocks into X^(tensor n)
+        self.coim = coim  # projection blocks
 
     @property
     def dims(self) -> tuple:

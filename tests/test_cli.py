@@ -1,4 +1,7 @@
+import contextlib
+import io as stdio
 import json
+import os
 import tempfile
 import time
 from collections import Counter
@@ -12,7 +15,7 @@ from braidedforms import calculus, cli, io, tensor_hopf
 from braidedforms.bimodules import regular_bimodule
 from braidedforms.calculus import universal_fodc
 from braidedforms.cli import main
-from braidedforms.cyclotomic import Scalar
+from braidedforms.cyclotomic import ZERO, Scalar
 from braidedforms.matrix import Matrix
 
 
@@ -478,6 +481,198 @@ class TestExitCodes:
     def test_huge_degree_exit_3(self):
         assert run(["wedge-dims", str(io.bundled_path("swap2")),
                     "--max-degree", "100000"]) == 3
+
+
+    @pytest.mark.parametrize("entry", [
+        {"conductor": 1.0, "coeffs": [[0, 1]]}, {"conductor": True, "coeffs": [[0, 1]]},
+        {"conductor": 1, "coeffs": [[0.0, 1]]}, {"conductor": 1, "coeffs": [[False, 1]]},
+        {"conductor": 1, "coeffs": [[0, 1.0]]}, {"conductor": 1, "coeffs": [[0, True]]},
+        False, 0.0])
+    def test_zero_with_a_non_integer_exit_2(self, tmp_path, capsys, entry):
+        # each of these equals the serialized zero under ==, but the parser
+        # refuses a JSON float or bool wherever it reads an integer
+        obj = json.load(open(io.bundled_path("swap2")))
+        obj["psi"]["entries"][1] = entry
+        assert run(["check", "--kind", "braiding", bundle(tmp_path, "z.json", obj)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_zero_entries_skip_the_scalar_parser(monkeypatch):
+    # most of taft3's entries are the serialized zero, which parses to the
+    # shared ZERO without a call of scalar_from_obj
+    maps = [v for v in io.load_json(io.bundled_path("taft3")).values() if isinstance(v, dict)]
+    reference = [Matrix(m["rows"], m["cols"], [io.scalar_from_obj(e) for e in m["entries"]])
+                 for m in maps]
+    parsed = Counter()
+    monkeypatch.setattr(io, "scalar_from_obj", _counting(parsed, io.scalar_from_obj))
+    assert [io.matrix_from_obj(m) for m in maps] == reference
+    entries = [e for m in maps for e in m["entries"]]
+    zeros = entries.count(ZERO.to_obj())
+    assert zeros > len(entries) // 2 and parsed["scalar_from_obj"] == len(entries) - zeros
+
+
+SWEEDLER = str(io.bundled_path("sweedler"))
+# the input each command reads, so that only the command line can fail
+INPUTS = {"check": SWEEDLER, "classify": SWEEDLER, "wedge-dims": str(io.bundled_path("swap2")),
+          "build-calculus": str(io.bundled_path("kz2_universal_calculus"))}
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _main(argv):
+    """(exit code, stdout, stderr) of main(argv), which must not raise SystemExit."""
+    out, err = stdio.StringIO(), stdio.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # pragma: no cover - the failure being tested
+            pytest.fail(f"main({argv}) raised SystemExit({exc.code})")
+    return code, out.getvalue(), err.getvalue()
+
+
+def _synopsis_lines():
+    """The synopsis block of README's "Command-line tool" section."""
+    text = README.read_text(encoding="utf-8").split("## Command-line tool\n\n```\n", 1)[1]
+    return text.split("```", 1)[0].splitlines()
+
+
+class TestCommandLine:
+    """The command-line reader: its usage errors, help and defaults."""
+
+    @pytest.mark.parametrize("argv", [
+        [],                                                  # missing command
+        ["bogus", SWEEDLER], ["Check", SWEEDLER],            # unknown command
+        ["--out", "r.json", "check", SWEEDLER, "--kind", "hopf"],  # option before the command
+        ["check", "--kind", "hopf"], ["classify"],           # missing FILE
+        ["check", SWEEDLER, SWEEDLER, "--kind", "hopf"],     # extra FILE
+        ["classify", SWEEDLER, "--bogus"], ["classify", SWEEDLER, "-x"],
+        ["wedge-dims", INPUTS["wedge-dims"], "--max-degree", "2", "--route", "both"],  # unknown option
+        ["classify", SWEEDLER, "--"], ["check", SWEEDLER, "--kind", "hopf", "--=x"],  # ambiguous
+        ["check", SWEEDLER, "--kind"], ["classify", SWEEDLER, "--out"],  # missing value
+        ["classify", SWEEDLER, "--out", "--out"],
+        ["check", SWEEDLER, "--kind", "nope"], ["check", SWEEDLER, "--kind=HOPF"],  # bad choice
+        ["build-calculus", INPUTS["build-calculus"], "--route=fast"],
+        ["build-calculus", INPUTS["build-calculus"], "--route", ""],
+        ["check", SWEEDLER], ["check", SWEEDLER, "--out", "r.json"],  # required option
+        ["wedge-dims", INPUTS["wedge-dims"], "--compare-quadratic=yes"],  # a flag takes no value
+        *[[command, INPUTS[command], "--max-degree", degree]
+          for command in ("wedge-dims", "build-calculus")
+          for degree in ("0", "-1", "two", "2.5", "")],
+        ["wedge-dims", INPUTS["wedge-dims"], "--max-degree=0"],
+        ["build-calculus", INPUTS["build-calculus"], "--max=-1"],
+    ])
+    def test_usage_error_exit_2(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # no report is written, but "r.json" would land here
+        code, out, err = _main(argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["--help"], ["--he"], ["check", "-h"], ["wedge-dims", SWEEDLER, "--help"],
+        ["build-calculus", "--max-degree", "2", "-h", SWEEDLER], ["classify", SWEEDLER, "--h"]])
+    def test_help_exit_0(self, argv):
+        code, out, err = _main(argv)
+        assert code == 0 and err == ""
+        assert out.startswith(cli.__doc__)
+        synopsis = [line.strip() for line in out.split("\nUsage\n", 1)[1].splitlines()]
+        assert synopsis == _synopsis_lines()
+        assert len(synopsis) == len(cli.COMMANDS) == 4
+
+    def test_synopsis_names_every_option_and_choice(self):
+        lines = _synopsis_lines()
+        for (command, (_, options)), line in zip(cli.COMMANDS.items(), lines):
+            assert line.startswith(f"braidedforms {command} FILE")
+            for name, (kind, _) in options.items():
+                assert name in line
+                if isinstance(kind, tuple):
+                    assert "{" + ",".join(kind) + "}" in line
+
+    @pytest.mark.parametrize("argv, handler, expected", [
+        (["check", "F", "--kind", "crossed"], cli.cmd_check,
+         {"file": "F", "kind": "crossed", "out": None}),
+        (["wedge-dims", "F"], cli.cmd_wedge_dims,
+         {"file": "F", "max_degree": 4, "compare_quadratic": False, "out": None}),
+        (["build-calculus", "F"], cli.cmd_build_calculus,
+         {"file": "F", "max_degree": 3, "route": "biproduct", "out": None}),
+        (["classify", "F"], cli.cmd_classify, {"file": "F", "out": None}),
+        (["wedge-dims", "--compare-quadratic", "--max-degree", "07", "F", "--out", "r"],
+         cli.cmd_wedge_dims, {"file": "F", "max_degree": 7, "compare_quadratic": True, "out": "r"}),
+        (["build-calculus", "F", "--route", "both", "--route=maximal"], cli.cmd_build_calculus,
+         {"file": "F", "max_degree": 3, "route": "maximal", "out": None}),
+    ])
+    def test_defaults_and_values(self, argv, handler, expected):
+        # an option left out takes its documented default; the last one given counts
+        got, args = cli.parse_argv(argv)
+        assert got is handler and vars(args) == expected
+
+    def test_defaults_reach_the_report(self, tmp_path):
+        for argv, fields in (
+                (["wedge-dims", str(io.bundled_path("swap2"))], {"max_degree": 4}),
+                (["build-calculus", str(io.bundled_path("kz2_universal_calculus"))],
+                 {"max_degree": 3, "route": "biproduct"})):
+            out = tmp_path / "r.json"
+            assert run(argv + ["--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            assert {key: report[key] for key in fields} == fields
+            assert "quadratic_dims" not in report and "routes" not in report
+
+    @pytest.mark.parametrize("long, forms", [
+        (["check", "{F}", "--kind", "hopf", "--out", "{OUT}"],
+         [["check", "--kind=hopf", "--out={OUT}", "{F}"], ["check", "--k", "hopf", "--o", "{OUT}", "{F}"]]),
+        (["wedge-dims", "{F}", "--max-degree", "3", "--compare-quadratic", "--out", "{OUT}"],
+         [["wedge-dims", "--max-degree=3", "--compare-quadratic", "--out={OUT}", "{F}"],
+          ["wedge-dims", "--max", "3", "--comp", "{F}", "--ou={OUT}"]]),
+        (["build-calculus", "{F}", "--max-degree", "2", "--route", "both", "--out", "{OUT}"],
+         [["build-calculus", "--route=both", "--max-degree=2", "{F}", "--out={OUT}"],
+          ["build-calculus", "--max=2", "--r", "both", "--out", "{OUT}", "{F}"]]),
+        (["classify", "{F}", "--out", "{OUT}"], [["classify", "--out={OUT}", "{F}"],
+                                                 ["classify", "--o", "{OUT}", "{F}"]]),
+    ], ids=lambda v: v[0] if isinstance(v[0], str) else "")
+    def test_forms_give_the_same_report(self, tmp_path, long, forms):
+        path = INPUTS[long[0]]
+        reports = []
+        for i, argv in enumerate([long, *forms]):
+            out = tmp_path / f"r{i}.json"
+            code, stdout, err = _main([a.format(F=path, OUT=out) for a in argv])
+            assert code == 0 and err == ""
+            reports.append((stdout, out.read_bytes()))
+        assert reports[1:] == [reports[0]] * len(forms)
+
+
+def _command_lines():
+    """Command lines from the command names, the option names and prefixes
+    of them, values, files and junk: tokens in any order, or a command and
+    a file followed by options with values."""
+    options = sorted({name for _, opts in cli.COMMANDS.values() for name in opts})
+    prefixes = [name[:k] for name in options for k in (3, 5)]
+    values = ["1", "2", "0", "-1", "two", "both", "maximal", "fast", *cli.KINDS, "r.json"]
+    files = st.sampled_from(["kz2", "swap2", "kz2_universal_calculus", "missing"]).map(
+        lambda name: f"FILE:{name}")
+    junk = ["", "-", "--", "-h", "--=", "-x", "x=y", "--kind=hopf", "--max-degree=2", "--out=r.json"]
+    token = st.one_of(st.sampled_from([*cli.COMMANDS, *options, *prefixes, *values, *junk]), files)
+    with_value = st.tuples(st.sampled_from(options + prefixes), st.sampled_from(values))
+    shaped = st.tuples(st.sampled_from(list(cli.COMMANDS)), files,
+                       st.lists(st.one_of(with_value, token.map(lambda t: (t,))), max_size=4))
+    return st.one_of(st.lists(token, max_size=7),
+                     shaped.map(lambda t: [t[0], t[1], *(a for word in t[2] for a in word)]))
+
+
+class TestCommandLineFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(_command_lines())
+    def test_any_command_line_ends_in_exit_code(self, argv):
+        # any token may become an --out path: the reports land in a scratch directory
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                argv = [str(io.bundled_path(a[5:])) if a.startswith("FILE:") else a for a in argv]
+                code, _, err = _main(argv)
+            finally:
+                os.chdir(cwd)
+        assert code in (0, 1, 2, 3), argv
+        if code == 2:
+            assert err.startswith("error: "), argv
 
 
 def _paths(obj, path=()):

@@ -1,6 +1,9 @@
 """Source-level rules for the package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import braidedforms
@@ -204,3 +207,17 @@ def test_every_function_is_referenced():
              if not (fn.startswith("__") and fn.endswith("__"))
              and fn not in attrs and (is_method or fn not in names)]
     assert found == []
+
+
+def test_import_leaves_out_slow_stdlib_modules():
+    # a CLI call pays for every module its import loads: argparse (with
+    # gettext) and dataclasses (with inspect, ast, dis and tokenize) cost more
+    # than parsing a small input; -S keeps site's imports out of the count
+    code = ("import sys; before = set(sys.modules); import braidedforms.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    added = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                           capture_output=True, text=True).stdout.split()
+    assert "braidedforms.cli" in added
+    assert [name for name in added
+            if name.partition(".")[0] in ("argparse", "gettext", "dataclasses", "inspect")] == []
