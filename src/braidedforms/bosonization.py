@@ -27,11 +27,7 @@ from .bimodules import (
 )
 from .braiding import BraidedSpace
 from .cyclotomic import MINUS_ONE
-from .graded import (
-    GradedBialgebra,
-    antipode_recursive,
-    signed_swap_blocks,
-)
+from .graded import GradedBialgebra, antipode_recursive
 from .hopf import HopfAlgebraData
 from .matrix import (
     Matrix,
@@ -92,7 +88,7 @@ def wedge_over_H(h: HopfAlgebraData, x: HopfBimodule, N: int) -> tuple[GradedBia
     counit = kron(h.counit, walg.counit)
     alg = GradedBialgebra(
         dims, mult, unit, comult, counit,
-        signed_swap_blocks(dims, dims), lam=MINUS_ONE,
+        lambda k, l: swap_matrix(dims[k], dims[l]), MINUS_ONE,
     )
     s0 = kron(h.antipode, Matrix.identity(walg.dims[0]))
     alg.antipode = antipode_recursive(alg, s0)

@@ -170,9 +170,3 @@ def block_swap(k: int, l: int) -> Permutation:
     images = [i + l for i in range(1, k + 1)] + [i for i in range(1, l + 1)]
     return Permutation(images)
 
-
-def block_swap_rep(k: int, l: int, x: BraidedSpace) -> Matrix:
-    """Braiding X^k @ X^l -> X^l @ X^k induced by psi (length k*l rep)."""
-    if k == 0 or l == 0:
-        return Matrix.identity(x.dim ** (k + l))
-    return x.rep(block_swap(k, l))

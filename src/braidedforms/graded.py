@@ -3,9 +3,10 @@ of structure to graded sub- and quotient bialgebras.
 
 All graded objects are truncated at an explicit max degree N; every axiom is
 checked blockwise for total degree <= N.  A GradedBialgebra carries its own
-family of braiding blocks b(k,l): B_k @ B_l -> B_l @ B_k (the graded braiding
-of the ambient category at the structure's lambda), which is what the
-bialgebra axiom and the bi-ideal conditions are checked against.
+unweighted swap blocks s(k,l): B_k @ B_l -> B_l @ B_k and its lambda, and
+weights them once, in braid(k, l) = lambda^(kl) s(k,l): the graded braiding
+of the ambient category, which is what the bialgebra axiom and the bi-ideal
+conditions are checked against.
 """
 
 from __future__ import annotations
@@ -28,31 +29,14 @@ from .matrix import (
     kron,
     kron_apply,
     restrict,
-    swap_matrix,
 )
-
-
-def weighted_blocks(swap, lam):
-    """Braid blocks (k, l) -> lam^(kl) * swap(k, l): the graded braiding of
-    degree-k and degree-l components at lam, from their unweighted swap."""
-    def blocks(k, l):
-        m = swap(k, l)
-        w = lam ** (k * l)
-        return m if w == 1 else m.scale(w)
-
-    return blocks
-
-
-def signed_swap_blocks(dims_x, dims_y):
-    """Braid blocks (-1)^(kl) * plain swap, the graded braiding of Vect^N."""
-    return weighted_blocks(lambda k, l: swap_matrix(dims_x[k], dims_y[l]), MINUS_ONE)
 
 
 class GradedBialgebra:
     """Blockwise graded bialgebra data, optionally Hopf and differential."""
 
-    def __init__(self, dims, mult, unit, comult, counit, braid_blocks,
-                 antipode=None, differential=None, lam=MINUS_ONE):
+    def __init__(self, dims, mult, unit, comult, counit, swap, lam,
+                 antipode=None, differential=None):
         self.dims = tuple(int(d) for d in dims)
         self.N = len(self.dims) - 1
         if any(d < 0 for d in self.dims):
@@ -61,7 +45,7 @@ class GradedBialgebra:
         self.unit = unit
         self.comult = dict(comult)
         self.counit = counit
-        self._braid = braid_blocks  # callable (k, l) -> Matrix
+        self.swap = swap  # callable (k, l) -> the unweighted block
         self._braid_memo = {}
         self.antipode = list(antipode) if antipode is not None else None
         self.differential = list(differential) if differential is not None else None
@@ -82,8 +66,11 @@ class GradedBialgebra:
         return self.comult[(k, l)]
 
     def braid(self, k, l):
+        """lam^(kl) * swap(k, l), the swap itself when the weight is 1."""
         if (k, l) not in self._braid_memo:
-            self._braid_memo[(k, l)] = self._braid(k, l)
+            m = self.swap(k, l)
+            w = self.lam ** (k * l)
+            self._braid_memo[(k, l)] = m if w == 1 else m.scale(w)
         return self._braid_memo[(k, l)]
 
     def eye(self, n):
@@ -93,7 +80,7 @@ class GradedBialgebra:
         """Every block check_graded_structure reads, the braid blocks (k, l)
         with k + l <= N among them.  Two algebras whose blocks compare equal
         get the same verdicts and witnesses.  The result holds matrices only,
-        not the algebra or its braid callable."""
+        not the algebra or its swap callable."""
         N = self.N
         return {
             "dims": self.dims,
@@ -258,8 +245,8 @@ def _transport(b: GradedBialgebra, dims, block, differential=None) -> GradedBial
         d = [block(d[n], (n,), (n + 1,)) for n in range(N)] + [Matrix.zero(0, dims[N])]
     return GradedBialgebra(
         dims, mult, block(b.unit, (), (0,)), comult, block(b.counit, (0,), ()),
-        lambda k, l: block(b.braid(k, l), (k, l), (l, k)),
-        antipode=antipode, differential=d, lam=b.lam,
+        lambda k, l: block(b.swap(k, l), (k, l), (l, k)), b.lam,
+        antipode=antipode, differential=d,
     )
 
 

@@ -1,8 +1,8 @@
 """JSON (de)serialization for all structure-constant files.
 
 Schemas (schema_version 1; all matrices row-major, scalars in the cyclotomic
-serialization {"conductor": n, "coeffs": [[num, den], ...]}; integer and
-"p/q" string shorthands are accepted on input):
+serialization {"conductor": n, "coeffs": [[num, den], ...]}, with no other
+key; integer and "p/q" string shorthands are accepted on input):
 
   hopf      {"dim", "mult", "unit", "comult", "counit", "antipode", "antipode_inv"}
   braiding  {"dim", "psi": Matrix, "lambda": Scalar}
@@ -32,6 +32,7 @@ from pathlib import Path
 
 from .braiding import BraidedSpace
 from .bimodules import CrossedModule, HopfBimodule
+from .calculus import FirstOrderCalculus, fodc_from_submodule, universal_fodc
 from .cyclotomic import ZERO, Scalar, _canon, _div
 from .errors import BraidedFormsError, ParseError, TooLarge
 from .hopf import HopfAlgebraData
@@ -58,9 +59,13 @@ def _integer(x) -> int:
 
 
 def scalar_from_obj(obj) -> Scalar:
-    """Scalar from the full serialization, an integer, "p/q", or [p, q]."""
+    """Scalar from the full serialization, an integer, "p/q", or [p, q].  The
+    full serialization holds the keys "conductor" and "coeffs" and no other."""
     try:
         if isinstance(obj, dict):
+            for key in obj:
+                if key not in ("conductor", "coeffs"):
+                    raise ParseError(f"not a scalar: {obj!r} (unknown key {key!r})")
             n = obj["conductor"]
             if type(n) is not int:
                 n = _integer(n)
@@ -127,7 +132,9 @@ def load_json(path) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
             obj = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers bad JSON, bytes that are not UTF-8 and a NUL in the
+    # path; RecursionError a nesting deeper than the decoder goes
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
@@ -267,9 +274,7 @@ def crossed_from_obj(obj, base_dir=None) -> CrossedModule:
 
 
 def calculus_from_obj(obj, base_dir=None):
-    """Calculus bundle -> FirstOrderCalculus (imported lazily to avoid cycles)."""
-    from .calculus import FirstOrderCalculus, fodc_from_submodule, universal_fodc
-
+    """Calculus bundle -> FirstOrderCalculus."""
     if "hopf" not in obj:
         raise ParseError('calculus bundle needs a "hopf" reference')
     h = load_hopf_ref(obj["hopf"], base_dir)

@@ -87,19 +87,10 @@ class Permutation:
         return tuple(reversed(word))
 
     def reduced_expression_left(self) -> tuple[int, ...]:
-        """A second reduced word: strip left descents (a-positions of
-        sigma^{-1}); generally differs from reduced_expression."""
-        word = []
-        inv = list(self.inverse().images)
-        while True:
-            for a in range(len(inv) - 1):
-                if inv[a] > inv[a + 1]:
-                    inv[a], inv[a + 1] = inv[a + 1], inv[a]
-                    word.append(a + 1)
-                    break
-            else:
-                break
-        return tuple(word)
+        """A second reduced word, from the left descents: sigma^{-1}'s
+        canonical word reversed, since (t_{a_1} ... t_{a_l})^{-1} is
+        t_{a_l} ... t_{a_1}; generally differs from reduced_expression."""
+        return tuple(reversed(self.inverse().reduced_expression()))
 
 
 def all_permutations(j: int) -> Iterator[Permutation]:

@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .braiding import (
     BraidedSpace,
-    block_swap_rep,
+    block_swap,
     braided_factorial,
     braided_factorials,
     check_yang_baxter,
@@ -23,7 +23,7 @@ from .braiding import (
 from .checks import Checks
 from .cyclotomic import MINUS_ONE, Scalar
 from .errors import FactorizationError
-from .graded import GradedBialgebra, ideal_quotient, sub_bialgebra, weighted_blocks
+from .graded import GradedBialgebra, ideal_quotient, sub_bialgebra
 from .matrix import Matrix, compose_kron, kron_apply
 from .permutations import Partition, Permutation
 
@@ -68,8 +68,7 @@ def build_tensor_hopf(x: BraidedSpace, variant: str, N: int) -> GradedBialgebra:
     antipode = [closed_form_antipode(x, n) for n in range(N + 1)]
     return GradedBialgebra(
         dims, mult, Matrix.identity(1), comult, Matrix.identity(1),
-        weighted_blocks(lambda k, l: block_swap_rep(k, l, x), x.lam),
-        antipode=antipode, lam=x.lam,
+        lambda k, l: x.rep(block_swap(k, l)), x.lam, antipode=antipode,
     )
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from braidedforms import io
 from braidedforms.braiding import (
     BraidedSpace,
+    block_swap,
     braided_factorial,
     braided_line,
     check_yang_baxter,
@@ -191,3 +192,11 @@ class TestMultinomials:
         with pytest.raises(TooLarge):
             x.guard(7)  # 4^7 > 4096
         x.guard(6)
+
+
+@pytest.mark.parametrize("x", corpus_spaces(), ids=["swap2", "swap3", "diagonal", "line"])
+def test_block_swap_past_an_empty_block_is_the_identity(x):
+    # psi^0 = 1 on a line, and the empty word on a space of dim >= 2
+    for n in range(4):
+        eye = Matrix.identity(x.dim**n)
+        assert x.rep(block_swap(n, 0)) == eye and x.rep(block_swap(0, n)) == eye

@@ -497,6 +497,57 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+    @pytest.mark.parametrize("where", ["lambda", "psi"])
+    @pytest.mark.parametrize("entry, key", [
+        ({"conductor": 3, "coeffs": [[1, 1]], "coefs": 5}, "coefs"),
+        ({"conductor": 1, "coeffs": [[0, 1]], "junk": 5}, "junk"),
+        ({"conductor": 1, "coeffs": [[1, 1]], "conductor ": 1}, "conductor "),
+        ({"coeffs": [[1, 1]], "n": 1}, "n")])
+    def test_unknown_scalar_key_exit_2(self, tmp_path, capsys, entry, key, where):
+        # a scalar object holds "conductor" and "coeffs" and nothing else; the
+        # error names the first other key
+        obj = json.load(open(io.bundled_path("swap2")))
+        if where == "lambda":
+            obj["lambda"] = entry
+        else:
+            obj["psi"]["entries"][1] = entry
+        assert run(["check", "--kind", "braiding", bundle(tmp_path, "k.json", obj)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"unknown key {key!r}" in err
+
+
+# Files that cannot be read as JSON text: a NUL in the path, bytes that are
+# not UTF-8, and a nesting deeper than the decoder goes
+UNREADABLE = {
+    "nul-in-path": None,
+    "invalid-utf8": b'{"dim": 1\xff}',
+    "deep-nesting": b"[" * 200_000 + b"]" * 200_000,
+}
+# the commands that read FILE itself, and those that also read a "hopf" reference in it
+READ_DIRECTLY = [*(["check", "--kind", kind] for kind in cli.CHECKERS),
+                 ["wedge-dims"], ["build-calculus"], ["classify"]]
+READ_BY_REFERENCE = [*(["check", "--kind", kind] for kind in ("bimodule", "crossed", "calculus")),
+                     ["build-calculus"], ["classify"]]
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE))
+@pytest.mark.parametrize("how, command", [
+    *(("directly", c) for c in READ_DIRECTLY), *(("by reference", c) for c in READ_BY_REFERENCE)],
+    ids=lambda v: v if isinstance(v, str) else " ".join(v))
+def test_unreadable_file_exit_2(tmp_path, name, how, command):
+    if UNREADABLE[name] is None:
+        path = tmp_path / "a\x00b.json"
+    else:
+        path = tmp_path / "bad.json"
+        path.write_bytes(UNREADABLE[name])
+    if how == "by reference":
+        path = Path(bundle(tmp_path, "ref.json", {"hopf": path.name}))
+    code, out, err = _main([command[0], str(path), *command[1:]])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_zero_entries_skip_the_scalar_parser(monkeypatch):
     # most of taft3's entries are the serialized zero, which parses to the
     # shared ZERO without a call of scalar_from_obj
@@ -645,7 +696,7 @@ def _command_lines():
     a file followed by options with values."""
     options = sorted({name for _, opts in cli.COMMANDS.values() for name in opts})
     prefixes = [name[:k] for name in options for k in (3, 5)]
-    values = ["1", "2", "0", "-1", "two", "both", "maximal", "fast", *cli.KINDS, "r.json"]
+    values = ["1", "2", "0", "-1", "two", "both", "maximal", "fast", *cli.CHECKERS, "r.json"]
     files = st.sampled_from(["kz2", "swap2", "kz2_universal_calculus", "missing"]).map(
         lambda name: f"FILE:{name}")
     junk = ["", "-", "--", "-h", "--=", "-x", "x=y", "--kind=hopf", "--max-degree=2", "--out=r.json"]
@@ -758,3 +809,88 @@ class TestFuzz:
                 commands.append(["build-calculus", str(path), "--max-degree", "1"])
             for argv in commands:
                 assert run(argv) in (0, 1, 2, 3), argv
+
+
+# --- file contents fuzz: random bytes, random JSON trees, one-edit corpus files
+
+SCHEMA_KEYS = ["dim", "mult", "unit", "comult", "counit", "antipode", "antipode_inv", "psi",
+               "lambda", "rows", "cols", "entries", "conductor", "coeffs", "hopf", "submodule",
+               "ambient", "generators", "candidates", "X", "d", "mu_l", "mu_r", "nu_l", "nu_r"]
+json_keys = st.one_of(st.sampled_from(SCHEMA_KEYS), st.text(max_size=3))
+json_leaves = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from([0.5, -1.0]),
+                        st.sampled_from(["", "x", "1/2", "ker_counit", "bundled:kz2"]))
+json_trees = st.recursive(
+    json_leaves,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(json_keys, kids, max_size=4),
+    max_leaves=16)
+# one value of each JSON type: a value is retyped to one of another type
+TYPED = [None, True, 1, 0.5, "x", [], {}]
+
+SMALL_FILES = {name: io.load_json(io.bundled_path(name))
+               for name in ("kz2", "swap2", "kz2_universal_calculus")}
+NATURAL_KIND = {"kz2": "hopf", "swap2": "braiding", "kz2_universal_calculus": "calculus"}
+
+
+def _dict_paths(obj, path=()):
+    """The key paths of every dict in obj, the top level's () among them."""
+    found = [path]
+    for k, v in obj.items():
+        if isinstance(v, dict):
+            found += _dict_paths(v, path + (k,))
+    return found
+
+
+@st.composite
+def edited_files(draw):
+    """A small bundled file with one key dropped, one key added, or one value
+    given another JSON type; and the check kind that reads it."""
+    name = draw(st.sampled_from(sorted(SMALL_FILES)))
+    obj = json.loads(json.dumps(SMALL_FILES[name]))
+    parent = obj
+    for k in draw(st.sampled_from(_dict_paths(obj))):
+        parent = parent[k]
+    edit = draw(st.sampled_from(["drop", "add", "retype"]))
+    if edit == "add" or not parent:
+        parent[draw(json_keys)] = draw(json_trees)
+    else:
+        key = draw(st.sampled_from(sorted(parent)))
+        if edit == "drop":
+            del parent[key]
+        else:
+            parent[key] = draw(st.sampled_from([v for v in TYPED if type(v) is not type(parent[key])]))
+    return json.dumps(obj).encode(), NATURAL_KIND[name]
+
+
+def _run_on_file(content: bytes, kind: str):
+    """check --kind kind, wedge-dims --max-degree 2 and classify on a file
+    holding content: each ends in an exit code, with one error line on 2."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.json"
+        path.write_bytes(content)
+        for argv in (["check", str(path), "--kind", kind],
+                     ["wedge-dims", str(path), "--max-degree", "2"],
+                     ["classify", str(path)]):
+            code, _, err = _main(argv)
+            assert code in (0, 1, 2, 3), (argv, content)
+            if code == 2:
+                assert err.startswith("error: ") and err.count("\n") == 1, (argv, content, err)
+
+
+kinds = st.sampled_from(list(cli.CHECKERS))
+
+
+class TestFileFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(st.binary(max_size=64), kinds)
+    def test_random_bytes(self, content, kind):
+        _run_on_file(content, kind)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(st.dictionaries(json_keys, json_trees, max_size=5), json_trees), kinds)
+    def test_random_json_trees(self, tree, kind):
+        _run_on_file(json.dumps(tree).encode(), kind)
+
+    @settings(max_examples=100, deadline=None)
+    @given(edited_files())
+    def test_one_edit_of_a_small_bundled_file(self, edited):
+        _run_on_file(*edited)

@@ -1,7 +1,13 @@
 import pytest
 
-from braidedforms import io
-from braidedforms.braiding import braided_line, swap_space
+from braidedforms import graded, io
+from braidedforms.braiding import (
+    BraidedSpace,
+    block_swap,
+    braided_factorials,
+    braided_line,
+    swap_space,
+)
 from braidedforms.calculus import exterior_calculus, universal_fodc
 from braidedforms.checks import Checks
 from braidedforms.cyclotomic import MINUS_ONE, ONE, Scalar
@@ -11,21 +17,21 @@ from braidedforms.graded import (
     antipode_recursive,
     check_graded_structure,
     ideal_quotient,
-    signed_swap_blocks,
     sub_bialgebra,
 )
-from braidedforms.matrix import Matrix, kron
+from braidedforms.matrix import Matrix, descend, kron, restrict, swap_matrix
 from braidedforms.tensor_hopf import build_tensor_hopf
 
 
 class TestSpacesAndMaps:
     def test_signed_swap_square_is_identity(self):
         dims = (1, 2, 1)
-        blocks = signed_swap_blocks(dims, dims)
+        b = GradedBialgebra(dims, {}, Matrix.identity(1), {}, Matrix.identity(1),
+                            lambda k, l: swap_matrix(dims[k], dims[l]), MINUS_ONE)
         for k in range(3):
             for l in range(3 - k):
-                forward = blocks(k, l)
-                back = blocks(l, k)
+                forward = b.braid(k, l)
+                back = b.braid(l, k)
                 assert back.compose(forward) == Matrix.identity(dims[k] * dims[l])
 
 
@@ -42,13 +48,13 @@ class TestGradedBialgebra:
         comult = {(0, 0): eye, (0, 1): eye, (1, 0): eye}
         with pytest.raises(IncompatibleBraiding):
             GradedBialgebra(dims, mult, eye, comult, eye,
-                            signed_swap_blocks(dims, dims),
-                            differential=[eye, Matrix.zero(0, 1)], lam=ONE)
+                            lambda k, l: swap_matrix(dims[k], dims[l]), ONE,
+                            differential=[eye, Matrix.zero(0, 1)])
 
     def test_negative_dimension_rejected(self):
         eye = Matrix.identity(1)
         with pytest.raises(ShapeError, match="negative dimension"):
-            GradedBialgebra((1, -1), {}, eye, {}, eye, signed_swap_blocks((1, -1), (1, -1)))
+            GradedBialgebra((1, -1), {}, eye, {}, eye, lambda k, l: eye, MINUS_ONE)
 
     def test_broken_multiplication_detected(self):
         t = build_tensor_hopf(swap_space(2), "shuffle_coproduct", 2)
@@ -201,20 +207,20 @@ def _corrupt(b, part):
     """A copy of b with one degree-1 block of `part` changed."""
     mult, comult = dict(b.mult), dict(b.comult)
     antipode, differential = list(b.antipode), list(b.differential)
-    braid = b.braid
+    swap = b.swap
     if part == "mult":
         mult[(1, 1)] = _bump(mult[(1, 1)])
     elif part == "comult":
         comult[(1, 1)] = _bump(comult[(1, 1)])
     elif part == "braid":
-        def braid(k, l, inner=b.braid):
+        def swap(k, l, inner=b.swap):
             return _bump(inner(k, l)) if (k, l) == (1, 1) else inner(k, l)
     elif part == "antipode":
         antipode[1] = _bump(antipode[1])
     elif part == "differential":
         differential[0] = _bump(differential[0])
-    return GradedBialgebra(b.dims, mult, b.unit, comult, b.counit, braid,
-                           antipode=antipode, differential=differential, lam=b.lam)
+    return GradedBialgebra(b.dims, mult, b.unit, comult, b.counit, swap, b.lam,
+                           antipode=antipode, differential=differential)
 
 
 @pytest.fixture(scope="module", params=["kz3", "sweedler"])
@@ -238,8 +244,8 @@ class TestChecksAgainstReference:
         comult = dict(exterior.comult)
         comult[block] = _bump(comult[block])
         b = GradedBialgebra(exterior.dims, exterior.mult, exterior.unit, comult,
-                            exterior.counit, exterior.braid, antipode=exterior.antipode,
-                            differential=exterior.differential, lam=exterior.lam)
+                            exterior.counit, exterior.swap, exterior.lam,
+                            antipode=exterior.antipode, differential=exterior.differential)
         report = check_graded_structure(b, "diff_hopf")
         reference = reference_check(b, "diff_hopf")
         assert report.first == reference.first and report.failed == reference.failed
@@ -260,11 +266,69 @@ class TestBlocks:
         t = build_tensor_hopf(braided_line(Scalar.zeta(3)), "shuffle_coproduct", 2)
 
         def with_lam(lam):
-            return GradedBialgebra(t.dims, t.mult, t.unit, t.comult, t.counit, t.braid,
-                                   antipode=t.antipode, lam=lam)
+            return GradedBialgebra(t.dims, t.mult, t.unit, t.comult, t.counit, t.swap, lam,
+                                   antipode=t.antipode)
 
         assert with_lam(t.lam).blocks() == t.blocks()
         assert with_lam(Scalar.zeta(3)).blocks() != t.blocks()
+
+
+# bundled spaces at a lambda outside {1, -1}, with a degree N at which some
+# braided factorial [n]!, n <= N, has a kernel: lam psi = -zeta_3^2 has order 6
+# on the line, and the diagonal's lam q_ii = zeta_5^2 has order 5
+GENERIC = {"braided_line_zeta3": (Scalar.zeta(3), 6), "diagonal_zeta5": (Scalar.zeta(5), 5)}
+
+
+@pytest.fixture(scope="module", params=sorted(GENERIC))
+def generic(request):
+    lam, N = GENERIC[request.param]
+    x = io.braiding_from_obj(io.load_json(io.bundled_path(request.param)))
+    return BraidedSpace(x.dim, x.psi, lam), N
+
+
+def _pairs(N):
+    return [(k, l) for k in range(N + 1) for l in range(N + 1 - k)]
+
+
+class TestBraidBlocks:
+    """GradedBialgebra weights the unweighted swap by lam^(kl) in braid(k, l);
+    a transported algebra's blocks are the transported weighted blocks."""
+
+    @pytest.mark.parametrize("variant", ["shuffle_coproduct", "shuffle_product"])
+    def test_tensor_hopf(self, generic, variant):
+        x, N = generic
+        t = build_tensor_hopf(x, variant, N)
+        for k, l in _pairs(N):
+            assert t.braid(k, l) == x.rep(block_swap(k, l)).scale(x.lam ** (k * l)), (k, l)
+
+    def test_sub_bialgebra(self, generic):
+        # the powers of the first basis vector span a sub-bialgebra of T(X),
+        # since the braiding is diagonal
+        x, N = generic
+        t = build_tensor_hopf(x, "shuffle_coproduct", N)
+        incl = [Matrix.identity(x.dim**n).col(0) for n in range(N + 1)]
+        sub = sub_bialgebra(t, incl)
+        assert sub.lam == x.lam and sub.dims == (1,) * (N + 1)
+        for k, l in _pairs(N):
+            expected = restrict(t.braid(k, l), [incl[k], incl[l]], [incl[l], incl[k]])
+            assert sub.braid(k, l) == expected, (k, l)
+
+    def test_ideal_quotient(self, generic, monkeypatch):
+        # the lowest-degree kernel of the braided factorials is primitive, so
+        # it generates a bi-ideal
+        x, N = generic
+        t = build_tensor_hopf(x, "shuffle_coproduct", N)
+        facts = braided_factorials(N, x)
+        n = next(n for n, f in enumerate(facts) if f.kernel_basis().cols)
+        projs = []
+        quotient = graded.quotient_bialgebra
+        monkeypatch.setattr(graded, "quotient_bialgebra",
+                            lambda b, proj: projs.extend(proj) or quotient(b, proj))
+        q = ideal_quotient(t, facts[n].kernel_basis(), n)
+        assert q.lam == x.lam and q.dims[n] < t.dims[n]
+        for k, l in _pairs(N):
+            expected = descend(t.braid(k, l), [projs[k], projs[l]], [projs[l], projs[k]])
+            assert q.braid(k, l) == expected, (k, l)
 
 
 def _triple_block(b):

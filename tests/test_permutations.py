@@ -31,7 +31,28 @@ def word_to_permutation(j, word):
     return p
 
 
+def reference_reduced_expression_left(p):
+    """The left word by its own bubble sort: strip the left descents of p,
+    the a-positions of p^{-1}, recording each as it is stripped."""
+    word = []
+    inv = list(p.inverse().images)
+    while True:
+        for a in range(len(inv) - 1):
+            if inv[a] > inv[a + 1]:
+                inv[a], inv[a + 1] = inv[a + 1], inv[a]
+                word.append(a + 1)
+                break
+        else:
+            break
+    return tuple(word)
+
+
 class TestPermutation:
+    def test_left_word_matches_its_own_sort(self):
+        for n in range(1, 7):
+            for p in all_permutations(n):
+                assert p.reduced_expression_left() == reference_reduced_expression_left(p)
+
     def test_length(self):
         assert Permutation.identity(4).length() == 0
         assert transposition(3, 1).length() == 1
