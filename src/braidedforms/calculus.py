@@ -16,7 +16,9 @@ bi-invariant element, the maximal differential calculus inside a
 differential graded algebra, and the exterior differential Hopf algebra
 (X^wedge_H, d^wedge) computed by two independent routes (the biproduct of
 forms, and the maximal calculus of the comma extension's wedge).  Both
-routes take (calc, N) and return the GradedBialgebra with its differential.
+routes take (calc, N) and return the GradedBialgebra carrying its
+differential d_0 ... d_(N-1), which the maximal calculus, the generation
+conditions and the checks read from it.
 """
 
 from __future__ import annotations
@@ -218,24 +220,23 @@ def bracket_differential(alg: GradedBialgebra, xhat: Matrix) -> list[Matrix]:
         right = compose_kron(alg.m(n, 1), alg.eye(n), xhat)
         sign = ONE if n % 2 == 0 else MINUS_ONE
         out.append(left - right.scale(sign))
-    out.append(Matrix.zero(0, alg.dims[alg.N]))
     return out
 
 
 # --- maximal calculus ------------------------------------------------------
 
 
-def maximal_calculus(alg: GradedBialgebra, diff: list[Matrix]) -> GradedBialgebra:
-    """The maximal differential calculus inside a graded algebra with the
-    differential diff: the sub-bialgebra with i_0 = id,
+def maximal_calculus(alg: GradedBialgebra) -> GradedBialgebra:
+    """The maximal differential calculus inside a graded algebra with a
+    differential: the sub-bialgebra with i_0 = id,
     i_1 = Im(m_(0,1) o (id (x) d_0)), i_(n+1) = Im(m_(n,1) o (i_n (x) i_1))."""
     incl = [Matrix.identity(alg.dims[0])]
-    first = compose_kron(alg.m(0, 1), alg.eye(0), diff[0])
+    first = compose_kron(alg.m(0, 1), alg.eye(0), alg.differential[0])
     incl.append(first.column_echelon_basis()[0])
     for n in range(2, alg.N + 1):
         gen = compose_kron(alg.m(n - 1, 1), incl[n - 1], incl[1])
         incl.append(gen.column_echelon_basis()[0])
-    return sub_bialgebra(alg, incl, diff)
+    return sub_bialgebra(alg, incl)
 
 
 # --- exterior calculus -----------------------------------------------------
@@ -262,7 +263,6 @@ def biproduct_differential(alg: GradedBialgebra, can: Matrix, d: Matrix) -> list
         target = (compose_kron(alg.m(2, n - 1), diff[1], alg.eye(n - 1))
                   - compose_kron(alg.m(1, n), alg.eye(1), diff[n - 1]))
         diff.append(solve_epi(target, alg.m(1, n - 1)))
-    diff.append(Matrix.zero(0, alg.dims[N]))
     return diff
 
 
@@ -279,20 +279,21 @@ def exterior_calculus_via_comma(calc: FirstOrderCalculus, N: int) -> GradedBialg
     bim, xhat = comma_extension(calc)
     alg, can = wedge_over_H(calc.h, bim, N)
     # xhat = (eta, 0) in degree 1: B_1 = H (x) _H(H (+) X)
-    diff = bracket_differential(alg, can.inverse().compose(xhat))
-    return maximal_calculus(alg, diff)
+    alg.differential = bracket_differential(alg, can.inverse().compose(xhat))
+    return maximal_calculus(alg)
 
 
 # --- verification ----------------------------------------------------------
 
 
-def generation_conditions(alg: GradedBialgebra, diff: list[Matrix]) -> dict:
-    """The equivalent generation conditions, evaluated per degree:
+def generation_conditions(alg: GradedBialgebra) -> dict:
+    """The equivalent generation conditions on alg's differential, evaluated
+    per degree:
     (2) A_0 . d(A_n) spans A_(n+1);
     (3) d(A_n) . A_0 spans A_(n+1);
     (4) A_0 . d(A_n) . A_0 spans A_(n+1);
     (5) A_0 . d(A_0) ... d(A_0) spans A_n."""
-    N = alg.N
+    N, diff = alg.N, alg.differential
     e0 = alg.eye(0)
     cond = {"left": [], "right": [], "two_sided": [], "iterated": []}
     for n in range(N):
@@ -321,4 +322,4 @@ def verify_calculus(obj) -> Checks:
     the differential Hopf axioms of a graded bialgebra with differential."""
     if isinstance(obj, FirstOrderCalculus):
         return check_first_order(obj)
-    return check_graded_structure(obj, "diff_hopf")
+    return check_graded_structure(obj)

@@ -121,7 +121,7 @@ def _route_report(calc, N: int, route: str, verified: list) -> tuple[dict, Check
     return {
         "dims": list(alg.dims),
         "checks": checks.to_obj(),
-        "d_blocks": [d.to_obj() for d in alg.differential[:N]],
+        "d_blocks": [d.to_obj() for d in alg.differential],
     }, checks
 
 

@@ -194,18 +194,3 @@ def sweedler_algebra() -> HopfAlgebraData:
     h.name = "sweedler"
     return h
 
-
-def corpus(names) -> dict[str, HopfAlgebraData]:
-    """The named members of the bundled Hopf algebra corpus, built fresh (and
-    thus re-validated)."""
-    builders = {
-        "kz2": lambda: cyclic_group_algebra(2),
-        "kz3": lambda: cyclic_group_algebra(3),
-        "kz4": lambda: cyclic_group_algebra(4),
-        "kz5": lambda: cyclic_group_algebra(5),
-        "kz6": lambda: cyclic_group_algebra(6),
-        "ks3": symmetric_group_algebra_s3,
-        "sweedler": sweedler_algebra,
-        "taft3": lambda: taft_algebra(3),
-    }
-    return {name: builders[name]() for name in names}

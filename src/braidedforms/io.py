@@ -129,15 +129,16 @@ def generators_from_obj(vecs, dim: int) -> Matrix:
 
 
 def load_json(path) -> dict:
+    # the path is quoted, so a newline or NUL in it cannot break the error line
     try:
         with open(path, encoding="utf-8") as f:
             obj = json.load(f)
     # ValueError covers bad JSON, bytes that are not UTF-8 and a NUL in the
     # path; RecursionError a nesting deeper than the decoder goes
     except (OSError, ValueError, RecursionError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        raise ParseError(f"{str(path)!r}: {exc}") from exc
     if not isinstance(obj, dict):
-        raise ParseError(f"{path}: top level must be a JSON object")
+        raise ParseError(f"{str(path)!r}: top level must be a JSON object")
     return obj
 
 

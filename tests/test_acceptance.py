@@ -196,7 +196,7 @@ class TestCriterion3TensorHopf:
         for x in braiding_corpus():
             for variant in ("shuffle_coproduct", "shuffle_product"):
                 t = build_tensor_hopf(x, variant, 4)
-                assert check_graded_structure(t, "hopf").ok
+                assert check_graded_structure(t).ok
 
     def test_recursive_antipode_matches_closed_form(self):
         for x in braiding_corpus():
@@ -402,7 +402,7 @@ class TestCriterion11MainTheorem:
     def test_full_diff_hopf_suite_both_routes(self, routes):
         univ, ext, alg_max = routes
         for alg in (ext, alg_max):
-            report = check_graded_structure(alg, "diff_hopf")
+            report = check_graded_structure(alg)
             assert report.ok, report
 
     def test_restricts_to_input_in_degrees_0_1(self, routes, kz2):
@@ -417,7 +417,7 @@ class TestCriterion11MainTheorem:
     def test_generation_per_degree(self, routes):
         _, ext, alg_max = routes
         for alg in (ext, alg_max):
-            gen = generation_conditions(alg, alg.differential)
+            gen = generation_conditions(alg)
             assert gen["generated"] and gen["all_agree"], gen
 
     def _iterated_generators(self, alg, d, dim_h):

@@ -517,12 +517,14 @@ class TestExitCodes:
         assert f"unknown key {key!r}" in err
 
 
-# Files that cannot be read as JSON text: a NUL in the path, bytes that are
-# not UTF-8, and a nesting deeper than the decoder goes
+# Files that cannot be read as JSON text, by (file name, content or None for
+# no file): a NUL in the path, a missing file with a newline in its name,
+# bytes that are not UTF-8, and a nesting deeper than the decoder goes
 UNREADABLE = {
-    "nul-in-path": None,
-    "invalid-utf8": b'{"dim": 1\xff}',
-    "deep-nesting": b"[" * 200_000 + b"]" * 200_000,
+    "nul-in-path": ("a\x00b.json", None),
+    "newline-in-path": ("a\nb.json", None),
+    "invalid-utf8": ("bad.json", b'{"dim": 1\xff}'),
+    "deep-nesting": ("bad.json", b"[" * 200_000 + b"]" * 200_000),
 }
 # the commands that read FILE itself, and those that also read a "hopf" reference in it
 READ_DIRECTLY = [*(["check", "--kind", kind] for kind in cli.CHECKERS),
@@ -536,16 +538,47 @@ READ_BY_REFERENCE = [*(["check", "--kind", kind] for kind in ("bimodule", "cross
     *(("directly", c) for c in READ_DIRECTLY), *(("by reference", c) for c in READ_BY_REFERENCE)],
     ids=lambda v: v if isinstance(v, str) else " ".join(v))
 def test_unreadable_file_exit_2(tmp_path, name, how, command):
-    if UNREADABLE[name] is None:
-        path = tmp_path / "a\x00b.json"
-    else:
-        path = tmp_path / "bad.json"
-        path.write_bytes(UNREADABLE[name])
+    # the error names the path quoted: one line, with no NUL byte
+    filename, content = UNREADABLE[name]
+    path = tmp_path / filename
+    if content is not None:
+        path.write_bytes(content)
     if how == "by reference":
         path = Path(bundle(tmp_path, "ref.json", {"hopf": path.name}))
     code, out, err = _main([command[0], str(path), *command[1:]])
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "\x00" not in err, err
+
+
+BRAIDINGS = ["swap2", "swap3", "braided_line_zeta3", "diagonal_zeta5"]
+CALCULI = ["kz2_universal_calculus", "kz3_universal_calculus", "sweedler_universal_calculus",
+           "taft3_quotient_calculus"]
+
+
+@pytest.mark.parametrize("argv", [
+    *(["wedge-dims", name, *flag] for name in BRAIDINGS for flag in ([], ["--compare-quadratic"])),
+    *(["build-calculus", name, "--route", route]
+      for name in CALCULI for route in ("maximal", "biproduct", "both")),
+], ids=" ".join)
+def test_every_command_at_degree_1(tmp_path, argv):
+    # the quadratic relations live in degree 2, so at N = 1 they cut nothing
+    # from T(X): the quadratic dims are the wedge dims [1, dim X]; each route
+    # gives the one block d_0
+    command, name, *flags = argv
+    out = tmp_path / "report.json"
+    code, stdout, err = _main([command, str(io.bundled_path(name)), "--max-degree", "1",
+                               *flags, "--out", str(out)])
+    assert (code, err) == (0, "")
+    report = json.loads(out.read_text())
+    if command == "wedge-dims":
+        dims = [1, io.load_json(io.bundled_path(name))["dim"]]
+        assert report["dims"] == dims
+        if flags:
+            assert report["quadratic_dims"] == dims and report["equal"]
+            assert stdout.endswith("\nEQUAL\n")
+    else:
+        for sub in report["routes"].values() if "routes" in report else [report]:
+            assert len(sub["dims"]) == 2 and len(sub["d_blocks"]) == 1
 
 
 def test_zero_entries_skip_the_scalar_parser(monkeypatch):

@@ -358,7 +358,7 @@ class TestOneField:
         monkeypatch.setattr(Scalar, "__mul__", counting)
         monkeypatch.setattr(Scalar, "__rmul__", counting)
         for alg in algebras:
-            assert check_graded_structure(alg, "diff_hopf").ok
+            assert check_graded_structure(alg).ok
         assert factors > 0 and unshared == []
 
 

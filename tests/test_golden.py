@@ -7,7 +7,8 @@ classification over Q and Q(zeta_n) for n = 3, 4, 5, both exterior-calculus
 routes over Q and over Q(zeta_3), and the wedge dimensions with and without
 the quadratic comparison, up to conductor 97. The report writer gives back
 every committed report from its parsed form, and it writes what
-`json.JSONEncoder(indent=2, sort_keys=True)` writes.
+`json.JSONEncoder(indent=2, sort_keys=True)` writes.  Each bundled Hopf
+algebra is what its builder in `hopf` writes.
 """
 
 import json
@@ -63,6 +64,24 @@ def test_report_bytes(tmp_path, expected, command, name, rest):
     out = tmp_path / "report.json"
     assert main([command, str(io.bundled_path(name)), *rest, "--out", str(out)]) == 0
     assert out.read_bytes() == expected.read_bytes()
+
+
+# each bundled Hopf algebra and the builder that writes it
+HOPF_BUILDERS = {
+    **{f"kz{n}": lambda n=n: hopf.cyclic_group_algebra(n) for n in range(2, 7)},
+    "ks3": hopf.symmetric_group_algebra_s3,
+    "sweedler": hopf.sweedler_algebra,
+    "taft3": lambda: hopf.taft_algebra(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOPF_BUILDERS))
+def test_bundled_hopf_is_its_builder(name):
+    # the file holds exactly the builder's structure maps, plus its metadata
+    obj = io.load_json(io.bundled_path(name))
+    built = HOPF_BUILDERS[name]().to_obj()
+    assert {key: obj[key] for key in built} == built
+    assert set(obj) - set(built) == {"kind", "name", "schema_version"}
 
 
 def _classify_taft(tmp_path, n):

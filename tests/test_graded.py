@@ -37,9 +37,12 @@ class TestSpacesAndMaps:
 
 class TestGradedBialgebra:
     def test_tensor_hopf_passes_all_levels(self):
+        # algebra, coalgebra, bialgebra and antipode, and no differential check
         t = build_tensor_hopf(swap_space(2), "shuffle_coproduct", 3)
-        for level in ("algebra", "coalgebra", "bialgebra", "hopf"):
-            assert check_graded_structure(t, level).ok, level
+        report = check_graded_structure(t)
+        assert report.ok
+        assert set(report.first) == {"associativity", "unit", "coassociativity", "counit",
+                                     "bialgebra", "unit_counit_compat", "antipode"}
 
     def test_differential_requires_lambda_minus_one(self):
         dims = (1, 1)
@@ -49,7 +52,7 @@ class TestGradedBialgebra:
         with pytest.raises(IncompatibleBraiding):
             GradedBialgebra(dims, mult, eye, comult, eye,
                             lambda k, l: swap_matrix(dims[k], dims[l]), ONE,
-                            differential=[eye, Matrix.zero(0, 1)])
+                            differential=[eye])
 
     def test_negative_dimension_rejected(self):
         eye = Matrix.identity(1)
@@ -59,14 +62,14 @@ class TestGradedBialgebra:
     def test_broken_multiplication_detected(self):
         t = build_tensor_hopf(swap_space(2), "shuffle_coproduct", 2)
         t.mult[(0, 1)] = Matrix.zero(2, 2)  # breaks unitality
-        report = check_graded_structure(t, "algebra")
-        assert report.first == {"associativity": (0, 1, 1), "unit": (1,)}
+        report = check_graded_structure(t)
+        assert (report.first["associativity"], report.first["unit"]) == ((0, 1, 1), (1,))
 
     def test_antipode_recursive_is_convolution_inverse(self):
         t = build_tensor_hopf(braided_line(Scalar.zeta(4)), "shuffle_coproduct", 3)
         s = antipode_recursive(t, t.antipode[0])
         t.antipode = s
-        assert check_graded_structure(t, "hopf").ok
+        assert check_graded_structure(t).ok
 
     def test_ideal_quotient_exterior_line(self):
         # q = -1: (x^2) is a biideal, quotient has dims 1,1,0,0
@@ -74,7 +77,7 @@ class TestGradedBialgebra:
         q = ideal_quotient(t, Matrix.identity(1), 2)
         assert q.dims == (1, 1, 0, 0)
         assert q.antipode is not None  # the antipode descends to the quotient
-        assert check_graded_structure(q, "hopf").ok
+        assert check_graded_structure(q).ok
 
     def test_ideal_quotient_rejects_non_coideal(self):
         # q = 1: Delta(x^2) has the cross term 2 x(x)x, so (x^2) is not a
@@ -95,28 +98,25 @@ class TestGradedBialgebra:
         sub = self._sub_with_dropped_antipode()
         assert sub.antipode is None
         assert sub.dims == (1, 1)
-        assert check_graded_structure(sub, "bialgebra").ok
 
     def test_missing_antipode_has_witness(self):
-        report = check_graded_structure(self._sub_with_dropped_antipode(), "hopf")
+        # every other law holds on the sub-bialgebra
+        report = check_graded_structure(self._sub_with_dropped_antipode())
         assert report.failed == ["antipode"] and report.first["antipode"] == ("missing",)
 
-    def test_missing_differential_has_witness(self):
-        t = build_tensor_hopf(swap_space(2), "shuffle_coproduct", 2)
-        assert t.differential is None
-        report = check_graded_structure(t, "diff_hopf")
-        assert report.failed == ["differential"]
-        assert report.first["differential"] == ("missing",)
+    def test_ideal_above_the_truncation_is_zero(self):
+        # an ideal generated in degree 2 is zero up to N = 1: nothing is factored
+        t = build_tensor_hopf(swap_space(2), "shuffle_coproduct", 1)
+        assert ideal_quotient(t, Matrix.identity(4), 2) is t
 
 
 # --- the axiom checks against a reference that builds every Kronecker product
 
 
-def reference_check(b, level):
+def reference_check(b):
     """check_graded_structure evaluated with every whisker materialized by
-    kron and every product associated as written."""
-    levels = ["algebra", "coalgebra", "bialgebra", "hopf", "diff_hopf"]
-    depth = levels.index(level)
+    kron and every product associated as written, on an algebra with an
+    antipode and a differential."""
     checks = Checks()
     N, eye = b.N, b.eye
     for k in range(N + 1):
@@ -129,70 +129,66 @@ def reference_check(b, level):
         ok = (b.m(0, n).compose(kron(b.unit, eye(n))) == eye(n)
               and b.m(n, 0).compose(kron(eye(n), b.unit)) == eye(n))
         checks.record("unit", None if ok else (n,))
-    if depth >= 1:
-        for k in range(N + 1):
-            for l in range(N + 1 - k):
-                for m in range(N + 1 - k - l):
-                    lhs = kron(b.cm(k, l), eye(m)).compose(b.cm(k + l, m))
-                    rhs = kron(eye(k), b.cm(l, m)).compose(b.cm(k, l + m))
-                    checks.record("coassociativity", None if lhs == rhs else (k, l, m))
-        for n in range(N + 1):
-            ok = (kron(b.counit, eye(n)).compose(b.cm(0, n)) == eye(n)
-                  and kron(eye(n), b.counit).compose(b.cm(n, 0)) == eye(n))
-            checks.record("counit", None if ok else (n,))
-    if depth >= 2:
-        for n in range(N + 1):
-            for k in range(n + 1):
-                l = n - k
-                for p in range(n + 1):
-                    q = n - p
-                    lhs = b.cm(k, l).compose(b.m(p, q))
-                    rhs = Matrix.zero(lhs.rows, lhs.cols)
-                    for a in range(max(0, k - q), min(p, k) + 1):
-                        bb, c, d = p - a, k - a, q - (k - a)
-                        rhs = rhs + kron(b.m(a, c), b.m(bb, d)).compose(
-                            kron(kron(eye(a), b.braid(bb, c)), eye(d))
-                        ).compose(kron(b.cm(a, bb), b.cm(c, d)))
-                    checks.record("bialgebra", None if lhs == rhs else (k, l, p, q))
-        ok = (b.counit.compose(b.m(0, 0)) == kron(b.counit, b.counit)
-              and b.cm(0, 0).compose(b.unit) == kron(b.unit, b.unit)
-              and b.counit.compose(b.unit) == Matrix.identity(1))
-        checks.record("unit_counit_compat", None if ok else (0,))
-    if depth >= 3:
-        eta_eps = b.unit.compose(b.counit)
-        for n in range(N + 1):
-            left = right = Matrix.zero(b.dims[n], b.dims[n])
-            for k in range(n + 1):
-                l = n - k
-                left = left + b.m(k, l).compose(kron(b.antipode[k], eye(l))).compose(b.cm(k, l))
-                right = right + b.m(k, l).compose(kron(eye(k), b.antipode[l])).compose(b.cm(k, l))
-            expect = eta_eps if n == 0 else Matrix.zero(b.dims[n], b.dims[n])
-            checks.record("antipode", None if left == expect and right == expect else (n,))
-    if depth >= 4:
-        d = b.differential
-        for n in range(N - 1):
-            checks.record("d_squared", None if d[n + 1].compose(d[n]).is_zero else (n,))
-        for k in range(N):
-            for l in range(N - k):
-                lhs = d[k + l].compose(b.m(k, l))
-                sign = ONE if k % 2 == 0 else MINUS_ONE
-                rhs = (b.m(k + 1, l).compose(kron(d[k], eye(l)))
-                       + b.m(k, l + 1).compose(kron(eye(k), d[l])).scale(sign))
-                checks.record("leibniz", None if lhs == rhs else (k, l))
-        for n in range(N):
-            for k in range(n + 2):
-                l = n + 1 - k
-                lhs = b.cm(k, l).compose(d[n])
+    for k in range(N + 1):
+        for l in range(N + 1 - k):
+            for m in range(N + 1 - k - l):
+                lhs = kron(b.cm(k, l), eye(m)).compose(b.cm(k + l, m))
+                rhs = kron(eye(k), b.cm(l, m)).compose(b.cm(k, l + m))
+                checks.record("coassociativity", None if lhs == rhs else (k, l, m))
+    for n in range(N + 1):
+        ok = (kron(b.counit, eye(n)).compose(b.cm(0, n)) == eye(n)
+              and kron(eye(n), b.counit).compose(b.cm(n, 0)) == eye(n))
+        checks.record("counit", None if ok else (n,))
+    for n in range(N + 1):
+        for k in range(n + 1):
+            l = n - k
+            for p in range(n + 1):
+                q = n - p
+                lhs = b.cm(k, l).compose(b.m(p, q))
                 rhs = Matrix.zero(lhs.rows, lhs.cols)
-                if k >= 1:
-                    rhs = rhs + kron(d[k - 1], eye(l)).compose(b.cm(k - 1, l))
-                if l >= 1:
-                    sign = ONE if k % 2 == 0 else MINUS_ONE
-                    rhs = rhs + kron(eye(k), d[l - 1]).compose(b.cm(k, l - 1)).scale(sign)
-                checks.record("comult_diff", None if lhs == rhs else (k, l))
-        for n in range(N):
-            ok = b.antipode[n + 1].compose(d[n]) == d[n].compose(b.antipode[n])
-            checks.record("antipode_diff", None if ok else (n,))
+                for a in range(max(0, k - q), min(p, k) + 1):
+                    bb, c, d = p - a, k - a, q - (k - a)
+                    rhs = rhs + kron(b.m(a, c), b.m(bb, d)).compose(
+                        kron(kron(eye(a), b.braid(bb, c)), eye(d))
+                    ).compose(kron(b.cm(a, bb), b.cm(c, d)))
+                checks.record("bialgebra", None if lhs == rhs else (k, l, p, q))
+    ok = (b.counit.compose(b.m(0, 0)) == kron(b.counit, b.counit)
+          and b.cm(0, 0).compose(b.unit) == kron(b.unit, b.unit)
+          and b.counit.compose(b.unit) == Matrix.identity(1))
+    checks.record("unit_counit_compat", None if ok else (0,))
+    eta_eps = b.unit.compose(b.counit)
+    for n in range(N + 1):
+        left = right = Matrix.zero(b.dims[n], b.dims[n])
+        for k in range(n + 1):
+            l = n - k
+            left = left + b.m(k, l).compose(kron(b.antipode[k], eye(l))).compose(b.cm(k, l))
+            right = right + b.m(k, l).compose(kron(eye(k), b.antipode[l])).compose(b.cm(k, l))
+        expect = eta_eps if n == 0 else Matrix.zero(b.dims[n], b.dims[n])
+        checks.record("antipode", None if left == expect and right == expect else (n,))
+    d = b.differential
+    for n in range(N - 1):
+        checks.record("d_squared", None if d[n + 1].compose(d[n]).is_zero else (n,))
+    for k in range(N):
+        for l in range(N - k):
+            lhs = d[k + l].compose(b.m(k, l))
+            sign = ONE if k % 2 == 0 else MINUS_ONE
+            rhs = (b.m(k + 1, l).compose(kron(d[k], eye(l)))
+                   + b.m(k, l + 1).compose(kron(eye(k), d[l])).scale(sign))
+            checks.record("leibniz", None if lhs == rhs else (k, l))
+    for n in range(N):
+        for k in range(n + 2):
+            l = n + 1 - k
+            lhs = b.cm(k, l).compose(d[n])
+            rhs = Matrix.zero(lhs.rows, lhs.cols)
+            if k >= 1:
+                rhs = rhs + kron(d[k - 1], eye(l)).compose(b.cm(k - 1, l))
+            if l >= 1:
+                sign = ONE if k % 2 == 0 else MINUS_ONE
+                rhs = rhs + kron(eye(k), d[l - 1]).compose(b.cm(k, l - 1)).scale(sign)
+            checks.record("comult_diff", None if lhs == rhs else (k, l))
+    for n in range(N):
+        ok = b.antipode[n + 1].compose(d[n]) == d[n].compose(b.antipode[n])
+        checks.record("antipode_diff", None if ok else (n,))
     return checks
 
 
@@ -233,8 +229,8 @@ class TestChecksAgainstReference:
     @pytest.mark.parametrize("part", [None, "mult", "comult", "braid", "antipode", "differential"])
     def test_same_verdicts_and_witnesses(self, exterior, part):
         b = exterior if part is None else _corrupt(exterior, part)
-        report = check_graded_structure(b, "diff_hopf")
-        assert report.to_obj() == reference_check(b, "diff_hopf").to_obj()
+        report = check_graded_structure(b)
+        assert report.to_obj() == reference_check(b).to_obj()
         assert report.ok == (part is None)
 
     @pytest.mark.parametrize("block", [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0)])
@@ -246,8 +242,8 @@ class TestChecksAgainstReference:
         b = GradedBialgebra(exterior.dims, exterior.mult, exterior.unit, comult,
                             exterior.counit, exterior.swap, exterior.lam,
                             antipode=exterior.antipode, differential=exterior.differential)
-        report = check_graded_structure(b, "diff_hopf")
-        reference = reference_check(b, "diff_hopf")
+        report = check_graded_structure(b)
+        reference = reference_check(b)
         assert report.first == reference.first and report.failed == reference.failed
         assert not report.ok
 
@@ -345,5 +341,5 @@ def test_checks_build_no_matrix_beyond_a_triple_block(exterior, built_sizes):
         for l in range(exterior.N + 1 - k):
             exterior.braid(k, l)
     built_sizes.clear()
-    assert check_graded_structure(exterior, "diff_hopf").ok
+    assert check_graded_structure(exterior).ok
     assert built_sizes and max(built_sizes) <= _triple_block(exterior)

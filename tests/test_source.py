@@ -172,21 +172,23 @@ def _defined_functions(tree):
                 yield fn.name, fn.lineno, fn is not node
 
 
-def _references(tree):
+def _references(tree, test):
     """(attributes taken, other names): a method is reached only as an
     attribute; a function also by a bare name, an import, or a string
-    (perfbench's tracer names its targets as strings)."""
-    attrs, names = set(), set()
+    (perfbench's tracer names its targets as strings).  In a test file only
+    its imports count among the other names: a fixture or helper of the
+    test may share the name of a package function."""
+    attrs, names, imported = set(), set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
             attrs.add(node.attr)
         elif isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.alias):
-            names.add(node.name)
+            imported.add(node.name)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             attrs.add(node.value)
-    return attrs, names
+    return attrs, imported if test else names | imported
 
 
 def test_every_function_is_referenced():
@@ -199,7 +201,7 @@ def test_every_function_is_referenced():
              *(tests / name for name in ("test_acceptance.py", "test_golden.py", "test_cli.py"))]
     attrs, names = set(), set()
     for path in paths:
-        a, n = _references(ast.parse(path.read_text(encoding="utf-8")))
+        a, n = _references(ast.parse(path.read_text(encoding="utf-8")), path.parent == tests)
         attrs |= a
         names |= n
     found = [f"{name}:{line} {fn}" for name, tree in _trees()

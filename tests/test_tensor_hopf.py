@@ -33,7 +33,7 @@ class TestTensorHopf:
         for x in (swap_space(2), braided_line(Scalar.zeta(3))):
             for variant in ("shuffle_coproduct", "shuffle_product"):
                 t = build_tensor_hopf(x, variant, 3)
-                assert check_graded_structure(t, "hopf").ok, (variant, x.dim)
+                assert check_graded_structure(t).ok, (variant, x.dim)
 
     def test_closed_form_antipode_matches_recursive(self):
         from braidedforms.graded import antipode_recursive
@@ -78,7 +78,7 @@ class TestWedge:
 
     def test_wedge_is_hopf(self):
         w = build_wedge(swap_space(2), 3)
-        assert check_graded_structure(w.algebra, "hopf").ok
+        assert check_graded_structure(w.algebra).ok
 
     def test_epi_mono_factorization(self):
         # coim o im = id on the wedge; im o coim = the antisymmetrizer up to
