@@ -273,13 +273,11 @@ def crossed_iso_smash(m: CrossedModule):
 
 
 class TensorOverH:
-    def __init__(self, z: HopfBimodule, lam: Matrix, rho: Matrix, coinv: CrossedModule,
-                 i: Matrix):
+    def __init__(self, z: HopfBimodule, lam: Matrix, rho: Matrix, coinv: CrossedModule):
         self.z = z
         self.lam = lam          # X (x) Y -> Z, surjective
         self.rho = rho          # Z -> X (x) Y, injective; rho o lam = rho_lambda_formula
         self.coinv = coinv      # the coinvariants of Y
-        self.i = i              # coinv(Y) -> Y
 
 
 def tensor_over_H(x: HopfBimodule, y: HopfBimodule) -> TensorOverH:
@@ -292,7 +290,7 @@ def tensor_over_H(x: HopfBimodule, y: HopfBimodule) -> TensorOverH:
     rho = braided_product(ex, compose_kron(y.mu_l, ea, i), ea, x.nu_r, em, (x.dim, a, 1, mc.dim))
     # the canonical structure on X (x) coinv(Y): coinv(Y) acts through its
     # crossed module structure
-    return TensorOverH(induced(x, mc, f"({x.name}(x)H{y.name})"), lam, rho, mc, i)
+    return TensorOverH(induced(x, mc, f"({x.name}(x)H{y.name})"), lam, rho, mc)
 
 
 def rho_lambda_formula(x: HopfBimodule, y: HopfBimodule) -> Matrix:
@@ -337,13 +335,14 @@ def hopf_bimodule_braiding_inverse(x: HopfBimodule, y: HopfBimodule, txy: Tensor
 
 
 class TensorCache:
-    """Caches tensor_over_H results keyed by the bimodule object identities."""
+    """Caches tensor_over_H results keyed by the pair of bimodules, which hash
+    by identity; the cache holds them, so no key outlives its bimodule."""
 
     def __init__(self):
         self._store = {}
 
     def get(self, x: HopfBimodule, y: HopfBimodule) -> TensorOverH:
-        key = (id(x), id(y))
+        key = (x, y)
         if key not in self._store:
             self._store[key] = tensor_over_H(x, y)
         return self._store[key]

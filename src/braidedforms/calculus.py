@@ -125,7 +125,8 @@ def crossed_submodule_closure(m: CrossedModule, gens: Matrix) -> Matrix:
     Semi-naive: a round applies them only to the columns that the last
     round's echelon basis gained, those at pivot rows it did not have
     before; with the old basis they span the new one, and the images of the
-    old basis are in it already.  All of M returns as the identity at once."""
+    old basis are in it already.  All of M returns as its reduced echelon
+    basis, the identity."""
     a = m.h.dim
     ea = Matrix.identity(a)
     basis, pivots = gens.column_echelon_basis()
@@ -136,7 +137,7 @@ def crossed_submodule_closure(m: CrossedModule, gens: Matrix) -> Matrix:
         basis, pivots = hstack(images).column_echelon_basis()
         gained = [basis.col(j) for j, p in enumerate(pivots) if p not in old]
         fresh = hstack(gained) if gained else Matrix.zero(m.dim, 0)
-    return Matrix.identity(m.dim) if basis.cols == m.dim else basis
+    return basis
 
 
 def fodc_from_submodule(univ: UniversalCalculus, r_gens: Matrix) -> FirstOrderCalculus:

@@ -38,7 +38,7 @@ from .calculus import (
     verify_calculus,
 )
 from .checks import Checks
-from .errors import FactorizationError, NotASubmodule, ParseError, TooLarge
+from .errors import BraidedFormsError, NotASubmodule, ParseError, TooLarge
 from .hopf import check_hopf
 from .matrix import Matrix
 from .tensor_hopf import build_wedge, wedge_vs_quadratic
@@ -328,7 +328,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}; hint: extend the generator list until it is "
               "closed under the action and coaction", file=sys.stderr)
         return EXIT_FAIL
-    except FactorizationError as exc:
+    except BraidedFormsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

@@ -1,14 +1,15 @@
-"""Degree-truncated graded bialgebras, their axiom checks, and the transport
-of structure to graded sub- and quotient bialgebras.
+"""Degree-truncated graded bialgebras, their axiom checks, the transport of
+structure to graded sub-bialgebras, and the projections onto the quotient by
+a generated bi-ideal.
 
 All graded objects are truncated at an explicit max degree N; every axiom is
 checked blockwise for total degree <= N.  A GradedBialgebra carries its own
 unweighted swap blocks s(k,l): B_k @ B_l -> B_l @ B_k and its lambda, and
 weights them once, in braid(k, l) = lambda^(kl) s(k,l): the graded braiding
-of the ambient category, which is what the bialgebra axiom and the bi-ideal
-conditions are checked against.  It may also carry an antipode S_0 ... S_N
-and a differential d_0 ... d_(N-1), d_n: B_n -> B_(n+1); the checks and the
-transports read both from the algebra itself.
+of the ambient category, which is what the bialgebra axiom is checked
+against.  It may also carry an antipode S_0 ... S_N and a differential
+d_0 ... d_(N-1), d_n: B_n -> B_(n+1); the checks and the transport read both
+from the algebra itself.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .matrix import (
     Matrix,
     braided_product,
     compose_kron,
-    descend,
     hstack,
     kron,
     kron_apply,
@@ -224,11 +224,15 @@ def antipode_recursive(b: GradedBialgebra, s0: Matrix) -> list[Matrix]:
     return s
 
 
-def _transport(b: GradedBialgebra, dims, block) -> GradedBialgebra:
-    """The graded bialgebra on `dims` whose structure blocks are
-    block(f, src, tgt) for each block f of b from the degrees src to the
-    degrees tgt, b's differential among them.  The antipode is kept only when
-    every block transports."""
+def sub_bialgebra(b: GradedBialgebra, incl) -> GradedBialgebra:
+    """The graded sub-bialgebra with degree-n inclusion incl[n] (a mono): each
+    block f of b from the degrees src to the degrees tgt, b's differential
+    among them, becomes the unique g with incl o g = f o incl.
+    FactorizationError when a block leaves the image; the antipode is kept
+    only when every block of it restricts."""
+    def block(f, src, tgt):
+        return restrict(f, [incl[n] for n in src], [incl[n] for n in tgt])
+
     mult = {(k, l): block(m, (k, l), (k + l,)) for (k, l), m in b.mult.items()}
     comult = {(k, l): block(c, (k + l,), (k, l)) for (k, l), c in b.comult.items()}
     antipode = None
@@ -241,43 +245,24 @@ def _transport(b: GradedBialgebra, dims, block) -> GradedBialgebra:
     if d is not None:
         d = [block(f, (n,), (n + 1,)) for n, f in enumerate(d)]
     return GradedBialgebra(
-        dims, mult, block(b.unit, (), (0,)), comult, block(b.counit, (0,), ()),
-        lambda k, l: block(b.swap(k, l), (k, l), (l, k)), b.lam,
-        antipode=antipode, differential=d,
+        [i.cols for i in incl], mult, block(b.unit, (), (0,)), comult,
+        block(b.counit, (0,), ()), lambda k, l: block(b.swap(k, l), (k, l), (l, k)),
+        b.lam, antipode=antipode, differential=d,
     )
 
 
-def sub_bialgebra(b: GradedBialgebra, incl) -> GradedBialgebra:
-    """The graded sub-bialgebra with degree-n inclusion incl[n] (a mono): each
-    block f becomes the unique g with incl o g = f o incl.
-    FactorizationError when a block leaves the image."""
-    def block(f, src, tgt):
-        return restrict(f, [incl[n] for n in src], [incl[n] for n in tgt])
-
-    return _transport(b, [i.cols for i in incl], block)
-
-
-def quotient_bialgebra(b: GradedBialgebra, proj) -> GradedBialgebra:
-    """The graded quotient bialgebra with degree-n projection proj[n] (an
-    epi): each block f becomes the unique g with g o proj = proj o f.
-    FactorizationError when a block does not descend."""
-    def block(f, src, tgt):
-        return descend(f, [proj[n] for n in src], [proj[n] for n in tgt])
-
-    return _transport(b, [p.rows for p in proj], block)
-
-
-def ideal_quotient(b: GradedBialgebra, f: Matrix, degree: int) -> GradedBialgebra:
-    """Factor bialgebra by the two-sided graded (bi-)ideal generated by f.
+def ideal_quotient(b: GradedBialgebra, f: Matrix, degree: int) -> list[Matrix]:
+    """The projections p_n: B_n -> (B/I)_n, n = 0..N, onto the quotient by the
+    two-sided graded ideal I generated by f, so (B/I)_n has dimension
+    p_n.rows.  Only the projections are built, not the quotient's structure.
 
     f maps an auxiliary space into component `degree`; above N the ideal is
-    zero in every degree, and b returns as it is.  Raises NotABiIdeal when
-    the coideal condition fails, and drops the antipode when the Hopf-ideal
-    condition fails.
+    zero in every degree, and the projections are the identities.  Raises
+    NotABiIdeal when I is not a coideal or the counit does not vanish on it.
     """
     N = b.N
     if degree > N:
-        return b
+        return [b.eye(n) for n in range(N + 1)]
     if f.rows != b.dims[degree]:
         raise ShapeError("generator matrix does not land in the stated degree")
     bases = []
@@ -306,4 +291,4 @@ def ideal_quotient(b: GradedBialgebra, f: Matrix, degree: int) -> GradedBialgebr
                 raise NotABiIdeal(f"coideal condition fails at degrees ({k},{l})")
     if bases[0].cols and not b.counit.compose(bases[0]).is_zero:
         raise NotABiIdeal("counit does not vanish on the degree-0 ideal")
-    return quotient_bialgebra(b, projs)
+    return projs

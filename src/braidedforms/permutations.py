@@ -27,10 +27,6 @@ class Permutation:
             raise ShapeError(f"not a permutation of 1..{len(images)}: {images}")
         self.images = images
 
-    @staticmethod
-    def identity(j: int) -> "Permutation":
-        return Permutation(range(1, j + 1))
-
     @property
     def size(self) -> int:
         return len(self.images)

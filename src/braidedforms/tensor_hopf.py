@@ -34,8 +34,6 @@ def reversal(n: int) -> Permutation:
 
 def closed_form_antipode(x: BraidedSpace, n: int) -> Matrix:
     """S_n = (-1)^n lam^C(n,2) rep(sigma_n^0)."""
-    if n == 0:
-        return Matrix.identity(1)
     sign = Scalar.rational(-1) ** n
     weight = sign * x.lam ** (n * (n - 1) // 2)
     mat = x.rep(reversal(n))
@@ -136,21 +134,23 @@ def build_wedge(x: BraidedSpace, N: int) -> WedgeAlgebra:
 
 
 def wedge_vs_quadratic(x: BraidedSpace, N: int) -> dict:
-    """Compare T/(Ker [2]!) with T^wedge degree by degree (lam = -1)."""
+    """Compare the dimensions of T/(Ker [2]!) with those of T^wedge degree by
+    degree (lam = -1).  The quadratic dims are the row counts of the
+    projections onto T/(Ker [2]!); its Hopf structure is never built."""
     xm = at_minus_one(x)
     wedge = build_wedge(xm, N)
     t = build_tensor_hopf(xm, "shuffle_coproduct", N)
     two_bang = braided_factorial(2, xm)
     generators = two_bang.kernel_basis()
-    quad = ideal_quotient(t, generators, 2)
+    quadratic_dims = [p.rows for p in ideal_quotient(t, generators, 2)]
     equal_from = None
     for n in range(N + 1):
-        if quad.dims[n] != wedge.dims[n]:
+        if quadratic_dims[n] != wedge.dims[n]:
             equal_from = n
             break
     return {
         "wedge_dims": list(wedge.dims),
-        "quadratic_dims": list(quad.dims),
+        "quadratic_dims": quadratic_dims,
         "equal": equal_from is None,
         "first_unequal_degree": equal_from,
     }

@@ -106,7 +106,7 @@ class TestRepresentation:
 
     def test_identity_and_transposition(self):
         x = swap_space(2)
-        assert x.rep(Permutation.identity(3)) == Matrix.identity(8)
+        assert x.rep(Permutation(range(1, 4))) == Matrix.identity(8)
         assert x.rep(Permutation((2, 1))) == swap_matrix(2, 2)
 
     def test_braided_line_rep_is_q_power(self):

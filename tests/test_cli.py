@@ -2,6 +2,7 @@ import contextlib
 import io as stdio
 import json
 import os
+import shutil
 import tempfile
 import time
 from collections import Counter
@@ -581,6 +582,37 @@ def test_every_command_at_degree_1(tmp_path, argv):
             assert len(sub["dims"]) == 2 and len(sub["d_blocks"]) == 1
 
 
+def _wrong_antipode(name, how):
+    """The calculus bundle name with its Hopf algebra inline and the antipode
+    S replaced: by 0, 2S or -S, or with column c negated ("neg c") or zeroed
+    ("zero c").  The first-order checks never read S."""
+    calc = io.calculus_from_obj(io.load_json(io.bundled_path(name)), io.bundled_path(name).parent)
+    s = calc.h.antipode
+    if how in ("0", "2", "-1"):
+        s = s.scale(int(how))
+    else:
+        op, c = how.split()
+        s = Matrix(s.rows, s.cols, [s[r, k] for r in range(s.rows) for k in range(s.cols)])
+        for r in range(s.rows):
+            s[r, int(c)] = -s[r, int(c)] if op == "neg" else 0
+    h = dict(calc.h.to_obj(), antipode=s.to_obj())
+    return {"hopf": h, "X": calc.x.to_obj(), "d": calc.d.to_obj()}
+
+
+@pytest.mark.parametrize("name, how", [
+    *((name, how) for name in CALCULI for how in ("0", "2", "-1")),
+    *(("kz2_universal_calculus", f"{op} 1") for op in ("neg", "zero")),
+    *(("kz3_universal_calculus", f"{op} {c}") for op in ("neg", "zero") for c in (1, 2)),
+])
+def test_wrong_antipode_exit_1(tmp_path, name, how):
+    # the coinvariants of the forms' bimodules, or the degree-0 antipode of
+    # the biproduct, fail on a wrong S: one error line, no traceback
+    path = bundle(tmp_path, "c.json", _wrong_antipode(name, how))
+    code, out, err = _main(["build-calculus", path, "--max-degree", "2"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, err
+
+
 def test_zero_entries_skip_the_scalar_parser(monkeypatch):
     # most of taft3's entries are the serialized zero, which parses to the
     # shared ZERO without a call of scalar_from_obj
@@ -745,12 +777,15 @@ class TestCommandLineFuzz:
     @settings(max_examples=200, deadline=None)
     @given(_command_lines())
     def test_any_command_line_ends_in_exit_code(self, argv):
-        # any token may become an --out path: the reports land in a scratch directory
+        # any token may become an --out path, a FILE among them: the reports
+        # and the files they may overwrite are copies in a scratch directory
         cwd = os.getcwd()
         with tempfile.TemporaryDirectory() as tmp:
+            for name in ("kz2", "swap2", "kz2_universal_calculus"):
+                shutil.copy(io.bundled_path(name), tmp)
             os.chdir(tmp)
             try:
-                argv = [str(io.bundled_path(a[5:])) if a.startswith("FILE:") else a for a in argv]
+                argv = [f"{a[5:]}.json" if a.startswith("FILE:") else a for a in argv]
                 code, _, err = _main(argv)
             finally:
                 os.chdir(cwd)
@@ -779,7 +814,9 @@ def _paths(obj, path=()):
 def _fuzz_files():
     """The fuzzed files by check kind: corpus files, with the Hopf algebra of
     the bimodule and crossed module read from the package, and an explicit
-    {"hopf", "X", "d"} calculus bundle (the universal calculus of kZ_2)."""
+    {"hopf", "X", "d"} calculus bundle (the universal calculus of kZ_2) that
+    carries kZ_2 inline, so a mutation can reach any of its maps, the
+    antipode among them."""
     files = {kind: json.load(open(io.bundled_path(name)))
              for kind, name in (("hopf", "kz2"), ("braiding", "swap2"),
                                 ("bimodule", "sweedler_regular_bimodule"),
@@ -787,7 +824,7 @@ def _fuzz_files():
     for kind in ("bimodule", "crossed"):
         files[kind]["hopf"] = "bundled:sweedler"
     univ = universal_fodc(io.hopf_from_obj(files["hopf"]))
-    files["calculus"] = {"hopf": "bundled:kz2", "X": univ.x.to_obj(), "d": univ.d.to_obj()}
+    files["calculus"] = {"hopf": files["hopf"], "X": univ.x.to_obj(), "d": univ.d.to_obj()}
     return files
 
 

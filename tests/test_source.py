@@ -164,50 +164,82 @@ def test_leg_arithmetic_stays_in_matrix_module():
 
 
 def _defined_functions(tree):
-    """(name, line, is_method) of the top-level functions and class methods."""
+    """(name, line, owner) of the top-level functions, with owner None, and of
+    the class methods, with owner (class name, whether it is a static or
+    class method)."""
     for node in tree.body:
-        members = node.body if isinstance(node, ast.ClassDef) else [node]
-        for fn in members:
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield fn.name, fn.lineno, fn is not node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.lineno, None
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    static = any(isinstance(d, ast.Name) and d.id in ("staticmethod", "classmethod")
+                                 for d in fn.decorator_list)
+                    yield fn.name, fn.lineno, (node.name, static)
 
 
 def _references(tree, test):
-    """(attributes taken, other names): a method is reached only as an
-    attribute; a function also by a bare name, an import, or a string
-    (perfbench's tracer names its targets as strings).  In a test file only
-    its imports count among the other names: a fixture or helper of the
-    test may share the name of a package function."""
-    attrs, names, imported = set(), set(), set()
+    """(attributes taken, (owner, attribute) pairs, other names): a method is
+    reached only as an attribute; a function also by a bare name, an import,
+    or a string (perfbench's tracer names its targets as strings).  In a test
+    file only its imports count among the other names: a fixture or helper of
+    the test may share the name of a package function."""
+    attrs, owned, names, imported = set(), set(), set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
             attrs.add(node.attr)
+            if isinstance(node.value, ast.Name):
+                owned.add((node.value.id, node.attr))
         elif isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.alias):
             imported.add(node.name)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             attrs.add(node.value)
-    return attrs, imported if test else names | imported
+    return attrs, owned, imported if test else names | imported
+
+
+def _class_bases():
+    """class name -> the names of its bases, for the package's classes."""
+    return {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+            for _, tree in _trees() for node in tree.body if isinstance(node, ast.ClassDef)}
 
 
 def test_every_function_is_referenced():
     # a function counts as used when the package, the benchmark or a test of
     # the user-facing surface (CLI, golden reports, acceptance criteria)
-    # reaches it; a unit test alone does not keep it alive
+    # reaches it; a unit test alone does not keep it alive.  A static or
+    # class method counts only as an attribute of its own class or a
+    # subclass, by name, or of cls or self: a method of another class that
+    # shares its name does not keep it alive
     root = Path(__file__).resolve().parent.parent
     tests = root / "tests"
     paths = [*PACKAGE.glob("*.py"), *root.joinpath("perfbench").glob("*.py"),
              *(tests / name for name in ("test_acceptance.py", "test_golden.py", "test_cli.py"))]
-    attrs, names = set(), set()
+    attrs, owned, names = set(), set(), set()
     for path in paths:
-        a, n = _references(ast.parse(path.read_text(encoding="utf-8")), path.parent == tests)
+        a, o, n = _references(ast.parse(path.read_text(encoding="utf-8")), path.parent == tests)
         attrs |= a
+        owned |= o
         names |= n
+    bases = _class_bases()
+
+    def lineage(name):
+        """name and every package class it derives from."""
+        return {name}.union(*(lineage(base) for base in bases.get(name, ())))
+
+    def referenced(fn, owner):
+        if owner is None:
+            return fn in attrs or fn in names
+        cls, static = owner
+        if not static:
+            return fn in attrs
+        return any(attr == fn and (name in ("cls", "self") or cls in lineage(name))
+                   for name, attr in owned)
+
     found = [f"{name}:{line} {fn}" for name, tree in _trees()
-             for fn, line, is_method in _defined_functions(tree)
-             if not (fn.startswith("__") and fn.endswith("__"))
-             and fn not in attrs and (is_method or fn not in names)]
+             for fn, line, owner in _defined_functions(tree)
+             if not (fn.startswith("__") and fn.endswith("__")) and not referenced(fn, owner)]
     assert found == []
 
 

@@ -1,6 +1,9 @@
+import json
+from pathlib import Path
+
 import pytest
 
-from braidedforms import braiding, tensor_hopf
+from braidedforms import braiding, io, matrix, tensor_hopf
 from braidedforms.braiding import (
     BraidedSpace,
     braided_factorial,
@@ -10,10 +13,11 @@ from braidedforms.braiding import (
 )
 from braidedforms.cyclotomic import MINUS_ONE, ONE, Scalar
 from braidedforms.errors import FactorizationError
-from braidedforms.graded import check_graded_structure
-from braidedforms.matrix import Matrix, kron, swap_matrix
+from braidedforms.graded import check_graded_structure, ideal_quotient
+from braidedforms.matrix import Matrix, hstack, kron, swap_matrix
 from braidedforms.tensor_hopf import (
     antisymmetrizer,
+    at_minus_one,
     build_tensor_hopf,
     build_wedge,
     check_antisym_hopf_morphism,
@@ -114,6 +118,46 @@ class TestWedge:
     def test_quadratic_comparison_swap(self):
         cmp = wedge_vs_quadratic(swap_space(2), 3)
         assert cmp["equal"] and cmp["first_unequal_degree"] is None
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+QUADRATIC_N = 5  # the --max-degree of the --compare-quadratic goldens
+
+
+@pytest.mark.parametrize("name", ["swap2", "swap3", "braided_line_zeta3", "diagonal_zeta5"])
+class TestQuadraticProjections:
+    """ideal_quotient(T(X), Ker [2]!, 2) returns the projections onto
+    T(X)/(Ker [2]!), and the comparison reads its dims off them."""
+
+    def test_projections_are_the_quotient(self, name):
+        # in T(X) the product is concatenation, so the ideal's degree-n part
+        # is spanned by the words u (x) r (x) v, r in Ker [2]!
+        x = at_minus_one(io.braiding_from_obj(io.load_json(io.bundled_path(name))))
+        t = build_tensor_hopf(x, "shuffle_coproduct", QUADRATIC_N)
+        rel = braided_factorial(2, x).kernel_basis()
+        projs = ideal_quotient(t, rel, 2)
+        golden = json.loads((GOLDEN / f"wedge-dims-{name}-compare-quadratic.json").read_text())
+        assert [p.rows for p in projs] == golden["quadratic_dims"]
+        for n, p in enumerate(projs):
+            assert p.cols == t.dims[n] and p.rank() == p.rows, n
+            if n < 2:
+                continue
+            words = [kron(kron(Matrix.identity(x.dim**a), rel), Matrix.identity(x.dim**(n - 2 - a)))
+                     for a in range(n - 1)]
+            ideal = hstack(words)
+            assert p.compose(ideal).is_zero, n
+            assert p.rows == t.dims[n] - ideal.rank(), n
+
+    def test_comparison_descends_no_structure(self, name, monkeypatch):
+        # the dims are the projections' row counts: no block is solved for
+        calls = []
+        solve_epi = matrix.solve_epi
+        monkeypatch.setattr(matrix, "solve_epi", lambda *a: calls.append(1) or solve_epi(*a))
+        x = io.braiding_from_obj(io.load_json(io.bundled_path(name)))
+        cmp = wedge_vs_quadratic(x, QUADRATIC_N)
+        golden = json.loads((GOLDEN / f"wedge-dims-{name}-compare-quadratic.json").read_text())
+        assert cmp["quadratic_dims"] == golden["quadratic_dims"]
+        assert len(calls) == 0
 
 
 class TestWedgeOnDemand:
