@@ -12,7 +12,7 @@ entering only through rho.
 HopfBimodule and CrossedModule declare their structure maps once, in a leg
 table LEGS: map name -> (source legs, target legs), each leg H or X, so
 "XH" is X (x) H, as HopfAlgebraData does with legs H.  The constructor's
-shape checks (hopf.set_legs), to_obj, io's one reader
+shape checks (hopf.set_legs), to_obj (hopf.LegTable), io's one reader
 and the transports x.sub(incl) (matrix.restrict over a mono) and
 x.quotient(q) (matrix.descend over an epi) all read that table.
 induced(x, m) is X (x) M with X's left structure and the diagonal right
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from .checks import Checks
 from .errors import ShapeError
-from .hopf import HopfAlgebraData, set_legs
+from .hopf import HopfAlgebraData, LegTable, set_legs
 from .matrix import (
     Matrix,
     braided_product,
@@ -49,7 +49,7 @@ def _sizes(h, dim):
     return {"H": h.dim, "X": dim}.get
 
 
-class _Structure:
+class _Structure(LegTable):
     """A space of dimension dim over h with the structure maps of LEGS."""
 
     def __init__(self, h: HopfAlgebraData, dim: int, *maps, name=""):
@@ -79,9 +79,6 @@ class _Structure:
         del self._deferred
         return self.__dict__[key]
 
-    def to_obj(self):
-        return {"dim": self.dim, **{key: getattr(self, key).to_obj() for key in self.LEGS}}
-
     def _transport(self, dim, leg, move, name):
         legs = {"H": Matrix.identity(self.h.dim), "X": leg}
         maps = [move(getattr(self, key), [legs[g] for g in src], [legs[g] for g in tgt])
@@ -98,9 +95,6 @@ class _Structure:
         FactorizationError when Ker(q) is not stable."""
         return self._transport(q.rows, q, descend, name)
 
-    def __repr__(self):
-        return f"{type(self).__name__}({self.name or self.dim})"
-
 
 class HopfBimodule(_Structure):
     """(X, mu_l, mu_r, nu_l, nu_r) over a Hopf algebra h."""
@@ -114,6 +108,15 @@ class CrossedModule(_Structure):
     LEGS = {"mu_r": ("XH", "X"), "nu_r": ("X", "XH")}
 
 
+def _right_laws(x, ea: Matrix, ed: Matrix) -> dict:
+    """The laws of x.mu_r and x.nu_r, for the identities ea of H and ed of x."""
+    h, mr, nr = x.h, x.mu_r, x.nu_r
+    return {"right_module": compose_kron(mr, ed, h.mult) == compose_kron(mr, mr, ea)
+            and compose_kron(mr, ed, h.unit) == ed,
+            "right_comodule": kron_apply(ed, h.comult, nr) == kron_apply(nr, ea, nr)
+            and kron_apply(ed, h.counit, nr) == ed}
+
+
 def check_hopf_bimodule(x: HopfBimodule) -> Checks:
     h = x.h
     a, d = h.dim, x.dim
@@ -123,13 +126,10 @@ def check_hopf_bimodule(x: HopfBimodule) -> Checks:
     return Checks({
         "left_module": compose_kron(ml, m, ed) == compose_kron(ml, ea, ml)
         and compose_kron(ml, u, ed) == ed,
-        "right_module": compose_kron(mr, ed, m) == compose_kron(mr, mr, ea)
-        and compose_kron(mr, ed, u) == ed,
+        **_right_laws(x, ea, ed),
         "bimodule": compose_kron(mr, ml, ea) == compose_kron(ml, ea, mr),
         "left_comodule": kron_apply(cm, ed, nl) == kron_apply(ea, nl, nl)
         and kron_apply(cu, ed, nl) == ed,
-        "right_comodule": kron_apply(ed, cm, nr) == kron_apply(nr, ea, nr)
-        and kron_apply(ed, cu, nr) == ed,
         "bicomodule": kron_apply(nl, ea, nr) == kron_apply(ea, nr, nl),
         # the coactions are module maps: Delta on the acting leg and a middle
         # swap, e.g. nu_l(h.x) = h1 x(-1) (x) h2.x(0)
@@ -148,20 +148,14 @@ def check_crossed_module(x: CrossedModule) -> Checks:
     h = x.h
     a, d = h.dim, x.dim
     ea, ed = Matrix.identity(a), Matrix.identity(d)
-    m, u, cm, cu = h.mult, h.unit, h.comult, h.counit
+    m, cm = h.mult, h.comult
     mr, nr = x.mu_r, x.nu_r
     # crossed compatibility, both sides maps X (x) H -> X (x) H:
     # (x <| h_(2))_(0) (x) h_(1) (x <| h_(2))_(1) = (x_(0) <| h_(1)) (x) x_(1) h_(2)
     moved = braided_product(ea, nr.compose(mr), swap_matrix(d, a), ed, cm, (1, d, a, a))
     lhs = kron_apply(ed, m, kron_apply(swap_matrix(a, d), ea, moved))
     rhs = braided_product(mr, m, swap_matrix(a, a), nr, cm, (d, a, a, a))
-    return Checks({
-        "right_module": compose_kron(mr, ed, m) == compose_kron(mr, mr, ea)
-        and compose_kron(mr, ed, u) == ed,
-        "right_comodule": kron_apply(ed, cm, nr) == kron_apply(nr, ea, nr)
-        and kron_apply(ed, cu, nr) == ed,
-        "crossed_compatibility": lhs == rhs,
-    })
+    return Checks({**_right_laws(x, ea, ed), "crossed_compatibility": lhs == rhs})
 
 
 # --- standard examples ----------------------------------------------------
@@ -328,7 +322,7 @@ def hopf_bimodule_braiding_inverse(x: HopfBimodule, y: HopfBimodule, txy: Tensor
     on Y (x) X."""
     a = x.h.dim
     ex, ey = Matrix.identity(x.dim), Matrix.identity(y.dim)
-    act = compose_kron(x.mu_r.compose(swap_matrix(a, x.dim)), x.h.antipode_inv, ex)
+    act = compose_kron(x.mu_r.compose(swap_matrix(a, x.dim)), x.h.antipode.inverse(), ex)
     coact = swap_matrix(y.dim, a).compose(y.nu_r)
     phi = braided_product(act, ey, swap_matrix(y.dim, x.dim), coact, ex, (a, y.dim, x.dim, 1))
     return txy.lam.compose(phi).compose(tyx.rho)

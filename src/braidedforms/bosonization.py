@@ -63,25 +63,25 @@ def wedge_over_H(h: HopfAlgebraData, x: HopfBimodule, N: int) -> tuple[GradedBia
     # W_n as a crossed submodule of M^(tensor n)
     wedges = [power.sub(im) for power, im in zip(crossed_powers(mc, N), w.im)]
 
-    dims = [a * walg.dims[n] for n in range(N + 1)]
-    mult = {}
-    comult = {}
+    dims = [a * wn for wn in walg.dims]
+    eye_w = [Matrix.identity(wn) for wn in walg.dims]
+    comult_w, mult_w = [kron(h.comult, e) for e in eye_w], [kron(h.mult, e) for e in eye_w]
+    mult, comult = {}, {}
     for k in range(N + 1):
         wk = walg.dims[k]
+        eye_k, swap_wh, swap_hw = Matrix.identity(dims[k]), swap_matrix(wk, a), swap_matrix(a, wk)
         for l in range(N + 1 - k):
-            wl = walg.dims[l]
-            ewl = Matrix.identity(wl)
             # (h, v, g, w) -> (h, v, g1, g2, w) -> (h, g1, v, g2, w)
             #              -> (h g1, (v <| g2) w)
             mult[(k, l)] = braided_product(
-                h.mult, compose_kron(walg.m(k, l), wedges[k].mu_r, ewl), swap_matrix(wk, a),
-                Matrix.identity(a * wk), kron(h.comult, ewl), (a, wk, a, a * wl),
+                h.mult, compose_kron(walg.m(k, l), wedges[k].mu_r, eye_w[l]), swap_wh,
+                eye_k, comult_w[l], (a, wk, a, dims[l]),
             )
             # (h, u) -> (h1, h2, u1_0, u1_1, u2) -> (h1, u1_0, h2, u1_1, u2)
             #        -> (h1, u1_0, h2 u1_1, u2)
             comult[(k, l)] = braided_product(
-                Matrix.identity(a * wk), kron(h.mult, ewl), swap_matrix(a, wk),
-                h.comult, kron_apply(wedges[k].nu_r, ewl, walg.cm(k, l)), (a, a, wk, a * wl),
+                eye_k, mult_w[l], swap_hw,
+                h.comult, kron_apply(wedges[k].nu_r, eye_w[l], walg.cm(k, l)), (a, a, wk, dims[l]),
             )
 
     unit = kron(h.unit, walg.unit)
@@ -90,6 +90,5 @@ def wedge_over_H(h: HopfAlgebraData, x: HopfBimodule, N: int) -> tuple[GradedBia
         dims, mult, unit, comult, counit,
         lambda k, l: swap_matrix(dims[k], dims[l]), MINUS_ONE,
     )
-    s0 = kron(h.antipode, Matrix.identity(walg.dims[0]))
-    alg.antipode = antipode_recursive(alg, s0)
+    alg.antipode = antipode_recursive(alg, h.antipode)  # S_0 = S (x) id on W_0, the ground field
     return alg, compose_kron(x.mu_l, Matrix.identity(a), i)

@@ -4,7 +4,7 @@ Schemas (schema_version 1; all matrices row-major, scalars in the cyclotomic
 serialization {"conductor": n, "coeffs": [[num, den], ...]}, with no other
 key; integer and "p/q" string shorthands are accepted on input):
 
-  hopf      {"dim", "mult", "unit", "comult", "counit", "antipode", "antipode_inv"}
+  hopf      {"dim", "mult", "unit", "comult", "counit", "antipode"}, never S^-1
   braiding  {"dim", "psi": Matrix, "lambda": Scalar}
   bimodule  {"hopf": <ref>, "dim", "mu_l", "mu_r", "nu_l", "nu_r"}
   crossed   {"hopf": <ref>, "dim", "mu_r", "nu_r"}
@@ -35,7 +35,7 @@ from .bimodules import CrossedModule, HopfBimodule
 from .calculus import FirstOrderCalculus, fodc_from_submodule, universal_fodc
 from .cyclotomic import ZERO, Scalar, _canon, _div
 from .errors import BraidedFormsError, ParseError, TooLarge
-from .hopf import HopfAlgebraData
+from .hopf import HopfAlgebraData, require_hopf
 from .matrix import Matrix, hstack
 
 SCHEMA_VERSION = 1
@@ -275,10 +275,10 @@ def crossed_from_obj(obj, base_dir=None) -> CrossedModule:
 
 
 def calculus_from_obj(obj, base_dir=None):
-    """Calculus bundle -> FirstOrderCalculus."""
+    """Calculus bundle -> FirstOrderCalculus, over a base that passes check_hopf."""
     if "hopf" not in obj:
         raise ParseError('calculus bundle needs a "hopf" reference')
-    h = load_hopf_ref(obj["hopf"], base_dir)
+    h = require_hopf(load_hopf_ref(obj["hopf"], base_dir))
     if "submodule" in obj:
         sub = obj["submodule"]
         if not isinstance(sub, dict) or sub.get("ambient") != "ker_counit":
@@ -289,9 +289,8 @@ def calculus_from_obj(obj, base_dir=None):
     if "X" in obj and "d" in obj:
         if not isinstance(obj["X"], dict):
             raise ParseError(f'"X" must be a bimodule object, got {obj["X"]!r}')
-        xobj = dict(obj["X"])
-        xobj.setdefault("hopf", obj["hopf"])
-        x = bimodule_from_obj(xobj, base_dir)
+        # X is over the bundle's checked base, whatever "hopf" member it holds
+        x = bimodule_from_obj({**obj["X"], "hopf": obj["hopf"]}, base_dir)
         d = _wrap(matrix_from_obj, obj["d"], "differential")
         if (d.rows, d.cols) != (x.dim, h.dim):
             raise ParseError(f'"d" must be {x.dim}x{h.dim} (X.dim x H.dim), '

@@ -370,7 +370,7 @@ def reference_inverse_composite(x, y):
     a = h.dim
     ex, ey = Matrix.identity(x.dim), Matrix.identity(y.dim)
     step1 = kron(swap_matrix(x.dim, a).compose(x.nu_r), ey)
-    step2 = kron(h.antipode_inv, swap_matrix(x.dim, y.dim))
+    step2 = kron(h.antipode.inverse(), swap_matrix(x.dim, y.dim))
     step3 = kron(y.mu_r.compose(swap_matrix(a, y.dim)), ex)
     return step3.compose(step2).compose(step1)
 

@@ -95,6 +95,22 @@ class TestCheck:
         obj["antipode"]["entries"] = [0 for _ in obj["antipode"]["entries"]]
         assert run(["check", "--kind", "hopf", bundle(tmp_path, "c.json", obj)]) == 1
 
+    @pytest.mark.parametrize("legacy", ["inverse", "zero", "string"])
+    def test_legacy_antipode_inv_is_ignored(self, tmp_path, legacy):
+        # a Hopf file states S alone; an antipode_inv member, right or wrong,
+        # changes no byte of the report
+        obj = io.load_json(io.bundled_path("taft3"))
+        s = io.matrix_from_obj(obj["antipode"])
+        obj["antipode_inv"] = {"inverse": s.inverse().to_obj(),
+                               "zero": Matrix.zero(s.rows, s.cols).to_obj(),
+                               "string": "garbage"}[legacy]
+        reports = []
+        for path in (str(io.bundled_path("taft3")), bundle(tmp_path, "t.json", obj)):
+            out = tmp_path / "report.json"
+            code, stdout, err = _main(["check", "--kind", "hopf", path, "--out", str(out)])
+            reports.append((code, stdout.split("\n", 1)[1], err, out.read_bytes()))
+        assert reports[0] == reports[1] and reports[0][0] == 0
+
     def test_hopf_failure_report_bytes(self, tmp_path):
         obj = json.load(open(io.bundled_path("kz2")))
         obj["mult"]["entries"][0] = 2
@@ -600,17 +616,35 @@ def _wrong_antipode(name, how):
 
 
 @pytest.mark.parametrize("name, how", [
-    *((name, how) for name in CALCULI for how in ("0", "2", "-1")),
-    *(("kz2_universal_calculus", f"{op} 1") for op in ("neg", "zero")),
-    *(("kz3_universal_calculus", f"{op} {c}") for op in ("neg", "zero") for c in (1, 2)),
+    *((name, how) for name in CALCULI for how in ("0", "2", "-1", "neg 1")),
+    ("kz2_universal_calculus", "zero 1"),
+    *(("kz3_universal_calculus", f"{op} {c}") for op in ("neg", "zero") for c in (1, 2)
+      if (op, c) != ("neg", 1)),
 ])
 def test_wrong_antipode_exit_1(tmp_path, name, how):
-    # the coinvariants of the forms' bimodules, or the degree-0 antipode of
-    # the biproduct, fail on a wrong S: one error line, no traceback
+    # the calculus checks its base Hopf algebra before anything reads S: one
+    # error line that names a failed antipode check, no traceback
     path = bundle(tmp_path, "c.json", _wrong_antipode(name, how))
-    code, out, err = _main(["build-calculus", path, "--max-degree", "2"])
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, err
+    for argv in (["build-calculus", path, "--max-degree", "2"],
+                 ["check", "--kind", "calculus", path]):
+        code, out, err = _main(argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, err
+        assert "antipode_left" in err or "antipode_right" in err, err
+
+
+def test_bimodule_is_read_over_the_bundle_base(tmp_path):
+    # a "hopf" member inside X, here kZ_2 with a wrong antipode, is not read:
+    # X is over the bundle's checked base
+    obj = _wrong_antipode("kz2_universal_calculus", "0")
+    plain = {"hopf": "bundled:kz2", "X": obj["X"], "d": obj["d"]}
+    reports = []
+    for calc in (plain, dict(plain, X=dict(obj["X"], hopf=obj["hopf"]))):
+        out = tmp_path / "report.json"
+        code, _, err = _main(["build-calculus", bundle(tmp_path, "c.json", calc),
+                              "--max-degree", "2", "--out", str(out)])
+        reports.append((code, err, out.read_bytes()))
+    assert reports[0] == reports[1] and reports[0][0] == 0
 
 
 def test_zero_entries_skip_the_scalar_parser(monkeypatch):
