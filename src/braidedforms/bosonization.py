@@ -12,7 +12,10 @@ All structure maps are assembled blockwise:
   (h (x) v)(g (x) w) = h g_(1) (x) (v <| g_(2)) w
   Delta(h (x) u)     = (h_(1) (x) u^(1)_(0)) (x) (h_(2) u^(1)_(1) (x) u^(2))
 with the crossed action/coaction of H on T^wedge(M) taken degreewise
-(diagonal on M^(tensor n), corestricted to the wedge).
+(diagonal on M^(tensor n), corestricted to the wedge).  The braiding is
+lambda^(kl) times the plain flip, and the antipode is the biproduct's closed
+form (Radford, J. Algebra 92, 1985; Majid, J. Algebra 163, 1994):
+  S(h (x) w)         = (1 (x) S_W(w_(0))) (S_H(h w_(1)) (x) 1)
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from .bimodules import (
 )
 from .braiding import BraidedSpace
 from .cyclotomic import MINUS_ONE
-from .graded import GradedBialgebra, antipode_recursive
+from .errors import FactorizationError
+from .graded import GradedBialgebra
 from .hopf import HopfAlgebraData
 from .matrix import (
     Matrix,
@@ -60,13 +64,17 @@ def wedge_over_H(h: HopfAlgebraData, x: HopfBimodule, N: int) -> tuple[GradedBia
     # build_wedge checks the braid equation
     w = build_wedge(BraidedSpace(mc.dim, yd_braiding(mc, mc), MINUS_ONE), N)
     walg = w.algebra
+    if walg.antipode is None:
+        raise FactorizationError("the antipode of T°(M) does not restrict to the wedge")
     # W_n as a crossed submodule of M^(tensor n)
     wedges = [power.sub(im) for power, im in zip(crossed_powers(mc, N), w.im)]
 
     dims = [a * wn for wn in walg.dims]
+    eye_a = Matrix.identity(a)
     eye_w = [Matrix.identity(wn) for wn in walg.dims]
     comult_w, mult_w = [kron(h.comult, e) for e in eye_w], [kron(h.mult, e) for e in eye_w]
-    mult, comult = {}, {}
+    s_mult = h.antipode.compose(h.mult)
+    mult, comult, antipode = {}, {}, []
     for k in range(N + 1):
         wk = walg.dims[k]
         eye_k, swap_wh, swap_hw = Matrix.identity(dims[k]), swap_matrix(wk, a), swap_matrix(a, wk)
@@ -83,12 +91,11 @@ def wedge_over_H(h: HopfAlgebraData, x: HopfBimodule, N: int) -> tuple[GradedBia
                 eye_k, mult_w[l], swap_hw,
                 h.comult, kron_apply(wedges[k].nu_r, eye_w[l], walg.cm(k, l)), (a, a, wk, dims[l]),
             )
+        # (h, w) -> (h, w_0, w_1) -> (w_0, h, w_1) -> (1 (x) S_W(w_0)) (S(h w_1) (x) 1)
+        antipode.append(compose_kron(mult[(k, 0)], h.unit, braided_product(
+            walg.antipode[k], s_mult, swap_hw, eye_a, wedges[k].nu_r, (1, a, wk, a))))
 
     unit = kron(h.unit, walg.unit)
     counit = kron(h.counit, walg.counit)
-    alg = GradedBialgebra(
-        dims, mult, unit, comult, counit,
-        lambda k, l: swap_matrix(dims[k], dims[l]), MINUS_ONE,
-    )
-    alg.antipode = antipode_recursive(alg, h.antipode)  # S_0 = S (x) id on W_0, the ground field
-    return alg, compose_kron(x.mu_l, Matrix.identity(a), i)
+    alg = GradedBialgebra(dims, mult, unit, comult, counit, None, MINUS_ONE, antipode=antipode)
+    return alg, compose_kron(x.mu_l, eye_a, i)

@@ -7,7 +7,10 @@ checked blockwise for total degree <= N.  A GradedBialgebra carries its own
 unweighted swap blocks s(k,l): B_k @ B_l -> B_l @ B_k and its lambda, and
 weights them once, in braid(k, l) = lambda^(kl) s(k,l): the graded braiding
 of the ambient category, which is what the bialgebra axiom is checked
-against.  It may also carry an antipode S_0 ... S_N and a differential
+against.  swap=None means s(k,l) is the plain flip of the base category,
+as for a biproduct; a sub-bialgebra of such an algebra has the flip as its
+swap too, since the flip is natural, so its swap is never solved for.  It
+may also carry an antipode S_0 ... S_N and a differential
 d_0 ... d_(N-1), d_n: B_n -> B_(n+1); the checks and the transport read both
 from the algebra itself.
 """
@@ -31,11 +34,13 @@ from .matrix import (
     kron,
     kron_apply,
     restrict,
+    swap_matrix,
 )
 
 
 class GradedBialgebra:
-    """Blockwise graded bialgebra data, optionally Hopf and differential."""
+    """Blockwise graded bialgebra data, optionally Hopf and differential;
+    swap maps (k, l) to the unweighted block s(k,l), or is None for the flip."""
 
     def __init__(self, dims, mult, unit, comult, counit, swap, lam,
                  antipode=None, differential=None):
@@ -47,7 +52,7 @@ class GradedBialgebra:
         self.unit = unit
         self.comult = dict(comult)
         self.counit = counit
-        self.swap = swap  # callable (k, l) -> the unweighted block
+        self.swap = swap
         self._braid_memo = {}
         self.antipode = list(antipode) if antipode is not None else None
         self.differential = list(differential) if differential is not None else None
@@ -70,7 +75,7 @@ class GradedBialgebra:
     def braid(self, k, l):
         """lam^(kl) * swap(k, l), the swap itself when the weight is 1."""
         if (k, l) not in self._braid_memo:
-            m = self.swap(k, l)
+            m = swap_matrix(self.dims[k], self.dims[l]) if self.swap is None else self.swap(k, l)
             w = self.lam ** (k * l)
             self._braid_memo[(k, l)] = m if w == 1 else m.scale(w)
         return self._braid_memo[(k, l)]
@@ -82,7 +87,7 @@ class GradedBialgebra:
         """Every block check_graded_structure reads, the braid blocks (k, l)
         with k + l <= N among them.  Two algebras whose blocks compare equal
         get the same verdicts and witnesses.  The result holds matrices only,
-        not the algebra or its swap callable."""
+        not the algebra or its swap callable (the weighted flips for None)."""
         N = self.N
         return {
             "dims": self.dims,
@@ -244,10 +249,10 @@ def sub_bialgebra(b: GradedBialgebra, incl) -> GradedBialgebra:
     d = b.differential
     if d is not None:
         d = [block(f, (n,), (n + 1,)) for n, f in enumerate(d)]
+    swap = None if b.swap is None else lambda k, l: block(b.swap(k, l), (k, l), (l, k))
     return GradedBialgebra(
         [i.cols for i in incl], mult, block(b.unit, (), (0,)), comult,
-        block(b.counit, (0,), ()), lambda k, l: block(b.swap(k, l), (k, l), (l, k)),
-        b.lam, antipode=antipode, differential=d,
+        block(b.counit, (0,), ()), swap, b.lam, antipode=antipode, differential=d,
     )
 
 

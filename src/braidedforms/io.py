@@ -252,12 +252,14 @@ def load_hopf_ref(ref, base_dir) -> HopfAlgebraData:
     return hopf_from_obj(obj)
 
 
-def _structure_from_obj(cls, obj, base_dir, what):
-    """A HopfBimodule or CrossedModule: "dim" and the maps of cls.LEGS."""
+def _base_hopf(obj, base_dir, what) -> HopfAlgebraData:
     if "hopf" not in obj:
-        raise ParseError(f'{what} file needs a "hopf" reference')
-    h = load_hopf_ref(obj["hopf"], base_dir)
+        raise ParseError(f'{what} needs a "hopf" reference')
+    return load_hopf_ref(obj["hopf"], base_dir)
 
+
+def _structure_from_obj(cls, obj, h, what):
+    """A HopfBimodule or CrossedModule over h: "dim" and the maps of cls.LEGS."""
     def build(o):
         dim = _integer(o["dim"])
         maps = [matrix_from_obj(o[key]) for key in cls.LEGS]
@@ -267,18 +269,18 @@ def _structure_from_obj(cls, obj, base_dir, what):
 
 
 def bimodule_from_obj(obj, base_dir=None) -> HopfBimodule:
-    return _structure_from_obj(HopfBimodule, obj, base_dir, "bimodule")
+    h = _base_hopf(obj, base_dir, "bimodule file")
+    return _structure_from_obj(HopfBimodule, obj, h, "bimodule")
 
 
 def crossed_from_obj(obj, base_dir=None) -> CrossedModule:
-    return _structure_from_obj(CrossedModule, obj, base_dir, "crossed module")
+    h = _base_hopf(obj, base_dir, "crossed module file")
+    return _structure_from_obj(CrossedModule, obj, h, "crossed module")
 
 
 def calculus_from_obj(obj, base_dir=None):
     """Calculus bundle -> FirstOrderCalculus, over a base that passes check_hopf."""
-    if "hopf" not in obj:
-        raise ParseError('calculus bundle needs a "hopf" reference')
-    h = require_hopf(load_hopf_ref(obj["hopf"], base_dir))
+    h = require_hopf(_base_hopf(obj, base_dir, "calculus bundle"))
     if "submodule" in obj:
         sub = obj["submodule"]
         if not isinstance(sub, dict) or sub.get("ambient") != "ker_counit":
@@ -290,7 +292,7 @@ def calculus_from_obj(obj, base_dir=None):
         if not isinstance(obj["X"], dict):
             raise ParseError(f'"X" must be a bimodule object, got {obj["X"]!r}')
         # X is over the bundle's checked base, whatever "hopf" member it holds
-        x = bimodule_from_obj({**obj["X"], "hopf": obj["hopf"]}, base_dir)
+        x = _structure_from_obj(HopfBimodule, obj["X"], h, "bimodule")
         d = _wrap(matrix_from_obj, obj["d"], "differential")
         if (d.rows, d.cols) != (x.dim, h.dim):
             raise ParseError(f'"d" must be {x.dim}x{h.dim} (X.dim x H.dim), '

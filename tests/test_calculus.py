@@ -1,10 +1,12 @@
+import gc
+import weakref
 from functools import cache
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from braidedforms import io
+from braidedforms import calculus, io, tensor_hopf
 from braidedforms.bimodules import check_hopf_bimodule, is_bimodule_morphism
 from braidedforms.bosonization import crossed_powers, wedge_over_H
 from braidedforms.calculus import (
@@ -26,7 +28,7 @@ from braidedforms.calculus import (
     verify_calculus,
 )
 from braidedforms.errors import FactorizationError, NotASubmodule
-from braidedforms.graded import check_graded_structure
+from braidedforms.graded import antipode_recursive, check_graded_structure, sub_bialgebra
 from braidedforms.hopf import cyclic_group_algebra
 from braidedforms.matrix import (
     Matrix,
@@ -34,6 +36,7 @@ from braidedforms.matrix import (
     hstack,
     kron,
     kron_all,
+    restrict,
     solve_epi,
     split_leg,
     swap_matrix,
@@ -87,6 +90,14 @@ def reference_biproduct_differential(alg, can, d):
     return diff
 
 
+# the bundled calculi, and the universal calculi of the corpus algebras that
+# have none; taft3's universal calculus is left out, since its recursive
+# antipode alone takes over a second at N = 2
+ANTIPODE_CALCULI = ("kz2_universal_calculus", "kz3_universal_calculus",
+                    "sweedler_universal_calculus", "taft3_quotient_calculus",
+                    "kz4", "kz5", "kz6", "ks3")
+
+
 class TestBosonization:
     def test_crossed_powers_against_kronecker_chains(self, kz3, sweedler, ks3):
         for h in (kz3, sweedler, ks3):
@@ -118,6 +129,26 @@ class TestBosonization:
     def test_antipode_against_kronecker_chains(self, sweedler):
         alg, _ = wedge_over_H(sweedler, universal_fodc(sweedler).x, 2)
         assert alg.antipode == reference_antipode(alg, alg.antipode[0])
+
+    @pytest.mark.parametrize("route", ["X", "comma"])
+    @pytest.mark.parametrize("name", ANTIPODE_CALCULI)
+    def test_closed_form_antipode_against_recursion(self, name, route):
+        calc = corpus_calculus(name)
+        x = calc.x if route == "X" else comma_extension(calc)[0]
+        for N in (1, 2, 3):
+            alg, _ = wedge_over_H(calc.h, x, N)
+            assert alg.antipode == antipode_recursive(alg, calc.h.antipode), N
+
+    def test_wedge_antipode_that_does_not_restrict(self, kz3, monkeypatch):
+        # with T°(M)'s antipode replaced by a cyclic shift of the basis, the
+        # wedge is no longer stable under it: the biproduct cannot be built
+        def shift(x, n):
+            d = x.dim ** n
+            return Matrix(d, d, [int(r == (c + 1) % d) for r in range(d) for c in range(d)])
+
+        monkeypatch.setattr(tensor_hopf, "closed_form_antipode", shift)
+        with pytest.raises(FactorizationError, match="does not restrict to the wedge"):
+            wedge_over_H(kz3, universal_fodc(kz3).x, 2)
 
     def test_wedge_over_H_square_kz2(self, kz2):
         from braidedforms.bimodules import square_bimodule
@@ -212,6 +243,15 @@ CORPUS = ("kz2", "kz3", "kz4", "kz5", "kz6", "ks3", "sweedler", "taft3")
 @cache
 def corpus_hopf(name):
     return io.hopf_from_obj(io.load_json(io.bundled_path(name)))
+
+
+@cache
+def corpus_calculus(name):
+    """A bundled calculus by file name, or a corpus algebra's universal calculus."""
+    if name in CORPUS:
+        return universal_fodc(corpus_hopf(name))
+    path = io.bundled_path(name)
+    return io.calculus_from_obj(io.load_json(path), path.parent)
 
 
 @cache
@@ -442,6 +482,42 @@ class TestExterior:
     def test_braid_blocks_are_memoized(self, kz3):
         alg = exterior_calculus_via_comma(universal_fodc(kz3), 2)
         assert alg.braid(1, 1) is alg.braid(1, 1)
+
+    @pytest.mark.parametrize("name", ["kz3", "sweedler"])
+    def test_braid_blocks_are_the_weighted_flips(self, name, monkeypatch):
+        # reference: the biproduct's swap as the plain flip callable it was,
+        # and the maximal calculus's as that flip restricted along its
+        # inclusions
+        seen = []
+
+        def recording(b, incl):
+            seen.append((b, incl))
+            return sub_bialgebra(b, incl)
+
+        monkeypatch.setattr(calculus, "sub_bialgebra", recording)
+        N = 3
+        sub = exterior_calculus_via_comma(universal_fodc(corpus_hopf(name)), N)
+        (alg, incl), = seen
+        for k in range(N + 1):
+            for l in range(N + 1 - k):
+                flip = swap_matrix(alg.dims[k], alg.dims[l]).scale(alg.lam ** (k * l))
+                assert alg.braid(k, l) == flip, (k, l)
+                expected = restrict(flip, [incl[k], incl[l]], [incl[l], incl[k]])
+                assert sub.braid(k, l) == expected, (k, l)
+
+    def test_comma_algebra_is_freed(self, kz3, monkeypatch):
+        # the maximal calculus holds no reference to the comma extension's
+        # biproduct it was cut from
+        refs = []
+
+        def recording(b, incl):
+            refs.append(weakref.ref(b))
+            return sub_bialgebra(b, incl)
+
+        monkeypatch.setattr(calculus, "sub_bialgebra", recording)
+        sub = exterior_calculus_via_comma(universal_fodc(kz3), 2)
+        gc.collect()
+        assert sub.dims == (3, 6, 3) and refs[0]() is None
 
     def test_zero_calculus_exterior(self, kz2):
         univ = universal_fodc(kz2)

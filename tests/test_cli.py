@@ -647,6 +647,16 @@ def test_bimodule_is_read_over_the_bundle_base(tmp_path):
     assert reports[0] == reports[1] and reports[0][0] == 0
 
 
+def test_explicit_bundle_parses_its_base_once(monkeypatch, kz2):
+    # X is read over the checked base itself, not over a second parse of it
+    univ = universal_fodc(kz2)
+    obj = {"hopf": "bundled:kz2", "X": univ.x.to_obj(), "d": univ.d.to_obj()}
+    calls = Counter()
+    monkeypatch.setattr(io, "hopf_from_obj", _counting(calls, io.hopf_from_obj))
+    calc = io.calculus_from_obj(obj)
+    assert calls["hopf_from_obj"] == 1 and calc.x.h is calc.h
+
+
 def test_zero_entries_skip_the_scalar_parser(monkeypatch):
     # most of taft3's entries are the serialized zero, which parses to the
     # shared ZERO without a call of scalar_from_obj

@@ -209,7 +209,9 @@ def _corrupt(b, part):
         comult[(1, 1)] = _bump(comult[(1, 1)])
     elif part == "braid":
         def swap(k, l, inner=b.swap):
-            return _bump(inner(k, l)) if (k, l) == (1, 1) else inner(k, l)
+            # swap None is the plain flip
+            plain = swap_matrix(b.dims[k], b.dims[l]) if inner is None else inner(k, l)
+            return _bump(plain) if (k, l) == (1, 1) else plain
     elif part == "antipode":
         antipode[1] = _bump(antipode[1])
     elif part == "differential":

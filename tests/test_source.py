@@ -155,6 +155,17 @@ def test_tensor_products_are_applied_not_built_for_compose():
     assert found == []
 
 
+def test_recursive_antipode_is_only_a_test_reference():
+    # every antipode the package builds has a closed form; the degree
+    # recursion of graded.antipode_recursive survives only as the reference
+    # the tests compare against
+    found = [f"{name}:{node.lineno}" for name, tree in _trees() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and "antipode_recursive" in (getattr(node.func, "id", None),
+                                          getattr(node.func, "attr", None))]
+    assert found == []
+
+
 def test_leg_arithmetic_stays_in_matrix_module():
     # splitting a flat index into tensor legs is the layout matrix.py owns
     found = [f"{name}:{node.lineno}" for name, tree in _trees(skip=("matrix.py",))
