@@ -14,7 +14,8 @@ Exit codes
      that cannot be written, or a malformed command line (an unknown or
      missing command, option or value, a missing or extra FILE, a bad choice,
      or a --max-degree that is not an integer >= 1)
-  3  the requested construction exceeds the desk-scale resource bound
+  3  the requested construction exceeds the desk-scale resource bound, or
+     runs out of memory
 
 Reports are JSON with "schema_version"; identical inputs always produce
 bit-identical reports (exact arithmetic, no randomness, sorted keys).
@@ -323,6 +324,10 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_TOO_LARGE
+    except MemoryError:
+        print("error: out of memory: the construction exceeds the available memory",
+              file=sys.stderr)
         return EXIT_TOO_LARGE
     except NotASubmodule as exc:
         print(f"error: {exc}; hint: extend the generator list until it is "

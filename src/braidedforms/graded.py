@@ -12,7 +12,8 @@ as for a biproduct; a sub-bialgebra of such an algebra has the flip as its
 swap too, since the flip is natural, so its swap is never solved for.  It
 may also carry an antipode S_0 ... S_N and a differential
 d_0 ... d_(N-1), d_n: B_n -> B_(n+1); the checks and the transport read both
-from the algebra itself.
+from the algebra itself.  The laws of the product are checked on certified
+algebra generators in degrees 0 and 1 wherever that is exact.
 """
 
 from __future__ import annotations
@@ -102,10 +103,66 @@ class GradedBialgebra:
         }
 
 
+def generator_certificate(b: GradedBialgebra) -> dict | None:
+    """{0: G_0, 1: G_1}, each a selection of basis vectors of its degree
+    picked greedily in index order, when they provably generate b: the words
+    in G_0, spun from the unit by left multiplication, span B_0,
+    m(0,1)(B_0 (x) G_1) = B_1 and m(1,n-1)(G_1 (x) B_(n-1)) = B_n for
+    2 <= n <= N, each read as the rank of a column echelon basis.  None
+    when any of the three fails."""
+    dims, eye = b.dims, b.eye
+    lefts = [compose_kron(b.m(0, 0), eye(0).col(i), eye(0)) for i in range(dims[0])]
+    g0, span = [], b.unit.column_echelon_basis()[0]
+    for i in range(dims[0]):
+        ops, grown = [lefts[j] for j in g0 + [i]], span
+        while True:  # close the span under left multiplication by G_0 and e_i
+            closed = hstack([grown] + [op.compose(grown) for op in ops]).column_echelon_basis()[0]
+            if closed.cols == grown.cols:
+                break
+            grown = closed
+        if grown.cols > span.cols:
+            g0.append(i)
+            span = grown
+    if span.cols < dims[0]:
+        return None
+    gens = {0: _columns(dims[0], g0)}
+    if b.N >= 1:
+        # the leftmost pivots of m(0,1) with its columns ordered (B_1, B_0):
+        # G_1 is every e_j that adds rank to the e_j' before it
+        pivots = b.m(0, 1).compose(swap_matrix(dims[1], dims[0])).rref()[1]
+        if len(pivots) < dims[1]:
+            return None
+        gens[1] = _columns(dims[1], sorted({c // dims[0] for c in pivots}))
+    for n in range(2, b.N + 1):
+        if compose_kron(b.m(1, n - 1), gens[1], eye(n - 1)).rank() < dims[n]:
+            return None
+    return gens
+
+
+def _columns(d, idx):
+    """The basis vectors idx of a d-dimensional space as columns."""
+    sel = Matrix.zero(d, len(idx))
+    for c, r in enumerate(idx):
+        sel[r, c] = ONE
+    return sel
+
+
 def check_graded_structure(b: GradedBialgebra) -> Checks:
     """Blockwise axiom checks: the algebra, coalgebra, bialgebra and antipode
     laws always (the antipode fails with the witness ("missing",) when b has
     none), and the differential laws exactly when b carries a differential.
+
+    Associativity and the bialgebra law hold everywhere once they hold with
+    the left factor among algebra generators (Kassel, Quantum Groups,
+    ch. III; Majid, Foundations of Quantum Group Theory, ch. 9).  So when
+    generator_certificate(b) holds and the unit law passes, associativity
+    reads only k in {0,1}, on the columns G_k (x) B_l (x) B_m; when
+    associativity and unit_counit_compat pass too and every braid block is
+    the lambda^(kl)-weighted flip, the bialgebra law reads only p in {0,1},
+    on G_p (x) B_q.  Otherwise G_p is all of B_p.  So the verdicts are the
+    full check's, and since a restricted block is a column selection of the
+    full one, a failure's witness is a block where the full check fails;
+    the choice reads only blocks(), so equal blocks get equal reports.
 
     Whiskered blocks such as m o (f (x) id) are applied with kron_apply and
     compose_kron, and each term of the bialgebra law with braided_product,
@@ -114,17 +171,21 @@ def check_graded_structure(b: GradedBialgebra) -> Checks:
     checks = Checks()
     N = b.N
     eye = b.eye
+    full = {k: eye(k) for k in range(N + 1)}
+    unit = [compose_kron(b.m(0, n), b.unit, eye(n)) == eye(n)
+            and compose_kron(b.m(n, 0), eye(n), b.unit) == eye(n) for n in range(N + 1)]
+    gens = all(unit) and generator_certificate(b)
+    cols = gens or full
 
     # algebra
-    for k in range(N + 1):
+    for k, g in cols.items():
         for l in range(N + 1 - k):
+            left = compose_kron(b.m(k, l), g, eye(l))
             for m in range(N + 1 - k - l):
-                lhs = compose_kron(b.m(k + l, m), b.m(k, l), eye(m))
-                rhs = compose_kron(b.m(k, l + m), eye(k), b.m(l, m))
+                lhs = compose_kron(b.m(k + l, m), left, eye(m))
+                rhs = compose_kron(b.m(k, l + m), g, b.m(l, m))
                 checks.record("associativity", None if lhs == rhs else (k, l, m))
-    for n in range(N + 1):
-        ok = (compose_kron(b.m(0, n), b.unit, eye(n)) == eye(n)
-              and compose_kron(b.m(n, 0), eye(n), b.unit) == eye(n))
+    for n, ok in enumerate(unit):
         checks.record("unit", None if ok else (n,))
 
     # coalgebra
@@ -140,25 +201,31 @@ def check_graded_structure(b: GradedBialgebra) -> Checks:
         checks.record("counit", None if ok else (n,))
 
     # bialgebra
-    for n in range(N + 1):
-        for k in range(n + 1):
-            l = n - k
-            for p in range(n + 1):
-                q = n - p
-                lhs = b.cm(k, l).compose(b.m(p, q))
-                rhs = Matrix.zero(lhs.rows, lhs.cols)
-                for a in range(max(0, k - q), min(p, k) + 1):
-                    bb, c, d = p - a, k - a, q - (k - a)
-                    rhs = rhs + braided_product(
-                        b.m(a, c), b.m(bb, d), b.braid(bb, c), b.cm(a, bb), b.cm(c, d),
-                        (b.dims[a], b.dims[bb], b.dims[c], b.dims[d]))
-                checks.record("bialgebra", None if lhs == rhs else (k, l, p, q))
-    ok = (
+    compat = (
         b.counit.compose(b.m(0, 0)) == kron(b.counit, b.counit)
         and b.cm(0, 0).compose(b.unit) == kron(b.unit, b.unit)
         and b.counit.compose(b.unit) == Matrix.identity(1)
     )
-    checks.record("unit_counit_compat", None if ok else (0,))
+    if not (gens and compat and checks.first["associativity"] is None and all(
+            b.braid(k, l) == swap_matrix(b.dims[k], b.dims[l]).scale(b.lam ** (k * l))
+            for k in range(N + 1) for l in range(N + 1 - k))):
+        cols = full
+    cm_g = {(a, p - a): b.cm(a, p - a).compose(g) for p, g in cols.items() for a in range(p + 1)}
+    for n in range(N + 1):
+        m_g = {p: compose_kron(b.m(p, n - p), g, eye(n - p)) for p, g in cols.items() if p <= n}
+        for k in range(n + 1):
+            l = n - k
+            for p, mg in m_g.items():
+                q = n - p
+                lhs = b.cm(k, l).compose(mg)
+                rhs = Matrix.zero(lhs.rows, lhs.cols)
+                for a in range(max(0, k - q), min(p, k) + 1):
+                    bb, c, d = p - a, k - a, q - (k - a)
+                    rhs = rhs + braided_product(
+                        b.m(a, c), b.m(bb, d), b.braid(bb, c), cm_g[(a, bb)], b.cm(c, d),
+                        (b.dims[a], b.dims[bb], b.dims[c], b.dims[d]))
+                checks.record("bialgebra", None if lhs == rhs else (k, l, p, q))
+    checks.record("unit_counit_compat", None if compat else (0,))
 
     # antipode
     if b.antipode is None:

@@ -495,6 +495,15 @@ class TestExitCodes:
         assert run(["check", "--kind", "hopf", bundle(tmp_path, "h.json", obj)]) == 3
         assert time.perf_counter() - start < 5
 
+    def test_out_of_memory_exit_3(self, monkeypatch, capsys):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setitem(cli.COMMANDS, "check", (exhausted, cli.COMMANDS["check"][1]))
+        assert run(["check", "--kind", "hopf", str(io.bundled_path("kz2"))]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_huge_degree_exit_3(self):
         assert run(["wedge-dims", str(io.bundled_path("swap2")),
                     "--max-degree", "100000"]) == 3

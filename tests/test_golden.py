@@ -5,12 +5,14 @@ never written). The reports under `tests/golden/` come from commands that
 run the Hopf bimodule and crossed module leg swaps, square bimodules,
 classification over Q and Q(zeta_n) for n = 3, 4, 5, both exterior-calculus
 routes over Q and over Q(zeta_3), and the wedge dimensions with and without
-the quadratic comparison, up to conductor 97. The report writer gives back
+the quadratic comparison, up to conductor 97; the 4.6 MB taft3 universal
+calculus report is pinned by its SHA-256. The report writer gives back
 every committed report from its parsed form, and it writes what
 `json.JSONEncoder(indent=2, sort_keys=True)` writes.  Each bundled Hopf
 algebra is what its builder in `hopf` writes.
 """
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -131,6 +133,18 @@ def test_classify_never_builds_right_structure(tmp_path, monkeypatch, expected, 
     assert main(["classify", str(io.bundled_path(name)), "--out", str(out)]) == 0
     assert out.read_bytes() == expected.read_bytes()
     assert calls == []
+
+
+def test_build_calculus_taft3_universal_report_hash(tmp_path):
+    # the frontier: taft3's universal calculus, dims 9, 72, 441 up to N = 2;
+    # its 4.6 MB report is pinned by its SHA-256, not committed
+    path = tmp_path / "taft3_universal.json"
+    io.save_json({"hopf": "bundled:taft3",
+                  "submodule": {"ambient": "ker_counit", "generators": []}}, path)
+    out = tmp_path / "report.json"
+    assert main(["build-calculus", str(path), "--max-degree", "2", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "05a8b94c693f7a84bdb8b922a5875ea288dd67b3a2e022e66d3a977919c67ced")
 
 
 def _wedge_dims_conductor97_line(tmp_path, max_degree):

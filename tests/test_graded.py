@@ -1,24 +1,33 @@
 import pytest
 
-from braidedforms import io
+from braidedforms import graded, io
 from braidedforms.braiding import (
     BraidedSpace,
     block_swap,
     braided_line,
     swap_space,
 )
-from braidedforms.calculus import exterior_calculus, universal_fodc
+from braidedforms.calculus import exterior_calculus, exterior_calculus_via_comma, universal_fodc
 from braidedforms.checks import Checks
-from braidedforms.cyclotomic import MINUS_ONE, ONE, Scalar
+from braidedforms.cyclotomic import MINUS_ONE, ONE, ZERO, Scalar
 from braidedforms.errors import IncompatibleBraiding, NotABiIdeal, ShapeError
 from braidedforms.graded import (
     GradedBialgebra,
     antipode_recursive,
     check_graded_structure,
+    generator_certificate,
     ideal_quotient,
     sub_bialgebra,
 )
-from braidedforms.matrix import Matrix, kron, restrict, swap_matrix
+from braidedforms.matrix import (
+    Matrix,
+    braided_product,
+    compose_kron,
+    kron,
+    kron_apply,
+    restrict,
+    swap_matrix,
+)
 from braidedforms.tensor_hopf import build_tensor_hopf
 
 
@@ -109,35 +118,43 @@ class TestGradedBialgebra:
         assert ideal_quotient(t, Matrix.identity(4), 2) == [Matrix.identity(1), Matrix.identity(2)]
 
 
-# --- the axiom checks against a reference that builds every Kronecker product
+# --- the axiom checks against the full check, every law on every block
 
 
-def reference_check(b):
-    """check_graded_structure evaluated with every whisker materialized by
-    kron and every product associated as written, on an algebra with an
-    antipode and a differential."""
-    checks = Checks()
+def reference_failures(b):
+    """Every failing block of every check, name -> witnesses in the order
+    check_graded_structure records them: the full check, which reads each
+    law on every degree block and every column.  Whiskers are applied by
+    kron_apply/compose_kron and each bialgebra term by braided_product, each
+    checked against the materialized Kronecker product in test_matrix."""
+    fails = {}
+
+    def record(name, witness):
+        fails.setdefault(name, [])
+        if witness is not None:
+            fails[name].append(witness)
+
     N, eye = b.N, b.eye
     for k in range(N + 1):
         for l in range(N + 1 - k):
             for m in range(N + 1 - k - l):
-                lhs = b.m(k + l, m).compose(kron(b.m(k, l), eye(m)))
-                rhs = b.m(k, l + m).compose(kron(eye(k), b.m(l, m)))
-                checks.record("associativity", None if lhs == rhs else (k, l, m))
+                lhs = compose_kron(b.m(k + l, m), b.m(k, l), eye(m))
+                rhs = compose_kron(b.m(k, l + m), eye(k), b.m(l, m))
+                record("associativity", None if lhs == rhs else (k, l, m))
     for n in range(N + 1):
-        ok = (b.m(0, n).compose(kron(b.unit, eye(n))) == eye(n)
-              and b.m(n, 0).compose(kron(eye(n), b.unit)) == eye(n))
-        checks.record("unit", None if ok else (n,))
+        ok = (compose_kron(b.m(0, n), b.unit, eye(n)) == eye(n)
+              and compose_kron(b.m(n, 0), eye(n), b.unit) == eye(n))
+        record("unit", None if ok else (n,))
     for k in range(N + 1):
         for l in range(N + 1 - k):
             for m in range(N + 1 - k - l):
-                lhs = kron(b.cm(k, l), eye(m)).compose(b.cm(k + l, m))
-                rhs = kron(eye(k), b.cm(l, m)).compose(b.cm(k, l + m))
-                checks.record("coassociativity", None if lhs == rhs else (k, l, m))
+                lhs = kron_apply(b.cm(k, l), eye(m), b.cm(k + l, m))
+                rhs = kron_apply(eye(k), b.cm(l, m), b.cm(k, l + m))
+                record("coassociativity", None if lhs == rhs else (k, l, m))
     for n in range(N + 1):
-        ok = (kron(b.counit, eye(n)).compose(b.cm(0, n)) == eye(n)
-              and kron(eye(n), b.counit).compose(b.cm(n, 0)) == eye(n))
-        checks.record("counit", None if ok else (n,))
+        ok = (kron_apply(b.counit, eye(n), b.cm(0, n)) == eye(n)
+              and kron_apply(eye(n), b.counit, b.cm(n, 0)) == eye(n))
+        record("counit", None if ok else (n,))
     for n in range(N + 1):
         for k in range(n + 1):
             l = n - k
@@ -147,48 +164,81 @@ def reference_check(b):
                 rhs = Matrix.zero(lhs.rows, lhs.cols)
                 for a in range(max(0, k - q), min(p, k) + 1):
                     bb, c, d = p - a, k - a, q - (k - a)
-                    rhs = rhs + kron(b.m(a, c), b.m(bb, d)).compose(
-                        kron(kron(eye(a), b.braid(bb, c)), eye(d))
-                    ).compose(kron(b.cm(a, bb), b.cm(c, d)))
-                checks.record("bialgebra", None if lhs == rhs else (k, l, p, q))
+                    rhs = rhs + braided_product(
+                        b.m(a, c), b.m(bb, d), b.braid(bb, c), b.cm(a, bb), b.cm(c, d),
+                        (b.dims[a], b.dims[bb], b.dims[c], b.dims[d]))
+                record("bialgebra", None if lhs == rhs else (k, l, p, q))
     ok = (b.counit.compose(b.m(0, 0)) == kron(b.counit, b.counit)
           and b.cm(0, 0).compose(b.unit) == kron(b.unit, b.unit)
           and b.counit.compose(b.unit) == Matrix.identity(1))
-    checks.record("unit_counit_compat", None if ok else (0,))
-    eta_eps = b.unit.compose(b.counit)
-    for n in range(N + 1):
-        left = right = Matrix.zero(b.dims[n], b.dims[n])
-        for k in range(n + 1):
-            l = n - k
-            left = left + b.m(k, l).compose(kron(b.antipode[k], eye(l))).compose(b.cm(k, l))
-            right = right + b.m(k, l).compose(kron(eye(k), b.antipode[l])).compose(b.cm(k, l))
-        expect = eta_eps if n == 0 else Matrix.zero(b.dims[n], b.dims[n])
-        checks.record("antipode", None if left == expect and right == expect else (n,))
+    record("unit_counit_compat", None if ok else (0,))
+    if b.antipode is None:
+        record("antipode", ("missing",))
+    else:
+        eta_eps = b.unit.compose(b.counit)
+        for n in range(N + 1):
+            left = right = Matrix.zero(b.dims[n], b.dims[n])
+            for k in range(n + 1):
+                l = n - k
+                left = left + b.m(k, l).compose(kron_apply(b.antipode[k], eye(l), b.cm(k, l)))
+                right = right + b.m(k, l).compose(kron_apply(eye(k), b.antipode[l], b.cm(k, l)))
+            expect = eta_eps if n == 0 else Matrix.zero(b.dims[n], b.dims[n])
+            record("antipode", None if left == expect and right == expect else (n,))
     d = b.differential
+    if d is None:
+        return fails
     for n in range(N - 1):
-        checks.record("d_squared", None if d[n + 1].compose(d[n]).is_zero else (n,))
+        record("d_squared", None if d[n + 1].compose(d[n]).is_zero else (n,))
     for k in range(N):
         for l in range(N - k):
             lhs = d[k + l].compose(b.m(k, l))
             sign = ONE if k % 2 == 0 else MINUS_ONE
-            rhs = (b.m(k + 1, l).compose(kron(d[k], eye(l)))
-                   + b.m(k, l + 1).compose(kron(eye(k), d[l])).scale(sign))
-            checks.record("leibniz", None if lhs == rhs else (k, l))
+            rhs = (compose_kron(b.m(k + 1, l), d[k], eye(l))
+                   + compose_kron(b.m(k, l + 1), eye(k), d[l]).scale(sign))
+            record("leibniz", None if lhs == rhs else (k, l))
     for n in range(N):
         for k in range(n + 2):
             l = n + 1 - k
             lhs = b.cm(k, l).compose(d[n])
             rhs = Matrix.zero(lhs.rows, lhs.cols)
             if k >= 1:
-                rhs = rhs + kron(d[k - 1], eye(l)).compose(b.cm(k - 1, l))
+                rhs = rhs + kron_apply(d[k - 1], eye(l), b.cm(k - 1, l))
             if l >= 1:
                 sign = ONE if k % 2 == 0 else MINUS_ONE
-                rhs = rhs + kron(eye(k), d[l - 1]).compose(b.cm(k, l - 1)).scale(sign)
-            checks.record("comult_diff", None if lhs == rhs else (k, l))
-    for n in range(N):
-        ok = b.antipode[n + 1].compose(d[n]) == d[n].compose(b.antipode[n])
-        checks.record("antipode_diff", None if ok else (n,))
+                rhs = rhs + kron_apply(eye(k), d[l - 1], b.cm(k, l - 1)).scale(sign)
+            record("comult_diff", None if lhs == rhs else (k, l))
+    if b.antipode is not None:
+        for n in range(N):
+            ok = b.antipode[n + 1].compose(d[n]) == d[n].compose(b.antipode[n])
+            record("antipode_diff", None if ok else (n,))
+    return fails
+
+
+def reference_check(b):
+    """The full check's verdicts, each failure witnessed by its first block."""
+    checks = Checks()
+    for name, witnesses in reference_failures(b).items():
+        checks.record(name, witnesses[0] if witnesses else None)
     return checks
+
+
+# the laws check_graded_structure may read on generators only: a failure's
+# witness is then some block on which the full check fails, not always the
+# first
+GENERATOR_LAWS = ("associativity", "bialgebra")
+
+
+def assert_agrees_with_reference(report, b, label=None):
+    """The reference's names in its order and its verdicts; each witness is
+    the reference's first, or for GENERATOR_LAWS one of its failing blocks."""
+    fails = reference_failures(b)
+    assert list(report.first) == list(fails), label
+    for name, witness in report.first.items():
+        assert (witness is None) == (not fails[name]), (label, name)
+        if name in GENERATOR_LAWS:
+            assert witness is None or witness in fails[name], (label, name, witness)
+        else:
+            assert witness == (fails[name][0] if fails[name] else None), (label, name, witness)
 
 
 def _bump(m):
@@ -198,26 +248,34 @@ def _bump(m):
     return out
 
 
+def _replaced(b, part, key, block):
+    """A copy of b with block `key` of `part` (mult, comult, antipode or
+    differential) replaced."""
+    legs = {"mult": dict(b.mult), "comult": dict(b.comult),
+            "antipode": b.antipode and list(b.antipode),
+            "differential": b.differential and list(b.differential)}
+    legs[part][key] = block
+    return GradedBialgebra(b.dims, legs["mult"], b.unit, legs["comult"], b.counit, b.swap,
+                           b.lam, antipode=legs["antipode"], differential=legs["differential"])
+
+
 def _corrupt(b, part):
-    """A copy of b with one degree-1 block of `part` changed."""
-    mult, comult = dict(b.mult), dict(b.comult)
-    antipode, differential = list(b.antipode), list(b.differential)
-    swap = b.swap
-    if part == "mult":
-        mult[(1, 1)] = _bump(mult[(1, 1)])
-    elif part == "comult":
-        comult[(1, 1)] = _bump(comult[(1, 1)])
-    elif part == "braid":
+    """A copy of b with one degree-1 block of `part` changed; part None
+    changes nothing."""
+    if part == "braid":
         def swap(k, l, inner=b.swap):
             # swap None is the plain flip
             plain = swap_matrix(b.dims[k], b.dims[l]) if inner is None else inner(k, l)
             return _bump(plain) if (k, l) == (1, 1) else plain
-    elif part == "antipode":
-        antipode[1] = _bump(antipode[1])
-    elif part == "differential":
-        differential[0] = _bump(differential[0])
-    return GradedBialgebra(b.dims, mult, b.unit, comult, b.counit, swap, b.lam,
-                           antipode=antipode, differential=differential)
+
+        return GradedBialgebra(b.dims, b.mult, b.unit, b.comult, b.counit, swap, b.lam,
+                               antipode=b.antipode, differential=b.differential)
+    if part is None:
+        return _replaced(b, "mult", (0, 0), b.m(0, 0))
+    key = {"mult": (1, 1), "comult": (1, 1), "antipode": 1, "differential": 0}[part]
+    legs = {"mult": b.mult, "comult": b.comult, "antipode": b.antipode,
+            "differential": b.differential}
+    return _replaced(b, part, key, _bump(legs[part][key]))
 
 
 @pytest.fixture(scope="module", params=["kz3", "sweedler"])
@@ -231,22 +289,139 @@ class TestChecksAgainstReference:
     def test_same_verdicts_and_witnesses(self, exterior, part):
         b = exterior if part is None else _corrupt(exterior, part)
         report = check_graded_structure(b)
-        assert report.to_obj() == reference_check(b).to_obj()
+        assert_agrees_with_reference(report, b)
         assert report.ok == (part is None)
 
     @pytest.mark.parametrize("block", [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0)])
     def test_one_corrupted_comult_entry(self, exterior, block):
         # one entry changed in one comult block: every check that sees it
-        # must fail at the reference's first witness
+        # must fail, at a block where the reference fails
         comult = dict(exterior.comult)
         comult[block] = _bump(comult[block])
         b = GradedBialgebra(exterior.dims, exterior.mult, exterior.unit, comult,
                             exterior.counit, exterior.swap, exterior.lam,
                             antipode=exterior.antipode, differential=exterior.differential)
         report = check_graded_structure(b)
-        reference = reference_check(b)
-        assert report.first == reference.first and report.failed == reference.failed
+        assert_agrees_with_reference(report, b)
         assert not report.ok
+
+
+# the four bundled calculi, each at the largest degree N <= 3 that keeps the
+# sweep within seconds; both routes build equal blocks on each, so the
+# biproduct covers both
+SWEEP = {"kz2_universal_calculus": 3, "kz3_universal_calculus": 3,
+         "sweedler_universal_calculus": 2, "taft3_quotient_calculus": 2}
+
+
+@pytest.fixture(scope="module", params=sorted(SWEEP))
+def swept(request):
+    path = io.bundled_path(request.param)
+    calc = io.calculus_from_obj(io.load_json(path), path.parent)
+    b = exterior_calculus(calc, SWEEP[request.param])
+    assert exterior_calculus_via_comma(calc, b.N).blocks() == b.blocks()
+    return b
+
+
+def _mutants(b, part):
+    """(block, how, mutant) for each nonempty block of `part`: its first
+    nonzero entry, (0, 0) in a zero block, raised by 1 and, separately,
+    zeroed, when that changes it."""
+    legs = {"mult": b.mult, "comult": b.comult, "antipode": dict(enumerate(b.antipode)),
+            "differential": dict(enumerate(b.differential))}
+    for key, m in legs[part].items():
+        if not (m.rows and m.cols):
+            continue
+        (r, c), v = next(m.nonzeros(), ((0, 0), ZERO))
+        for how, new in (("raised", v + ONE), ("zeroed", ZERO)):
+            if new != v:
+                changed = m + Matrix.zero(m.rows, m.cols)
+                changed[r, c] = new
+                yield key, how, _replaced(b, part, key, changed)
+
+
+@pytest.mark.parametrize("part", ["mult", "comult", "antipode", "differential"])
+def test_corruption_sweep(swept, part):
+    # every mutant gets the full check's verdicts, and each failure names a
+    # block on which the full check fails
+    mutants = list(_mutants(swept, part))
+    assert mutants
+    for key, how, b in mutants:
+        assert_agrees_with_reference(check_graded_structure(b), b, (part, key, how))
+
+
+def _bialgebra_terms(N):
+    """The braided_product calls of the bialgebra law read on every block."""
+    return sum(min(p, k) + 1 - max(0, p - (n - k))
+               for n in range(N + 1) for k in range(n + 1) for p in range(n + 1))
+
+
+@pytest.fixture
+def terms(monkeypatch):
+    """The braided_product calls of check_graded_structure from now on."""
+    calls = []
+    real = graded.braided_product
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(graded, "braided_product", counting)
+    return calls
+
+
+def assert_is_reference(report, b):
+    assert list(report.first.items()) == list(reference_check(b).first.items())
+
+
+class TestGeneratorCertificate:
+    """The laws of the product are read on G_0 and G_1 where they certify
+    it, and on every block where they do not."""
+
+    def test_certified_laws_read_generators_only(self, exterior, terms):
+        gens = generator_certificate(exterior)
+        assert sorted(gens) == [0, 1] and gens[1].cols < exterior.dims[1]
+        assert check_graded_structure(exterior).ok
+        assert 0 < len(terms) < _bialgebra_terms(exterior.N)
+
+    def test_not_generated_in_degree_1(self, exterior, terms):
+        # B_1 B_1 = 0, so G_1 does not generate B_2: both laws read every block
+        b = _replaced(exterior, "mult", (1, 1), Matrix.zero(exterior.dims[2],
+                                                             exterior.dims[1] ** 2))
+        assert generator_certificate(b) is None
+        report = check_graded_structure(b)
+        assert len(terms) == _bialgebra_terms(b.N) and not report.ok
+        assert_is_reference(report, b)
+
+    def test_tensor_hopf_braid_is_not_a_flip(self, terms):
+        # T(X) is generated in degree 1, but its braiding is no flip, so
+        # B (x) B is not known to be an algebra: the bialgebra law reads every block
+        x = io.braiding_from_obj(io.load_json(io.bundled_path("diagonal_zeta5")))
+        t = build_tensor_hopf(x, "shuffle_coproduct", 3)
+        b = _replaced(t, "comult", (1, 1), _bump(t.cm(1, 1)))
+        assert generator_certificate(b) is not None
+        report = check_graded_structure(b)
+        assert len(terms) == _bialgebra_terms(b.N) and report.first["bialgebra"] is not None
+        assert_is_reference(report, b)
+
+    def test_broken_associativity(self, exterior, terms):
+        # the certificate holds, but with associativity broken the bialgebra
+        # law reads every block
+        b = _corrupt(exterior, "mult")
+        assert generator_certificate(b) is not None
+        report = check_graded_structure(b)
+        assert report.first["associativity"] is not None
+        assert len(terms) == _bialgebra_terms(b.N)
+        assert_is_reference(report, b)
+
+    def test_flip_is_read_from_the_blocks(self, exterior):
+        # a swap callable that gives the plain flip makes the same blocks as
+        # swap None, and so the same report
+        b = _corrupt(exterior, "comult")
+        flip = GradedBialgebra(b.dims, b.mult, b.unit, b.comult, b.counit,
+                               lambda k, l: swap_matrix(b.dims[k], b.dims[l]), b.lam,
+                               antipode=b.antipode, differential=b.differential)
+        assert flip.blocks() == b.blocks()
+        assert check_graded_structure(flip).first == check_graded_structure(b).first
 
 
 class TestBlocks:
