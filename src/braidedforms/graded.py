@@ -12,8 +12,9 @@ as for a biproduct; a sub-bialgebra of such an algebra has the flip as its
 swap too, since the flip is natural, so its swap is never solved for.  It
 may also carry an antipode S_0 ... S_N and a differential
 d_0 ... d_(N-1), d_n: B_n -> B_(n+1); the checks and the transport read both
-from the algebra itself.  The laws of the product are checked on certified
-algebra generators in degrees 0 and 1 wherever that is exact.
+from the algebra itself.  Each law whose two sides are algebra maps,
+derivations or anti-algebra maps is checked on certified algebra generators
+in degrees 0 and 1 wherever that is exact.
 """
 
 from __future__ import annotations
@@ -103,13 +104,15 @@ class GradedBialgebra:
         }
 
 
-def generator_certificate(b: GradedBialgebra) -> dict | None:
-    """{0: G_0, 1: G_1}, each a selection of basis vectors of its degree
-    picked greedily in index order, when they provably generate b: the words
-    in G_0, spun from the unit by left multiplication, span B_0,
-    m(0,1)(B_0 (x) G_1) = B_1 and m(1,n-1)(G_1 (x) B_(n-1)) = B_n for
-    2 <= n <= N, each read as the rank of a column echelon basis.  None
-    when any of the three fails."""
+def generator_certificate(b: GradedBialgebra) -> tuple | None:
+    """(gens, whiskers) when basis vectors G_0, G_1, picked greedily in index
+    order, provably generate b: the words in G_0, spun from the unit by left
+    multiplication, span B_0, m(0,1)(B_0 (x) G_1) = B_1 and
+    m(1,n-1)(G_1 (x) B_(n-1)) = B_n for 2 <= n <= N, each read as the rank of
+    a column echelon basis.  gens is {0: G_0, 1: G_1} as column selections,
+    and whiskers maps each (p, q) with p in gens and p + q <= N to the block
+    W(p,q) = m(p,q) o (G_p (x) id), which the checks read.  None when any of
+    the three fails."""
     dims, eye = b.dims, b.eye
     lefts = [compose_kron(b.m(0, 0), eye(0).col(i), eye(0)) for i in range(dims[0])]
     g0, span = [], b.unit.column_echelon_basis()[0]
@@ -133,10 +136,14 @@ def generator_certificate(b: GradedBialgebra) -> dict | None:
         if len(pivots) < dims[1]:
             return None
         gens[1] = _columns(dims[1], sorted({c // dims[0] for c in pivots}))
+    whiskers = {}
     for n in range(2, b.N + 1):
-        if compose_kron(b.m(1, n - 1), gens[1], eye(n - 1)).rank() < dims[n]:
+        w = whiskers[1, n - 1] = compose_kron(b.m(1, n - 1), gens[1], eye(n - 1))
+        if w.rank() < dims[n]:
             return None
-    return gens
+    whiskers.update(((p, q), compose_kron(b.m(p, q), g, eye(q)))
+                    for p, g in gens.items() for q in range(b.N + 1 - p) if (p, q) not in whiskers)
+    return gens, whiskers
 
 
 def _columns(d, idx):
@@ -152,53 +159,69 @@ def check_graded_structure(b: GradedBialgebra) -> Checks:
     laws always (the antipode fails with the witness ("missing",) when b has
     none), and the differential laws exactly when b carries a differential.
 
-    Associativity and the bialgebra law hold everywhere once they hold with
-    the left factor among algebra generators (Kassel, Quantum Groups,
-    ch. III; Majid, Foundations of Quantum Group Theory, ch. 9).  So when
-    generator_certificate(b) holds and the unit law passes, associativity
-    reads only k in {0,1}, on the columns G_k (x) B_l (x) B_m; when
-    associativity and unit_counit_compat pass too and every braid block is
-    the lambda^(kl)-weighted flip, the bialgebra law reads only p in {0,1},
-    on G_p (x) B_q.  Otherwise G_p is all of B_p.  So the verdicts are the
-    full check's, and since a restricted block is a column selection of the
-    full one, a failure's witness is a block where the full check fails;
-    the choice reads only blocks(), so equal blocks get equal reports.
+    A law whose two sides are algebra maps, derivations or anti-algebra maps
+    holds everywhere once it holds on algebra generators (Kassel, Quantum
+    Groups, ch. III; Majid, Foundations of Quantum Group Theory, ch. 9-10).
+    So when generator_certificate(b) holds and the unit law passes, each law
+    below reads only p in {0,1}, on the columns G_p, once its gate passes:
+    - associativity on G_k (x) B_l (x) B_m;
+    - the bialgebra law on G_p (x) B_q, when associativity and
+      unit_counit_compat pass and each braid block is the weighted flip;
+    - coassociativity and the counit on G_n, when the bialgebra law passed
+      on generators: Delta is then an algebra map into the braided B (x) B;
+    - the antipode law on [eta | G_0] and G_1, when that gate holds and S is
+      braided anti-multiplicative on G_p (x) B_q;
+    - Leibniz on [eta | G_0] (x) B_l and G_1 (x) B_l, when associativity
+      passed;
+    - comult_diff on G_n, n < N, when the coalgebra gate holds and Leibniz
+      passed.
+    The unit column eta catches S(1) != 1 and d(1) != 0.  Otherwise G_p is
+    all of B_p, in the same loop.  So the verdicts are the full check's, and
+    a failure's witness is a block where the full check fails; the choice
+    reads only blocks(), so equal blocks get equal reports.
 
-    Whiskered blocks such as m o (f (x) id) are applied with kron_apply and
-    compose_kron, and each term of the bialgebra law with braided_product,
-    instead of being built; the report holds only verdicts and degree
-    witnesses, so the order of evaluation cannot show in it."""
+    Whiskers such as m o (f (x) id) are applied with kron_apply and
+    compose_kron, and each bialgebra term with braided_product, never built;
+    each W(p,q) = m(p,q) o (G_p (x) id) is built once.  The bialgebra law is
+    evaluated before the coalgebra laws, whose names are recorded first."""
     checks = Checks()
-    N = b.N
-    eye = b.eye
-    full = {k: eye(k) for k in range(N + 1)}
+    N, dims, eye = b.N, b.dims, b.eye
     unit = [compose_kron(b.m(0, n), b.unit, eye(n)) == eye(n)
             and compose_kron(b.m(n, 0), eye(n), b.unit) == eye(n) for n in range(N + 1)]
-    gens = all(unit) and generator_certificate(b)
-    cols = gens or full
+    cert = all(unit) and generator_certificate(b)
+    every = {k: eye(k) for k in range(N + 1)}, b.mult, b.comult
+    if cert:
+        gens, whiskers = cert
+        images = {(a, p - a): b.cm(a, p - a).compose(g) for p, g in gens.items()
+                  for a in range(p + 1)}
+        on_gens = gens, whiskers, images
+        # eta ahead of G_0; by the unit law, m(0,q) o ([eta | G_0] (x) id) = [id | W(0,q)]
+        units = {**gens, 0: hstack([b.unit, gens[0]])}
+        on_units = (units, {**whiskers, **{(0, q): hstack([eye(q), whiskers[0, q]])
+                                           for q in range(N)}},
+                    {**images, (0, 0): b.cm(0, 0).compose(units[0])})
+
+    def reading(gate, unit_column=False):
+        """The columns G_p, the whiskers W(p,q) and cm(a,c) o G_(a+c): on the
+        certified generators when gate holds, with eta ahead of G_0 for
+        unit_column, and else on G_p = B_p."""
+        return (on_units if unit_column else on_gens) if gate else every
 
     # algebra
+    cols, w, _ = reading(cert)
     for k, g in cols.items():
         for l in range(N + 1 - k):
-            left = compose_kron(b.m(k, l), g, eye(l))
             for m in range(N + 1 - k - l):
-                lhs = compose_kron(b.m(k + l, m), left, eye(m))
+                lhs = compose_kron(b.m(k + l, m), w[k, l], eye(m))
                 rhs = compose_kron(b.m(k, l + m), g, b.m(l, m))
                 checks.record("associativity", None if lhs == rhs else (k, l, m))
     for n, ok in enumerate(unit):
         checks.record("unit", None if ok else (n,))
+    associative = cert and checks.first["associativity"] is None
 
-    # coalgebra
-    for k in range(N + 1):
-        for l in range(N + 1 - k):
-            for m in range(N + 1 - k - l):
-                lhs = kron_apply(b.cm(k, l), eye(m), b.cm(k + l, m))
-                rhs = kron_apply(eye(k), b.cm(l, m), b.cm(k, l + m))
-                checks.record("coassociativity", None if lhs == rhs else (k, l, m))
-    for n in range(N + 1):
-        ok = (kron_apply(b.counit, eye(n), b.cm(0, n)) == eye(n)
-              and kron_apply(eye(n), b.counit, b.cm(n, 0)) == eye(n))
-        checks.record("counit", None if ok else (n,))
+    # coalgebra: recorded here, evaluated after the bialgebra law
+    checks.record("coassociativity")
+    checks.record("counit")
 
     # bialgebra
     compat = (
@@ -206,40 +229,58 @@ def check_graded_structure(b: GradedBialgebra) -> Checks:
         and b.cm(0, 0).compose(b.unit) == kron(b.unit, b.unit)
         and b.counit.compose(b.unit) == Matrix.identity(1)
     )
-    if not (gens and compat and checks.first["associativity"] is None and all(
-            b.braid(k, l) == swap_matrix(b.dims[k], b.dims[l]).scale(b.lam ** (k * l))
-            for k in range(N + 1) for l in range(N + 1 - k))):
-        cols = full
-    cm_g = {(a, p - a): b.cm(a, p - a).compose(g) for p, g in cols.items() for a in range(p + 1)}
+    on_bialgebra = associative and compat and all(
+        b.braid(k, l) == swap_matrix(dims[k], dims[l]).scale(b.lam ** (k * l))
+        for k in range(N + 1) for l in range(N + 1 - k))
+    cols, w, im = reading(on_bialgebra)
     for n in range(N + 1):
-        m_g = {p: compose_kron(b.m(p, n - p), g, eye(n - p)) for p, g in cols.items() if p <= n}
         for k in range(n + 1):
             l = n - k
-            for p, mg in m_g.items():
+            for p in range(min(n + 1, len(cols))):
                 q = n - p
-                lhs = b.cm(k, l).compose(mg)
+                lhs = b.cm(k, l).compose(w[p, q])
                 rhs = Matrix.zero(lhs.rows, lhs.cols)
                 for a in range(max(0, k - q), min(p, k) + 1):
                     bb, c, d = p - a, k - a, q - (k - a)
                     rhs = rhs + braided_product(
-                        b.m(a, c), b.m(bb, d), b.braid(bb, c), cm_g[(a, bb)], b.cm(c, d),
-                        (b.dims[a], b.dims[bb], b.dims[c], b.dims[d]))
+                        b.m(a, c), b.m(bb, d), b.braid(bb, c), im[a, bb], b.cm(c, d),
+                        (dims[a], dims[bb], dims[c], dims[d]))
                 checks.record("bialgebra", None if lhs == rhs else (k, l, p, q))
     checks.record("unit_counit_compat", None if compat else (0,))
+    coalgebra_map = on_bialgebra and checks.first["bialgebra"] is None
+
+    # coalgebra, on generators once Delta is an algebra map
+    cols, _, im = reading(coalgebra_map)
+    top = len(cols)  # the degrees read are those below top
+    for k in range(top):
+        for l in range(top - k):
+            for m in range(top - k - l):
+                lhs = kron_apply(b.cm(k, l), eye(m), im[k + l, m])
+                rhs = kron_apply(eye(k), b.cm(l, m), im[k, l + m])
+                checks.record("coassociativity", None if lhs == rhs else (k, l, m))
+    for n, g in cols.items():
+        ok = (kron_apply(b.counit, eye(n), im[0, n]) == g
+              and kron_apply(eye(n), b.counit, im[n, 0]) == g)
+        checks.record("counit", None if ok else (n,))
 
     # antipode
-    if b.antipode is None:
+    s = b.antipode
+    if s is None:
         checks.record("antipode", ("missing",))
     else:
+        # the guard: S o m(p,q) = m(q,p) o braid(p,q) o (S (x) S) on G_p (x) B_q
+        cols, _, im = reading(coalgebra_map and all(
+            s[p + q].compose(whiskers[p, q])
+            == compose_kron(b.m(q, p).compose(b.braid(p, q)), s[p].compose(g), s[q])
+            for p, g in gens.items() for q in range(N + 1 - p)), unit_column=True)
         eta_eps = b.unit.compose(b.counit)
-        for n in range(N + 1):
-            left = Matrix.zero(b.dims[n], b.dims[n])
-            right = Matrix.zero(b.dims[n], b.dims[n])
+        for n, g in cols.items():
+            left = right = Matrix.zero(dims[n], g.cols)
             for k in range(n + 1):
                 l = n - k
-                left = left + b.m(k, l).compose(kron_apply(b.antipode[k], eye(l), b.cm(k, l)))
-                right = right + b.m(k, l).compose(kron_apply(eye(k), b.antipode[l], b.cm(k, l)))
-            expect = eta_eps if n == 0 else Matrix.zero(b.dims[n], b.dims[n])
+                left = left + b.m(k, l).compose(kron_apply(s[k], eye(l), im[k, l]))
+                right = right + b.m(k, l).compose(kron_apply(eye(k), s[l], im[k, l]))
+            expect = eta_eps.compose(g) if n == 0 else Matrix.zero(dims[n], g.cols)
             checks.record("antipode", None if left == expect and right == expect else (n,))
 
     # differential
@@ -248,28 +289,32 @@ def check_graded_structure(b: GradedBialgebra) -> Checks:
         return checks
     for n in range(N - 1):
         checks.record("d_squared", None if d[n + 1].compose(d[n]).is_zero else (n,))
-    for k in range(N):
+    cols, w, _ = reading(associative, unit_column=True)
+    for k, g in cols.items():
+        sign = ONE if k % 2 == 0 else MINUS_ONE
         for l in range(N - k):
-            lhs = d[k + l].compose(b.m(k, l))
-            rhs = compose_kron(b.m(k + 1, l), d[k], eye(l))
-            other = compose_kron(b.m(k, l + 1), eye(k), d[l])
-            sign = ONE if k % 2 == 0 else MINUS_ONE
-            rhs = rhs + other.scale(sign)
+            lhs = d[k + l].compose(w[k, l])
+            rhs = (compose_kron(b.m(k + 1, l), d[k].compose(g), eye(l))
+                   + compose_kron(b.m(k, l + 1), g, d[l]).scale(sign))
             checks.record("leibniz", None if lhs == rhs else (k, l))
-    for n in range(N):
+    # lambda = -1 (the constructor requires it), so d (x) id + (-1)^k id (x) d
+    # is a derivation of the braided B (x) B
+    cols, _, im = reading(coalgebra_map and checks.first.get("leibniz") is None)
+    for n in range(min(N, len(cols))):
+        dg = d[n].compose(cols[n])
         for k in range(n + 2):
             l = n + 1 - k
-            lhs = b.cm(k, l).compose(d[n])
+            lhs = b.cm(k, l).compose(dg)
             rhs = Matrix.zero(lhs.rows, lhs.cols)
             if k >= 1:
-                rhs = rhs + kron_apply(d[k - 1], eye(l), b.cm(k - 1, l))
+                rhs = rhs + kron_apply(d[k - 1], eye(l), im[k - 1, l])
             if l >= 1:
                 sign = ONE if k % 2 == 0 else MINUS_ONE
-                rhs = rhs + kron_apply(eye(k), d[l - 1], b.cm(k, l - 1)).scale(sign)
+                rhs = rhs + kron_apply(eye(k), d[l - 1], im[k, l - 1]).scale(sign)
             checks.record("comult_diff", None if lhs == rhs else (k, l))
-    if b.antipode is not None:
+    if s is not None:
         for n in range(N):
-            ok = b.antipode[n + 1].compose(d[n]) == d[n].compose(b.antipode[n])
+            ok = s[n + 1].compose(d[n]) == d[n].compose(s[n])
             checks.record("antipode_diff", None if ok else (n,))
     return checks
 

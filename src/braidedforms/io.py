@@ -5,7 +5,8 @@ serialization {"conductor": n, "coeffs": [[num, den], ...]}, with no other
 key; integer and "p/q" string shorthands are accepted on input):
 
   hopf      {"dim", "mult", "unit", "comult", "counit", "antipode"}, never S^-1
-  braiding  {"dim", "psi": Matrix, "lambda": Scalar}
+  braiding  {"dim", "psi": Matrix, "lambda": Scalar}, and no other key but
+            "kind", "name" and "schema_version"
   bimodule  {"hopf": <ref>, "dim", "mu_l", "mu_r", "nu_l", "nu_r"}
   crossed   {"hopf": <ref>, "dim", "mu_r", "nu_r"}
   calculus  {"hopf": <ref>, "submodule": {"ambient": "ker_counit",
@@ -239,8 +240,14 @@ def hopf_from_obj(obj) -> HopfAlgebraData:
     return _wrap(build, obj, "hopf")
 
 
+_BRAIDING_KEYS = ("dim", "psi", "lambda", "kind", "name", "schema_version")
+
+
 def braiding_from_obj(obj) -> BraidedSpace:
     def build(o):
+        for key in o:
+            if key not in _BRAIDING_KEYS:
+                raise ParseError(f"not a braiding: unknown key {key!r}")
         lam = scalar_from_obj(o["lambda"]) if "lambda" in o else None
         return BraidedSpace(_integer(o["dim"]), matrix_from_obj(o["psi"]), lam)
 

@@ -542,6 +542,27 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"unknown key {key!r}" in err
 
+    @pytest.mark.parametrize("command", [
+        ["check", "--kind", "braiding"], ["wedge-dims", "--max-degree", "2"]],
+        ids=["check", "wedge-dims"])
+    @pytest.mark.parametrize("key", ["lamda", "entires", "Lambda", ""])
+    def test_unknown_braiding_key_exit_2(self, tmp_path, capsys, command, key):
+        # a misspelled "lambda" used to leave lambda at its default -1; a
+        # braiding object holds only its schema's keys, and the error names
+        # the first other one
+        obj = json.load(open(io.bundled_path("swap2")))
+        obj[key] = 5
+        name, *rest = command
+        assert run([name, bundle(tmp_path, "k.json", obj), *rest]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"unknown key {key!r}" in err
+
+    def test_braiding_schema_keys_are_read(self, tmp_path):
+        obj = json.load(open(io.bundled_path("swap2")))
+        obj["name"] = "swap2"
+        assert run(["check", "--kind", "braiding", bundle(tmp_path, "n.json", obj)]) == 0
+
 
 # Files that cannot be read as JSON text, by (file name, content or None for
 # no file): a NUL in the path, a missing file with a newline in its name,

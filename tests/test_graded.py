@@ -225,7 +225,8 @@ def reference_check(b):
 # the laws check_graded_structure may read on generators only: a failure's
 # witness is then some block on which the full check fails, not always the
 # first
-GENERATOR_LAWS = ("associativity", "bialgebra")
+GENERATOR_LAWS = ("associativity", "bialgebra", "coassociativity", "counit", "antipode",
+                  "leibniz", "comult_diff")
 
 
 def assert_agrees_with_reference(report, b, label=None):
@@ -349,6 +350,70 @@ def test_corruption_sweep(swept, part):
         assert_agrees_with_reference(check_graded_structure(b), b, (part, key, how))
 
 
+def _theta(b, c):
+    """b with S replaced by S o theta_c, theta_c = c^n on B_n: still braided
+    anti-multiplicative, but no antipode once c != 1."""
+    return GradedBialgebra(b.dims, b.mult, b.unit, b.comult, b.counit, b.swap, b.lam,
+                           antipode=[s.scale(c ** n) for n, s in enumerate(b.antipode)],
+                           differential=b.differential)
+
+
+def _on_unit_column(b, part, delta):
+    """b with block 0 of `part` (antipode or differential) changed by delta
+    on the unit column only, so that S(1) or d(1) moves by delta."""
+    legs = {"antipode": b.antipode, "differential": b.differential}
+    return _replaced(b, part, 0, legs[part][0] + delta.compose(b.unit.transpose()))
+
+
+RESTRICTED_FAILURES = {
+    # case: (mutant, the families read on every block, name -> its witness)
+    "S theta_-1": (lambda b: _theta(b, MINUS_ONE), (), {"antipode": (1,)}),
+    "S theta_2": (lambda b: _theta(b, Scalar.rational(2)), (), {"antipode": (1,)}),
+    # S(1) S(x) != S(x) fails the guard, so the antipode law reads every block
+    "S_0 on the unit": (lambda b: _on_unit_column(b, "antipode", b.unit), ("antipode",),
+                        {"antipode": (0,)}),
+    "d_0 on the unit": (lambda b: _on_unit_column(b, "differential", b.eye(1).col(0)),
+                        ("comult_diff",), {"leibniz": (0, 0)}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESTRICTED_FAILURES))
+def test_restricted_failures(swept, kron_applies, case):
+    # faults that the generator reads must catch: S o theta_c passes the
+    # anti-multiplicativity guard and fails the antipode law on G_1;
+    # S(1) != 1 and d(1) != 0 fail on the unit column
+    mutate, full, witnesses = RESTRICTED_FAILURES[case]
+    b = mutate(swept)
+    report = check_graded_structure(b)
+    assert len(kron_applies) == _kron_apply_calls(b, full)
+    assert_agrees_with_reference(report, b, case)
+    reference = reference_check(b).first
+    for name, witness in witnesses.items():
+        assert report.first[name] == reference[name] == witness, (case, name)
+
+
+def _line(s0=ONE, d0=ZERO, N=1):
+    """k[x]/(x^2) up to degree N <= 1, x primitive and odd, S(x) = -x, with
+    S(1) = s0 and d(1) = d0 x: B_0 = k, so G_0 is empty."""
+    one = Matrix.identity(1)
+    blocks = {(0, 0): one, (0, 1): one, (1, 0): one} if N else {(0, 0): one}
+    return GradedBialgebra((1,) * (N + 1), blocks, one, dict(blocks), one, None, MINUS_ONE,
+                           antipode=[Matrix(1, 1, [s0]), -one][:N + 1],
+                           differential=[Matrix(1, 1, [d0])] if N else None)
+
+
+@pytest.mark.parametrize("b, name", [(_line(s0=Scalar.rational(2), N=0), "antipode"),
+                                     (_line(d0=ONE), "leibniz")], ids=["S(1) = 2", "d(1) = x"])
+def test_unit_column(b, name):
+    # G_0 is empty and no law on G_1 sees S(1) or d(1): only the unit
+    # column fails
+    assert generator_certificate(b)[0][0].cols == 0
+    assert check_graded_structure(_line(N=b.N)).ok
+    report = check_graded_structure(b)
+    assert name in report.failed
+    assert_is_reference(report, b)
+
+
 def _bialgebra_terms(N):
     """The braided_product calls of the bialgebra law read on every block."""
     return sum(min(p, k) + 1 - max(0, p - (n - k))
@@ -369,19 +434,49 @@ def terms(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def kron_applies(monkeypatch):
+    """The number of kron_apply calls of check_graded_structure from now on."""
+    calls = []
+    real = graded.kron_apply
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(graded, "kron_apply", counting)
+    return calls
+
+
+def _kron_apply_calls(b, full):
+    """The kron_apply calls of check_graded_structure on b when the families
+    in `full` ("coalgebra", "antipode", "comult_diff") read every degree and
+    the others the generator degrees 0 and 1 only."""
+    def degrees(family, top):
+        return range(top if family in full else min(2, top))
+
+    calls = sum((n + 1) * (n + 2) + 2 for n in degrees("coalgebra", b.N + 1))
+    if b.antipode is not None:
+        calls += sum(2 * (n + 1) for n in degrees("antipode", b.N + 1))
+    if b.differential is not None:
+        calls += sum(2 * (n + 1) for n in degrees("comult_diff", b.N))
+    return calls
+
+
 def assert_is_reference(report, b):
     assert list(report.first.items()) == list(reference_check(b).first.items())
 
 
 class TestGeneratorCertificate:
-    """The laws of the product are read on G_0 and G_1 where they certify
-    it, and on every block where they do not."""
+    """Each law is read on G_0 and G_1 where they certify it and its gate
+    passes, and on every block where they do not."""
 
-    def test_certified_laws_read_generators_only(self, exterior, terms):
-        gens = generator_certificate(exterior)
+    def test_certified_laws_read_generators_only(self, exterior, terms, kron_applies):
+        gens, _ = generator_certificate(exterior)
         assert sorted(gens) == [0, 1] and gens[1].cols < exterior.dims[1]
         assert check_graded_structure(exterior).ok
         assert 0 < len(terms) < _bialgebra_terms(exterior.N)
+        assert len(kron_applies) == _kron_apply_calls(exterior, full=())
 
     def test_not_generated_in_degree_1(self, exterior, terms):
         # B_1 B_1 = 0, so G_1 does not generate B_2: both laws read every block
@@ -411,6 +506,36 @@ class TestGeneratorCertificate:
         report = check_graded_structure(b)
         assert report.first["associativity"] is not None
         assert len(terms) == _bialgebra_terms(b.N)
+        assert_is_reference(report, b)
+
+    @pytest.mark.parametrize("part, full", [
+        # Delta is not known to be an algebra map
+        ("comult", ("coalgebra", "antipode", "comult_diff")),
+        # S is not braided anti-multiplicative
+        ("antipode", ("antipode",)),
+        # d is not known to be a derivation
+        ("differential", ("comult_diff",))])
+    def test_fallback(self, exterior, kron_applies, part, full):
+        b = _corrupt(exterior, part)
+        report = check_graded_structure(b)
+        assert len(kron_applies) == _kron_apply_calls(b, full)
+        assert_is_reference(report, b)
+
+    def test_tensor_hopf_fallback(self, kron_applies):
+        # T(X) at lambda = -1 with d = 0: its braid is no flip, so the
+        # coalgebra, antipode and comult_diff laws read every block; Leibniz,
+        # which involves no braid, still reads generators
+        x = io.braiding_from_obj(io.load_json(io.bundled_path("diagonal_zeta5")))
+        t = build_tensor_hopf(BraidedSpace(x.dim, x.psi, MINUS_ONE), "shuffle_coproduct", 3)
+        zero = [Matrix.zero(t.dims[n + 1], t.dims[n]) for n in range(t.N)]
+        b = GradedBialgebra(t.dims, t.mult, t.unit, t.comult, t.counit, t.swap, t.lam,
+                            antipode=t.antipode, differential=zero)
+        assert check_graded_structure(b).ok
+        b = _replaced(b, "antipode", 1, _bump(t.antipode[1]))
+        kron_applies.clear()
+        report = check_graded_structure(b)
+        assert len(kron_applies) == _kron_apply_calls(b, ("coalgebra", "antipode", "comult_diff"))
+        assert report.first["antipode"] is not None
         assert_is_reference(report, b)
 
     def test_flip_is_read_from_the_blocks(self, exterior):
