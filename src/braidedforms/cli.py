@@ -164,7 +164,9 @@ def cmd_build_calculus(args) -> int:
 def cmd_classify(args) -> int:
     obj = io.load_json(args.file)
     base = io.Path(args.file).parent
-    h = io.load_hopf_ref(obj.get("hopf", obj if "mult" in obj else None), base)
+    # an inline Hopf algebra may sit beside its "candidates"
+    inline = {k: v for k, v in obj.items() if k != "candidates"} if "mult" in obj else None
+    h = io.load_hopf_ref(obj.get("hopf", inline), base)
     # the generators live in Ker eps, whose dimension the counit gives at
     # once, so a bad candidate list fails before any structure is built
     ker_dim = h.dim - h.counit.rank()

@@ -12,9 +12,9 @@ as for a biproduct; a sub-bialgebra of such an algebra has the flip as its
 swap too, since the flip is natural, so its swap is never solved for.  It
 may also carry an antipode S_0 ... S_N and a differential
 d_0 ... d_(N-1), d_n: B_n -> B_(n+1); the checks and the transport read both
-from the algebra itself.  Each law whose two sides are algebra maps,
-derivations or anti-algebra maps is checked on certified algebra generators
-in degrees 0 and 1 wherever that is exact.
+from the algebra itself.  The laws are read on certified algebra
+generators in degrees 0 and 1 when one gate holds and they all pass there,
+and on every block otherwise.
 """
 
 from __future__ import annotations
@@ -161,54 +161,62 @@ def check_graded_structure(b: GradedBialgebra) -> Checks:
 
     A law whose two sides are algebra maps, derivations or anti-algebra maps
     holds everywhere once it holds on algebra generators (Kassel, Quantum
-    Groups, ch. III; Majid, Foundations of Quantum Group Theory, ch. 9-10).
-    So when generator_certificate(b) holds and the unit law passes, each law
-    below reads only p in {0,1}, on the columns G_p, once its gate passes:
-    - associativity on G_k (x) B_l (x) B_m;
-    - the bialgebra law on G_p (x) B_q, when associativity and
-      unit_counit_compat pass and each braid block is the weighted flip;
-    - coassociativity and the counit on G_n, when the bialgebra law passed
-      on generators: Delta is then an algebra map into the braided B (x) B;
-    - the antipode law on [eta | G_0] and G_1, when that gate holds and S is
-      braided anti-multiplicative on G_p (x) B_q;
-    - Leibniz on [eta | G_0] (x) B_l and G_1 (x) B_l, when associativity
-      passed;
-    - comult_diff on G_n, n < N, when the coalgebra gate holds and Leibniz
-      passed.
-    The unit column eta catches S(1) != 1 and d(1) != 0.  Otherwise G_p is
-    all of B_p, in the same loop.  So the verdicts are the full check's, and
-    a failure's witness is a block where the full check fails; the choice
-    reads only blocks(), so equal blocks get equal reports.
+    Groups, ch. III; Majid, Foundations of Quantum Group Theory, ch. 9-10),
+    given the laws recorded before it.  So one gate is decided before any
+    law is read: the unit law, unit_counit_compat, every braid block the
+    lambda^(kl)-weighted flip, generator_certificate(b), and S braided
+    anti-multiplicative on G_p (x) B_q.  When it holds, every law reads p in
+    {0,1} only, on the columns G_p, with the unit column eta ahead of G_0
+    for the antipode and Leibniz (it catches S(1) != 1 and d(1) != 0), and
+    that verdict is returned when every law passes.  Otherwise the same
+    laws read every block (G_p = B_p), so every report is the full check's.
 
     Whiskers such as m o (f (x) id) are applied with kron_apply and
     compose_kron, and each bialgebra term with braided_product, never built;
-    each W(p,q) = m(p,q) o (G_p (x) id) is built once.  The bialgebra law is
-    evaluated before the coalgebra laws, whose names are recorded first."""
-    checks = Checks()
+    each W(p,q) = m(p,q) o (G_p (x) id) is built once."""
     N, dims, eye = b.N, b.dims, b.eye
     unit = [compose_kron(b.m(0, n), b.unit, eye(n)) == eye(n)
             and compose_kron(b.m(n, 0), eye(n), b.unit) == eye(n) for n in range(N + 1)]
-    cert = all(unit) and generator_certificate(b)
-    every = {k: eye(k) for k in range(N + 1)}, b.mult, b.comult
+    compat = (
+        b.counit.compose(b.m(0, 0)) == kron(b.counit, b.counit)
+        and b.cm(0, 0).compose(b.unit) == kron(b.unit, b.unit)
+        and b.counit.compose(b.unit) == Matrix.identity(1)
+    )
+    s = b.antipode
+    cert = all(unit) and compat and s is not None and all(
+        b.braid(k, l) == swap_matrix(dims[k], dims[l]).scale(b.lam ** (k * l))
+        for k in range(N + 1) for l in range(N + 1 - k)) and generator_certificate(b)
     if cert:
         gens, whiskers = cert
-        images = {(a, p - a): b.cm(a, p - a).compose(g) for p, g in gens.items()
-                  for a in range(p + 1)}
-        on_gens = gens, whiskers, images
-        # eta ahead of G_0; by the unit law, m(0,q) o ([eta | G_0] (x) id) = [id | W(0,q)]
-        units = {**gens, 0: hstack([b.unit, gens[0]])}
-        on_units = (units, {**whiskers, **{(0, q): hstack([eye(q), whiskers[0, q]])
-                                           for q in range(N)}},
-                    {**images, (0, 0): b.cm(0, 0).compose(units[0])})
+        # the antipode guard: S o m(p,q) = m(q,p) o braid(p,q) o (S (x) S) on G_p (x) B_q
+        if all(s[p + q].compose(whiskers[p, q])
+               == compose_kron(b.m(q, p).compose(b.braid(p, q)), s[p].compose(g), s[q])
+               for p, g in gens.items() for q in range(N + 1 - p)):
+            images = {(a, p - a): b.cm(a, p - a).compose(g) for p, g in gens.items()
+                      for a in range(p + 1)}
+            # eta ahead of G_0; by the unit law, m(0,q) o ([eta | G_0] (x) id) = [id | W(0,q)]
+            units = {**gens, 0: hstack([b.unit, gens[0]])}
+            checks = _laws(b, unit, compat, (gens, whiskers, images), (
+                units, {**whiskers, **{(0, q): hstack([eye(q), whiskers[0, q]]) for q in range(N)}},
+                {**images, (0, 0): b.cm(0, 0).compose(units[0])}))
+            if checks.ok:
+                return checks
+    every = {k: eye(k) for k in range(N + 1)}, b.mult, b.comult
+    return _laws(b, unit, compat, every, every)
 
-    def reading(gate, unit_column=False):
-        """The columns G_p, the whiskers W(p,q) and cm(a,c) o G_(a+c): on the
-        certified generators when gate holds, with eta ahead of G_0 for
-        unit_column, and else on G_p = B_p."""
-        return (on_units if unit_column else on_gens) if gate else every
+
+def _laws(b, unit, compat, on_gens, on_units) -> Checks:
+    """Every law of check_graded_structure, recorded in the full check's
+    order, given the unit law per degree and unit_counit_compat.  on_gens and
+    on_units are the columns G_p, the whiskers W(p,q) and the images
+    cm(a,c) o G_(a+c); on_units has eta ahead of G_0, for the antipode and
+    Leibniz."""
+    checks = Checks()
+    N, dims, eye = b.N, b.dims, b.eye
+    cols, w, im = on_gens
+    top = len(cols)  # the degrees read are those below top
 
     # algebra
-    cols, w, _ = reading(cert)
     for k, g in cols.items():
         for l in range(N + 1 - k):
             for m in range(N + 1 - k - l):
@@ -217,41 +225,8 @@ def check_graded_structure(b: GradedBialgebra) -> Checks:
                 checks.record("associativity", None if lhs == rhs else (k, l, m))
     for n, ok in enumerate(unit):
         checks.record("unit", None if ok else (n,))
-    associative = cert and checks.first["associativity"] is None
 
-    # coalgebra: recorded here, evaluated after the bialgebra law
-    checks.record("coassociativity")
-    checks.record("counit")
-
-    # bialgebra
-    compat = (
-        b.counit.compose(b.m(0, 0)) == kron(b.counit, b.counit)
-        and b.cm(0, 0).compose(b.unit) == kron(b.unit, b.unit)
-        and b.counit.compose(b.unit) == Matrix.identity(1)
-    )
-    on_bialgebra = associative and compat and all(
-        b.braid(k, l) == swap_matrix(dims[k], dims[l]).scale(b.lam ** (k * l))
-        for k in range(N + 1) for l in range(N + 1 - k))
-    cols, w, im = reading(on_bialgebra)
-    for n in range(N + 1):
-        for k in range(n + 1):
-            l = n - k
-            for p in range(min(n + 1, len(cols))):
-                q = n - p
-                lhs = b.cm(k, l).compose(w[p, q])
-                rhs = Matrix.zero(lhs.rows, lhs.cols)
-                for a in range(max(0, k - q), min(p, k) + 1):
-                    bb, c, d = p - a, k - a, q - (k - a)
-                    rhs = rhs + braided_product(
-                        b.m(a, c), b.m(bb, d), b.braid(bb, c), im[a, bb], b.cm(c, d),
-                        (dims[a], dims[bb], dims[c], dims[d]))
-                checks.record("bialgebra", None if lhs == rhs else (k, l, p, q))
-    checks.record("unit_counit_compat", None if compat else (0,))
-    coalgebra_map = on_bialgebra and checks.first["bialgebra"] is None
-
-    # coalgebra, on generators once Delta is an algebra map
-    cols, _, im = reading(coalgebra_map)
-    top = len(cols)  # the degrees read are those below top
+    # coalgebra
     for k in range(top):
         for l in range(top - k):
             for m in range(top - k - l):
@@ -263,23 +238,35 @@ def check_graded_structure(b: GradedBialgebra) -> Checks:
               and kron_apply(eye(n), b.counit, im[n, 0]) == g)
         checks.record("counit", None if ok else (n,))
 
+    # bialgebra
+    for n in range(N + 1):
+        for k in range(n + 1):
+            l = n - k
+            for p in range(min(n + 1, top)):
+                q = n - p
+                lhs = b.cm(k, l).compose(w[p, q])
+                rhs = Matrix.zero(lhs.rows, lhs.cols)
+                for a in range(max(0, k - q), min(p, k) + 1):
+                    bb, c, d = p - a, k - a, q - (k - a)
+                    rhs = rhs + braided_product(
+                        b.m(a, c), b.m(bb, d), b.braid(bb, c), im[a, bb], b.cm(c, d),
+                        (dims[a], dims[bb], dims[c], dims[d]))
+                checks.record("bialgebra", None if lhs == rhs else (k, l, p, q))
+    checks.record("unit_counit_compat", None if compat else (0,))
+
     # antipode
     s = b.antipode
+    ucols, uw, uim = on_units
     if s is None:
         checks.record("antipode", ("missing",))
     else:
-        # the guard: S o m(p,q) = m(q,p) o braid(p,q) o (S (x) S) on G_p (x) B_q
-        cols, _, im = reading(coalgebra_map and all(
-            s[p + q].compose(whiskers[p, q])
-            == compose_kron(b.m(q, p).compose(b.braid(p, q)), s[p].compose(g), s[q])
-            for p, g in gens.items() for q in range(N + 1 - p)), unit_column=True)
         eta_eps = b.unit.compose(b.counit)
-        for n, g in cols.items():
+        for n, g in ucols.items():
             left = right = Matrix.zero(dims[n], g.cols)
             for k in range(n + 1):
                 l = n - k
-                left = left + b.m(k, l).compose(kron_apply(s[k], eye(l), im[k, l]))
-                right = right + b.m(k, l).compose(kron_apply(eye(k), s[l], im[k, l]))
+                left = left + b.m(k, l).compose(kron_apply(s[k], eye(l), uim[k, l]))
+                right = right + b.m(k, l).compose(kron_apply(eye(k), s[l], uim[k, l]))
             expect = eta_eps.compose(g) if n == 0 else Matrix.zero(dims[n], g.cols)
             checks.record("antipode", None if left == expect and right == expect else (n,))
 
@@ -289,18 +276,16 @@ def check_graded_structure(b: GradedBialgebra) -> Checks:
         return checks
     for n in range(N - 1):
         checks.record("d_squared", None if d[n + 1].compose(d[n]).is_zero else (n,))
-    cols, w, _ = reading(associative, unit_column=True)
-    for k, g in cols.items():
+    for k, g in ucols.items():
         sign = ONE if k % 2 == 0 else MINUS_ONE
         for l in range(N - k):
-            lhs = d[k + l].compose(w[k, l])
+            lhs = d[k + l].compose(uw[k, l])
             rhs = (compose_kron(b.m(k + 1, l), d[k].compose(g), eye(l))
                    + compose_kron(b.m(k, l + 1), g, d[l]).scale(sign))
             checks.record("leibniz", None if lhs == rhs else (k, l))
     # lambda = -1 (the constructor requires it), so d (x) id + (-1)^k id (x) d
     # is a derivation of the braided B (x) B
-    cols, _, im = reading(coalgebra_map and checks.first.get("leibniz") is None)
-    for n in range(min(N, len(cols))):
+    for n in range(min(N, top)):
         dg = d[n].compose(cols[n])
         for k in range(n + 2):
             l = n + 1 - k

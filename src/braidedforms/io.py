@@ -2,16 +2,23 @@
 
 Schemas (schema_version 1; all matrices row-major, scalars in the cyclotomic
 serialization {"conductor": n, "coeffs": [[num, den], ...]}, with no other
-key; integer and "p/q" string shorthands are accepted on input):
+key; on input a scalar may also be a JSON integer, [p, q], or a string of
+ASCII digits with an optional leading "-" and an optional "/" and
+denominator, such as "-3" or "4/2"; a leading "+", a decimal point, an
+exponent, "_" and spaces are refused):
 
-  hopf      {"dim", "mult", "unit", "comult", "counit", "antipode"}, never S^-1
-  braiding  {"dim", "psi": Matrix, "lambda": Scalar}, and no other key but
-            "kind", "name" and "schema_version"
+  matrix    {"rows", "cols", "entries": [scalars]}
+  hopf      {"dim", "mult", "unit", "comult", "counit", "antipode"}, never S^-1;
+            a legacy "antipode_inv" member is ignored
+  braiding  {"dim", "psi": Matrix, "lambda": Scalar}
   bimodule  {"hopf": <ref>, "dim", "mu_l", "mu_r", "nu_l", "nu_r"}
   crossed   {"hopf": <ref>, "dim", "mu_r", "nu_r"}
   calculus  {"hopf": <ref>, "submodule": {"ambient": "ker_counit",
              "generators": [vectors]}}  or  {"hopf": <ref>, "X": bimodule
              fields, "d": Matrix of shape X.dim x H.dim}
+
+Each of these objects, the "submodule" member among them, may also hold
+"kind", "name" and "schema_version", and no other key.
 
 A <ref> is an inline object, a path relative to the referring file, or
 "bundled:<name>" for a file shipped with the package under data/.
@@ -34,12 +41,28 @@ from pathlib import Path
 from .braiding import BraidedSpace
 from .bimodules import CrossedModule, HopfBimodule
 from .calculus import FirstOrderCalculus, fodc_from_submodule, universal_fodc
-from .cyclotomic import ZERO, Scalar, _canon, _div
+from .cyclotomic import ZERO, Scalar, _div
 from .errors import BraidedFormsError, ParseError, TooLarge
 from .hopf import HopfAlgebraData, require_hopf
 from .matrix import Matrix, hstack
 
 SCHEMA_VERSION = 1
+
+def _keys(*own):
+    """An object's own keys and the keys every object may hold."""
+    return frozenset((*own, "kind", "name", "schema_version"))
+
+
+_MATRIX_KEYS = _keys("rows", "cols", "entries")
+_HOPF_KEYS = _keys("dim", *HopfAlgebraData.LEGS, "antipode_inv")
+_BRAIDING_KEYS = _keys("dim", "psi", "lambda")
+
+
+def _known(obj, keys, what) -> None:
+    """ParseError naming the first key of the object obj outside keys."""
+    for key in obj:
+        if key not in keys:
+            raise ParseError(f"not a {what}: unknown key {key!r}")
 
 
 def bundled_path(name: str) -> Path:
@@ -57,6 +80,11 @@ def _integer(x) -> int:
     if isinstance(x, (bool, float)):
         raise ParseError(f"expected an integer, got {x!r}")
     return int(x)
+
+
+def _digits(s: str) -> bool:
+    """Whether s is one or more ASCII digits."""
+    return s.isascii() and s.isdigit()
 
 
 def scalar_from_obj(obj) -> Scalar:
@@ -87,7 +115,12 @@ def scalar_from_obj(obj) -> Scalar:
         if isinstance(obj, int) and not isinstance(obj, bool):
             return Scalar.rational(obj)
         if isinstance(obj, str):
-            return Scalar.rational(_canon(obj))
+            # only these forms: Fraction would also read "1e30000000" and
+            # build 10**30000000 before any check
+            p, slash, q = obj.partition("/")
+            if not (_digits(p.removeprefix("-")) and (not slash or _digits(q))):
+                raise ParseError(f'not a scalar: {obj!r} (a string scalar is "p" or "p/q")')
+            return Scalar.rational(int(p), int(q) if slash else 1)
         if isinstance(obj, (list, tuple)) and len(obj) == 2:
             return Scalar.rational(_integer(obj[0]), _integer(obj[1]))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -109,6 +142,7 @@ def _is_zero(e) -> bool:
 
 
 def matrix_from_obj(obj) -> Matrix:
+    _known(obj, _MATRIX_KEYS, "matrix")
     rows, cols = _integer(obj["rows"]), _integer(obj["cols"])
     entries = obj["entries"]
     if len(entries) != rows * cols:
@@ -234,20 +268,16 @@ def _wrap(fn, obj, what):
 
 def hopf_from_obj(obj) -> HopfAlgebraData:
     def build(o):
+        _known(o, _HOPF_KEYS, "Hopf algebra")
         maps = [matrix_from_obj(o[key]) for key in HopfAlgebraData.LEGS]
         return HopfAlgebraData(_integer(o["dim"]), *maps, name=o.get("name", ""))
 
     return _wrap(build, obj, "hopf")
 
 
-_BRAIDING_KEYS = ("dim", "psi", "lambda", "kind", "name", "schema_version")
-
-
 def braiding_from_obj(obj) -> BraidedSpace:
     def build(o):
-        for key in o:
-            if key not in _BRAIDING_KEYS:
-                raise ParseError(f"not a braiding: unknown key {key!r}")
+        _known(o, _BRAIDING_KEYS, "braiding")
         lam = scalar_from_obj(o["lambda"]) if "lambda" in o else None
         return BraidedSpace(_integer(o["dim"]), matrix_from_obj(o["psi"]), lam)
 
@@ -266,8 +296,10 @@ def _base_hopf(obj, base_dir, what) -> HopfAlgebraData:
 
 
 def _structure_from_obj(cls, obj, h, what):
-    """A HopfBimodule or CrossedModule over h: "dim" and the maps of cls.LEGS."""
+    """A HopfBimodule or CrossedModule over h: "dim" and the maps of cls.LEGS,
+    and a "hopf" reference, read by the caller."""
     def build(o):
+        _known(o, _keys("hopf", "dim", *cls.LEGS), what)
         dim = _integer(o["dim"])
         maps = [matrix_from_obj(o[key]) for key in cls.LEGS]
         return cls(h, dim, *maps, name=o.get("name", ""))
@@ -287,11 +319,13 @@ def crossed_from_obj(obj, base_dir=None) -> CrossedModule:
 
 def calculus_from_obj(obj, base_dir=None):
     """Calculus bundle -> FirstOrderCalculus, over a base that passes check_hopf."""
+    _known(obj, _keys("hopf", "submodule", "X", "d"), "calculus bundle")
     h = require_hopf(_base_hopf(obj, base_dir, "calculus bundle"))
     if "submodule" in obj:
         sub = obj["submodule"]
         if not isinstance(sub, dict) or sub.get("ambient") != "ker_counit":
             raise ParseError('submodule spec needs {"ambient": "ker_counit", "generators": [...]}')
+        _known(sub, _keys("ambient", "generators"), "submodule spec")
         univ = universal_fodc(h)
         gens = generators_from_obj(sub.get("generators", []), univ.ker_counit.dim)
         return fodc_from_submodule(univ, gens)

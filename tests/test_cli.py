@@ -24,6 +24,15 @@ def run(args):
     return main(args)
 
 
+def _bundled_object(name):
+    """A bundled file's object, its "hopf" member made a bundled: reference,
+    so that it reads from any directory."""
+    obj = io.load_json(io.bundled_path(name))
+    if "hopf" in obj:
+        obj["hopf"] = "bundled:" + obj["hopf"]
+    return obj
+
+
 def bundle(tmp_path, name, obj):
     path = tmp_path / name
     with open(path, "w") as f:
@@ -336,6 +345,12 @@ class TestClassify:
         # neither Ker eps nor any calculus is built
         assert calls == {}
 
+    def test_inline_hopf_beside_candidates(self, tmp_path):
+        # "candidates" belongs to the classify file, not to the Hopf object
+        # inline in it, whose keys are checked
+        obj = {**io.load_json(io.bundled_path("kz2")), "candidates": [[[1]]]}
+        assert run(["classify", bundle(tmp_path, "c.json", obj)]) == 0
+
 
 class TestDeterminism:
     def test_reports_bit_identical(self, tmp_path):
@@ -562,6 +577,77 @@ class TestExitCodes:
         obj = json.load(open(io.bundled_path("swap2")))
         obj["name"] = "swap2"
         assert run(["check", "--kind", "braiding", bundle(tmp_path, "n.json", obj)]) == 0
+
+    # (check kind, bundled file, the keys down to the object that gets a key)
+    OBJECTS = {
+        "hopf": ("hopf", "kz2", ()),
+        "matrix": ("hopf", "kz2", ("mult",)),
+        "bimodule": ("bimodule", "sweedler_regular_bimodule", ()),
+        "crossed": ("crossed", "sweedler_coadjoint_crossed", ()),
+        "calculus": ("calculus", "kz2_universal_calculus", ()),
+        "submodule": ("calculus", "kz2_universal_calculus", ("submodule",)),
+    }
+
+    @pytest.mark.parametrize("what", sorted(OBJECTS))
+    @pytest.mark.parametrize("key", ["lamda", "Name", ""])
+    def test_unknown_object_key_exit_2(self, tmp_path, capsys, what, key):
+        # every object holds only its schema's keys and kind, name and
+        # schema_version; the error names the first other one
+        kind, name, path = self.OBJECTS[what]
+        obj = _bundled_object(name)
+        inner = obj
+        for k in path:
+            inner = inner[k]
+        inner[key] = 5
+        assert run(["check", "--kind", kind, bundle(tmp_path, "k.json", obj)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"unknown key {key!r}" in err
+
+    @pytest.mark.parametrize("what", sorted(OBJECTS))
+    def test_object_schema_keys_are_read(self, tmp_path, what):
+        kind, name, path = self.OBJECTS[what]
+        obj = _bundled_object(name)
+        inner = obj
+        for k in path:
+            inner = inner[k]
+        inner.update(kind=kind, name="n", schema_version=1)
+        assert run(["check", "--kind", kind, bundle(tmp_path, "n.json", obj)]) == 0
+
+    def test_explicit_bimodule_unknown_key_exit_2(self, tmp_path, capsys):
+        # the "X" member of a calculus is a bimodule object
+        h = io.hopf_from_obj(io.load_json(io.bundled_path("kz2")))
+        calc = universal_fodc(h)
+        obj = {"hopf": "bundled:kz2", "X": {**calc.x.to_obj(), "mu": 5},
+               "d": calc.d.to_obj()}
+        assert run(["check", "--kind", "calculus", bundle(tmp_path, "x.json", obj)]) == 2
+        assert "unknown key 'mu'" in capsys.readouterr().err
+
+    def test_bundled_files_hold_schema_keys_only(self):
+        readers = {"hopf": io.hopf_from_obj, "braiding": io.braiding_from_obj,
+                   "bimodule": io.bimodule_from_obj, "crossed": io.crossed_from_obj,
+                   "calculus": io.calculus_from_obj}
+        for path in sorted(io.bundled_path("kz2").parent.glob("*.json")):
+            obj = _bundled_object(path.stem)
+            readers[obj["kind"]](obj)
+
+    @pytest.mark.parametrize("text", ["1e30000000", "1.5", "1_0", " 3 ", "3 ", "+3", "+1/2",
+                                      "3/-4", "1/+2", "0x1f", "٣", "1/2/3", "", "/2", "-", "3\n"])
+    def test_scalar_string_forms_exit_2(self, tmp_path, capsys, text):
+        # a string scalar is "p" or "p/q" in ASCII digits, p with an optional
+        # "-": Fraction would take "1e30000000" and build 10**30000000
+        obj = json.load(open(io.bundled_path("kz2")))
+        obj["mult"]["entries"][0] = text
+        start = time.perf_counter()
+        assert run(["check", "--kind", "hopf", bundle(tmp_path, "s.json", obj)]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text, value", [("4/2", 2), ("-3/3", -1), ("12", 12), ("-0", 0),
+                                             ("007/14", Scalar.rational(1, 2))])
+    def test_scalar_string_forms_read(self, text, value):
+        assert io.scalar_from_obj(text) == value
 
 
 # Files that cannot be read as JSON text, by (file name, content or None for

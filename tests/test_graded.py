@@ -121,19 +121,14 @@ class TestGradedBialgebra:
 # --- the axiom checks against the full check, every law on every block
 
 
-def reference_failures(b):
-    """Every failing block of every check, name -> witnesses in the order
-    check_graded_structure records them: the full check, which reads each
-    law on every degree block and every column.  Whiskers are applied by
+def reference_check(b):
+    """The full check, which reads each law on every degree block and every
+    column, each failure witnessed by its first block, in the order
+    check_graded_structure records them.  Whiskers are applied by
     kron_apply/compose_kron and each bialgebra term by braided_product, each
     checked against the materialized Kronecker product in test_matrix."""
-    fails = {}
-
-    def record(name, witness):
-        fails.setdefault(name, [])
-        if witness is not None:
-            fails[name].append(witness)
-
+    checks = Checks()
+    record = checks.record
     N, eye = b.N, b.eye
     for k in range(N + 1):
         for l in range(N + 1 - k):
@@ -186,7 +181,7 @@ def reference_failures(b):
             record("antipode", None if left == expect and right == expect else (n,))
     d = b.differential
     if d is None:
-        return fails
+        return checks
     for n in range(N - 1):
         record("d_squared", None if d[n + 1].compose(d[n]).is_zero else (n,))
     for k in range(N):
@@ -211,35 +206,12 @@ def reference_failures(b):
         for n in range(N):
             ok = b.antipode[n + 1].compose(d[n]) == d[n].compose(b.antipode[n])
             record("antipode_diff", None if ok else (n,))
-    return fails
-
-
-def reference_check(b):
-    """The full check's verdicts, each failure witnessed by its first block."""
-    checks = Checks()
-    for name, witnesses in reference_failures(b).items():
-        checks.record(name, witnesses[0] if witnesses else None)
     return checks
 
 
-# the laws check_graded_structure may read on generators only: a failure's
-# witness is then some block on which the full check fails, not always the
-# first
-GENERATOR_LAWS = ("associativity", "bialgebra", "coassociativity", "counit", "antipode",
-                  "leibniz", "comult_diff")
-
-
-def assert_agrees_with_reference(report, b, label=None):
-    """The reference's names in its order and its verdicts; each witness is
-    the reference's first, or for GENERATOR_LAWS one of its failing blocks."""
-    fails = reference_failures(b)
-    assert list(report.first) == list(fails), label
-    for name, witness in report.first.items():
-        assert (witness is None) == (not fails[name]), (label, name)
-        if name in GENERATOR_LAWS:
-            assert witness is None or witness in fails[name], (label, name, witness)
-        else:
-            assert witness == (fails[name][0] if fails[name] else None), (label, name, witness)
+def assert_is_reference(report, b, label=None):
+    """The reference's names in its order, its verdicts and its witnesses."""
+    assert list(report.first.items()) == list(reference_check(b).first.items()), label
 
 
 def _bump(m):
@@ -290,20 +262,20 @@ class TestChecksAgainstReference:
     def test_same_verdicts_and_witnesses(self, exterior, part):
         b = exterior if part is None else _corrupt(exterior, part)
         report = check_graded_structure(b)
-        assert_agrees_with_reference(report, b)
+        assert_is_reference(report, b)
         assert report.ok == (part is None)
 
     @pytest.mark.parametrize("block", [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0)])
     def test_one_corrupted_comult_entry(self, exterior, block):
         # one entry changed in one comult block: every check that sees it
-        # must fail, at a block where the reference fails
+        # must fail, at the reference's first failing block
         comult = dict(exterior.comult)
         comult[block] = _bump(comult[block])
         b = GradedBialgebra(exterior.dims, exterior.mult, exterior.unit, comult,
                             exterior.counit, exterior.swap, exterior.lam,
                             antipode=exterior.antipode, differential=exterior.differential)
         report = check_graded_structure(b)
-        assert_agrees_with_reference(report, b)
+        assert_is_reference(report, b)
         assert not report.ok
 
 
@@ -342,12 +314,39 @@ def _mutants(b, part):
 
 @pytest.mark.parametrize("part", ["mult", "comult", "antipode", "differential"])
 def test_corruption_sweep(swept, part):
-    # every mutant gets the full check's verdicts, and each failure names a
-    # block on which the full check fails
+    # every mutant gets the full check's report, witnesses included
     mutants = list(_mutants(swept, part))
     assert mutants
     for key, how, b in mutants:
-        assert_agrees_with_reference(check_graded_structure(b), b, (part, key, how))
+        assert_is_reference(check_graded_structure(b), b, (part, key, how))
+
+
+@pytest.fixture(scope="module", params=sorted(SWEEP))
+def routes(request):
+    """A bundled calculus's algebras at N = 1 and 2, on both routes."""
+    path = io.bundled_path(request.param)
+    calc = io.calculus_from_obj(io.load_json(path), path.parent)
+    return [build(calc, N) for N in (1, 2)
+            for build in (exterior_calculus, exterior_calculus_via_comma)]
+
+
+def _uncertified(monkeypatch, algebras):
+    """The reports of check_graded_structure on algebras, and then the same
+    with generator_certificate returning None, so every law reads every block."""
+    reports = [check_graded_structure(b).to_obj() for b in algebras]
+    monkeypatch.setattr(graded, "generator_certificate", lambda b: None)
+    return reports, [check_graded_structure(b).to_obj() for b in algebras]
+
+
+def test_path_independence(routes, monkeypatch):
+    certified, uncertified = _uncertified(monkeypatch, routes)
+    assert certified == uncertified
+
+
+@pytest.mark.parametrize("part", ["mult", "comult", "antipode", "differential"])
+def test_path_independence_on_mutants(swept, monkeypatch, part):
+    certified, uncertified = _uncertified(monkeypatch, [b for *_, b in _mutants(swept, part)])
+    assert certified == uncertified
 
 
 def _theta(b, c):
@@ -365,15 +364,20 @@ def _on_unit_column(b, part, delta):
     return _replaced(b, part, 0, legs[part][0] + delta.compose(b.unit.transpose()))
 
 
+# the passes of check_graded_structure: the generators alone on a clean
+# algebra, the generators and then every block when a law fails behind a
+# holding gate, and every block alone when the gate fails
+GENERATORS, BOTH, FULL = ("generators",), ("generators", "full"), ("full",)
+
 RESTRICTED_FAILURES = {
-    # case: (mutant, the families read on every block, name -> its witness)
-    "S theta_-1": (lambda b: _theta(b, MINUS_ONE), (), {"antipode": (1,)}),
-    "S theta_2": (lambda b: _theta(b, Scalar.rational(2)), (), {"antipode": (1,)}),
-    # S(1) S(x) != S(x) fails the guard, so the antipode law reads every block
-    "S_0 on the unit": (lambda b: _on_unit_column(b, "antipode", b.unit), ("antipode",),
+    # case: (mutant, its passes, name -> its witness)
+    "S theta_-1": (lambda b: _theta(b, MINUS_ONE), BOTH, {"antipode": (1,)}),
+    "S theta_2": (lambda b: _theta(b, Scalar.rational(2)), BOTH, {"antipode": (1,)}),
+    # S(1) S(x) != S(x) fails the antipode guard, so the gate fails
+    "S_0 on the unit": (lambda b: _on_unit_column(b, "antipode", b.unit), FULL,
                         {"antipode": (0,)}),
     "d_0 on the unit": (lambda b: _on_unit_column(b, "differential", b.eye(1).col(0)),
-                        ("comult_diff",), {"leibniz": (0, 0)}),
+                        BOTH, {"leibniz": (0, 0)}),
 }
 
 
@@ -381,15 +385,14 @@ RESTRICTED_FAILURES = {
 def test_restricted_failures(swept, kron_applies, case):
     # faults that the generator reads must catch: S o theta_c passes the
     # anti-multiplicativity guard and fails the antipode law on G_1;
-    # S(1) != 1 and d(1) != 0 fail on the unit column
-    mutate, full, witnesses = RESTRICTED_FAILURES[case]
+    # d(1) != 0 fails on the unit column; S(1) != 1 fails the guard
+    mutate, passes, witnesses = RESTRICTED_FAILURES[case]
     b = mutate(swept)
     report = check_graded_structure(b)
-    assert len(kron_applies) == _kron_apply_calls(b, full)
-    assert_agrees_with_reference(report, b, case)
-    reference = reference_check(b).first
+    assert len(kron_applies) == _kron_apply_calls(b, passes)
+    assert_is_reference(report, b, case)
     for name, witness in witnesses.items():
-        assert report.first[name] == reference[name] == witness, (case, name)
+        assert report.first[name] == witness, (case, name)
 
 
 def _line(s0=ONE, d0=ZERO, N=1):
@@ -414,10 +417,17 @@ def test_unit_column(b, name):
     assert_is_reference(report, b)
 
 
-def _bialgebra_terms(N):
-    """The braided_product calls of the bialgebra law read on every block."""
-    return sum(min(p, k) + 1 - max(0, p - (n - k))
-               for n in range(N + 1) for k in range(n + 1) for p in range(n + 1))
+def _tops(b, passes):
+    """For each pass, the degree below which it reads G_p: 2 on generators
+    (1 when N = 0), N + 1 on every block."""
+    return [min(2, b.N + 1) if pass_ == "generators" else b.N + 1 for pass_ in passes]
+
+
+def _bialgebra_terms(b, passes):
+    """The braided_product calls of check_graded_structure on b."""
+    N = b.N
+    return sum(min(p, k) + 1 - max(0, p - (n - k)) for top in _tops(b, passes)
+               for n in range(N + 1) for k in range(n + 1) for p in range(min(n + 1, top)))
 
 
 @pytest.fixture
@@ -448,83 +458,79 @@ def kron_applies(monkeypatch):
     return calls
 
 
-def _kron_apply_calls(b, full):
-    """The kron_apply calls of check_graded_structure on b when the families
-    in `full` ("coalgebra", "antipode", "comult_diff") read every degree and
-    the others the generator degrees 0 and 1 only."""
-    def degrees(family, top):
-        return range(top if family in full else min(2, top))
-
-    calls = sum((n + 1) * (n + 2) + 2 for n in degrees("coalgebra", b.N + 1))
-    if b.antipode is not None:
-        calls += sum(2 * (n + 1) for n in degrees("antipode", b.N + 1))
-    if b.differential is not None:
-        calls += sum(2 * (n + 1) for n in degrees("comult_diff", b.N))
+def _kron_apply_calls(b, passes):
+    """The kron_apply calls of check_graded_structure on b: coassociativity
+    and the counit, the antipode and comult_diff, in each pass."""
+    calls = 0
+    for top in _tops(b, passes):
+        calls += sum((n + 1) * (n + 2) + 2 for n in range(top))
+        if b.antipode is not None:
+            calls += sum(2 * (n + 1) for n in range(top))
+        if b.differential is not None:
+            calls += sum(2 * (n + 1) for n in range(min(top, b.N)))
     return calls
 
 
-def assert_is_reference(report, b):
-    assert list(report.first.items()) == list(reference_check(b).first.items())
-
-
 class TestGeneratorCertificate:
-    """Each law is read on G_0 and G_1 where they certify it and its gate
-    passes, and on every block where they do not."""
+    """Every law is read on G_0 and G_1 when the one gate holds, and that
+    verdict stands when every law passes; otherwise every law is read on
+    every block."""
 
     def test_certified_laws_read_generators_only(self, exterior, terms, kron_applies):
         gens, _ = generator_certificate(exterior)
         assert sorted(gens) == [0, 1] and gens[1].cols < exterior.dims[1]
         assert check_graded_structure(exterior).ok
-        assert 0 < len(terms) < _bialgebra_terms(exterior.N)
-        assert len(kron_applies) == _kron_apply_calls(exterior, full=())
+        assert len(terms) == _bialgebra_terms(exterior, GENERATORS)
+        assert 0 < len(terms) < _bialgebra_terms(exterior, FULL)
+        assert len(kron_applies) == _kron_apply_calls(exterior, GENERATORS)
 
     def test_not_generated_in_degree_1(self, exterior, terms):
-        # B_1 B_1 = 0, so G_1 does not generate B_2: both laws read every block
+        # B_1 B_1 = 0, so G_1 does not generate B_2: every law reads every block
         b = _replaced(exterior, "mult", (1, 1), Matrix.zero(exterior.dims[2],
                                                              exterior.dims[1] ** 2))
         assert generator_certificate(b) is None
         report = check_graded_structure(b)
-        assert len(terms) == _bialgebra_terms(b.N) and not report.ok
+        assert len(terms) == _bialgebra_terms(b, FULL) and not report.ok
         assert_is_reference(report, b)
 
     def test_tensor_hopf_braid_is_not_a_flip(self, terms):
         # T(X) is generated in degree 1, but its braiding is no flip, so
-        # B (x) B is not known to be an algebra: the bialgebra law reads every block
+        # B (x) B is not known to be an algebra: every law reads every block
         x = io.braiding_from_obj(io.load_json(io.bundled_path("diagonal_zeta5")))
         t = build_tensor_hopf(x, "shuffle_coproduct", 3)
         b = _replaced(t, "comult", (1, 1), _bump(t.cm(1, 1)))
         assert generator_certificate(b) is not None
         report = check_graded_structure(b)
-        assert len(terms) == _bialgebra_terms(b.N) and report.first["bialgebra"] is not None
+        assert len(terms) == _bialgebra_terms(b, FULL) and report.first["bialgebra"] is not None
         assert_is_reference(report, b)
 
     def test_broken_associativity(self, exterior, terms):
-        # the certificate holds, but with associativity broken the bialgebra
-        # law reads every block
+        # the gate holds, and associativity fails on generators: every law
+        # is then read again on every block
         b = _corrupt(exterior, "mult")
         assert generator_certificate(b) is not None
         report = check_graded_structure(b)
         assert report.first["associativity"] is not None
-        assert len(terms) == _bialgebra_terms(b.N)
+        assert len(terms) == _bialgebra_terms(b, BOTH)
         assert_is_reference(report, b)
 
     @pytest.mark.parametrize("part, full", [
-        # Delta is not known to be an algebra map
-        ("comult", ("coalgebra", "antipode", "comult_diff")),
-        # S is not braided anti-multiplicative
-        ("antipode", ("antipode",)),
-        # d is not known to be a derivation
-        ("differential", ("comult_diff",))])
+        # the gate holds, and a law that reads Delta fails on generators
+        ("comult", BOTH),
+        # S is not braided anti-multiplicative: the gate fails
+        ("antipode", FULL),
+        # the gate holds, and a law that reads d fails on generators
+        ("differential", BOTH)])
     def test_fallback(self, exterior, kron_applies, part, full):
+        # `full`: the passes, each case ending in the one that reads every block
         b = _corrupt(exterior, part)
         report = check_graded_structure(b)
         assert len(kron_applies) == _kron_apply_calls(b, full)
         assert_is_reference(report, b)
 
     def test_tensor_hopf_fallback(self, kron_applies):
-        # T(X) at lambda = -1 with d = 0: its braid is no flip, so the
-        # coalgebra, antipode and comult_diff laws read every block; Leibniz,
-        # which involves no braid, still reads generators
+        # T(X) at lambda = -1 with d = 0: its braid is no flip, so the gate
+        # fails and every law reads every block
         x = io.braiding_from_obj(io.load_json(io.bundled_path("diagonal_zeta5")))
         t = build_tensor_hopf(BraidedSpace(x.dim, x.psi, MINUS_ONE), "shuffle_coproduct", 3)
         zero = [Matrix.zero(t.dims[n + 1], t.dims[n]) for n in range(t.N)]
@@ -534,7 +540,7 @@ class TestGeneratorCertificate:
         b = _replaced(b, "antipode", 1, _bump(t.antipode[1]))
         kron_applies.clear()
         report = check_graded_structure(b)
-        assert len(kron_applies) == _kron_apply_calls(b, ("coalgebra", "antipode", "comult_diff"))
+        assert len(kron_applies) == _kron_apply_calls(b, FULL)
         assert report.first["antipode"] is not None
         assert_is_reference(report, b)
 
