@@ -46,6 +46,7 @@ from .matrix import (
     kron_apply,
     solve_epi,
     solve_mono,
+    span_closure,
     split_leg,
     vstack,
 )
@@ -120,24 +121,12 @@ def kernel_counit_crossed(h: HopfAlgebraData):
 def crossed_submodule_closure(m: CrossedModule, gens: Matrix) -> Matrix:
     """Echelon basis of the smallest subspace of M containing Im(gens) that
     is stable under the action (v <| h) and the coaction components
-    (id (x) e_j*) o nu_r.
-
-    Semi-naive: a round applies them only to the columns that the last
-    round's echelon basis gained, those at pivot rows it did not have
-    before; with the old basis they span the new one, and the images of the
-    old basis are in it already.  All of M returns as its reduced echelon
-    basis, the identity."""
+    (id (x) e_j*) o nu_r: matrix.span_closure of one step that applies
+    both."""
     a = m.h.dim
     ea = Matrix.identity(a)
-    basis, pivots = gens.column_echelon_basis()
-    fresh = basis
-    while fresh.cols and basis.cols < m.dim:
-        images = [basis, compose_kron(m.mu_r, fresh, ea), split_leg(m.nu_r.compose(fresh), a)]
-        old = set(pivots)
-        basis, pivots = hstack(images).column_echelon_basis()
-        gained = [basis.col(j) for j, p in enumerate(pivots) if p not in old]
-        fresh = hstack(gained) if gained else Matrix.zero(m.dim, 0)
-    return basis
+    return span_closure(lambda v: hstack([compose_kron(m.mu_r, v, ea),
+                                          split_leg(m.nu_r.compose(v), a)]), gens)
 
 
 def fodc_from_submodule(univ: UniversalCalculus, r_gens: Matrix) -> FirstOrderCalculus:
@@ -153,7 +142,7 @@ def fodc_from_submodule(univ: UniversalCalculus, r_gens: Matrix) -> FirstOrderCa
             f"generators span {r_basis.cols} dims but their closure spans {closed.cols}"
         )
     n_basis = compose_kron(alpha, Matrix.identity(h.dim), r_basis).column_echelon_basis()[0]
-    q = n_basis.transpose().kernel_basis().transpose()  # the cokernel
+    q = n_basis.cokernel()
     return FirstOrderCalculus(h, univ.x.quotient(q, "classified"), q.compose(univ.d))
 
 
@@ -167,7 +156,7 @@ def smash_calculus(ker: CrossedModule, ik: Matrix, r_basis: Matrix) -> FirstOrde
     is not a crossed submodule raises FactorizationError."""
     h = ker.h
     ea = Matrix.identity(h.dim)
-    q = r_basis.transpose().kernel_basis().transpose()  # the cokernel
+    q = r_basis.cokernel()
     quotient = ker.quotient(q, "ker_counit/R")
     to_ker = solve_mono(ik, ea - h.unit.compose(h.counit))  # id - eta eps: H -> Ker eps
     d = kron_apply(ea, q.compose(to_ker), h.comult)

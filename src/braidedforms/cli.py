@@ -163,10 +163,7 @@ def cmd_build_calculus(args) -> int:
 
 def cmd_classify(args) -> int:
     obj = io.load_json(args.file)
-    base = io.Path(args.file).parent
-    # an inline Hopf algebra may sit beside its "candidates"
-    inline = {k: v for k, v in obj.items() if k != "candidates"} if "mult" in obj else None
-    h = io.load_hopf_ref(obj.get("hopf", inline), base)
+    h = io.classify_hopf(obj, io.Path(args.file).parent)
     # the generators live in Ker eps, whose dimension the counit gives at
     # once, so a bad candidate list fails before any structure is built
     ker_dim = h.dim - h.counit.rank()
@@ -183,7 +180,7 @@ def cmd_classify(args) -> int:
     ok = True
     calculi = {}  # closed echelon basis -> (calculus, roundtrip): each built once
     for gens in candidates:
-        closed = crossed_submodule_closure(mc, gens.column_echelon_basis()[0])
+        closed = crossed_submodule_closure(mc, gens)
         if closed not in calculi:
             calc = smash_calculus(mc, ik, closed)
             calculi[closed] = calc, read_off_submodule(calc) == closed

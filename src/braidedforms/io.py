@@ -16,6 +16,8 @@ exponent, "_" and spaces are refused):
   calculus  {"hopf": <ref>, "submodule": {"ambient": "ker_counit",
              "generators": [vectors]}}  or  {"hopf": <ref>, "X": bimodule
              fields, "d": Matrix of shape X.dim x H.dim}
+  classify  {"hopf": <ref>, "candidates": [[vectors]]}, or a hopf object with
+            "candidates" beside it; a calculus bundle is read for its base
 
 Each of these objects, the "submodule" member among them, may also hold
 "kind", "name" and "schema_version", and no other key.
@@ -56,6 +58,7 @@ def _keys(*own):
 _MATRIX_KEYS = _keys("rows", "cols", "entries")
 _HOPF_KEYS = _keys("dim", *HopfAlgebraData.LEGS, "antipode_inv")
 _BRAIDING_KEYS = _keys("dim", "psi", "lambda")
+_CALCULUS_KEYS = _keys("hopf", "submodule", "X", "d")
 
 
 def _known(obj, keys, what) -> None:
@@ -289,6 +292,14 @@ def load_hopf_ref(ref, base_dir) -> HopfAlgebraData:
     return hopf_from_obj(obj)
 
 
+def classify_hopf(obj, base_dir) -> HopfAlgebraData:
+    """A classify file's base: inline when it has "mult", else its "hopf"."""
+    if "mult" in obj:
+        return hopf_from_obj({k: v for k, v in obj.items() if k != "candidates"})
+    _known(obj, _CALCULUS_KEYS | {"candidates"}, "classify file")
+    return load_hopf_ref(obj.get("hopf"), base_dir)
+
+
 def _base_hopf(obj, base_dir, what) -> HopfAlgebraData:
     if "hopf" not in obj:
         raise ParseError(f'{what} needs a "hopf" reference')
@@ -319,7 +330,7 @@ def crossed_from_obj(obj, base_dir=None) -> CrossedModule:
 
 def calculus_from_obj(obj, base_dir=None):
     """Calculus bundle -> FirstOrderCalculus, over a base that passes check_hopf."""
-    _known(obj, _keys("hopf", "submodule", "X", "d"), "calculus bundle")
+    _known(obj, _CALCULUS_KEYS, "calculus bundle")
     h = require_hopf(_base_hopf(obj, base_dir, "calculus bundle"))
     if "submodule" in obj:
         sub = obj["submodule"]

@@ -287,6 +287,10 @@ class Matrix:
         basis = _sparse(rank, self.rows, red._nz[:rank]).transpose()
         return basis, pivots
 
+    def cokernel(self) -> "Matrix":
+        """An epi whose kernel is the column space (rows in reduced echelon form)."""
+        return self.transpose().kernel_basis().transpose()
+
     def rank_factorization(self):
         """(image, coimage) with self == image o coimage: image is the column
         echelon basis, coimage the rows of self at its pivot rows."""
@@ -462,6 +466,23 @@ def split_leg(x: Matrix, b: int) -> Matrix:
         for c, v in row.items():
             out[i][j * k + c] = v
     return _sparse(x.rows // b, b * k, out)
+
+
+def span_closure(step, gens: Matrix) -> Matrix:
+    """The echelon basis of the smallest subspace that contains Im(gens) and
+    step(v) for each of its vectors v, for a step linear in each column.
+    Semi-naive: a round applies step only to the columns that the last
+    round's echelon basis gained, at pivot rows it did not have before; with
+    the old basis they span the new one, and the old basis's images are in
+    it already.  The whole space returns as the identity."""
+    basis, pivots = gens.column_echelon_basis()
+    fresh = basis
+    while fresh.cols and basis.cols < basis.rows:
+        old = set(pivots)
+        basis, pivots = hstack([basis, step(fresh)]).column_echelon_basis()
+        fresh = hstack([Matrix.zero(basis.rows, 0),
+                        *(basis.col(j) for j, p in enumerate(pivots) if p not in old)])
+    return basis
 
 
 def kron_all(*mats: Matrix) -> Matrix:

@@ -351,6 +351,18 @@ class TestClassify:
         obj = {**io.load_json(io.bundled_path("kz2")), "candidates": [[[1]]]}
         assert run(["classify", bundle(tmp_path, "c.json", obj)]) == 0
 
+    def test_referenced_hopf_beside_candidates(self, tmp_path):
+        # the benchmark's form of a classify file
+        obj = {"hopf": "bundled:kz2", "candidates": [[[1]]], "kind": "classify"}
+        assert run(["classify", bundle(tmp_path, "c.json", obj)]) == 0
+
+    def test_unknown_top_level_key_exit_2(self, tmp_path, capsys):
+        # a misspelled "candidates" is refused, not read as the default sweep
+        obj = {"hopf": "bundled:kz2", "candidats": [[[1]]]}
+        assert run(["classify", bundle(tmp_path, "c.json", obj)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'candidats'" in err and err.count("\n") == 1
+
 
 class TestDeterminism:
     def test_reports_bit_identical(self, tmp_path):

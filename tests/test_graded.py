@@ -23,6 +23,7 @@ from braidedforms.matrix import (
     Matrix,
     braided_product,
     compose_kron,
+    hstack,
     kron,
     kron_apply,
     restrict,
@@ -373,11 +374,12 @@ RESTRICTED_FAILURES = {
     # case: (mutant, its passes, name -> its witness)
     "S theta_-1": (lambda b: _theta(b, MINUS_ONE), BOTH, {"antipode": (1,)}),
     "S theta_2": (lambda b: _theta(b, Scalar.rational(2)), BOTH, {"antipode": (1,)}),
-    # S(1) S(x) != S(x) fails the antipode guard, so the gate fails
+    # S(1) != 1 fails the empty word's condition S_0 o eta = eta, so the gate fails
     "S_0 on the unit": (lambda b: _on_unit_column(b, "antipode", b.unit), FULL,
                         {"antipode": (0,)}),
+    # d(1) != 0 fails the empty word's condition d_0 o eta = 0, so the gate fails
     "d_0 on the unit": (lambda b: _on_unit_column(b, "differential", b.eye(1).col(0)),
-                        BOTH, {"leibniz": (0, 0)}),
+                        FULL, {"leibniz": (0, 0)}),
 }
 
 
@@ -385,7 +387,7 @@ RESTRICTED_FAILURES = {
 def test_restricted_failures(swept, kron_applies, case):
     # faults that the generator reads must catch: S o theta_c passes the
     # anti-multiplicativity guard and fails the antipode law on G_1;
-    # d(1) != 0 fails on the unit column; S(1) != 1 fails the guard
+    # S(1) != 1 and d(1) != 0 fail the gate on the empty word
     mutate, passes, witnesses = RESTRICTED_FAILURES[case]
     b = mutate(swept)
     report = check_graded_structure(b)
@@ -408,8 +410,8 @@ def _line(s0=ONE, d0=ZERO, N=1):
 @pytest.mark.parametrize("b, name", [(_line(s0=Scalar.rational(2), N=0), "antipode"),
                                      (_line(d0=ONE), "leibniz")], ids=["S(1) = 2", "d(1) = x"])
 def test_unit_column(b, name):
-    # G_0 is empty and no law on G_1 sees S(1) or d(1): only the unit
-    # column fails
+    # G_0 is empty and no law on G_1 sees S(1) or d(1): the gate's
+    # conditions on the empty word send them to the full check
     assert generator_certificate(b)[0][0].cols == 0
     assert check_graded_structure(_line(N=b.N)).ok
     report = check_graded_structure(b)
@@ -544,15 +546,47 @@ class TestGeneratorCertificate:
         assert report.first["antipode"] is not None
         assert_is_reference(report, b)
 
-    def test_flip_is_read_from_the_blocks(self, exterior):
+    def test_flip_is_read_from_the_blocks(self, exterior, kron_applies):
         # a swap callable that gives the plain flip makes the same blocks as
-        # swap None, and so the same report
-        b = _corrupt(exterior, "comult")
-        flip = GradedBialgebra(b.dims, b.mult, b.unit, b.comult, b.counit,
-                               lambda k, l: swap_matrix(b.dims[k], b.dims[l]), b.lam,
-                               antipode=b.antipode, differential=b.differential)
-        assert flip.blocks() == b.blocks()
-        assert check_graded_structure(flip).first == check_graded_structure(b).first
+        # swap None, and so the same report; the gate reads the flip from
+        # swap None alone, so only None reads generators
+        for b, passes in ((exterior, GENERATORS), (_corrupt(exterior, "comult"), BOTH)):
+            flip = GradedBialgebra(b.dims, b.mult, b.unit, b.comult, b.counit,
+                                   lambda k, l: swap_matrix(b.dims[k], b.dims[l]), b.lam,
+                                   antipode=b.antipode, differential=b.differential)
+            assert flip.blocks() == b.blocks()
+            kron_applies.clear()
+            report = check_graded_structure(b)
+            assert len(kron_applies) == _kron_apply_calls(b, passes)
+            kron_applies.clear()
+            assert check_graded_structure(flip).first == report.first
+            assert len(kron_applies) == _kron_apply_calls(flip, FULL)
+
+    def test_same_g0_as_the_greedy_fixed_point(self, routes):
+        # G_0 from span_closure equals G_0 from the naive fixed-point loop
+        for b in routes:
+            g0 = generator_certificate(b)[0][0]
+            assert [r for (r, _), _ in g0.nonzeros()] == _greedy_g0(b)
+
+
+def _greedy_g0(b):
+    """G_0 by the naive loop: e_i, in index order, joins G_0 when it grows
+    the span of the unit closed under left multiplication by G_0 and e_i,
+    every operator applied to the whole span until it stops growing."""
+    d0 = b.dims[0]
+    lefts = [compose_kron(b.m(0, 0), b.eye(0).col(i), b.eye(0)) for i in range(d0)]
+    g0, span = [], b.unit.column_echelon_basis()[0]
+    for i in range(d0):
+        ops, grown = [lefts[j] for j in g0 + [i]], span
+        while True:
+            closed = hstack([grown] + [op.compose(grown) for op in ops]).column_echelon_basis()[0]
+            if closed.cols == grown.cols:
+                break
+            grown = closed
+        if grown.cols > span.cols:
+            g0.append(i)
+            span = grown
+    return g0
 
 
 class TestBlocks:

@@ -19,6 +19,7 @@ from braidedforms.matrix import (
     solve_epi,
     solve_factor,
     solve_mono,
+    span_closure,
     split_leg,
     swap_matrix,
     vstack,
@@ -391,6 +392,47 @@ class TestSplitLeg:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             split_leg(Matrix.identity(5), 2)
+
+
+def _naive_closure(ops, gens):
+    """The echelon basis of Im(gens) closed under ops, every operator applied
+    to the whole basis until it stops growing."""
+    basis = gens.column_echelon_basis()[0]
+    while True:
+        grown = hstack([basis] + [op.compose(basis) for op in ops]).column_echelon_basis()[0]
+        if grown.cols == basis.cols:
+            return basis
+        basis = grown
+
+
+class TestSpanClosure:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_equals_the_naive_fixed_point(self, data):
+        # sparse operators, and gens that are empty, random or the whole space
+        n = data.draw(st.integers(1, 5))
+        ops = data.draw(st.lists(sparse_matrices(n, n), min_size=1, max_size=2))
+        gens = data.draw(st.one_of(
+            st.just(Matrix.zero(n, 0)), st.just(Matrix.identity(n)),
+            st.integers(1, 3).flatmap(lambda k: sparse_matrices(n, k))))
+        closed = span_closure(lambda v: hstack([op.compose(v) for op in ops]), gens)
+        assert closed == _naive_closure(ops, gens)
+
+    def test_whole_space_is_the_identity(self):
+        shift = mat([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+        assert span_closure(shift.compose, Matrix.identity(3).col(0)) == Matrix.identity(3)
+        assert span_closure(shift.compose, Matrix.identity(3).col(1)).cols == 2
+
+
+class TestCokernel:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_an_epi_that_kills_the_column_space(self, data):
+        r, c = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+        m = data.draw(sparse_matrices(r, c))
+        q = m.cokernel()
+        assert q.compose(m).is_zero
+        assert q.rows == r - m.rank() and q.rank() == q.rows
 
 
 # zero-heavy entries 0, +-1, 1/2, zeta_3 and zeta_5; ONE is the shared object

@@ -174,6 +174,29 @@ def test_leg_arithmetic_stays_in_matrix_module():
     assert found == []
 
 
+def _is_lam_weight(node):
+    """.lam ** (k * l) for two names k and l."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and isinstance(node.left, ast.Attribute) and node.left.attr == "lam"
+            and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Mult)
+            and isinstance(node.right.left, ast.Name) and isinstance(node.right.right, ast.Name))
+
+
+def test_braid_weight_is_stated_once():
+    # GradedBialgebra.braid(k, l) is the one place that weights a swap block
+    # by lambda^(kl); every other reader takes the weighted block from it
+    inside, outside = [], []
+    for name, tree in _trees():
+        braid = {id(n) for cls in tree.body
+                 if isinstance(cls, ast.ClassDef) and cls.name == "GradedBialgebra"
+                 for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "braid"
+                 for n in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if _is_lam_weight(node):
+                (inside if id(node) in braid else outside).append(f"{name}:{node.lineno}")
+    assert len(inside) == 1 and outside == []
+
+
 def _defined_functions(tree):
     """(name, line, owner) of the top-level functions, with owner None, and of
     the class methods, with owner (class name, whether it is a static or
