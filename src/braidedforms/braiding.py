@@ -20,7 +20,7 @@ from .checks import Checks
 from .cyclotomic import ONE, ZERO, Scalar
 from .errors import ShapeError, TooLarge
 from .matrix import Matrix, kron, kron_all, kron_apply, swap_matrix
-from .permutations import Partition, Permutation, gaussian_multinomial, shuffle_set
+from .permutations import Permutation, gaussian_multinomial, shuffle_set
 
 RESOURCE_BOUND = 4096
 
@@ -119,21 +119,22 @@ def braided_line(mu, lam=None) -> BraidedSpace:
     return BraidedSpace(1, Matrix(1, 1, [q]), lam)
 
 
-def multinomial(pi: Partition, x: BraidedSpace, side: str) -> Matrix:
-    """[pi over j] (side="lower") or [j over pi] (side="upper") on X^(tensor j)."""
-    j = pi.total
+def multinomial(parts, x: BraidedSpace, side: str) -> Matrix:
+    """[parts over j] (side="lower") or [j over parts] (side="upper") on
+    X^(tensor j), for a composition `parts` of j = sum(parts)."""
+    j = sum(parts)
     x.guard(j)
     if x.dim == 1:
         # c_i shuffles of length i each contribute (lam psi)^i
         q = x.lam * x.psi[0, 0]
         total, power = ZERO, ONE
-        for c in gaussian_multinomial(pi.parts):
+        for c in gaussian_multinomial(parts):
             total = total + c * power
             power = power * q
         return Matrix(1, 1, [total])
     size = x.dim**j
     acc = Matrix.zero(size, size)
-    for sigma in shuffle_set(pi, side):
+    for sigma in shuffle_set(parts, side):
         weight = x.lam ** sigma.length()
         scale = weight != 1
         # representation matrices are sparse; only touch their nonzero entries
@@ -146,14 +147,16 @@ def braided_factorial(j: int, x: BraidedSpace, below: Matrix | None = None) -> M
     """[j | X; lam]! = [j over (1,...,1)], built as Majid's
     [j]! = (id (x) [j-1]!) o [1, j-1]: one shuffle factor of j terms on top of
     [j-1]! instead of the j! terms of the S_j sum.  `below` is [j-1]! when
-    the caller already has it; otherwise the lower degrees are built first."""
+    the caller already has it; otherwise the lower degrees are built first.
+    [j]! vanishes with [j-1]!, so a zero `below` gives the zero block at once."""
     x.guard(j)
     if j < 2:
         return Matrix.identity(x.dim**j)
     if below is None:
         below = braided_factorials(j - 1, x)[-1]
-    return kron_apply(Matrix.identity(x.dim), below,
-                      multinomial(Partition([1, j - 1]), x, "upper"))
+    if below.is_zero:
+        return Matrix.zero(x.dim**j, x.dim**j)
+    return kron_apply(Matrix.identity(x.dim), below, multinomial((1, j - 1), x, "upper"))
 
 
 def braided_factorials(N: int, x: BraidedSpace) -> list[Matrix]:

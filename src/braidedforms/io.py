@@ -15,9 +15,10 @@ exponent, "_" and spaces are refused):
   crossed   {"hopf": <ref>, "dim", "mu_r", "nu_r"}
   calculus  {"hopf": <ref>, "submodule": {"ambient": "ker_counit",
              "generators": [vectors]}}  or  {"hopf": <ref>, "X": bimodule
-             fields, "d": Matrix of shape X.dim x H.dim}
-  classify  {"hopf": <ref>, "candidates": [[vectors]]}, or a hopf object with
-            "candidates" beside it; a calculus bundle is read for its base
+             fields, "d": Matrix of shape X.dim x H.dim}, never both forms
+  classify  {"hopf": <ref>, "candidates": [[vectors]]} ("candidates"
+            optional), or a hopf object with "candidates" beside it; a
+            calculus bundle is refused
 
 Each of these objects, the "submodule" member among them, may also hold
 "kind", "name" and "schema_version", and no other key.
@@ -296,7 +297,7 @@ def classify_hopf(obj, base_dir) -> HopfAlgebraData:
     """A classify file's base: inline when it has "mult", else its "hopf"."""
     if "mult" in obj:
         return hopf_from_obj({k: v for k, v in obj.items() if k != "candidates"})
-    _known(obj, _CALCULUS_KEYS | {"candidates"}, "classify file")
+    _known(obj, _keys("hopf", "candidates"), "classify file")
     return load_hopf_ref(obj.get("hopf"), base_dir)
 
 
@@ -331,6 +332,8 @@ def crossed_from_obj(obj, base_dir=None) -> CrossedModule:
 def calculus_from_obj(obj, base_dir=None):
     """Calculus bundle -> FirstOrderCalculus, over a base that passes check_hopf."""
     _known(obj, _CALCULUS_KEYS, "calculus bundle")
+    if "submodule" in obj and ("X" in obj or "d" in obj):
+        raise ParseError('a calculus bundle holds "submodule" or "X" and "d", not both')
     h = require_hopf(_base_hopf(obj, base_dir, "calculus bundle"))
     if "submodule" in obj:
         sub = obj["submodule"]

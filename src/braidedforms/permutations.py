@@ -2,11 +2,11 @@
 
 Permutations act on {1..j} and are stored in one-line notation.  Products
 compose as functions: (s*t)(i) = s(t(i)).  Shuffle sets follow the braided
-multinomial convention: for a partition pi = (j_1,...,j_r) of j the lower set
-consists of the permutations that are increasing on each consecutive block,
-and the upper set is its set of inverses.  On either side, the number of
-shuffles of each length is a coefficient of the Gaussian multinomial
-(`gaussian_multinomial`).
+multinomial convention: for a composition (j_1,...,j_r) of j, a tuple of
+non-negative parts, the lower set consists of the permutations that are
+increasing on each consecutive block, and the upper set is its set of
+inverses.  On either side, the number of shuffles of each length is a
+coefficient of the Gaussian multinomial (`gaussian_multinomial`).
 """
 
 from __future__ import annotations
@@ -96,48 +96,26 @@ def all_permutations(j: int) -> Iterator[Permutation]:
         yield Permutation(images)
 
 
-class Partition:
-    """An N_0-partition (composition, zero parts allowed) of its total."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        parts = tuple(int(p) for p in parts)
-        if any(p < 0 for p in parts) or len(parts) == 0:
-            raise ShapeError(f"invalid partition {parts}")
-        self.parts = parts
-
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
-    def __repr__(self):
-        return f"Partition{self.parts}"
-
-
-def shuffle_set(pi: Partition, side: str) -> list[Permutation]:
-    """Shuffles for the partition pi of j.
+def shuffle_set(parts, side: str) -> list[Permutation]:
+    """Shuffles for the composition parts = (j_1, ..., j_r) of j = sum(parts),
+    a tuple of non-negative ints.
 
     side="lower": permutations increasing on each consecutive block (the
     inverse shuffle set); side="upper": their inverses (order-preserving onto
     each block).  Generated combinatorially, sorted by one-line notation.
     """
-    j = pi.total
-    lower = []
-
-    def assign(block_idx, remaining, images):
-        if block_idx == len(pi.parts):
-            lower.append(Permutation(images))
+    def laid(rest, free):
+        # one-line images: each block an increasing choice among the values
+        # still free, laid end to end
+        if not rest:
+            yield ()
             return
-        size = pi.parts[block_idx]
-        start = sum(pi.parts[:block_idx])
-        for chosen in combinations(remaining, size):
-            nxt = list(images)
-            for offset, value in enumerate(sorted(chosen)):
-                nxt[start + offset] = value
-            assign(block_idx + 1, [v for v in remaining if v not in chosen], nxt)
+        for chosen in combinations(free, rest[0]):
+            left = [v for v in free if v not in chosen]
+            for tail in laid(rest[1:], left):
+                yield chosen + tail
 
-    assign(0, list(range(1, j + 1)), [0] * j)
+    lower = [Permutation(images) for images in laid(parts, range(1, sum(parts) + 1))]
     if side == "lower":
         result = lower
     elif side == "upper":
@@ -149,7 +127,7 @@ def shuffle_set(pi: Partition, side: str) -> list[Permutation]:
 
 def gaussian_multinomial(parts) -> list[int]:
     """Coefficients c_0, c_1, ... of the Gaussian multinomial [j over parts]_q:
-    c_i is the number of shuffles of length i for the partition `parts` of j,
+    c_i is the number of shuffles of length i for the composition `parts` of j,
     on either side.  It is the product over the blocks of the Gaussian
     binomials [l + k over k] (k the block, l the blocks before it), each from
     the q-Pascal rule [k+l over k] = [k+l-1 over k-1] + q^k [k+l-1 over k]."""

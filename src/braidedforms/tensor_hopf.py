@@ -25,7 +25,7 @@ from .cyclotomic import MINUS_ONE, Scalar
 from .errors import FactorizationError
 from .graded import GradedBialgebra, ideal_quotient, sub_bialgebra
 from .matrix import Matrix, compose_kron, kron_apply
-from .permutations import Partition, Permutation
+from .permutations import Permutation
 
 
 def reversal(n: int) -> Permutation:
@@ -57,9 +57,9 @@ def build_tensor_hopf(x: BraidedSpace, variant: str, N: int) -> GradedBialgebra:
         for l in range(N + 1 - k):
             if variant == "shuffle_coproduct":
                 mult[(k, l)] = Matrix.identity(d ** (k + l))
-                comult[(k, l)] = multinomial(Partition([k, l]), x, "upper")
+                comult[(k, l)] = multinomial((k, l), x, "upper")
             elif variant == "shuffle_product":
-                mult[(k, l)] = multinomial(Partition([k, l]), x, "lower")
+                mult[(k, l)] = multinomial((k, l), x, "lower")
                 comult[(k, l)] = Matrix.identity(d ** (k + l))
             else:
                 raise ValueError(f"unknown variant {variant!r}")

@@ -151,11 +151,13 @@ class TestWedgeDims:
 
     def test_braided_line_high_degree(self, tmp_path):
         # the resource bound never limits a 1-dimensional space, so [9]! must
-        # not cost 9! braid representations
+        # not cost 9! braid representations, and no degree past [3]! = 0
+        # builds a shuffle factor
         out = tmp_path / "report.json"
-        assert run(["wedge-dims", str(io.bundled_path("braided_line_zeta3")),
-                    "--max-degree", "9", "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["dims"] == [1, 1, 1, 0, 0, 0, 0, 0, 0, 0]
+        for N in (9, 10000):
+            assert run(["wedge-dims", str(io.bundled_path("braided_line_zeta3")),
+                        "--max-degree", str(N), "--out", str(out)]) == 0
+            assert json.loads(out.read_text())["dims"] == [1, 1, 1] + [0] * (N - 2)
 
     def test_dims_do_not_build_the_wedge_algebra(self, monkeypatch, capsys):
         def refuse(*args):
@@ -295,8 +297,7 @@ class TestRouteBuilders:
 class TestClassify:
     def test_kz3_default_sweep(self, tmp_path, capsys):
         out = tmp_path / "report.json"
-        assert run(["classify", str(io.bundled_path("kz3_universal_calculus")),
-                    "--out", str(out)]) == 0
+        assert run(["classify", str(io.bundled_path("kz3")), "--out", str(out)]) == 0
         report = json.load(open(out))
         dims = {(e["closure_dim"], e["calculus_dim"]) for e in report["entries"]}
         assert (0, 6) in dims  # no generators -> universal calculus
@@ -362,6 +363,17 @@ class TestClassify:
         assert run(["classify", bundle(tmp_path, "c.json", obj)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'candidats'" in err and err.count("\n") == 1
+
+    def test_calculus_bundle_exit_2(self, tmp_path, capsys, kz2):
+        # classify would read only the base of a calculus, never its
+        # "submodule" or "X" and "d"
+        univ = universal_fodc(kz2)
+        explicit = {"hopf": "bundled:kz2", "X": univ.x.to_obj(), "d": univ.d.to_obj()}
+        for path, key in ((str(io.bundled_path("kz3_universal_calculus")), "submodule"),
+                          (bundle(tmp_path, "e.json", explicit), "X")):
+            assert run(["classify", path]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and f"{key!r}" in err and err.count("\n") == 1
 
 
 class TestDeterminism:
@@ -471,6 +483,15 @@ class TestExitCodes:
     def test_bad_generators_exit_2(self, tmp_path, capsys, command, bad):
         assert run([command, bundle(tmp_path, "g.json", bad)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("extra", [{"X": 5}, {"d": "nonsense"}, {"X": 5, "d": "nonsense"}])
+    @pytest.mark.parametrize("command", [["build-calculus"], ["check", "--kind", "calculus"]])
+    def test_submodule_beside_explicit_form_exit_2(self, tmp_path, capsys, command, extra):
+        # a calculus bundle has one form: "submodule", or "X" and "d"
+        obj = {**_bundled_object("kz2_universal_calculus"), **extra}
+        assert run([*command, bundle(tmp_path, "b.json", obj)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "not both" in err
 
     @pytest.mark.parametrize("x", [5, [1, 2]])
     def test_bimodule_not_an_object_exit_2(self, tmp_path, capsys, x):
@@ -861,10 +882,13 @@ class TestCommandLine:
     def test_help_exit_0(self, argv):
         code, out, err = _main(argv)
         assert code == 0 and err == ""
-        assert out.startswith(cli.__doc__)
-        synopsis = [line.strip() for line in out.split("\nUsage\n", 1)[1].splitlines()]
-        assert synopsis == _synopsis_lines()
-        assert len(synopsis) == len(cli.COMMANDS) == 4
+        assert out == cli.__doc__ + "\n" + cli.USAGE
+
+    def test_readme_synopsis_is_usage(self):
+        # the documented commands are the ones the help prints
+        usage = [line.strip() for line in cli.USAGE.split("Usage\n", 1)[1].splitlines()]
+        assert usage == _synopsis_lines()
+        assert len(usage) == len(cli.COMMANDS) == 4
 
     def test_synopsis_names_every_option_and_choice(self):
         lines = _synopsis_lines()

@@ -11,6 +11,7 @@ from braidedforms.braiding import (
     diagonal_space,
     swap_space,
 )
+from braidedforms.cli import main
 from braidedforms.cyclotomic import MINUS_ONE, ONE, Scalar
 from braidedforms.errors import FactorizationError
 from braidedforms.graded import check_graded_structure, ideal_quotient
@@ -120,6 +121,66 @@ class TestWedge:
         assert cmp["equal"] and cmp["first_unequal_degree"] is None
 
 
+def hilbert_series(roots, N):
+    """Degrees 0..N of the product over the roots (n, h) of
+    (n)_{t^h} = 1 + t^h + ... + t^((n-1)h)."""
+    coeffs = [1] + [0] * N
+    for n, h in roots:
+        coeffs = [sum(coeffs[i - k * h] for k in range(n) if k * h <= i) for i in range(N + 1)]
+    return coeffs
+
+
+def a1xa1(n1, n2):
+    """Braiding matrix with q_11, q_22 of orders n1, n2 and q_12 q_21 = 1, and
+    its positive roots (N_beta, ht beta)."""
+    return [[Scalar.zeta(n1), ONE], [ONE, Scalar.zeta(n2)]], [(n1, 1), (n2, 1)]
+
+
+def a2(n):
+    """Braiding matrix of Cartan type A2, q_11 = q_22 = q of order n and
+    q_12 q_21 = q^-1, and its positive roots a_1, a_2, a_1 + a_2."""
+    q = Scalar.zeta(n)
+    return [[q, q.inv()], [ONE, q]], [(n, 1), (n, 1), (n, 2)]
+
+
+def nichols_space(q):
+    """diagonal_space(-q): the wedge at lam = -1 is the Nichols algebra of -psi."""
+    return diagonal_space([[-e for e in row] for row in q])
+
+
+class TestNicholsOracles:
+    """The wedge at lam = -1 is the image of the symmetrizer of -psi, so it is
+    the Nichols algebra of -psi (Schauenburg 1996; Rosso 1998). For a diagonal
+    braiding of finite Cartan type its Hilbert series is the product over the
+    positive roots beta of (N_beta)_{t^{ht beta}} (Kharchenko 1999;
+    Andruskiewitsch-Schneider 2000; Heckenberger 2006), 0 past the top degree.
+    Each degree N is past the top degree or at the most that fits the tests'
+    time."""
+
+    @pytest.mark.parametrize("q, roots, N", [
+        (*a1xa1(3, 3), 6), (*a1xa1(4, 4), 8), (*a1xa1(5, 5), 10), (*a1xa1(3, 4), 7),
+        (*a2(2), 6), (*a2(3), 10), (*a2(4), 9), (*a2(5), 8),
+    ], ids=["A1xA1-3-3", "A1xA1-4-4", "A1xA1-5-5", "A1xA1-3-4", "A2-2", "A2-3", "A2-4", "A2-5"])
+    def test_wedge_dims_are_the_hilbert_series(self, q, roots, N):
+        assert list(build_wedge(nichols_space(q), N).dims) == hilbert_series(roots, N)
+
+    @pytest.mark.parametrize("q, N, first", [
+        (a2(3)[0], 3, 3), (a2(4)[0], 3, 3), (a1xa1(3, 3)[0], 3, 3), (a1xa1(4, 4)[0], 4, 4),
+    ], ids=["A2-3", "A2-4", "A1xA1-3-3", "A1xA1-4-4"])
+    def test_quadratic_dims_part_at_the_first_higher_relation(self, q, N, first):
+        # the quantum Serre relations of A2 are cubic; x_i^n = 0 has degree n
+        assert wedge_vs_quadratic(nichols_space(q), N)["first_unequal_degree"] == first
+
+    def test_wedge_dims_command(self, tmp_path):
+        q, roots = a2(3)
+        path, out = tmp_path / "a2.json", tmp_path / "report.json"
+        path.write_text(json.dumps({"dim": 2, "psi": nichols_space(q).psi.to_obj()}))
+        assert main(["wedge-dims", str(path), "--max-degree", "9", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["dims"] == hilbert_series(roots, 9)
+        # 2^13 is past BraidedSpace.guard's bound
+        assert main(["wedge-dims", str(path), "--max-degree", "13"]) == 3
+
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 QUADRATIC_N = 5  # the --max-degree of the --compare-quadratic goldens
 
@@ -182,19 +243,35 @@ class TestWedgeOnDemand:
             w = build_wedge(x, 4)
             assert w.dims == tuple(braided_factorial(n, xm).rank() for n in range(5))
 
-    def test_each_degree_builds_on_the_one_before(self, monkeypatch):
-        # one shuffle factor [1, n-1] per degree n = 2..N, none rebuilt
+    @staticmethod
+    def multinomials_built(monkeypatch):
+        """The compositions braiding.multinomial is called with from now on."""
         built = []
         inner = braiding.multinomial
 
         def counting(pi, x, side):
-            built.append(tuple(pi.parts))
+            built.append(pi)
             return inner(pi, x, side)
 
         monkeypatch.setattr(braiding, "multinomial", counting)
+        return built
+
+    def test_each_degree_builds_on_the_one_before(self, monkeypatch):
+        # one shuffle factor [1, n-1] per degree n, none rebuilt, and none
+        # past the first zero degree: [n]! vanishes with [n-1]!
+        built = self.multinomials_built(monkeypatch)
         w = build_wedge(braided_line(Scalar.zeta(3)), 8)
         assert w.dims == (1, 1, 1, 0, 0, 0, 0, 0, 0)
-        assert built == [(1, n - 1) for n in range(2, 9)]
+        assert built == [(1, 1), (1, 2)]
+
+    def test_factorials_stop_at_the_first_zero(self, monkeypatch):
+        # Lambda^4 of a 3-dimensional space is 0, so [5]! and [6]! are the
+        # zero blocks and build no shuffle factor
+        built = self.multinomials_built(monkeypatch)
+        facts = braiding.braided_factorials(6, swap_space(3))
+        assert built == [(1, 1), (1, 2), (1, 3)]
+        assert [f.rank() for f in facts] == [1, 3, 3, 1, 0, 0, 0]
+        assert facts[5] == Matrix.zero(3**5, 3**5) and facts[6] == Matrix.zero(3**6, 3**6)
 
     def test_non_yang_baxter_raises_before_algebra(self):
         psi = swap_matrix(2, 2)
