@@ -107,31 +107,27 @@ class GradedBialgebra:
 
 def generator_certificate(b: GradedBialgebra) -> tuple | None:
     """(gens, whiskers) when basis vectors G_0, G_1, picked greedily in index
-    order, provably generate b: the words in G_0, spun from the unit by left
-    multiplication, span B_0, m(0,1)(B_0 (x) G_1) = B_1 and
-    m(1,n-1)(G_1 (x) B_(n-1)) = B_n for 2 <= n <= N, each read as the rank of
-    a column echelon basis; e_i joins G_0 when it grows the span_closure
-    under left multiplication by G_0 and e_i.  gens is {0: G_0, 1: G_1} as
-    column selections, and whiskers maps each (p, q) with p in gens and
-    p + q <= N to W(p,q) = m(p,q) o (G_p (x) id), which the checks read.
-    None when any of the three fails."""
+    order, provably generate b, for b with the unit law.  e_i joins G_0 when
+    it lies outside the span_closure of the unit under left multiplication by
+    the G_0 before it; e_i = e_i 1 then joins the span, so the words in G_0
+    span B_0.  G_1 is every e_j that adds rank to m(0,1) on B_0 (x) e_j' for
+    the e_j' before it; m(0,1) o (eta (x) id) = id, so B_0 G_1 = B_1.  The
+    one failure left is m(1,n-1)(G_1 (x) B_(n-1)) != B_n for some 2 <= n <= N,
+    read as a rank, and then the result is None.  gens is {0: G_0, 1: G_1}
+    as column selections, and whiskers maps each (p, q) with p in gens and
+    p + q <= N to W(p,q) = m(p,q) o (G_p (x) id), which the checks read."""
     dims, eye = b.dims, b.eye
     g0, span = [], b.unit.column_echelon_basis()[0]
     for i in range(dims[0]):
-        left = _columns(dims[0], g0 + [i])
-        grown = span_closure(lambda v: compose_kron(b.m(0, 0), left, v), span)
-        if grown.cols > span.cols:
+        grown = hstack([span, eye(0).col(i)])
+        if grown.rank() > span.cols:
             g0.append(i)
-            span = grown
-    if span.cols < dims[0]:
-        return None
+            left = _columns(dims[0], g0)
+            span = span_closure(lambda v: compose_kron(b.m(0, 0), left, v), grown)
     gens = {0: _columns(dims[0], g0)}
     if b.N >= 1:
-        # the leftmost pivots of m(0,1) with its columns ordered (B_1, B_0):
-        # G_1 is every e_j that adds rank to the e_j' before it
+        # the leftmost pivots of m(0,1) with its columns ordered (B_1, B_0)
         pivots = b.m(0, 1).compose(swap_matrix(dims[1], dims[0])).rref()[1]
-        if len(pivots) < dims[1]:
-            return None
         gens[1] = _columns(dims[1], sorted({c // dims[0] for c in pivots}))
     whiskers = {(p, q): compose_kron(b.m(p, q), g, eye(q))
                 for p, g in gens.items() for q in range(b.N + 1 - p)}
@@ -350,7 +346,7 @@ def ideal_quotient(b: GradedBialgebra, f: Matrix, degree: int) -> list[Matrix]:
     bases = []
     projs = []
     for n in range(N + 1):
-        if n < degree or f.cols == 0:
+        if n < degree:
             gen = Matrix.zero(b.dims[n], 0)
         else:
             pieces = []
@@ -365,12 +361,10 @@ def ideal_quotient(b: GradedBialgebra, f: Matrix, degree: int) -> list[Matrix]:
 
     # coideal and counit conditions
     for n in range(N + 1):
-        if bases[n].cols == 0:
-            continue
         for k in range(n + 1):
             l = n - k
             if not kron_apply(projs[k], projs[l], b.cm(k, l).compose(bases[n])).is_zero:
                 raise NotABiIdeal(f"coideal condition fails at degrees ({k},{l})")
-    if bases[0].cols and not b.counit.compose(bases[0]).is_zero:
+    if not b.counit.compose(bases[0]).is_zero:
         raise NotABiIdeal("counit does not vanish on the degree-0 ideal")
     return projs

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+from .braiding import braided_line, multinomial
 from .checks import Checks
 from .cyclotomic import ONE, Scalar
 from .errors import FactorizationError, InvalidBaseHopf, ShapeError
@@ -18,7 +19,6 @@ from .matrix import (
     Matrix,
     braided_product,
     compose_kron,
-    hstack,
     kron,
     kron_apply,
     solve_mono,
@@ -173,24 +173,17 @@ def taft_algebra(n: int) -> HopfAlgebraData:
                         mult[idx((a + c) % n, b + d), idx(a, b) * dim + idx(c, d)] = coeff
     unit = Matrix.zero(dim, 1)
     unit[idx(0, 0), 0] = ONE
-    # comultiplication computed in the tensor-square algebra from the
-    # generators, whose product (u (x) v)(u' (x) v') = u u' (x) v v' is a
-    # braided product with the plain swap
-    sw = swap_matrix(dim, dim)
-    unit2 = kron(unit, unit)
-    dg = Matrix.zero(dim * dim, 1)
-    dg[idx(1, 0) * dim + idx(1, 0), 0] = ONE
-    dx = Matrix.zero(dim * dim, 1)
-    dx[idx(0, 1) * dim + idx(0, 0), 0] = ONE
-    dx[idx(1, 0) * dim + idx(0, 1), 0] = ONE
-    columns = []  # Delta(g^a x^b), in idx(a, b) order
-    for a in range(n):
-        for b in range(n):
-            val = unit2
-            for gen in [dg] * a + [dx] * b:
-                val = braided_product(mult, mult, sw, val, gen, (dim, dim, dim, dim))
-            columns.append(val)
-    comult = hstack(columns)
+    # Delta x = x (x) 1 + g (x) x with (x (x) 1)(g (x) x) = zeta (g (x) x)(x (x) 1),
+    # so the braided binomial theorem on the braided line at zeta (Majid,
+    # J. Math. Phys. 34, 1993; Kassel, Quantum Groups, ch. IV) gives
+    # Delta(g^a x^b) = sum_k [b; k]_zeta g^(a+b-k) x^k (x) g^a x^(b-k)
+    line = braided_line(zeta, ONE)
+    comult = Matrix.zero(dim * dim, dim)
+    for b in range(n):
+        for k in range(b + 1):
+            coeff = multinomial((k, b - k), line, "lower")[0, 0]
+            for a in range(n):
+                comult[idx((a + b - k) % n, k) * dim + idx(a, b - k), idx(a, b)] = coeff
     counit = Matrix.zero(1, dim)
     for a in range(n):
         counit[0, idx(a, 0)] = ONE

@@ -5,7 +5,8 @@ serialization {"conductor": n, "coeffs": [[num, den], ...]}, with no other
 key; on input a scalar may also be a JSON integer, [p, q], or a string of
 ASCII digits with an optional leading "-" and an optional "/" and
 denominator, such as "-3" or "4/2"; a leading "+", a decimal point, an
-exponent, "_" and spaces are refused):
+exponent, "_" and spaces are refused; every integer field, a dim, rows,
+cols, a conductor or a number of coeffs or of [p, q], is a JSON integer):
 
   matrix    {"rows", "cols", "entries": [scalars]}
   hopf      {"dim", "mult", "unit", "comult", "counit", "antipode"}, never S^-1;
@@ -77,13 +78,11 @@ def bundled_path(name: str) -> Path:
 
 
 def _integer(x) -> int:
-    """An integer field of the input.  A JSON float or bool is refused, since
-    int() would truncate 2.7 to 2 or read true as 1."""
-    if type(x) is int:
-        return x
-    if isinstance(x, (bool, float)):
+    """An integer field of the input: a JSON integer, never a float, a bool
+    or a string."""
+    if type(x) is not int:
         raise ParseError(f"expected an integer, got {x!r}")
-    return int(x)
+    return x
 
 
 def _digits(s: str) -> bool:

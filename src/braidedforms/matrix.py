@@ -228,6 +228,8 @@ class Matrix:
     def rref(self):
         """(reduced row echelon form, pivot column list)."""
         m = [dict(row) for row in self._nz]
+        if not any(m):
+            return _sparse(self.rows, self.cols, m), []
         pivots = []
         pr = 0
         for pc in range(self.cols):

@@ -570,6 +570,25 @@ class TestExitCodes:
         assert run(["check", "--kind", "braiding", bundle(tmp_path, "z.json", obj)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("where, value", [
+        (("dim",), " ٢ "), (("psi", "rows"), "0_4"),
+        (("lambda",), {"conductor": " 1 ", "coeffs": [[-1, 1]]}),
+        (("lambda",), ["1_0", 1]),
+        (("lambda",), {"conductor": 1, "coeffs": [["-1", 1]]})],
+        ids=["dim", "rows", "conductor", "pair", "coeffs"])
+    def test_integer_field_as_string_exit_2(self, tmp_path, capsys, where, value):
+        # an integer field is a JSON integer: int() would read the
+        # Arabic-Indic digit, the "_" and the spaces of these strings
+        obj = json.load(open(io.bundled_path("swap2")))
+        *path, key = where
+        target = obj
+        for step in path:
+            target = target[step]
+        target[key] = value
+        assert run(["check", "--kind", "braiding", bundle(tmp_path, "i.json", obj)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
     @pytest.mark.parametrize("where", ["lambda", "psi"])
     @pytest.mark.parametrize("entry, key", [

@@ -112,6 +112,12 @@ class TestGradedBialgebra:
         report = check_graded_structure(self._sub_with_dropped_antipode())
         assert report.failed == ["antipode"] and report.first["antipode"] == ("missing",)
 
+    def test_ideal_of_no_generator_is_zero(self):
+        # a generator with no columns spans the zero ideal in every degree
+        t = build_tensor_hopf(swap_space(2), "shuffle_coproduct", 2)
+        projs = ideal_quotient(t, Matrix.zero(4, 0), 2)
+        assert projs == [Matrix.identity(1), Matrix.identity(2), Matrix.identity(4)]
+
     def test_ideal_above_the_truncation_is_zero(self):
         # an ideal generated in degree 2 is zero up to N = 1: nothing is
         # factored, and the projections are the identities
@@ -562,6 +568,17 @@ class TestGeneratorCertificate:
             assert check_graded_structure(flip).first == report.first
             assert len(kron_applies) == _kron_apply_calls(flip, FULL)
 
+    def test_span_closure_runs_once_per_g0_member(self, monkeypatch):
+        # under the unit law e_i joins G_0 exactly when it lies outside the
+        # span so far, so the span is closed once per member, not once per e_i
+        calls = []
+        real = graded.span_closure
+        monkeypatch.setattr(graded, "span_closure", lambda *a: calls.append(1) or real(*a))
+        path = io.bundled_path("sweedler_universal_calculus")
+        b = exterior_calculus(io.calculus_from_obj(io.load_json(path), path.parent), 2)
+        gens, _ = generator_certificate(b)
+        assert len(calls) == gens[0].cols == 2 < b.dims[0]
+
     def test_same_g0_as_the_greedy_fixed_point(self, routes):
         # G_0 from span_closure equals G_0 from the naive fixed-point loop
         for b in routes:
@@ -569,20 +586,46 @@ class TestGeneratorCertificate:
             assert [r for (r, _), _ in g0.nonzeros()] == _greedy_g0(b)
 
 
+def _unit_law(b):
+    return all(compose_kron(b.m(0, n), b.unit, b.eye(n)) == b.eye(n)
+               and compose_kron(b.m(n, 0), b.eye(n), b.unit) == b.eye(n)
+               for n in range(b.N + 1))
+
+
+def _words(b, g0):
+    """The span of the words in the basis vectors g0 of B_0, spun from the
+    unit by left multiplication until it stops growing."""
+    lefts = [compose_kron(b.m(0, 0), b.eye(0).col(i), b.eye(0)) for i in g0]
+    span = b.unit.column_echelon_basis()[0]
+    while True:
+        grown = hstack([span] + [op.compose(span) for op in lefts]).column_echelon_basis()[0]
+        if grown.cols == span.cols:
+            return span
+        span = grown
+
+
+@pytest.mark.parametrize("part", [None, "mult", "comult", "antipode", "differential"])
+def test_unit_law_gives_b0_and_b1(swept, part):
+    # what generator_certificate takes from the unit law, which the gate
+    # holds before it: the words in G_0 span B_0, and m(0,1) is onto B_1
+    algebras = [swept] if part is None else [b for *_, b in _mutants(swept, part)]
+    held = [b for b in algebras if _unit_law(b)]
+    assert held or part == "mult"  # a mult mutant may break the unit law
+    for b in held:
+        assert b.m(0, 1).rank() == b.dims[1]
+        cert = generator_certificate(b)
+        if cert is not None:
+            g0 = [r for (r, _), _ in cert[0][0].nonzeros()]
+            assert _words(b, g0).cols == b.dims[0]
+
+
 def _greedy_g0(b):
     """G_0 by the naive loop: e_i, in index order, joins G_0 when it grows
     the span of the unit closed under left multiplication by G_0 and e_i,
     every operator applied to the whole span until it stops growing."""
-    d0 = b.dims[0]
-    lefts = [compose_kron(b.m(0, 0), b.eye(0).col(i), b.eye(0)) for i in range(d0)]
-    g0, span = [], b.unit.column_echelon_basis()[0]
-    for i in range(d0):
-        ops, grown = [lefts[j] for j in g0 + [i]], span
-        while True:
-            closed = hstack([grown] + [op.compose(grown) for op in ops]).column_echelon_basis()[0]
-            if closed.cols == grown.cols:
-                break
-            grown = closed
+    g0, span = [], _words(b, [])
+    for i in range(b.dims[0]):
+        grown = _words(b, g0 + [i])
         if grown.cols > span.cols:
             g0.append(i)
             span = grown

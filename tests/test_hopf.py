@@ -14,7 +14,14 @@ from braidedforms.hopf import (
     symmetric_group_algebra_s3,
     taft_algebra,
 )
-from braidedforms.matrix import Matrix, hstack, kron, kron_all, solve_mono, swap_matrix
+from braidedforms.matrix import (
+    Matrix,
+    kron,
+    kron_all,
+    solve_mono,
+    swap_matrix,
+    vstack,
+)
 
 
 class TestCorpus:
@@ -199,31 +206,36 @@ def test_check_hopf_builds_no_matrix_beyond_three_legs(taft3, built_sizes):
 
 
 def reference_taft_comult(h, n):
-    """taft_algebra's comultiplication with the product of H (x) H built as
-    kron(m, m) o (id (x) swap (x) id)."""
+    """taft_algebra's comultiplication as the product of generator
+    coproducts in H (x) H, whose product is kron(m, m) o (id (x) swap (x) id).
+    Each column u of H (x) H is carried as the row u^T, so a step is
+    kron(u^T, v^T) o mult2^T and never builds a d^4-row column."""
     d = h.dim
     eye = Matrix.identity(d)
-    mult2 = kron(h.mult, h.mult).compose(kron_all(eye, swap_matrix(d, d), eye))
-    dg = Matrix.zero(d * d, 1)
-    dg[n * d + n, 0] = ONE  # g (x) g, with g^a x^b at index a * n + b
-    dx = Matrix.zero(d * d, 1)
-    dx[1 * d + 0, 0] = ONE  # x (x) 1
-    dx[n * d + 1, 0] = ONE  # g (x) x
-    columns = []
+    mult2 = kron(h.mult, h.mult).compose(kron_all(eye, swap_matrix(d, d), eye)).transpose()
+    dg = Matrix.zero(1, d * d)
+    dg[0, n * d + n] = ONE  # g (x) g, with g^a x^b at index a * n + b
+    dx = Matrix.zero(1, d * d)
+    dx[0, 1 * d + 0] = ONE  # x (x) 1
+    dx[0, n * d + 1] = ONE  # g (x) x
+    rows = []
     for a in range(n):
         for b in range(n):
-            val = kron(h.unit, h.unit)
+            val = kron(h.unit, h.unit).transpose()
             for _ in range(a):
-                val = mult2.compose(kron(val, dg))
+                val = kron(val, dg).compose(mult2)
             for _ in range(b):
-                val = mult2.compose(kron(val, dx))
-            columns.append(val)
-    return hstack(columns)
+                val = kron(val, dx).compose(mult2)
+            rows.append(val)
+    return vstack(rows).transpose()
 
 
 def test_taft_comult_against_kronecker_chain():
-    h = taft_algebra(3)
-    assert h.comult == reference_taft_comult(h, 3)
+    # the closed form of the braided binomial theorem against the product of
+    # generator coproducts in H (x) H
+    for n in (2, 3, 4, 5):
+        h = taft_algebra(n)
+        assert h.comult == reference_taft_comult(h, n), n
 
 
 def reference_solve_antipode(dim, mult, unit, comult, counit):

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import pytest
@@ -62,6 +63,15 @@ class TestBasics:
         m = mat([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
         assert m.rank() == 2
         assert m.kernel_basis().cols == 1
+
+    def test_zero_rref_returns_at_once(self):
+        # no row holds an entry: no column is looked up, where the scan
+        # would cost 4096^2 lookups
+        zero = Matrix.zero(4096, 4096)
+        start = time.perf_counter()
+        red, pivots = zero.rref()
+        assert time.perf_counter() - start < 0.1
+        assert red == zero and pivots == []
 
     def test_kernel_image_dimensions(self):
         m = mat([[1, 2, 3], [2, 4, 6], [1, 0, 1]])

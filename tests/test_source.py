@@ -138,6 +138,24 @@ def test_traced_functions_exist():
     assert layertrace.SPANS and missing == []
 
 
+def test_integer_fields_have_one_reader():
+    # an integer field of the input is a JSON integer, read by io._integer;
+    # int() would also read "_", spaces and non-ASCII digits, so io.py calls
+    # it only in scalar_from_obj, after _digits has checked the string
+    tree = ast.parse((PACKAGE / "io.py").read_text(encoding="utf-8"))
+    scalar = next(fn for fn in tree.body
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "scalar_from_obj")
+
+    def calls(node, name):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Name) and n.func.id == name]
+
+    checked = min(n.lineno for n in calls(scalar, "_digits"))
+    allowed = {id(n) for n in calls(scalar, "int") if n.lineno > checked}
+    found = [f"io.py:{n.lineno}" for n in calls(tree, "int") if id(n) not in allowed]
+    assert allowed and found == []
+
+
 def _is_kron_call(node):
     return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id in ("kron", "kron_all"))

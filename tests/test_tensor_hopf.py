@@ -158,7 +158,7 @@ class TestNicholsOracles:
     time."""
 
     @pytest.mark.parametrize("q, roots, N", [
-        (*a1xa1(3, 3), 6), (*a1xa1(4, 4), 8), (*a1xa1(5, 5), 10), (*a1xa1(3, 4), 7),
+        (*a1xa1(3, 3), 12), (*a1xa1(4, 4), 8), (*a1xa1(5, 5), 10), (*a1xa1(3, 4), 7),
         (*a2(2), 6), (*a2(3), 10), (*a2(4), 9), (*a2(5), 8),
     ], ids=["A1xA1-3-3", "A1xA1-4-4", "A1xA1-5-5", "A1xA1-3-4", "A2-2", "A2-3", "A2-4", "A2-5"])
     def test_wedge_dims_are_the_hilbert_series(self, q, roots, N):
