@@ -20,7 +20,7 @@ from .checks import Checks
 from .cyclotomic import ONE, ZERO, Scalar
 from .errors import ShapeError, TooLarge
 from .matrix import Matrix, kron, kron_all, kron_apply, swap_matrix
-from .permutations import Permutation, gaussian_multinomial, shuffle_set
+from .permutations import gaussian_multinomial, length, reduced_word, shuffle_set
 
 RESOURCE_BOUND = 4096
 
@@ -80,19 +80,22 @@ class BraidedSpace:
             )
         return self._rep_cache[key]
 
-    def rep(self, p: Permutation) -> Matrix:
-        """The braid-group representation sigma_C on X^(tensor j).  On a
-        1-dimensional space every elementary braiding is the scalar psi, so
-        the product over a reduced word is psi to the length of p."""
-        j = p.size
+    def rep(self, p: tuple[int, ...]) -> Matrix:
+        """The braid-group representation sigma_C on X^(tensor j) of the
+        permutation p, given by its one-line images.  On a 1-dimensional
+        space every elementary braiding is the scalar psi, so the product
+        over a reduced word is psi to the length of p."""
+        j = len(p)
         self.guard(j)
-        key = ("rep", p.images)
+        key = ("rep", p)
         if key not in self._rep_cache:
+            if sorted(p) != list(range(1, j + 1)):
+                raise ShapeError(f"not a permutation of 1..{j}: {p}")
             if self.dim == 1:
-                result = Matrix(1, 1, [self.psi[0, 0] ** p.length()])
+                result = Matrix(1, 1, [self.psi[0, 0] ** length(p)])
             else:
                 result = Matrix.identity(self.dim**j)
-                for a in p.reduced_expression():
+                for a in reduced_word(p):
                     result = result.compose(self.elementary(j, a))
             self._rep_cache[key] = result
         return self._rep_cache[key]
@@ -135,7 +138,7 @@ def multinomial(parts, x: BraidedSpace, side: str) -> Matrix:
     size = x.dim**j
     acc = Matrix.zero(size, size)
     for sigma in shuffle_set(parts, side):
-        weight = x.lam ** sigma.length()
+        weight = x.lam ** length(sigma)
         scale = weight != 1
         # representation matrices are sparse; only touch their nonzero entries
         for rc, e in x.rep(sigma).nonzeros():
@@ -168,8 +171,7 @@ def braided_factorials(N: int, x: BraidedSpace) -> list[Matrix]:
     return facts
 
 
-def block_swap(k: int, l: int) -> Permutation:
+def block_swap(k: int, l: int) -> tuple[int, ...]:
     """The permutation in S_{k+l} moving the first k slots past the last l."""
-    images = [i + l for i in range(1, k + 1)] + [i for i in range(1, l + 1)]
-    return Permutation(images)
+    return (*range(l + 1, k + l + 1), *range(1, l + 1))
 

@@ -261,7 +261,10 @@ def _value(name: str, kind, text: str):
         if n < 1:
             raise ParseError(f"{name} must be an integer >= 1, got {text!r}")
         return n
-    if kind is not str and text not in kind:
+    if kind is str:
+        if not text:
+            raise ParseError(f"{name} needs a value")
+    elif text not in kind:
         raise ParseError(f"{name} must be one of {', '.join(kind)}, got {text!r}")
     return text
 

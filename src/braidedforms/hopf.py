@@ -9,6 +9,7 @@ Hopf.  A Hopf file states S once, never S^-1, and check_hopf verifies it.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .braiding import braided_line, multinomial
@@ -24,7 +25,6 @@ from .matrix import (
     solve_mono,
     swap_matrix,
 )
-from .permutations import all_permutations
 
 
 def set_legs(obj, keys, size, maps):
@@ -145,7 +145,7 @@ def cyclic_group_algebra(n: int) -> HopfAlgebraData:
 
 
 def symmetric_group_algebra_s3() -> HopfAlgebraData:
-    elements = [p.images for p in all_permutations(3)]
+    elements = list(itertools.permutations((1, 2, 3)))
 
     def multiply(a, b):
         return tuple(a[b[i] - 1] for i in range(3))

@@ -6,7 +6,8 @@ key; on input a scalar may also be a JSON integer, [p, q], or a string of
 ASCII digits with an optional leading "-" and an optional "/" and
 denominator, such as "-3" or "4/2"; a leading "+", a decimal point, an
 exponent, "_" and spaces are refused; every integer field, a dim, rows,
-cols, a conductor or a number of coeffs or of [p, q], is a JSON integer):
+cols, a conductor or a number of coeffs or of [p, q], is a JSON integer,
+and a dim, rows or cols is a non-negative one):
 
   matrix    {"rows", "cols", "entries": [scalars]}
   hopf      {"dim", "mult", "unit", "comult", "counit", "antipode"}, never S^-1;
@@ -85,6 +86,14 @@ def _integer(x) -> int:
     return x
 
 
+def _count(x) -> int:
+    """A dim, rows or cols: a non-negative JSON integer."""
+    n = _integer(x)
+    if n < 0:
+        raise ParseError(f"expected a non-negative integer, got {n}")
+    return n
+
+
 def _digits(s: str) -> bool:
     """Whether s is one or more ASCII digits."""
     return s.isascii() and s.isdigit()
@@ -146,7 +155,7 @@ def _is_zero(e) -> bool:
 
 def matrix_from_obj(obj) -> Matrix:
     _known(obj, _MATRIX_KEYS, "matrix")
-    rows, cols = _integer(obj["rows"]), _integer(obj["cols"])
+    rows, cols = _count(obj["rows"]), _count(obj["cols"])
     entries = obj["entries"]
     if len(entries) != rows * cols:
         raise ParseError(f"matrix {rows}x{cols} needs {rows * cols} entries, got {len(entries)}")
@@ -273,7 +282,7 @@ def hopf_from_obj(obj) -> HopfAlgebraData:
     def build(o):
         _known(o, _HOPF_KEYS, "Hopf algebra")
         maps = [matrix_from_obj(o[key]) for key in HopfAlgebraData.LEGS]
-        return HopfAlgebraData(_integer(o["dim"]), *maps, name=o.get("name", ""))
+        return HopfAlgebraData(_count(o["dim"]), *maps, name=o.get("name", ""))
 
     return _wrap(build, obj, "hopf")
 
@@ -282,7 +291,7 @@ def braiding_from_obj(obj) -> BraidedSpace:
     def build(o):
         _known(o, _BRAIDING_KEYS, "braiding")
         lam = scalar_from_obj(o["lambda"]) if "lambda" in o else None
-        return BraidedSpace(_integer(o["dim"]), matrix_from_obj(o["psi"]), lam)
+        return BraidedSpace(_count(o["dim"]), matrix_from_obj(o["psi"]), lam)
 
     return _wrap(build, obj, "braiding")
 
@@ -311,7 +320,7 @@ def _structure_from_obj(cls, obj, h, what):
     and a "hopf" reference, read by the caller."""
     def build(o):
         _known(o, _keys("hopf", "dim", *cls.LEGS), what)
-        dim = _integer(o["dim"])
+        dim = _count(o["dim"])
         maps = [matrix_from_obj(o[key]) for key in cls.LEGS]
         return cls(h, dim, *maps, name=o.get("name", ""))
 

@@ -1,7 +1,7 @@
 """Permutations, reduced words, and shuffle sets.
 
-Permutations act on {1..j} and are stored in one-line notation.  Products
-compose as functions: (s*t)(i) = s(t(i)).  Shuffle sets follow the braided
+A permutation of {1..j} is the tuple of its one-line images; `length`,
+`reduced_word` and `inverted` read it.  Shuffle sets follow the braided
 multinomial convention: for a composition (j_1,...,j_r) of j, a tuple of
 non-negative parts, the lower set consists of the permutations that are
 increasing on each consecutive block, and the upper set is its set of
@@ -13,90 +13,47 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import combinations, zip_longest
-from typing import Iterator
-
-from .errors import ShapeError
 
 
-class Permutation:
-    __slots__ = ("images",)
+def length(p) -> int:
+    """Number of inversions = length of any reduced word: each image
+    counts the smaller images to its right, found by bisection."""
+    count = 0
+    seen = []
+    for v in reversed(p):
+        k = bisect_left(seen, v)
+        count += k
+        seen.insert(k, v)
+    return count
 
-    def __init__(self, images):
-        images = tuple(images)
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise ShapeError(f"not a permutation of 1..{len(images)}: {images}")
-        self.images = images
 
-    @property
-    def size(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.size != other.size:
-            raise ShapeError("permutation size mismatch")
-        return Permutation(self.images[other.images[i] - 1] for i in range(self.size))
-
-    def inverse(self) -> "Permutation":
-        images = [0] * self.size
-        for i, v in enumerate(self.images):
-            images[v - 1] = i + 1
-        return Permutation(images)
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __repr__(self):
-        return f"Permutation{self.images}"
-
-    def length(self) -> int:
-        """Number of inversions = length of any reduced word: each image
-        counts the smaller images to its right, found by bisection."""
-        count = 0
-        seen = []
-        for v in reversed(self.images):
-            k = bisect_left(seen, v)
-            count += k
-            seen.insert(k, v)
-        return count
-
-    def reduced_expression(self) -> tuple[int, ...]:
-        """Canonical reduced word (bubble sort): right-multiply away the
-        leftmost descent.  Product t_{a_1} ... t_{a_l} (leftmost applied last)
-        equals the permutation."""
-        word = []
-        images = list(self.images)
-        while True:
-            for a in range(len(images) - 1):
-                if images[a] > images[a + 1]:
-                    images[a], images[a + 1] = images[a + 1], images[a]
-                    word.append(a + 1)
-                    break
-            else:
+def reduced_word(p) -> tuple[int, ...]:
+    """Canonical reduced word (bubble sort): right-multiply away the
+    leftmost descent.  Product t_{a_1} ... t_{a_l} (leftmost applied last)
+    equals the permutation."""
+    word = []
+    images = list(p)
+    while True:
+        for a in range(len(images) - 1):
+            if images[a] > images[a + 1]:
+                images[a], images[a + 1] = images[a + 1], images[a]
+                word.append(a + 1)
                 break
-        # sigma = sigma' * t_a collects a last-to-first
-        return tuple(reversed(word))
-
-    def reduced_expression_left(self) -> tuple[int, ...]:
-        """A second reduced word, from the left descents: sigma^{-1}'s
-        canonical word reversed, since (t_{a_1} ... t_{a_l})^{-1} is
-        t_{a_l} ... t_{a_1}; generally differs from reduced_expression."""
-        return tuple(reversed(self.inverse().reduced_expression()))
+        else:
+            break
+    # sigma = sigma' * t_a collects a last-to-first
+    return tuple(reversed(word))
 
 
-def all_permutations(j: int) -> Iterator[Permutation]:
-    from itertools import permutations as _perms
+def inverted(p) -> tuple[int, ...]:
+    """The inverse permutation, in one-line notation."""
+    images = [0] * len(p)
+    for i, v in enumerate(p):
+        images[v - 1] = i + 1
+    return tuple(images)
 
-    for images in _perms(range(1, j + 1)):
-        yield Permutation(images)
 
-
-def shuffle_set(parts, side: str) -> list[Permutation]:
+def shuffle_set(parts, side: str) -> list[tuple[int, ...]]:
     """Shuffles for the composition parts = (j_1, ..., j_r) of j = sum(parts),
     a tuple of non-negative ints.
 
@@ -115,14 +72,12 @@ def shuffle_set(parts, side: str) -> list[Permutation]:
             for tail in laid(rest[1:], left):
                 yield chosen + tail
 
-    lower = [Permutation(images) for images in laid(parts, range(1, sum(parts) + 1))]
+    lower = laid(parts, range(1, sum(parts) + 1))
     if side == "lower":
-        result = lower
-    elif side == "upper":
-        result = [p.inverse() for p in lower]
-    else:
-        raise ValueError(f"side must be lower or upper, got {side!r}")
-    return sorted(result, key=lambda p: p.images)
+        return sorted(lower)
+    if side == "upper":
+        return sorted(map(inverted, lower))
+    raise ValueError(f"side must be lower or upper, got {side!r}")
 
 
 def gaussian_multinomial(parts) -> list[int]:

@@ -25,11 +25,10 @@ from .cyclotomic import MINUS_ONE, Scalar
 from .errors import FactorizationError
 from .graded import GradedBialgebra, ideal_quotient, sub_bialgebra
 from .matrix import Matrix, compose_kron, kron_apply
-from .permutations import Permutation
 
 
-def reversal(n: int) -> Permutation:
-    return Permutation(range(n, 0, -1))
+def reversal(n: int) -> tuple[int, ...]:
+    return tuple(range(n, 0, -1))
 
 
 def closed_form_antipode(x: BraidedSpace, n: int) -> Matrix:

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,10 +18,15 @@ from braidedforms.braiding import (
 from braidedforms.cyclotomic import MINUS_ONE, ONE, Scalar
 from braidedforms.errors import FactorizationError, ShapeError, TooLarge
 from braidedforms.matrix import Matrix, compose_all, kron, swap_matrix
-from braidedforms.permutations import Permutation, all_permutations
+from braidedforms.permutations import inverted, length, reduced_word
 from braidedforms.tensor_hopf import build_wedge
 
-perms4 = st.permutations(list(range(1, 5))).map(Permutation)
+perms4 = st.permutations(list(range(1, 5))).map(tuple)
+
+
+def compose(p, q):
+    """The product p q, composed as functions: (p q)(i) = p(q(i))."""
+    return tuple(p[i - 1] for i in q)
 
 
 def corpus_spaces():
@@ -90,7 +97,7 @@ class TestRepresentation:
     @settings(max_examples=25, deadline=None)
     @given(perms4, st.sampled_from(corpus_spaces()))
     def test_well_defined_on_reduced_words(self, p, x):
-        words = [p.reduced_expression(), p.reduced_expression_left()]
+        words = [reduced_word(p), reduced_word(inverted(p))[::-1]]
         mats = [
             compose_all(*[x.elementary(4, a) for a in w], Matrix.identity(x.dim**4))
             for w in words
@@ -101,28 +108,36 @@ class TestRepresentation:
     @given(perms4, perms4)
     def test_multiplicative_when_length_additive(self, p, q):
         x = swap_space(2)
-        if (p * q).length() == p.length() + q.length():
-            assert x.rep(p * q) == x.rep(p).compose(x.rep(q))
+        pq = compose(p, q)
+        if length(pq) == length(p) + length(q):
+            assert x.rep(pq) == x.rep(p).compose(x.rep(q))
 
     def test_identity_and_transposition(self):
         x = swap_space(2)
-        assert x.rep(Permutation(range(1, 4))) == Matrix.identity(8)
-        assert x.rep(Permutation((2, 1))) == swap_matrix(2, 2)
+        assert x.rep((1, 2, 3)) == Matrix.identity(8)
+        assert x.rep((2, 1)) == swap_matrix(2, 2)
+
+    @pytest.mark.parametrize("p", [(1, 1), (2, 3), (0, 1), (1, 2, 2)])
+    @pytest.mark.parametrize("x", [swap_space(2), braided_line(Scalar.zeta(5), ONE)],
+                             ids=["swap2", "line"])
+    def test_rep_refuses_a_non_permutation(self, x, p):
+        with pytest.raises(ShapeError, match="not a permutation"):
+            x.rep(p)
 
     def test_braided_line_rep_is_q_power(self):
         x = braided_line(Scalar.zeta(5), ONE)  # psi = [zeta_5]
         q = Scalar.zeta(5)
-        for p in all_permutations(4):
-            assert x.rep(p) == Matrix(1, 1, [q ** p.length()])
+        for p in permutations(range(1, 5)):
+            assert x.rep(p) == Matrix(1, 1, [q ** length(p)])
 
     def test_braided_line_rep_matches_reduced_word_product(self):
         # rep on a 1-dimensional space is psi^length; the product of the
         # elementary braidings over the reduced word is the definition
         x = io.braiding_from_obj(io.load_json(io.bundled_path("braided_line_zeta3")))
         assert x.dim == 1
-        for p in all_permutations(6):
+        for p in permutations(range(1, 7)):
             word = compose_all(Matrix.identity(1),
-                               *[x.elementary(6, a) for a in p.reduced_expression()])
+                               *[x.elementary(6, a) for a in reduced_word(p)])
             got = x.rep(p)
             assert got == word and got.to_obj() == word.to_obj()
 
@@ -179,7 +194,7 @@ class TestMultinomials:
             for side in ("lower", "upper"):
                 total = Scalar.rational(0)
                 for sigma in shuffle_set(tuple(parts), side):
-                    total = total + x.lam ** sigma.length() * x.rep(sigma)[0, 0]
+                    total = total + x.lam ** length(sigma) * x.rep(sigma)[0, 0]
                 expected[tuple(parts), side] = Matrix(1, 1, [total])
         calls = []
         monkeypatch.setattr(braiding, "shuffle_set", lambda *args: calls.append(args))

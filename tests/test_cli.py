@@ -589,6 +589,40 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", [
+        ["check", "--kind", "braiding"], ["wedge-dims"], ["wedge-dims", "--compare-quadratic"]],
+        ids=["check", "wedge-dims", "compare-quadratic"])
+    @pytest.mark.parametrize("dim, psi", [
+        (-1, {"rows": 1, "cols": 1, "entries": [1]}),
+        (1, {"rows": -1, "cols": -1, "entries": [1]}),
+        (0, {"rows": 0, "cols": -1, "entries": []})],
+        ids=["dim", "rows-cols", "cols"])
+    def test_negative_count_exit_2(self, tmp_path, capsys, command, dim, psi):
+        # a dim, rows or cols is a non-negative JSON integer; -1 x -1 would
+        # hold one entry, and a braiding of dim -1 would pass its checks
+        path = bundle(tmp_path, "n.json", {"dim": dim, "psi": psi})
+        assert run([*command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: expected a non-negative integer, got -1\n"
+
+    @pytest.mark.parametrize("kind, name", [
+        ("hopf", "sweedler"), ("bimodule", "sweedler_regular_bimodule"),
+        ("crossed", "sweedler_coadjoint_crossed")])
+    def test_negative_structure_dim_exit_2(self, tmp_path, capsys, kind, name):
+        obj = _bundled_object(name)
+        obj["dim"] = -1
+        assert run(["check", "--kind", kind, bundle(tmp_path, "d.json", obj)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_zero_dim_is_valid(self, tmp_path):
+        path = bundle(tmp_path, "z.json", {"dim": 0, "psi": {"rows": 0, "cols": 0, "entries": []}})
+        assert run(["check", "--kind", "braiding", path]) == 0
+        out = tmp_path / "r.json"
+        assert run(["wedge-dims", path, "--max-degree", "2", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["dims"] == [1, 0, 0]
+
 
     @pytest.mark.parametrize("where", ["lambda", "psi"])
     @pytest.mark.parametrize("entry, key", [
@@ -877,6 +911,8 @@ class TestCommandLine:
         ["classify", SWEEDLER, "--"], ["check", SWEEDLER, "--kind", "hopf", "--=x"],  # ambiguous
         ["check", SWEEDLER, "--kind"], ["classify", SWEEDLER, "--out"],  # missing value
         ["classify", SWEEDLER, "--out", "--out"],
+        ["check", SWEEDLER, "--kind", "hopf", "--out="],  # empty value
+        ["check", SWEEDLER, "--kind", "hopf", "--out", ""],
         ["check", SWEEDLER, "--kind", "nope"], ["check", SWEEDLER, "--kind=HOPF"],  # bad choice
         ["build-calculus", INPUTS["build-calculus"], "--route=fast"],
         ["build-calculus", INPUTS["build-calculus"], "--route", ""],

@@ -1,40 +1,57 @@
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 from math import factorial, prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidedforms.permutations import (
-    Permutation,
-    all_permutations,
     gaussian_multinomial,
+    inverted,
+    length,
+    reduced_word,
     shuffle_set,
 )
 
-perms4 = st.permutations(list(range(1, 5))).map(Permutation)
+perms4 = st.permutations(list(range(1, 5))).map(tuple)
+
+
+def all_permutations(j):
+    """S_j in one-line notation, in lexicographic order."""
+    return list(permutations(range(1, j + 1)))
+
+
+def compose(p, q):
+    """The product p q, composed as functions: (p q)(i) = p(q(i))."""
+    return tuple(p[i - 1] for i in q)
 
 
 def transposition(j, a):
     """The adjacent transposition t_a = (a, a+1) in S_j."""
     images = list(range(1, j + 1))
     images[a - 1], images[a] = images[a], images[a - 1]
-    return Permutation(images)
+    return tuple(images)
 
 
 def word_to_permutation(j, word):
     """The product t_{a_1} ... t_{a_l} of the word's transpositions."""
-    p = Permutation(range(1, j + 1))
+    p = tuple(range(1, j + 1))
     for a in word:
-        p = p * transposition(j, a)
+        p = compose(p, transposition(j, a))
     return p
 
 
-def reference_reduced_expression_left(p):
+def left_word(p):
+    """A second reduced word, from the left descents: p^{-1}'s canonical
+    word reversed, since (t_{a_1} ... t_{a_l})^{-1} is t_{a_l} ... t_{a_1}."""
+    return reduced_word(inverted(p))[::-1]
+
+
+def reference_left_word(p):
     """The left word by its own bubble sort: strip the left descents of p,
     the a-positions of p^{-1}, recording each as it is stripped."""
     word = []
-    inv = list(p.inverse().images)
+    inv = list(inverted(p))
     while True:
         for a in range(len(inv) - 1):
             if inv[a] > inv[a + 1]:
@@ -46,55 +63,61 @@ def reference_reduced_expression_left(p):
     return tuple(word)
 
 
+def reference_shuffles(parts, side):
+    """The shuffle set by brute force over S_j: the permutations increasing
+    on each consecutive block (lower) or their inverses (upper), sorted."""
+    j = sum(parts)
+    ends = [sum(parts[:i + 1]) for i in range(len(parts))]
+    blocks = [range(end - k, end) for k, end in zip(parts, ends)]
+    lower = [p for p in all_permutations(j)
+             if all(p[i] < p[i + 1] for block in blocks for i in block[:-1])]
+    return sorted(lower if side == "lower" else map(inverted, lower))
+
+
 class TestPermutation:
     def test_left_word_matches_its_own_sort(self):
         for n in range(1, 7):
             for p in all_permutations(n):
-                assert p.reduced_expression_left() == reference_reduced_expression_left(p)
+                assert left_word(p) == reference_left_word(p)
 
     def test_length(self):
-        assert Permutation(range(1, 5)).length() == 0
-        assert transposition(3, 1).length() == 1
+        assert length((1, 2, 3, 4)) == 0
+        assert length(transposition(3, 1)) == 1
         for n in range(1, 6):
-            rev = Permutation(range(n, 0, -1))
-            assert rev.length() == n * (n - 1) // 2
+            rev = tuple(range(n, 0, -1))
+            assert length(rev) == n * (n - 1) // 2
 
     def test_length_counts_inversions(self):
         for n in range(7):
             for p in all_permutations(n):
-                im = p.images
-                pairs = sum(im[a] > im[b] for a in range(n) for b in range(a + 1, n))
-                assert p.length() == pairs == len(p.reduced_expression())
+                pairs = sum(p[a] > p[b] for a in range(n) for b in range(a + 1, n))
+                assert length(p) == pairs == len(reduced_word(p))
 
-    def test_reduced_expression_examples(self):
-        assert Permutation(range(1, 4)).reduced_expression() == ()
-        assert transposition(4, 2).reduced_expression() == (2,)
-        rev3 = Permutation((3, 2, 1))
-        assert len(rev3.reduced_expression()) == 3
+    def test_reduced_word_examples(self):
+        assert reduced_word((1, 2, 3)) == ()
+        assert reduced_word(transposition(4, 2)) == (2,)
+        assert len(reduced_word((3, 2, 1))) == 3
 
     @settings(max_examples=60, deadline=None)
     @given(perms4)
     def test_reduced_words_multiply_back(self, p):
-        for word in (p.reduced_expression(), p.reduced_expression_left()):
-            assert len(word) == p.length()
+        for word in (reduced_word(p), left_word(p)):
+            assert len(word) == length(p)
             assert word_to_permutation(4, word) == p
 
     @settings(max_examples=60, deadline=None)
     @given(perms4, perms4)
     def test_length_subadditive(self, p, q):
-        assert (p * q).length() <= p.length() + q.length()
-        assert p.inverse().length() == p.length()
+        assert length(compose(p, q)) <= length(p) + length(q)
+        assert length(inverted(p)) == length(p)
 
     @settings(max_examples=30, deadline=None)
     @given(perms4)
     def test_group_axioms(self, p):
-        e = Permutation(range(1, 5))
-        assert p * p.inverse() == e == p.inverse() * p
-        assert p * e == p == e * p
-
-    def test_all_permutations_count(self):
-        for n in range(1, 6):
-            assert len(list(all_permutations(n))) == factorial(n)
+        e = (1, 2, 3, 4)
+        assert compose(p, inverted(p)) == e == compose(inverted(p), p)
+        assert compose(p, e) == p == compose(e, p)
+        assert inverted(inverted(p)) == p
 
 
 class TestShuffles:
@@ -106,7 +129,7 @@ class TestShuffles:
                 assert len(shuffle_set(pi, side)) == count
 
     def test_trivial_partition(self):
-        assert shuffle_set((4,), "upper") == [Permutation(range(1, 5))]
+        assert shuffle_set((4,), "upper") == [(1, 2, 3, 4)]
 
     def test_singleton_parts_give_whole_group(self):
         got = set(shuffle_set((1, 1, 1), "upper"))
@@ -115,7 +138,7 @@ class TestShuffles:
     def test_lower_shuffles_block_monotone(self):
         for sigma in shuffle_set((2, 2), "lower"):
             for block in ((1, 2), (3, 4)):
-                values = [sigma(i) for i in block]
+                values = [sigma[i - 1] for i in block]
                 assert values == sorted(values)
 
     def test_upper_shuffles_preserve_order_onto_blocks(self):
@@ -123,7 +146,19 @@ class TestShuffles:
         pi = (2, 1, 2)
         upper = set(shuffle_set(pi, "upper"))
         lower = set(shuffle_set(pi, "lower"))
-        assert {p.inverse() for p in upper} == lower
+        assert set(map(inverted, upper)) == lower
+
+    def test_shuffle_sets_by_brute_force(self):
+        # every composition of at most 3 parts, zeros included, of total <= 6:
+        # the same shuffles in the same order, which is the order in which a
+        # multinomial sums its terms
+        for size in (1, 2, 3):
+            for parts in product(range(7), repeat=size):
+                if sum(parts) > 6:
+                    continue
+                for side in ("lower", "upper"):
+                    assert shuffle_set(parts, side) == reference_shuffles(parts, side), \
+                        (parts, side)
 
     def test_gaussian_multinomial_counts_lengths(self):
         # c_i of the Gaussian multinomial is the number of shuffles of length
@@ -134,6 +169,6 @@ class TestShuffles:
                     continue
                 coeffs = gaussian_multinomial(parts)
                 for side in ("lower", "upper"):
-                    lengths = Counter(s.length() for s in shuffle_set(tuple(parts), side))
+                    lengths = Counter(map(length, shuffle_set(tuple(parts), side)))
                     assert coeffs == [lengths[i] for i in range(max(lengths) + 1)], \
                         (parts, side)

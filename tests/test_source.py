@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -154,6 +155,17 @@ def test_integer_fields_have_one_reader():
     allowed = {id(n) for n in calls(scalar, "int") if n.lineno > checked}
     found = [f"io.py:{n.lineno}" for n in calls(tree, "int") if id(n) not in allowed]
     assert allowed and found == []
+
+
+def test_permutations_are_tuples():
+    # a permutation is the tuple of its one-line images, read by the
+    # functions of permutations.py; no class wraps it
+    tree = ast.parse((PACKAGE / "permutations.py").read_text(encoding="utf-8"))
+    assert [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)] == []
+    gone = re.compile(r"\b(Permutation|all_permutations|reduced_expression_left)\b")
+    found = [f"{path.name}: {match.group()}" for path in sorted(PACKAGE.glob("*.py"))
+             for match in gone.finditer(path.read_text(encoding="utf-8"))]
+    assert found == []
 
 
 def _is_kron_call(node):
