@@ -1,9 +1,10 @@
 """Hopf bimodules and crossed (Yetter-Drinfeld) modules over a
 finite-dimensional Hopf algebra, the coinvariants/smash equivalence, the
 tensor product over H with its lambda/rho universal morphisms, the induced
-braiding Theta/B and its inverse, both taking the two tensor products over H,
-the associator and hexagon identities, and the crossed-module braiding in
-closed form.
+braiding Theta/B and its inverse, the associator and hexagon identities, and
+the crossed-module braiding in closed form.  The monoidal operations take the
+bimodules alone and build the tensor products over H they read:
+tensor_over_H is deterministic, so a rebuilt X (x)_H Y has the same maps.
 
 The base category is finite-dimensional vector spaces with the plain tensor
 swap; X (x)_H Y is realized on X (x) coinv(Y), with the cotensor realization
@@ -253,7 +254,8 @@ def smash(h: HopfAlgebraData, m: CrossedModule) -> HopfBimodule:
 
 
 def crossed_iso_smash(m: CrossedModule):
-    """(alpha, beta): canonical iso m -> coinvariants(smash(m)) and inverse."""
+    """(mc, alpha, beta): mc = coinvariants(smash(m)), the canonical iso
+    alpha: m -> mc and its inverse beta."""
     h = m.h
     x = smash(h, m)
     mc, p, i = coinvariants(x)
@@ -307,15 +309,12 @@ def tensor_map_over_H(t: TensorOverH, t2: TensorOverH, f: Matrix, g: Matrix) -> 
     return solve_epi(compose_kron(t2.lam, f, g), t.lam)
 
 
-def hopf_bimodule_braiding(x: HopfBimodule, y: HopfBimodule, txy: TensorOverH,
-                           tyx: TensorOverH) -> Matrix:
-    """The unique B: X (x)_H Y -> Y (x)_H X with rho o B o lam = Theta_{X,Y},
-    for txy = X (x)_H Y and tyx = Y (x)_H X."""
-    return solve_factor(tyx.rho, txy.lam, theta(x, y))
+def hopf_bimodule_braiding(x: HopfBimodule, y: HopfBimodule) -> Matrix:
+    """The unique B: X (x)_H Y -> Y (x)_H X with rho o B o lam = Theta_{X,Y}."""
+    return solve_factor(tensor_over_H(y, x).rho, tensor_over_H(x, y).lam, theta(x, y))
 
 
-def hopf_bimodule_braiding_inverse(x: HopfBimodule, y: HopfBimodule, txy: TensorOverH,
-                                   tyx: TensorOverH) -> Matrix:
+def hopf_bimodule_braiding_inverse(x: HopfBimodule, y: HopfBimodule) -> Matrix:
     """The inverse of hopf_bimodule_braiding(x, y), built independently from
     the closed inverse formula: the map Y (x)_H X -> X (x)_H Y
     lam_{X,Y} o phi o rho_{Y,X}, where phi(y (x) x) = x <| S^{-1}(y_(1)) (x) y_(0)
@@ -325,71 +324,36 @@ def hopf_bimodule_braiding_inverse(x: HopfBimodule, y: HopfBimodule, txy: Tensor
     act = compose_kron(x.mu_r.compose(swap_matrix(a, x.dim)), x.h.antipode.inverse(), ex)
     coact = swap_matrix(y.dim, a).compose(y.nu_r)
     phi = braided_product(act, ey, swap_matrix(y.dim, x.dim), coact, ex, (a, y.dim, x.dim, 1))
-    return txy.lam.compose(phi).compose(tyx.rho)
+    return tensor_over_H(x, y).lam.compose(phi).compose(tensor_over_H(y, x).rho)
 
 
-class TensorCache:
-    """Caches tensor_over_H results keyed by the pair of bimodules, which hash
-    by identity; the cache holds them, so no key outlives its bimodule."""
-
-    def __init__(self):
-        self._store = {}
-
-    def get(self, x: HopfBimodule, y: HopfBimodule) -> TensorOverH:
-        key = (x, y)
-        if key not in self._store:
-            self._store[key] = tensor_over_H(x, y)
-        return self._store[key]
-
-
-def associator(x: HopfBimodule, y: HopfBimodule, z: HopfBimodule,
-               cache: TensorCache) -> Matrix:
+def associator(x: HopfBimodule, y: HopfBimodule, z: HopfBimodule) -> Matrix:
     """The unique a: (X (x)_H Y) (x)_H Z -> X (x)_H (Y (x)_H Z) with
     a o lam(lam (x) id) = lam(id (x) lam) on X (x) Y (x) Z."""
-    txy = cache.get(x, y)
-    tyz = cache.get(y, z)
-    tl = cache.get(txy.z, z)
-    tr = cache.get(x, tyz.z)
-    q1 = compose_kron(tl.lam, txy.lam, Matrix.identity(z.dim))
-    q2 = compose_kron(tr.lam, Matrix.identity(x.dim), tyz.lam)
+    txy, tyz = tensor_over_H(x, y), tensor_over_H(y, z)
+    q1 = compose_kron(tensor_over_H(txy.z, z).lam, txy.lam, Matrix.identity(z.dim))
+    q2 = compose_kron(tensor_over_H(x, tyz.z).lam, Matrix.identity(x.dim), tyz.lam)
     return solve_epi(q2, q1)
 
 
-def hexagon_identities(x: HopfBimodule, y: HopfBimodule, z: HopfBimodule,
-                       cache: TensorCache) -> Checks:
+def hexagon_identities(x: HopfBimodule, y: HopfBimodule, z: HopfBimodule) -> Checks:
     """Both hexagon identities for the Hopf bimodule braiding on (X, Y, Z)."""
-    t = cache.get
-    txy, tyx = t(x, y), t(y, x)
-    txz, tzx = t(x, z), t(z, x)
-    tyz, tzy = t(y, z), t(z, y)
-    b_xy = hopf_bimodule_braiding(x, y, txy, tyx)
-    b_xz = hopf_bimodule_braiding(x, z, txz, tzx)
-    b_yz = hopf_bimodule_braiding(y, z, tyz, tzy)
-    b_x_yz = hopf_bimodule_braiding(x, tyz.z, t(x, tyz.z), t(tyz.z, x))
-    b_xy_z = hopf_bimodule_braiding(txy.z, z, t(txy.z, z), t(z, txy.z))
-    a_xyz = associator(x, y, z, cache)
-    a_yzx = associator(y, z, x, cache)
-    a_yxz = associator(y, x, z, cache)
-    a_zxy = associator(z, x, y, cache)
-    a_xzy = associator(x, z, y, cache)
-    ey = Matrix.identity(y.dim)
-    ez = Matrix.identity(z.dim)
-    exd = Matrix.identity(x.dim)
-    b_xy_tensor_id = tensor_map_over_H(t(txy.z, z), t(tyx.z, z), b_xy, ez)
-    id_tensor_b_xz = tensor_map_over_H(t(y, txz.z), t(y, tzx.z), ey, b_xz)
-    id_tensor_b_yz = tensor_map_over_H(t(x, tyz.z), t(x, tzy.z), exd, b_yz)
-    b_xz_tensor_id = tensor_map_over_H(t(txz.z, y), t(tzx.z, y), b_xz, ey)
+    t, braid = tensor_over_H, hopf_bimodule_braiding
+    xy, yx, xz, zx, yz, zy = t(x, y).z, t(y, x).z, t(x, z).z, t(z, x).z, t(y, z).z, t(z, y).z
+    ex, ey, ez = Matrix.identity(x.dim), Matrix.identity(y.dim), Matrix.identity(z.dim)
+    b_xz = braid(x, z)
+    a_xyz = associator(x, y, z)
     # hexagon 1: (XY)Z -> Y(ZX)
-    lhs1 = a_yzx.compose(b_x_yz).compose(a_xyz)
-    rhs1 = id_tensor_b_xz.compose(a_yxz).compose(b_xy_tensor_id)
+    lhs1 = associator(y, z, x).compose(braid(x, yz)).compose(a_xyz)
+    rhs1 = (tensor_map_over_H(t(y, xz), t(y, zx), ey, b_xz)
+            .compose(associator(y, x, z))
+            .compose(tensor_map_over_H(t(xy, z), t(yx, z), braid(x, y), ez)))
     # hexagon 2: (XY)Z -> (ZX)Y
-    lhs2 = a_zxy.inverse().compose(b_xy_z)
-    rhs2 = (
-        b_xz_tensor_id
-        .compose(a_xzy.inverse())
-        .compose(id_tensor_b_yz)
-        .compose(a_xyz)
-    )
+    lhs2 = associator(z, x, y).inverse().compose(braid(xy, z))
+    rhs2 = (tensor_map_over_H(t(xz, y), t(zx, y), b_xz, ey)
+            .compose(associator(x, z, y).inverse())
+            .compose(tensor_map_over_H(t(x, yz), t(x, zy), ex, braid(y, z)))
+            .compose(a_xyz))
     return Checks({"hexagon_left": lhs1 == rhs1, "hexagon_right": lhs2 == rhs2})
 
 

@@ -10,10 +10,11 @@ Exit codes
   0  success: every requested axiom/verification passed
   1  an axiom or verification failed (including unstable submodule generators
      and structure maps that do not factor, e.g. on a non-Hopf algebra)
-  2  input file missing, malformed, or schema violation, an --out path
-     that cannot be written, or a malformed command line (an unknown or
-     missing command, option or value, a missing or extra FILE, a bad choice,
-     or a --max-degree that is not an integer >= 1)
+  2  input file missing, malformed, or schema violation (a matrix whose
+     "entries" is not a list among them), an --out path or a stdout that
+     cannot be written, or a malformed command line (an unknown or missing
+     command, option or value, a missing or extra FILE, a bad choice, or a
+     --max-degree that is not an integer >= 1)
   3  the requested construction exceeds the desk-scale resource bound, or
      runs out of memory
 
@@ -23,6 +24,7 @@ bit-identical reports (exact arithmetic, no randomness, sorted keys).
 
 from __future__ import annotations
 
+import os
 import sys
 from types import SimpleNamespace
 
@@ -317,9 +319,9 @@ def parse_argv(argv) -> tuple:
     return handler, args
 
 
-def main(argv=None) -> int:
+def _run(argv) -> int:
     try:
-        handler, args = parse_argv(sys.argv[1:] if argv is None else argv)
+        handler, args = parse_argv(argv)
         return handler(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -338,6 +340,23 @@ def main(argv=None) -> int:
     except BraidedFormsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+
+
+def main(argv=None) -> int:
+    try:
+        code = _run(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()  # a buffered write to stdout fails here, not at exit
+        return code
+    except OSError as exc:
+        # every file a command opens or writes maps its OSError to a
+        # ParseError, so this is a failed write to stdout: exit 2, as for an
+        # unwritable --out.  The null device takes stdout's unwritten rest,
+        # so the interpreter's flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":  # pragma: no cover

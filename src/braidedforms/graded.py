@@ -66,6 +66,11 @@ class GradedBialgebra:
         for (k, l), c in self.comult.items():
             if c.cols != self.dims[k + l] or c.rows != self.dims[k] * self.dims[l]:
                 raise ShapeError(f"comult block ({k},{l}) shape")
+        self.require_lambda()
+
+    def require_lambda(self):
+        """IncompatibleBraiding when a differential is carried with lambda !=
+        -1: the differential laws read the lambda = -1 signs."""
         if self.differential is not None and self.lam != MINUS_ONE:
             raise IncompatibleBraiding("differentials force lambda = -1")
 
@@ -160,7 +165,10 @@ def check_graded_structure(b: GradedBialgebra) -> Checks:
 
     Whiskers such as m o (f (x) id) are applied with kron_apply and
     compose_kron, and each bialgebra term with braided_product, never built;
-    each W(p,q) = m(p,q) o (G_p (x) id) is built once."""
+    each W(p,q) = m(p,q) o (G_p (x) id) is built once.  A differential
+    assigned after construction, as the exterior calculi attach theirs, is
+    held to lambda = -1 as in the constructor."""
+    b.require_lambda()
     N, eye = b.N, b.eye
     unit = [compose_kron(b.m(0, n), b.unit, eye(n)) == eye(n)
             and compose_kron(b.m(n, 0), eye(n), b.unit) == eye(n) for n in range(N + 1)]
@@ -259,7 +267,7 @@ def _laws(b, unit, compat, cols, w, im) -> Checks:
             rhs = (compose_kron(b.m(k + 1, l), d[k].compose(g), eye(l))
                    + compose_kron(b.m(k, l + 1), g, d[l]).scale(sign))
             checks.record("leibniz", None if lhs == rhs else (k, l))
-    # lambda = -1 (the constructor requires it), so d (x) id + (-1)^k id (x) d
+    # lambda = -1 (require_lambda), so d (x) id + (-1)^k id (x) d
     # is a derivation of the braided B (x) B
     for n in range(min(N, top)):
         dg = d[n].compose(cols[n])

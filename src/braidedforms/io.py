@@ -157,6 +157,8 @@ def matrix_from_obj(obj) -> Matrix:
     _known(obj, _MATRIX_KEYS, "matrix")
     rows, cols = _count(obj["rows"]), _count(obj["cols"])
     entries = obj["entries"]
+    if not isinstance(entries, list):
+        raise ParseError(f'matrix "entries" must be a list, got {type(entries).__name__}')
     if len(entries) != rows * cols:
         raise ParseError(f"matrix {rows}x{cols} needs {rows * cols} entries, got {len(entries)}")
     # most entries of a structure map are the canonical zero, which skips the parser

@@ -11,7 +11,6 @@ import pytest
 
 from braidedforms import io
 from braidedforms.bimodules import (
-    TensorCache,
     adjoint_crossed,
     coadjoint_crossed,
     crossed_iso_smash,
@@ -24,6 +23,7 @@ from braidedforms.bimodules import (
     rho_lambda_formula,
     smash,
     square_bimodule,
+    tensor_over_H,
     theta,
     trivial_crossed,
 )
@@ -279,23 +279,18 @@ def corpus(sweedler):
     }
 
 
-@pytest.fixture(scope="module")
-def cache():
-    return TensorCache()
-
-
 class TestCriterion8MonoidalStructure:
-    def test_rho_lambda_formula_all_pairs(self, corpus, cache):
+    def test_rho_lambda_formula_all_pairs(self, corpus):
         for x in corpus.values():
             for y in corpus.values():
-                t = cache.get(x, y)
+                t = tensor_over_H(x, y)
                 assert t.rho.compose(t.lam) == rho_lambda_formula(x, y), (x.name, y.name)
 
-    def test_braiding_exists_unique_section_independent(self, corpus, cache):
+    def test_braiding_exists_unique_section_independent(self, corpus):
         for x in corpus.values():
             for y in corpus.values():
-                txy, tyx = cache.get(x, y), cache.get(y, x)
-                b = hopf_bimodule_braiding(x, y, txy, tyx)
+                txy, tyx = tensor_over_H(x, y), tensor_over_H(y, x)
+                b = hopf_bimodule_braiding(x, y)
                 # defining equation
                 assert tyx.rho.compose(b).compose(txy.lam) == theta(x, y)
                 # uniqueness: rho is mono and lam epi, so any solution agrees;
@@ -309,21 +304,20 @@ class TestCriterion8MonoidalStructure:
                 # morphism of Hopf bimodules
                 assert is_bimodule_morphism(txy.z, tyx.z, b)
 
-    def test_inverse_formula_all_pairs(self, corpus, cache):
+    def test_inverse_formula_all_pairs(self, corpus):
         for x in corpus.values():
             for y in corpus.values():
-                txy, tyx = cache.get(x, y), cache.get(y, x)
-                b = hopf_bimodule_braiding(x, y, txy, tyx)
-                binv = hopf_bimodule_braiding_inverse(x, y, txy, tyx)
-                assert b.compose(binv) == Matrix.identity(tyx.z.dim)
-                assert binv.compose(b) == Matrix.identity(txy.z.dim)
+                b = hopf_bimodule_braiding(x, y)
+                binv = hopf_bimodule_braiding_inverse(x, y)
+                assert b.compose(binv) == Matrix.identity(tensor_over_H(y, x).z.dim)
+                assert binv.compose(b) == Matrix.identity(tensor_over_H(x, y).z.dim)
 
-    def test_hexagons(self, corpus, cache):
+    def test_hexagons(self, corpus):
         reg = corpus["regular"]
         sm = corpus["smash_trivial"]
         sq = corpus["square"]
         for triple in [(reg, reg, reg), (reg, sm, reg), (sm, reg, sm), (reg, sq, sm)]:
-            assert hexagon_identities(*triple, cache).ok, [t.name for t in triple]
+            assert hexagon_identities(*triple).ok, [t.name for t in triple]
 
 
 class TestCriterion9UniversalCalculus:

@@ -3,6 +3,8 @@ import io as stdio
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import time
 from collections import Counter
@@ -455,6 +457,46 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error: cannot write the report") and err.count("\n") == 1
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [
+        ["check", "--kind", "braiding"], ["wedge-dims", "--max-degree", "3"]],
+        ids=["check", "wedge-dims"])
+    @pytest.mark.parametrize("dim, psi", [
+        (2, {"rows": 4, "cols": 4, "entries": "1000001001000001"}),
+        (1, {"rows": 1, "cols": 1, "entries": {"5": 0}})], ids=["string", "object"])
+    def test_entries_not_a_list_exit_2(self, tmp_path, capsys, command, dim, psi):
+        # a string of digits has the length of the 4 x 4 swap, and an object
+        # one key; neither is a list of entries
+        path = bundle(tmp_path, "e.json", {"dim": dim, "psi": psi})
+        assert run([command[0], path, *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith('error: matrix "entries" must be a list')
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("stdout", ["closed pipe", "/dev/full"])
+    def test_unwritable_stdout_exit_2(self, stdout):
+        # a write to stdout that fails ends like an --out that cannot be
+        # written; the interpreter's flush at exit reports nothing more
+        if stdout == "closed pipe":
+            read_end, sink = os.pipe()
+            os.close(read_end)
+        elif os.path.exists(stdout):
+            sink = os.open(stdout, os.O_WRONLY)
+        else:
+            pytest.skip(f"no {stdout}")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "braidedforms.cli", "check",
+                 str(io.bundled_path("sweedler")), "--kind", "hopf"],
+                env=env, stdout=sink, stderr=subprocess.PIPE, text=True, timeout=60)
+        finally:
+            os.close(sink)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: cannot write to stdout")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
     def test_zero_lambda_exit_2(self, tmp_path, capsys):
         obj = json.load(open(io.bundled_path("swap2")))

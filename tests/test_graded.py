@@ -63,6 +63,16 @@ class TestGradedBialgebra:
                             lambda k, l: swap_matrix(dims[k], dims[l]), ONE,
                             differential=[eye])
 
+    def test_assigned_differential_requires_lambda_minus_one(self):
+        # the exterior calculi attach their differential by assignment; the
+        # check holds it to lambda = -1 as the constructor does, since the
+        # differential laws read the lambda = -1 signs (with lambda = 1 the
+        # zero differential would pass every one of them)
+        b = build_tensor_hopf(swap_space(2, 1), "shuffle_product", 2)
+        b.differential = [Matrix.zero(b.dims[n + 1], b.dims[n]) for n in range(b.N)]
+        with pytest.raises(IncompatibleBraiding):
+            check_graded_structure(b)
+
     def test_negative_dimension_rejected(self):
         eye = Matrix.identity(1)
         with pytest.raises(ShapeError, match="negative dimension"):

@@ -168,6 +168,26 @@ def test_permutations_are_tuples():
     assert found == []
 
 
+def test_monoidal_operations_take_bimodules():
+    # the braiding, its inverse, the associator and the hexagons take the
+    # bimodules they are about and build the tensor products over H they
+    # read: no tensor product or memo is passed in
+    tree = ast.parse((PACKAGE / "bimodules.py").read_text(encoding="utf-8"))
+    assert "TensorCache" not in {node.name for node in tree.body
+                                 if isinstance(node, ast.ClassDef)}
+    ops = ("hopf_bimodule_braiding", "hopf_bimodule_braiding_inverse", "associator",
+           "hexagon_identities")
+    params = {node.name: [ast.unparse(arg.annotation) if arg.annotation else None
+                          for arg in (*node.args.posonlyargs, *node.args.args,
+                                      *node.args.kwonlyargs, node.args.vararg,
+                                      node.args.kwarg) if arg is not None]
+              for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in ops}
+    assert params == {"hopf_bimodule_braiding": ["HopfBimodule"] * 2,
+                      "hopf_bimodule_braiding_inverse": ["HopfBimodule"] * 2,
+                      "associator": ["HopfBimodule"] * 3,
+                      "hexagon_identities": ["HopfBimodule"] * 3}
+
+
 def _is_kron_call(node):
     return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id in ("kron", "kron_all"))
